@@ -3,7 +3,9 @@
 A group is Z^g modulo the column span of an integer relation matrix.  All
 structure questions (invariant factors, exponents, membership, kernels,
 exactness of complexes) reduce to Smith normal form over Z, computed here with
-arbitrary-precision integers and explicit unimodular transforms.
+arbitrary-precision integers and explicit unimodular transforms.  Membership
+factors each generator set once and then tests any number of vectors against
+that one factorisation.
 
 >>> G = FgAbGroup.of_cyclics("a", "b", orders=(2, 4))
 >>> exponent(G)
@@ -15,7 +17,6 @@ arbitrary-precision integers and explicit unimodular transforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import IllDefinedMap, NotComposable, RankMismatch
@@ -151,25 +152,6 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SNF:
     return SNF(a, u, v, tuple(diag))
 
 
-def unimodular_inverse(m: Sequence[Sequence[int]]) -> Matrix:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = [[x for x in row[n:]] for row in aug]
-    assert all(x.denominator == 1 for row in out for x in row)
-    return [[int(x) for x in row] for row in out]
-
-
 def integer_kernel(m: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
     """Basis of the integer kernel of m acting on Z^cols (columns as vectors)."""
     if not m or cols == 0:
@@ -180,34 +162,50 @@ def integer_kernel(m: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
     return [vcols[j] for j in range(rank, cols)]
 
 
+def _lattice_solver(gens: Sequence[Sequence[int]], dim: int):
+    """Factor the generators once; the returned function maps a vector v of
+    length dim to integer coefficients c with sum c_i * gens_i = v, or None."""
+    if not gens:
+        return lambda v: [] if all(x == 0 for x in v) else None
+    snf = smith_normal_form(matrix_from_columns(gens, dim))
+    diag, n = snf.diagonal, len(gens)
+
+    def solve(v: Sequence[int]) -> Optional[list[int]]:
+        y = mat_vec(snf.u, list(v))
+        coeffs = [0] * n
+        for i in range(dim):
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if y[i] != 0:
+                    return None
+            elif y[i] % d:
+                return None
+            else:
+                coeffs[i] = y[i] // d
+        return mat_vec(snf.v, coeffs)
+
+    return solve
+
+
 def solve_in_lattice(gens: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[list[int]]:
     """Integer coefficients c with sum c_i * gens_i = v, or None.
 
     ``gens`` is a list of vectors, all of the same length.
     """
-    dim = len(v)
-    g = matrix_from_columns(gens, dim) if gens else [[] for _ in range(dim)]
-    if not gens:
-        return [] if all(x == 0 for x in v) else None
-    snf = smith_normal_form(g)
-    y = mat_vec(snf.u, list(v))
-    n = len(gens)
-    coeffs = [0] * n
-    for i in range(dim):
-        d = snf.d[i][i] if i < min(dim, n) else 0
-        if d == 0:
-            if y[i] != 0:
-                return None
-        else:
-            if y[i] % d:
-                return None
-            if i < n:
-                coeffs[i] = y[i] // d
-    return mat_vec(snf.v, coeffs)
+    return _lattice_solver(gens, len(v))(v)
 
 
-def lattice_contains(gens: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
-    return solve_in_lattice(gens, v) is not None
+def lattice_spans(gens: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]],
+                  dim: int) -> bool:
+    """Does the integer span of ``gens`` contain every one of ``vectors``?
+
+    All vectors have length ``dim``.  The generators are factored once, and
+    not at all when there is nothing to test.
+    """
+    if not vectors:
+        return True
+    solve = _lattice_solver(gens, dim)
+    return all(solve(v) is not None for v in vectors)
 
 
 def preimage_lattice(m: Sequence[Sequence[int]], target_gens: Sequence[Sequence[int]],
@@ -349,14 +347,15 @@ def contains(sub: Lattice, v: Sequence[int]) -> bool:
     """Is v an integer combination of the lattice generators?"""
     if len(v) != sub.rank_of_ambient:
         raise RankMismatch("vector length differs from ambient rank")
-    return lattice_contains(sub.generators, v)
+    return lattice_spans(sub.generators, [v], sub.rank_of_ambient)
 
 
 def lattices_equal(a: Lattice, b: Lattice) -> bool:
-    if a.rank_of_ambient != b.rank_of_ambient:
+    dim = a.rank_of_ambient
+    if dim != b.rank_of_ambient:
         return False
-    return all(contains(b, g) for g in a.generators) and \
-        all(contains(a, g) for g in b.generators)
+    return lattice_spans(b.generators, a.generators, dim) and \
+        lattice_spans(a.generators, b.generators, dim)
 
 
 def lattice_basis(sub: Lattice) -> list[list[int]]:
@@ -364,15 +363,12 @@ def lattice_basis(sub: Lattice) -> list[list[int]]:
     dim = sub.rank_of_ambient
     if not sub.generators:
         return []
+    # U*G*V = D, so the columns of G*V = U^-1 * D are d_i times those of
+    # U^-1: the first rank of them are a basis
     g = matrix_from_columns(sub.generators, dim)
     snf = smith_normal_form(g)
-    uinv = unimodular_inverse(snf.u)
-    uinv_cols = columns_of(uinv)
-    out = []
-    for i, d in enumerate(snf.diagonal):
-        if d != 0:
-            out.append([d * x for x in uinv_cols[i]])
-    return out
+    rank = sum(1 for d in snf.diagonal if d != 0)
+    return columns_of(mat_mul(g, snf.v))[:rank]
 
 
 def quotient(ambient: FgAbGroup, sub: Lattice) -> FgAbGroup:
@@ -405,11 +401,9 @@ class GroupMap:
         for row in self.matrix:
             if len(row) != self.source.n_generators:
                 raise RankMismatch("matrix needs one column per source generator")
-        tgt_rels = self.target.relation_columns
-        for rel in self.source.relation_columns:
-            image = mat_vec(self.matrix, rel)
-            if not lattice_contains(tgt_rels, image):
-                raise IllDefinedMap("matrix does not respect the source relations")
+        images = [mat_vec(self.matrix, rel) for rel in self.source.relation_columns]
+        if not lattice_spans(self.target.relation_columns, images, rows):
+            raise IllDefinedMap("matrix does not respect the source relations")
 
     @staticmethod
     def make(source: FgAbGroup, target: FgAbGroup, matrix: Sequence[Sequence[int]]) -> "GroupMap":
@@ -474,8 +468,7 @@ def check_exact(maps: Sequence[GroupMap]) -> ExactnessReport:
         ker_gens = preimage_lattice([list(r) for r in outof.matrix],
                                     outof.target.relation_columns,
                                     node.n_generators) + node.relation_columns
-        fwd = all(lattice_contains(ker_gens, g) for g in im_gens)
-        bwd = all(lattice_contains(im_gens, g) for g in ker_gens)
-        if not (fwd and bwd):
+        dim = node.n_generators
+        if not (lattice_spans(ker_gens, im_gens, dim) and lattice_spans(im_gens, ker_gens, dim)):
             return ExactnessReport(False, i)
     return ExactnessReport(True, None)

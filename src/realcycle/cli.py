@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedClosure,
     ZeroEntry,
 )
-from .numeric import UPoly
+from .numeric import UPoly, gap_samples, isolate_real_roots
 from .qform import RATFUNC, DiagForm, Ordering, RatFunc
 from .suite import run_suite
 
@@ -80,7 +80,10 @@ class _Tokens:
                 self.pos += 1
             if self.pos == dstart:
                 raise SpecParseError(f"expected a denominator at position {dstart}")
-            return Fraction(value, int(self.text[dstart:self.pos]))
+            denominator = int(self.text[dstart:self.pos])
+            if denominator == 0:
+                raise SpecParseError(f"zero denominator at position {dstart} of {self.text!r}")
+            return Fraction(value, denominator)
         return Fraction(value)
 
 
@@ -361,19 +364,10 @@ def _ordering_panel(entries):
     product = UPoly.one()
     for e in entries:
         product = product * e.num * e.den
-    from .numeric import isolate_real_roots
     ivs = isolate_real_roots(product) if product.degree > 0 else ()
-    panel = [("-inf", Ordering.at_neg_inf())]
-    if ivs:
-        samples = [ivs[0].lo]
-        samples += [(a.hi + b.lo) / 2 for a, b in zip(ivs, ivs[1:])]
-        samples.append(ivs[-1].hi)
-        for s in samples:
-            panel.append((f"t={s}+", Ordering.above(s)))
-    else:
-        panel.append(("t=0+", Ordering.above(0)))
-    panel.append(("+inf", Ordering.at_pos_inf()))
-    return panel
+    return ([("-inf", Ordering.at_neg_inf())]
+            + [(f"t={s}+", Ordering.above(s)) for s in gap_samples(ivs)]
+            + [("+inf", Ordering.at_pos_inf())])
 
 
 def cmd_form(args) -> int:
@@ -421,16 +415,22 @@ def cmd_suite(args) -> int:
     return 1 if failed else 0
 
 
+def _positive_budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _default_budget() -> int:
-    env = os.environ.get("RC_SEARCH_BUDGET")
-    if env is not None:
-        try:
-            value = int(env)
-            if value > 0:
-                return value
-        except ValueError:
-            pass
-    return 50
+    """RC_SEARCH_BUDGET when it is a positive integer, else 50."""
+    try:
+        return _positive_budget(os.environ.get("RC_SEARCH_BUDGET", "50"))
+    except argparse.ArgumentTypeError:
+        return 50
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--spec", required=True,
                          help='e.g. "line punctures=0,1" or "hyperelliptic f=1-x^2 projective"')
     p_curve.add_argument("--twist", help='divisor spec "points:(x0,+)[*mult],..."')
-    p_curve.add_argument("--budget", type=int, default=_default_budget(),
-                         help="height budget for rational point search")
+    p_curve.add_argument("--budget", type=_positive_budget, default=_default_budget(),
+                         help="height budget for rational point search (a positive integer)")
     p_curve.set_defaults(func=cmd_curve)
 
     p_bound = sub.add_parser("bound", help="exponent bounds for (d, c)")

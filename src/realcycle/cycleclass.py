@@ -30,7 +30,7 @@ from .errors import (
     PointOffCurve,
     UnsupportedTwist,
 )
-from .numeric import IsolatingInterval, UPoly, sign_of, squarefree_part
+from .numeric import IsolatingInterval, UPoly, is_rational_square, sign_of, squarefree_part
 from .realcurve import (
     END_NEG_INF,
     END_POS_INF,
@@ -173,12 +173,6 @@ class ZeroCycle:
         return ZeroCycle((ZeroCycleTerm(point, unit),))
 
 
-def _is_square_fraction(x: Fraction) -> bool:
-    if x < 0:
-        return False
-    return isqrt(x.numerator) ** 2 == x.numerator and isqrt(x.denominator) ** 2 == x.denominator
-
-
 def _sqrt_fraction(x: Fraction) -> Fraction:
     return Fraction(isqrt(x.numerator), isqrt(x.denominator))
 
@@ -220,7 +214,7 @@ def class_of_zero_cycle(curve: CurveModel, components: Sequence[RealComponent],
             if not isinstance(curve, Hyperelliptic):
                 raise PointOffCurve("conjugate pairs need a hyperelliptic model")
             fx = curve.f.eval_at(pt.x)
-            if fx <= 0 or _is_square_fraction(fx):
+            if fx <= 0 or is_rational_square(fx):
                 raise PointOffCurve(
                     f"x={pt.x} does not define a conjugate pair (f(x) = {fx})")
             place_contribution(pt.x, 1, unit)
@@ -359,16 +353,17 @@ def _witness_for_circle(curve, comps, bits, comp, budget) -> WitnessCertificate:
             cycle = ZeroCycle.single(RationalPoint(r, Fraction(0)))
             return WitnessCertificate(comp.id, STATUS_EXACT, cycle, gen_hit(1))
     lo, hi = _interior_window(comp, f)
+    pair_x = None      # first x with f(x) > 0: a conjugate pair unless f(x) is a square
     for x in _heights_in_window(lo, hi, budget):
         fx = f.eval_at(x)
-        if fx > 0 and _is_square_fraction(fx):
+        if is_rational_square(fx):
             cycle = ZeroCycle.single(RationalPoint(x, _sqrt_fraction(fx)))
             return WitnessCertificate(comp.id, STATUS_EXACT, cycle, gen_hit(1))
-    for x in _heights_in_window(lo, hi, budget):
-        fx = f.eval_at(x)
-        if fx > 0 and not _is_square_fraction(fx):
-            cycle = ZeroCycle.single(ConjugatePair(x))
-            return WitnessCertificate(comp.id, STATUS_DOUBLE, cycle, gen_hit(2))
+        if pair_x is None and fx > 0:
+            pair_x = x
+    if pair_x is not None:
+        cycle = ZeroCycle.single(ConjugatePair(pair_x))
+        return WitnessCertificate(comp.id, STATUS_DOUBLE, cycle, gen_hit(2))
     return WitnessCertificate(comp.id, STATUS_FAILED, None, {})
 
 

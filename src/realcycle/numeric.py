@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Sequence, Union
 
 from .errors import BadInterval, ZeroPolynomial
@@ -286,6 +287,14 @@ def sign_of(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
+def is_rational_square(x: Fraction) -> bool:
+    """Is x the square of a nonzero rational?  False for every x <= 0."""
+    if x <= 0:
+        return False
+    a, b = x.numerator, x.denominator
+    return isqrt(a) ** 2 == a and isqrt(b) ** 2 == b
+
+
 # --- core operations --------------------------------------------------------
 
 def squarefree_part(p: UPoly) -> UPoly:
@@ -379,19 +388,25 @@ def sign_at(p: UPoly, x: ExtendedPoint) -> int:
         return sign_of(value)
     if value != 0:
         return sign_of(value)
-    linear = UPoly.of(-x.base, 1)
-    k = 0
-    u = p
-    while True:
-        q, r = u.divmod(linear)
-        if not r.is_zero:
-            break
-        u = q
-        k += 1
+    u, k = split_root(p, x.base)
     base_sign = sign_of(u.eval_at(x.base))
     if x.side == SIDE_PLUS:
         return base_sign
     return base_sign * (-1) ** k
+
+
+def split_root(p: UPoly, a: Coeffable) -> tuple[UPoly, int]:
+    """(u, k) with p = (t - a)^k * u and u(a) != 0: k is the multiplicity of
+    a as a root of p."""
+    if p.is_zero:
+        raise ZeroPolynomial("every point is a root of the zero polynomial")
+    linear = UPoly.of(-_frac(a), 1)
+    k = 0
+    while True:
+        q, r = p.divmod(linear)
+        if not r.is_zero:
+            return p, k
+        p, k = q, k + 1
 
 
 def _variations(signs: Sequence[int]) -> int:
@@ -439,6 +454,15 @@ def root_bound(p: UPoly) -> Fraction:
         return Fraction(1)
     lead = abs(p.lc)
     return 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
+
+
+def gap_samples(ivs: Sequence[IsolatingInterval]) -> list[Fraction]:
+    """One rational point in each open gap between consecutive isolating
+    intervals and in the two unbounded gaps; [0] when there are none."""
+    if not ivs:
+        return [Fraction(0)]
+    return ([ivs[0].lo] + [(left.hi + right.lo) / 2 for left, right in zip(ivs, ivs[1:])]
+            + [ivs[-1].hi])
 
 
 def isolate_real_roots(p: UPoly) -> tuple[IsolatingInterval, ...]:

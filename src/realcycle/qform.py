@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -31,9 +30,11 @@ from .errors import (
 from .numeric import (
     ExtendedPoint,
     UPoly,
+    is_rational_square,
     odd_multiplicity_part,
     sign_at,
     sign_of,
+    split_root,
 )
 
 TAG_RATIONALS = "rationals"
@@ -178,13 +179,6 @@ def _fraction_squarefree(x: Fraction) -> int:
     return squarefree_int(x.numerator * x.denominator)
 
 
-def _fraction_is_square(x: Fraction) -> bool:
-    if x <= 0:
-        return False
-    a, b = x.numerator, x.denominator
-    return isqrt(a) ** 2 == a and isqrt(b) ** 2 == b
-
-
 def _least_nonresidue(p: int) -> int:
     for n in range(2, p):
         if pow(n, (p - 1) // 2, p) != 1:
@@ -196,7 +190,7 @@ def is_square(ctx: FieldCtx, x: Element) -> bool:
     if is_zero_elem(ctx, x):
         raise ZeroEntry("zero has no square class")
     if ctx.tag == TAG_RATIONALS:
-        return _fraction_is_square(x)
+        return is_rational_square(x)
     if ctx.tag == TAG_REAL_CLOSED:
         return x > 0
     if ctx.tag == TAG_COMPLEXES:
@@ -205,7 +199,7 @@ def is_square(ctx: FieldCtx, x: Element) -> bool:
         return pow(x, (ctx.p - 1) // 2, ctx.p) == 1
     # Q(t): num*den must be a square polynomial
     q = x.num * x.den
-    return _fraction_is_square(q.lc) and odd_multiplicity_part(q).degree == 0
+    return is_rational_square(q.lc) and odd_multiplicity_part(q).degree == 0
 
 
 def square_class(ctx: FieldCtx, x: Element):
@@ -584,17 +578,6 @@ def in_fundamental_power(phi: DiagForm, n: int,
 
 # --- residues -----------------------------------------------------------------
 
-def _strip_linear(p: UPoly, a: Fraction) -> tuple[UPoly, int]:
-    linear = UPoly.of(-a, 1)
-    k = 0
-    while True:
-        q, r = p.divmod(linear)
-        if not r.is_zero:
-            return p, k
-        p = q
-        k += 1
-
-
 def second_residue(phi: DiagForm, v: Place) -> DiagForm:
     """Second residue form at a rational place: entries u*pi^k with odd k
     contribute <u(v)> over the residue field (the rationals)."""
@@ -604,8 +587,8 @@ def second_residue(phi: DiagForm, v: Place) -> DiagForm:
     for e in phi.entries:
         if v.kind == "finite":
             a = v.center
-            num_u, knum = _strip_linear(e.num, a)
-            den_u, kden = _strip_linear(e.den, a)
+            num_u, knum = split_root(e.num, a)
+            den_u, kden = split_root(e.den, a)
             k = knum - kden
             if k % 2:
                 out.append(num_u.eval_at(a) / den_u.eval_at(a))

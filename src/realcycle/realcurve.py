@@ -23,14 +23,7 @@ from typing import Optional, Sequence, Union
 
 from .abgrp import FgAbGroup, GroupMap
 from .errors import MarkerOffComponent, NotSquareFree, UnsupportedClosure
-from .numeric import (
-    ExtendedPoint,
-    IsolatingInterval,
-    UPoly,
-    count_real_roots,
-    isolate_real_roots,
-    sign_of,
-)
+from .numeric import IsolatingInterval, UPoly, gap_samples, isolate_real_roots, sign_of
 
 # --- curve models -------------------------------------------------------------
 
@@ -149,25 +142,6 @@ def _isolated_roots(f: UPoly) -> tuple[IsolatingInterval, ...]:
     return isolate_real_roots(f)
 
 
-def _root_position(f: UPoly, x: Fraction) -> tuple[int, bool]:
-    """(#roots of f strictly below x, is x itself a root)."""
-    is_root = f.eval_at(x) == 0
-    below = count_real_roots(f, ExtendedPoint.neg_inf(), ExtendedPoint.at(x))
-    return below, is_root
-
-
-def _gap_samples(ivs: Sequence[IsolatingInterval]) -> list[Fraction]:
-    """One rational sample point in each open gap between consecutive roots
-    (and in the two unbounded gaps)."""
-    if not ivs:
-        return [Fraction(0)]
-    samples = [ivs[0].lo]
-    for left, right in zip(ivs, ivs[1:]):
-        samples.append((left.hi + right.lo) / 2)
-    samples.append(ivs[-1].hi)
-    return samples
-
-
 def real_components(curve: CurveModel) -> tuple[RealComponent, ...]:
     if isinstance(curve, PuncturedLine):
         ends = [ArcEnd.neg_inf()] + [ArcEnd.rational(p) for p in curve.punctures] + [ArcEnd.pos_inf()]
@@ -186,7 +160,7 @@ def _hyperelliptic_components(curve: Hyperelliptic) -> tuple[RealComponent, ...]
     f = curve.f
     ivs = _isolated_roots(f)
     k = len(ivs)
-    signs = [sign_of(f.eval_at(x)) for x in _gap_samples(ivs)]
+    signs = [sign_of(f.eval_at(x)) for x in gap_samples(ivs)]
     assert all(s != 0 for s in signs)
     for a, b in zip(signs, signs[1:]):
         assert a != b, "simple roots must separate signs"
@@ -266,13 +240,14 @@ def _compare_to_end(curve: CurveModel, x: Fraction, end: ArcEnd) -> int:
         return -1
     if end.kind == END_RATIONAL:
         return sign_of(x - end.value)
-    pos, is_root = _root_position(curve.f, x)
-    i = end.root_index
-    if is_root and pos == i:
+    # the enclosure isolates the root: refine it until x falls outside, unless
+    # x is that root
+    iv = IsolatingInterval(*end.enclosure, curve.f)
+    if iv.contains(x) and curve.f.eval_at(x) == 0:
         return 0
-    if (is_root and pos < i) or (not is_root and pos <= i):
-        return -1
-    return 1
+    while iv.contains(x):
+        iv = iv.refined()
+    return -1 if x <= iv.lo else 1
 
 
 def _x_on_arc(curve: CurveModel, x: Fraction, arc: Arc) -> bool:

@@ -25,7 +25,6 @@ from realcycle.abgrp import (
     quotient,
     smith_normal_form,
     solve_in_lattice,
-    unimodular_inverse,
 )
 from realcycle.errors import IllDefinedMap, NotComposable, RankMismatch
 
@@ -139,10 +138,6 @@ class TestSmithNormalForm:
                         u[row][j] += c * u[row][i]
             scrambled = mat_mul(u, m)
             assert smith_normal_form(scrambled).diagonal == base
-
-    def test_unimodular_inverse(self):
-        u = [[1, 2], [0, 1]]
-        assert unimodular_inverse(u) == [[1, -2], [0, 1]]
 
     def test_invariant_factors_match_determinantal_divisors(self):
         # d1 * ... * dk equals the gcd of all k x k minors

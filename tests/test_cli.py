@@ -112,6 +112,11 @@ class TestCurveCommand:
         code, _ = run_cli("curve", "--spec", "hyperelliptic f=x^^2")
         assert code == 2
 
+    def test_zero_denominator_exits_2(self, capsys):
+        code, _ = run_cli("curve", "--spec", "line punctures=1/0")
+        assert code == 2
+        assert "zero denominator" in capsys.readouterr().err
+
     def test_deterministic_output(self):
         a = run_cli("curve", "--spec", "hyperelliptic f=x^3-x projective")
         b = run_cli("curve", "--spec", "hyperelliptic f=x^3-x projective")
@@ -151,6 +156,11 @@ class TestFormCommand:
     def test_zero_entry_exits_3(self):
         code, _ = run_cli("form", "<0>")
         assert code == 3
+
+    def test_zero_denominator_exits_2(self, capsys):
+        code, _ = run_cli("form", "<1/0>")
+        assert code == 2
+        assert "zero denominator" in capsys.readouterr().err
 
 
 class TestSuiteCommand:
@@ -196,6 +206,13 @@ class TestBudgetConfiguration:
         from realcycle.cli import build_parser
         args = build_parser().parse_args(["curve", "--spec", "line"])
         assert args.budget == 50
+
+    @pytest.mark.parametrize("budget", ["0", "-5", "many"])
+    def test_flag_must_be_positive(self, budget, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", "--spec", "line", "--budget", budget])
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
 
 
 class TestAffineLineReport:
