@@ -25,7 +25,6 @@ from fractions import Fraction
 from . import abgrp, cycleclass, qform, realcurve
 from .errors import (
     MarkerOffComponent,
-    NegativeInput,
     NotSquareFree,
     PointOffCurve,
     RealCycleError,
@@ -40,6 +39,11 @@ from .suite import run_suite
 PRECONDITION_ERRORS = (
     NotSquareFree, UnsupportedClosure, MarkerOffComponent, PointOffCurve, ZeroEntry,
 )
+
+# Caps on a power in a spec (exponent and degree), whose cost grows with the
+# square of its degree, and on the d and c of `bound`, so 2^(2(d+1)) prints.
+MAX_POWER = 1000
+MAX_DIMENSION = 1000
 
 
 # --- polynomial expressions -------------------------------------------------------
@@ -128,6 +132,8 @@ def _parse_power(toks, var):
         exp = toks.number()
         if exp.denominator != 1 or exp < 0:
             raise SpecParseError("exponents must be non-negative integers")
+        if exp > MAX_POWER or base.degree * exp > MAX_POWER:
+            raise SpecParseError(f"powers are capped at degree {MAX_POWER}")
         out = UPoly.one()
         for _ in range(int(exp)):
             out = out * base
@@ -239,17 +245,12 @@ def jnum(value):
     return value
 
 
-def _arc_end_json(end):
-    d = end.describe()
-    return d if isinstance(d, str) else d
-
-
 def _component_json(comp, bits):
     return {
         "id": comp.id,
         "kind": comp.kind,
         "compact": comp.compact,
-        "x_range": [[_arc_end_json(lo), _arc_end_json(hi)] for lo, hi in comp.arcs],
+        "x_range": [[lo.describe(), hi.describe()] for lo, hi in comp.arcs],
         "twist": bits[comp.id],
     }
 
@@ -349,13 +350,9 @@ def cmd_curve(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    try:
-        report = cycleclass.exponent_oracle(args.d, args.c, proper=args.proper,
-                                            real_nonempty=args.real_nonempty,
-                                            etale_vanishing=args.etale_vanishing)
-    except NegativeInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = cycleclass.exponent_oracle(args.d, args.c, proper=args.proper,
+                                        real_nonempty=args.real_nonempty,
+                                        etale_vanishing=args.etale_vanishing)
     print(json.dumps({"bounds": _bounds_json(report)}, indent=2))
     return 0
 
@@ -415,14 +412,23 @@ def cmd_suite(args) -> int:
     return 1 if failed else 0
 
 
-def _positive_budget(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _bounded_int(low: int, high: int | None = None):
+    """argparse type for an integer in low..high (no upper end when high is None)."""
+    wanted = f"an integer in {low}..{high}" if high is not None else f"an integer >= {low}"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {value}")
+        return value
+    return parse
+
+
+_positive_budget = _bounded_int(1)
+_dimension = _bounded_int(0, MAX_DIMENSION)
 
 
 def _default_budget() -> int:
@@ -447,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.set_defaults(func=cmd_curve)
 
     p_bound = sub.add_parser("bound", help="exponent bounds for (d, c)")
-    p_bound.add_argument("--d", type=int, required=True)
-    p_bound.add_argument("--c", type=int, required=True)
+    p_bound.add_argument("--d", type=_dimension, required=True, help=f"dimension, 0..{MAX_DIMENSION}")
+    p_bound.add_argument("--c", type=_dimension, required=True, help=f"codimension, 0..{MAX_DIMENSION}")
     p_bound.add_argument("--proper", action="store_true")
     p_bound.add_argument("--real-nonempty", dest="real_nonempty", action="store_true")
     p_bound.add_argument("--etale-vanishing", dest="etale_vanishing", action="store_true")

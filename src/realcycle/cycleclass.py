@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, isqrt, lcm
+from math import floor, isqrt
 from typing import Optional, Sequence, Union
 
 from .abgrp import FgAbGroup, Lattice, exponent, order_of, quotient
@@ -30,10 +30,11 @@ from .errors import (
     PointOffCurve,
     UnsupportedTwist,
 )
-from .numeric import IsolatingInterval, UPoly, is_rational_square, sign_of, squarefree_part
+from .numeric import UPoly, is_rational_square, isolate_real_roots, rational_root, sign_of
 from .realcurve import (
     END_NEG_INF,
     END_POS_INF,
+    END_ROOT,
     CurveModel,
     Hyperelliptic,
     ProjectiveLine,
@@ -248,54 +249,25 @@ class WitnessCertificate:
 
 
 def rational_roots(f: UPoly) -> list[Fraction]:
-    """All rational roots, by the rational root theorem on the cleared form."""
+    """All distinct rational roots, sorted, read off the isolating intervals."""
     if f.is_zero:
         return []
-    roots = []
-    p = f
-    while p.eval_at(0) == 0 and p.degree > 0:
-        roots.append(Fraction(0))
-        p = p // UPoly.x()
-    if p.degree == 0:
-        return sorted(set(roots))
-    denom = 1
-    for c in p.coeffs:
-        denom = lcm(denom, c.denominator)
-    ints = [int(c * denom) for c in p.coeffs]
-    lead, const = abs(ints[-1]), abs(ints[0])
-    for q in _divisors(lead):
-        for num in _divisors(const):
-            for cand in (Fraction(num, q), Fraction(-num, q)):
-                if p.eval_at(cand) == 0:
-                    roots.append(cand)
-    return sorted(set(roots))
+    return [r for r in map(rational_root, isolate_real_roots(f)) if r is not None]
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return sorted(set(out + [n // d for d in out]))
-
-
-def _interior_window(comp: RealComponent, f: UPoly) -> tuple[Fraction, Fraction]:
+def _interior_window(comp: RealComponent) -> tuple[Fraction, Fraction]:
     """An open rational window inside the first arc of the component."""
-    sqf = squarefree_part(f)
-
-    def tighten(enclosure):
-        iv = IsolatingInterval(enclosure[0], enclosure[1], sqf)
-        while iv.hi - iv.lo > Fraction(1, 8):
-            iv = iv.refined()
-        return iv
-
+    eighth = Fraction(1, 8)
     lo, hi = comp.arcs[0]
     if lo.kind == END_NEG_INF and hi.kind == END_POS_INF:
         return Fraction(-2), Fraction(2)
     if lo.kind == END_NEG_INF:
-        edge = tighten(hi.enclosure)
+        edge = hi.interval.refined_to(eighth)
         return edge.lo - 2, edge.lo
     if hi.kind == END_POS_INF:
-        edge = tighten(lo.enclosure)
+        edge = lo.interval.refined_to(eighth)
         return edge.hi, edge.hi + 2
-    left, right = tighten(lo.enclosure), tighten(hi.enclosure)
+    left, right = lo.interval.refined_to(eighth), hi.interval.refined_to(eighth)
     while left.hi >= right.lo:
         left, right = left.refined(), right.refined()
     return left.hi, right.lo
@@ -347,12 +319,14 @@ def _witness_for_circle(curve, comps, bits, comp, budget) -> WitnessCertificate:
         cycle = ZeroCycle.single(RationalPoint(Fraction(0)))
         return WitnessCertificate(comp.id, STATUS_EXACT, cycle, achieved_by(cycle))
 
-    f = curve.f
-    for r in rational_roots(f):
-        if _on_component(curve, comps, comp, r):
+    # the roots of f on the circle are its root ends, in increasing order
+    root_intervals = [end.interval for arc in comp.arcs for end in arc if end.kind == END_ROOT]
+    for r in map(rational_root, root_intervals):
+        if r is not None:
             cycle = ZeroCycle.single(RationalPoint(r, Fraction(0)))
             return WitnessCertificate(comp.id, STATUS_EXACT, cycle, gen_hit(1))
-    lo, hi = _interior_window(comp, f)
+    f = curve.f
+    lo, hi = _interior_window(comp)
     pair_x = None      # first x with f(x) > 0: a conjugate pair unless f(x) is a square
     for x in _heights_in_window(lo, hi, budget):
         fx = f.eval_at(x)
@@ -365,11 +339,6 @@ def _witness_for_circle(curve, comps, bits, comp, budget) -> WitnessCertificate:
         cycle = ZeroCycle.single(ConjugatePair(pair_x))
         return WitnessCertificate(comp.id, STATUS_DOUBLE, cycle, gen_hit(2))
     return WitnessCertificate(comp.id, STATUS_FAILED, None, {})
-
-
-def _on_component(curve, comps, comp, x) -> bool:
-    located = component_containing(curve, comps, x)
-    return located is not None and located.id == comp.id
 
 
 # --- the exponent oracle -----------------------------------------------------------

@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Iterable, Sequence, Union
+from math import floor, gcd, isqrt, lcm
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BadInterval, ZeroPolynomial
 
@@ -274,6 +274,13 @@ class IsolatingInterval:
             return IsolatingInterval(m, self.hi, self.poly)
         return IsolatingInterval(self.lo, m, self.poly)
 
+    def refined_to(self, width: Fraction) -> "IsolatingInterval":
+        """Halve the interval until it is at most width wide."""
+        iv = self
+        while iv.hi - iv.lo > width:
+            iv = iv.refined()
+        return iv
+
     def contains(self, x: Coeffable) -> bool:
         x = _frac(x)
         return self.lo < x < self.hi
@@ -409,6 +416,22 @@ def split_root(p: UPoly, a: Coeffable) -> tuple[UPoly, int]:
         p, k = q, k + 1
 
 
+def rational_root(iv: IsolatingInterval) -> Optional[Fraction]:
+    """The root isolated by iv when it is rational, else None.
+
+    With the denominators of iv.poly cleared and its content removed, every
+    rational root is k/L for an integer k, L the leading coefficient (rational
+    root theorem); an open interval at most 1/L wide holds at most one such
+    point, the least k/L above its lower end.
+    """
+    den = lcm(*(c.denominator for c in iv.poly.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in iv.poly.coeffs]
+    lead = abs(ints[-1]) // gcd(*ints)
+    iv = iv.refined_to(Fraction(1, lead))
+    x = Fraction(floor(iv.lo * lead) + 1, lead)
+    return x if x < iv.hi and iv.poly.eval_at(x) == 0 else None
+
+
 def _variations(signs: Sequence[int]) -> int:
     nonzero = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
@@ -469,10 +492,10 @@ def isolate_real_roots(p: UPoly) -> tuple[IsolatingInterval, ...]:
     """One disjoint open rational interval per distinct real root, sorted."""
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    q = squarefree_part(p)
+    chain = sturm_sequence(p)
+    q = chain[0]
     if q.degree <= 0:
         return ()
-    chain = sturm_sequence(q)
 
     def var_at(point: ExtendedPoint) -> int:
         return _variations([sign_at(g, point) for g in chain])
@@ -497,7 +520,7 @@ def isolate_real_roots(p: UPoly) -> tuple[IsolatingInterval, ...]:
         # the midpoint is itself a root: carve out a window around it
         w = (hi - lo) / 4
         while (q.eval_at(mid - w) == 0 or q.eval_at(mid + w) == 0
-               or count_real_roots(q, ExtendedPoint.at(mid - w), ExtendedPoint.at(mid + w)) != 1):
+               or var_at(ExtendedPoint.at(mid - w)) - var_at(ExtendedPoint.at(mid + w)) != 1):
             w /= 2
         out.append(IsolatingInterval(mid - w, mid + w, q))
         vl, vr = var_at(ExtendedPoint.at(mid - w)), var_at(ExtendedPoint.at(mid + w))

@@ -85,7 +85,7 @@ class ArcEnd:
     kind: str
     value: Optional[Fraction] = None                    # rational endpoint
     root_index: Optional[int] = None                    # index into sorted roots of f
-    enclosure: Optional[tuple[Fraction, Fraction]] = None
+    interval: Optional[IsolatingInterval] = None        # isolates that root
 
     @staticmethod
     def neg_inf() -> "ArcEnd":
@@ -101,15 +101,14 @@ class ArcEnd:
 
     @staticmethod
     def root(i: int, iv: IsolatingInterval) -> "ArcEnd":
-        return ArcEnd(END_ROOT, root_index=i, enclosure=(iv.lo, iv.hi))
+        return ArcEnd(END_ROOT, root_index=i, interval=iv)
 
     def describe(self):
         if self.kind in (END_NEG_INF, END_POS_INF):
             return self.kind
         if self.kind == END_RATIONAL:
             return str(self.value)
-        lo, hi = self.enclosure
-        return {"root_between": [str(lo), str(hi)]}
+        return {"root_between": [str(self.interval.lo), str(self.interval.hi)]}
 
 
 Arc = tuple[ArcEnd, ArcEnd]
@@ -232,7 +231,7 @@ def _hyperelliptic_components(curve: Hyperelliptic) -> tuple[RealComponent, ...]
 
 # --- locating rational points ---------------------------------------------------
 
-def _compare_to_end(curve: CurveModel, x: Fraction, end: ArcEnd) -> int:
+def _compare_to_end(x: Fraction, end: ArcEnd) -> int:
     """-1, 0, +1 for x left of / at / right of the arc end."""
     if end.kind == END_NEG_INF:
         return 1
@@ -240,21 +239,21 @@ def _compare_to_end(curve: CurveModel, x: Fraction, end: ArcEnd) -> int:
         return -1
     if end.kind == END_RATIONAL:
         return sign_of(x - end.value)
-    # the enclosure isolates the root: refine it until x falls outside, unless
-    # x is that root
-    iv = IsolatingInterval(*end.enclosure, curve.f)
-    if iv.contains(x) and curve.f.eval_at(x) == 0:
+    # refine the root's isolating interval until x falls outside, unless x is
+    # that root
+    iv = end.interval
+    if iv.contains(x) and iv.poly.eval_at(x) == 0:
         return 0
     while iv.contains(x):
         iv = iv.refined()
     return -1 if x <= iv.lo else 1
 
 
-def _x_on_arc(curve: CurveModel, x: Fraction, arc: Arc) -> bool:
+def _x_on_arc(x: Fraction, arc: Arc) -> bool:
     """Root endpoints belong to the arc; rational and infinite ends do not."""
     lo, hi = arc
-    cl = _compare_to_end(curve, x, lo)
-    ch = _compare_to_end(curve, x, hi)
+    cl = _compare_to_end(x, lo)
+    ch = _compare_to_end(x, hi)
     if cl == 0:
         return lo.kind == END_ROOT
     if ch == 0:
@@ -276,7 +275,7 @@ def component_containing(curve: CurveModel, components: Sequence[RealComponent],
         if comp.branch != BRANCH_BOTH and y_sign is not None:
             if (comp.branch == BRANCH_PLUS) != (y_sign > 0):
                 continue
-        if any(_x_on_arc(curve, x, arc) for arc in comp.arcs):
+        if any(_x_on_arc(x, arc) for arc in comp.arcs):
             return comp
     return None
 
@@ -293,13 +292,13 @@ def sample_point(component: RealComponent, curve: CurveModel) -> SamplePoint:
     if lo.kind == END_NEG_INF and hi.kind == END_POS_INF:
         x = Fraction(0)
     elif lo.kind == END_NEG_INF:
-        x = (hi.value - 1) if hi.kind == END_RATIONAL else hi.enclosure[0]
+        x = (hi.value - 1) if hi.kind == END_RATIONAL else hi.interval.lo
     elif hi.kind == END_POS_INF:
-        x = (lo.value + 1) if lo.kind == END_RATIONAL else lo.enclosure[1]
+        x = (lo.value + 1) if lo.kind == END_RATIONAL else lo.interval.hi
     elif lo.kind == END_RATIONAL:
         x = (lo.value + hi.value) / 2
     else:
-        x = (lo.enclosure[1] + hi.enclosure[0]) / 2
+        x = (lo.interval.hi + hi.interval.lo) / 2
     branch = 0
     if isinstance(curve, Hyperelliptic):
         branch = -1 if component.branch == BRANCH_MINUS else 1

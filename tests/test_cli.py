@@ -1,7 +1,10 @@
+import hashlib
 import io
 import json
+import shlex
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +44,13 @@ class TestPolyParser:
             parse_poly("y", "x")
         with pytest.raises(SpecParseError):
             parse_poly("x^(2)", "x")
+
+    def test_power_cap(self):
+        assert parse_poly("x^12", "x") == UPoly.of(*[0] * 12, 1)
+        assert parse_poly("(x^10)^100", "x").degree == 1000
+        for text in ("x^2000", "((x^30)^30)^30", "(x^2+1)^501"):
+            with pytest.raises(SpecParseError):
+                parse_poly(text, "x")
 
 
 class TestCurveSpecParser:
@@ -112,6 +122,12 @@ class TestCurveCommand:
         code, _ = run_cli("curve", "--spec", "hyperelliptic f=x^^2")
         assert code == 2
 
+    @pytest.mark.parametrize("f", ["x^2000", "((x^30)^30)^30"])
+    def test_power_cap_exits_2(self, f, capsys):
+        code, _ = run_cli("curve", "--spec", f"hyperelliptic f={f}")
+        assert code == 2
+        assert "capped" in capsys.readouterr().err
+
     def test_zero_denominator_exits_2(self, capsys):
         code, _ = run_cli("curve", "--spec", "line punctures=1/0")
         assert code == 2
@@ -137,8 +153,21 @@ class TestBoundCommand:
         assert run_json("bound", "--d", "2", "--c", "5")["bounds"]["proven"] == 1
 
     def test_negative_rejected(self):
-        code, _ = run_cli("bound", "--d", "-1", "--c", "0")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bound", "--d", "-1", "--c", "0")
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("d, c, flag", [("10000", "0", "--d"), ("1", "1001", "--c"),
+                                            ("x", "0", "--d")])
+    def test_out_of_range_exits_2(self, d, c, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bound", "--d", d, "--c", c)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_largest_dimension(self):
+        bounds = run_json("bound", "--d", "1000", "--c", "0")["bounds"]
+        assert bounds["proven"] == 2 ** 1000 and bounds["kernel"] == 2 ** 2002
 
 
 class TestFormCommand:
@@ -231,3 +260,39 @@ class TestAffineLineReport:
         comps = real_components(curve)
         with pytest.raises(UnsupportedTwist):
             gamma0_image(curve, comps, {comps[0].id: 1, comps[1].id: 0})
+
+
+# SHA-256 of the stdout of each README "Command line" example, so any change
+# to a report shows up here; regenerate a pin only when a report is meant to
+# change.
+README_PINS = {
+    'realcycle curve --spec "line punctures=0"':
+        "9a2c10dac99be7e58576eb28b33b9e3119cdd94d4246d3fb00dcbc91f7378319",
+    'realcycle curve --spec "hyperelliptic f=-(x^2-1)*(x^2-4)"':
+        "9cb0e9bb36a32cd417ae464f0dabaaccb03fca55b8347ee97e43c258fd98bb00",
+    'realcycle curve --spec "hyperelliptic f=x^3-x projective"':
+        "a973dbe16d3d9871858cc511f6503024c24df7bb3109ddb99cf24ee94b0dcd0a",
+    'realcycle curve --spec "hyperelliptic f=1-x^2" --twist "points:(0,+)"':
+        "95538c82c8d3307448e49676443748904849df06cfb2e3a870ebcb1991e0ad97",
+    'realcycle bound --d 3 --c 1 --etale-vanishing':
+        "70e0b227de225083dbf87755377b9a97f36313023815f9a7c00686150af5f173",
+    'realcycle form "<t,t-1,-1>"':
+        "b652854dd78bc64ab0c08d1e5ba2445c95502f88edac16b0ed40ca5bc2efa834",
+}
+
+
+def readme_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.strip().splitlines() if line.startswith("realcycle ")]
+
+
+def test_readme_examples_are_pinned():
+    assert readme_examples() == list(README_PINS)
+
+
+@pytest.mark.parametrize("line", list(README_PINS))
+def test_readme_example_output_is_unchanged(line):
+    code, out = run_cli(*shlex.split(line)[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == README_PINS[line]

@@ -233,6 +233,18 @@ class TestWitnessSearch:
         f = UPoly.from_roots([1, Fraction(-1, 2)]) * UPoly.of(1, 0, 1)
         assert rational_roots(f) == [Fraction(-1, 2), Fraction(1)]
 
+    def test_fractional_branch_points_of_degree_12(self):
+        # f = -prod (x - r) over twelve non-integral roots: six ovals, each
+        # witnessed exactly by the root at its left end
+        roots = sorted(Fraction(n, d) for n, d in [(1, 2), (4, 3), (11, 5), (13, 4), (23, 6), (9, 2),
+                                                  (17, 3), (31, 5), (27, 4), (43, 6), (15, 2), (25, 3)])
+        curve = Hyperelliptic(UPoly.from_roots(roots, lead=-1))
+        certs = gamma_top_witness_search(curve)
+        assert len(certs) == 6
+        for i, cert in enumerate(certs):
+            assert cert.status == STATUS_EXACT
+            assert cert.witness.terms[0].point == RationalPoint(roots[2 * i], Fraction(0))
+
 
 class TestExponentOracle:
     def test_curve_cases(self):

@@ -10,6 +10,7 @@ from realcycle.numeric import (
     count_real_roots,
     isolate_real_roots,
     odd_multiplicity_part,
+    rational_root,
     sign_at,
     squarefree_decomposition,
     squarefree_part,
@@ -149,6 +150,18 @@ class TestIsolateRealRoots:
             # disjoint and sorted
             for left, right in zip(ivs, ivs[1:]):
                 assert left.hi <= right.lo
+
+
+class TestRationalRoot:
+    def test_reads_rational_roots_off_the_intervals(self):
+        # (3t - 1)(t^2 - 2)(2t + 5)/7: roots -5/2, -sqrt 2, 1/3, sqrt 2
+        p = (UPoly.of(-1, 3) * UPoly.of(-2, 0, 1) * UPoly.of(5, 2)).scale(Fraction(1, 7))
+        got = [rational_root(iv) for iv in isolate_real_roots(p)]
+        assert got == [Fraction(-5, 2), None, Fraction(1, 3), None]
+
+    def test_zero_and_repeated_roots(self):
+        p = UPoly.from_roots([0, 0, Fraction(-2, 3), Fraction(-2, 3), 4])
+        assert [rational_root(iv) for iv in isolate_real_roots(p)] == [Fraction(-2, 3), 0, 4]
 
 
 class TestSignAt:

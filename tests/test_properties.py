@@ -1,22 +1,25 @@
 """Property tests on generated inputs, each against an independent oracle.
 
-Sizes are kept small (dimension <= 5, entries <= 9, degree <= 7) so that the
+Sizes are kept small (dimension <= 5, entries <= 9, degree <= 8) so that the
 whole module runs in a few seconds; the example order is derandomised, so a
 run is reproducible.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from realcycle.abgrp import FgAbGroup, Lattice, lattice_basis, lattice_spans, solve_in_lattice
+from realcycle.cycleclass import rational_roots
 from realcycle.numeric import (
     ExtendedPoint,
     UPoly,
     count_real_roots,
     is_rational_square,
+    isolate_real_roots,
+    rational_root,
     split_root,
 )
 from realcycle.realcurve import Hyperelliptic, component_containing, real_components
@@ -181,3 +184,64 @@ def test_component_containing_agrees_with_root_counts(case, points):
     comps = real_components(curve)
     for x in roots + points:
         assert component_containing(curve, comps, x) == locate_by_counting(curve, comps, x)
+
+
+def divisors(n):
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def rational_roots_by_divisors(f):
+    """Distinct rational roots by the rational root theorem: strip the factors
+    of x, clear denominators, and try every p/q with p | a_0 and q | a_n."""
+    coeffs = list(f.coeffs)
+    roots = set()
+    while coeffs[0] == 0:
+        roots.add(Fraction(0))
+        coeffs.pop(0)
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    n = len(ints) - 1
+    for q in divisors(abs(ints[-1])):
+        for p in divisors(abs(ints[0])):
+            for num in (p, -p):
+                # q^n f(num/q), in integers
+                if gcd(p, q) == 1 and sum(c * num ** i * q ** (n - i) for i, c in enumerate(ints)) == 0:
+                    roots.add(Fraction(num, q))
+    return sorted(roots)
+
+
+nonzero_fractions = small_fractions.filter(lambda r: r != 0)
+
+
+@st.composite
+def polys_with_rational_roots(draw):
+    """Non-monic f of degree <= 8 over Q: planted rational roots, with zero and
+    repeats allowed, times a random rational cofactor."""
+    roots = draw(st.lists(st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)), max_size=6))
+    cofactor = draw(st.lists(small_fractions, min_size=1, max_size=3).filter(lambda cs: cs[-1] != 0))
+    f = UPoly.from_roots(roots, lead=draw(nonzero_fractions)) * UPoly.of(*cofactor)
+    assume(f.degree <= 8)
+    return f, roots
+
+
+@SETTINGS
+@given(polys_with_rational_roots())
+def test_rational_roots_agree_with_divisor_pairs(case):
+    f, roots = case
+    found = rational_roots(f)
+    assert found == rational_roots_by_divisors(f)
+    assert set(roots) <= set(found)
+
+
+@SETTINGS
+@given(st.lists(small_fractions, max_size=5, unique=True), nonzero_fractions,
+       st.sampled_from([2, 3, 5, 6, 7]))
+def test_rational_root_reads_the_planted_root_or_none(roots, lead, k):
+    # the cofactor x^2 - k has the two irrational roots +-sqrt(k)
+    f = UPoly.from_roots(roots, lead=lead) * UPoly.of(-k, 0, 1)
+    ivs = isolate_real_roots(f)
+    assert len(ivs) == len(roots) + 2
+    for iv in ivs:
+        planted = [r for r in roots if iv.contains(r)]
+        assert rational_root(iv) == (planted[0] if planted else None)
