@@ -1,11 +1,11 @@
 """Finitely generated abelian groups presented by integer matrices.
 
-A group is Z^g modulo the column span of an integer relation matrix.  All
-structure questions (invariant factors, exponents, membership, kernels,
-exactness of complexes) reduce to Smith normal form over Z, computed here with
-arbitrary-precision integers and explicit unimodular transforms.  Membership
-factors each generator set once and then tests any number of vectors against
-that one factorisation.
+A group is Z^g modulo the column span of an integer relation matrix.  Every
+lattice question (membership, bases, equality, solving, kernels, exactness of
+complexes) is one use of a row Hermite normal form, computed with
+arbitrary-precision integers; the Smith normal form behind invariant factors
+and exponents alternates row and column Hermite forms.  A group computes its
+invariants once, and a lattice its Hermite basis once.
 
 >>> G = FgAbGroup.of_cyclics("a", "b", orders=(2, 4))
 >>> exponent(G)
@@ -17,6 +17,7 @@ that one factorisation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import IllDefinedMap, NotComposable, RankMismatch
@@ -29,20 +30,6 @@ Matrix = list[list[int]]
 def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            c = ai[k]
-            if c:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += c * bk[j]
-    return out
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
     return [sum(c * x for c, x in zip(row, v)) for row in a]
@@ -65,126 +52,101 @@ class SNF(NamedTuple):
     diagonal: tuple[int, ...]
 
 
+def hermite_form(rows: Sequence[Sequence[int]], width: int) -> tuple[Matrix, Matrix]:
+    """Row Hermite normal form of the first ``width`` columns of ``rows``.
+
+    The columns are swept left to right.  Euclid on the rows still live in a
+    column leaves one row, which is made positive at that pivot; each entry
+    above the pivot is then reduced into [0, pivot).  Entries past ``width``
+    are carried along unchanged, so an identity block there records the row
+    operations.  Returns (basis, rest): the pivot rows in column order, and
+    the rows that end up zero in their first ``width`` entries.
+    """
+    pending = [list(r) for r in rows]
+    basis: Matrix = []
+    for col in range(width):
+        live = [r for r in pending if r[col]]
+        if not live:
+            continue
+        pending = [r for r in pending if not r[col]]
+        while len(live) > 1:
+            p = min(live, key=lambda r: abs(r[col]))
+            left = [p]
+            for r in live:
+                if r is not p:
+                    q = r[col] // p[col]
+                    r = [x - q * y for x, y in zip(r, p)]
+                    (left if r[col] else pending).append(r)
+            live = left
+        p = live[0] if live[0][col] > 0 else [-x for x in live[0]]
+        for i, b in enumerate(basis):
+            q = b[col] // p[col]
+            if q:
+                basis[i] = [x - q * y for x, y in zip(b, p)]
+        basis.append(p)
+    return basis, pending
+
+
+def _reduce(basis: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
+    """v reduced by a Hermite basis: each of its pivot entries is brought into
+    [0, pivot).  v lies in the span iff the result is zero in the columns the
+    basis was formed on."""
+    v = list(v)
+    for b in basis:
+        col = next(i for i, x in enumerate(b) if x)
+        q = v[col] // b[col]
+        if q:
+            v = [x - q * y for x, y in zip(v, b)]
+    return v
+
+
+def _with_identity(rows: Sequence[Sequence[int]]) -> Matrix:
+    return [list(r) + e for r, e in zip(rows, identity_matrix(len(rows)))]
+
+
+def _row_form(a: Matrix, t: Matrix, width: int) -> tuple[Matrix, Matrix]:
+    """Hermite form of the rows of a, applying the same row operations to t."""
+    basis, rest = hermite_form([x + y for x, y in zip(a, t)], width)
+    out = basis + rest
+    return [r[:width] for r in out], [r[width:] for r in out]
+
+
 def smith_normal_form(m: Sequence[Sequence[int]]) -> SNF:
     """Diagonalise an integer matrix by unimodular row and column operations.
 
     Returns (D, U, V) with U*M*V = D, the diagonal non-negative with each entry
-    dividing the next, and det(U), det(V) = +-1.
+    dividing the next, and det(U), det(V) = +-1.  A row Hermite form carrying
+    U and a column Hermite form carrying V alternate until D is diagonal;
+    where d_i does not divide d_j, column j is added to column i and the
+    forms run again.
     """
     a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row_dst += c * row_src
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    n = min(rows, cols)
-    for t in range(n):
-        # find a pivot of least absolute value in the remaining block
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            # clear the pivot column
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # make the pivot divide the rest of the block
-            stray = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t]:
-                        stray = i
-                        break
-                if stray is not None:
-                    break
-            if stray is None:
-                break
-            add_row(stray, t, 1)
-        if a[t][t] < 0:
-            negate_row(t)
-
-    diag = [a[i][i] for i in range(n)]
-    return SNF(a, u, v, tuple(diag))
+    u, v = identity_matrix(rows), identity_matrix(cols)
+    while True:
+        a, u = _row_form(a, u, cols)
+        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            at, vt = _row_form(columns_of(a), columns_of(v), rows)
+            a, v = matrix_from_columns(at, rows), matrix_from_columns(vt, cols)
+            continue
+        diag = [a[i][i] for i in range(min(rows, cols))]
+        stray = next(((i, j) for i in range(len(diag)) for j in range(i + 1, len(diag))
+                      if diag[i] and diag[j] % diag[i]), None)
+        if stray is None:
+            return SNF(a, u, v, tuple(diag))
+        i, j = stray
+        for row in a + v:
+            row[i] += row[j]
 
 
 def integer_kernel(m: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
     """Basis of the integer kernel of m acting on Z^cols (columns as vectors)."""
     if not m or cols == 0:
-        return [list(col) for col in identity_matrix(cols)]
-    snf = smith_normal_form(m)
-    rank = sum(1 for d in snf.diagonal if d != 0)
-    vcols = columns_of(snf.v)
-    return [vcols[j] for j in range(rank, cols)]
-
-
-def _lattice_solver(gens: Sequence[Sequence[int]], dim: int):
-    """Factor the generators once; the returned function maps a vector v of
-    length dim to integer coefficients c with sum c_i * gens_i = v, or None."""
-    if not gens:
-        return lambda v: [] if all(x == 0 for x in v) else None
-    snf = smith_normal_form(matrix_from_columns(gens, dim))
-    diag, n = snf.diagonal, len(gens)
-
-    def solve(v: Sequence[int]) -> Optional[list[int]]:
-        y = mat_vec(snf.u, list(v))
-        coeffs = [0] * n
-        for i in range(dim):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if y[i] != 0:
-                    return None
-            elif y[i] % d:
-                return None
-            else:
-                coeffs[i] = y[i] // d
-        return mat_vec(snf.v, coeffs)
-
-    return solve
+        return identity_matrix(cols)
+    # the carried row operations of the rows that vanish span the kernel
+    _, rest = hermite_form(_with_identity(columns_of(m)), len(m))
+    return [r[len(m):] for r in rest]
 
 
 def solve_in_lattice(gens: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[list[int]]:
@@ -192,20 +154,25 @@ def solve_in_lattice(gens: Sequence[Sequence[int]], v: Sequence[int]) -> Optiona
 
     ``gens`` is a list of vectors, all of the same length.
     """
-    return _lattice_solver(gens, len(v))(v)
+    dim = len(v)
+    basis, _ = hermite_form(_with_identity(gens), dim)
+    left = _reduce(basis, list(v) + [0] * len(gens))
+    if any(left[:dim]):
+        return None
+    return [-c for c in left[dim:]]
 
 
 def lattice_spans(gens: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]],
                   dim: int) -> bool:
     """Does the integer span of ``gens`` contain every one of ``vectors``?
 
-    All vectors have length ``dim``.  The generators are factored once, and
-    not at all when there is nothing to test.
+    All vectors have length ``dim``.  The generators are put in Hermite form
+    once, and not at all when there is nothing to test.
     """
     if not vectors:
         return True
-    solve = _lattice_solver(gens, dim)
-    return all(solve(v) is not None for v in vectors)
+    basis, _ = hermite_form(gens, dim)
+    return not any(any(_reduce(basis, v)) for v in vectors)
 
 
 def preimage_lattice(m: Sequence[Sequence[int]], target_gens: Sequence[Sequence[int]],
@@ -270,30 +237,28 @@ class FgAbGroup:
     def is_free(self) -> bool:
         return all(x == 0 for row in self.relations for x in row)
 
-
-def _normal_form(g: FgAbGroup) -> tuple[int, tuple[int, ...]]:
-    if g.n_generators == 0:
-        return 0, ()
-    if not g.relations or not g.relations[0]:
-        return g.n_generators, ()
-    snf = smith_normal_form([list(r) for r in g.relations])
-    torsion = tuple(d for d in snf.diagonal if d not in (0, 1))
-    rank = g.n_generators - sum(1 for d in snf.diagonal if d != 0)
-    return rank, torsion
+    @cached_property
+    def normal_form(self) -> tuple[int, tuple[int, ...]]:
+        """(free rank, torsion invariant factors), computed once."""
+        if not self.relations or not self.relations[0]:
+            return self.n_generators, ()
+        snf = smith_normal_form(self.relations)
+        torsion = tuple(d for d in snf.diagonal if d not in (0, 1))
+        return self.n_generators - sum(1 for d in snf.diagonal if d != 0), torsion
 
 
 def free_rank(g: FgAbGroup) -> int:
-    return _normal_form(g)[0]
+    return g.normal_form[0]
 
 
 def invariant_factors(g: FgAbGroup) -> tuple[int, ...]:
     """Torsion invariant factors d1 | d2 | ..., each at least 2."""
-    return _normal_form(g)[1]
+    return g.normal_form[1]
 
 
 def order_of(g: FgAbGroup) -> Optional[int]:
     """Group order, or None when infinite."""
-    rank, torsion = _normal_form(g)
+    rank, torsion = g.normal_form
     if rank > 0:
         return None
     out = 1
@@ -304,7 +269,7 @@ def order_of(g: FgAbGroup) -> Optional[int]:
 
 def exponent(g: FgAbGroup) -> int:
     """Least e >= 1 with e*g = 0, or 0 when no finite e kills the group."""
-    rank, torsion = _normal_form(g)
+    rank, torsion = g.normal_form
     if rank > 0:
         return 0
     return torsion[-1] if torsion else 1
@@ -342,33 +307,28 @@ class Lattice:
     def rank_of_ambient(self) -> int:
         return self.ambient.n_generators
 
+    @cached_property
+    def hermite_basis(self) -> tuple[tuple[int, ...], ...]:
+        """The lattice's canonical basis, computed once."""
+        return tuple(map(tuple, hermite_form(self.generators, self.rank_of_ambient)[0]))
+
 
 def contains(sub: Lattice, v: Sequence[int]) -> bool:
     """Is v an integer combination of the lattice generators?"""
     if len(v) != sub.rank_of_ambient:
         raise RankMismatch("vector length differs from ambient rank")
-    return lattice_spans(sub.generators, [v], sub.rank_of_ambient)
+    return not any(_reduce(sub.hermite_basis, v))
 
 
 def lattices_equal(a: Lattice, b: Lattice) -> bool:
-    dim = a.rank_of_ambient
-    if dim != b.rank_of_ambient:
-        return False
-    return lattice_spans(b.generators, a.generators, dim) and \
-        lattice_spans(a.generators, b.generators, dim)
+    return a.rank_of_ambient == b.rank_of_ambient and a.hermite_basis == b.hermite_basis
 
 
 def lattice_basis(sub: Lattice) -> list[list[int]]:
-    """A basis of the lattice (independent vectors with the same span)."""
-    dim = sub.rank_of_ambient
-    if not sub.generators:
-        return []
-    # U*G*V = D, so the columns of G*V = U^-1 * D are d_i times those of
-    # U^-1: the first rank of them are a basis
-    g = matrix_from_columns(sub.generators, dim)
-    snf = smith_normal_form(g)
-    rank = sum(1 for d in snf.diagonal if d != 0)
-    return columns_of(mat_mul(g, snf.v))[:rank]
+    """The Hermite basis of the lattice: independent vectors with the same
+    span, in row echelon form with positive pivots and each entry above a
+    pivot in [0, pivot)."""
+    return [list(b) for b in sub.hermite_basis]
 
 
 def quotient(ambient: FgAbGroup, sub: Lattice) -> FgAbGroup:
@@ -469,6 +429,6 @@ def check_exact(maps: Sequence[GroupMap]) -> ExactnessReport:
                                     outof.target.relation_columns,
                                     node.n_generators) + node.relation_columns
         dim = node.n_generators
-        if not (lattice_spans(ker_gens, im_gens, dim) and lattice_spans(im_gens, ker_gens, dim)):
+        if hermite_form(ker_gens, dim)[0] != hermite_form(im_gens, dim)[0]:
             return ExactnessReport(False, i)
     return ExactnessReport(True, None)

@@ -41,9 +41,21 @@ PRECONDITION_ERRORS = (
 )
 
 # Caps on a power in a spec (exponent and degree), whose cost grows with the
-# square of its degree, and on the d and c of `bound`, so 2^(2(d+1)) prints.
+# square of its degree, on the d and c of `bound`, so 2^(2(d+1)) prints, and
+# on the digits of a literal, below Python's int-to-string limit.
 MAX_POWER = 1000
 MAX_DIMENSION = 1000
+MAX_DIGITS = 1000
+
+
+def _digit_run(text: str, start: int) -> int:
+    """End of the run of digits that starts at ``start``."""
+    end = start
+    while end < len(text) and text[end].isdigit():
+        end += 1
+    if end - start > MAX_DIGITS:
+        raise SpecParseError(f"numbers are capped at {MAX_DIGITS} digits")
+    return end
 
 
 # --- polynomial expressions -------------------------------------------------------
@@ -72,16 +84,14 @@ class _Tokens:
     def number(self) -> Fraction:
         self.peek()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
+        self.pos = _digit_run(self.text, start)
         if self.pos == start:
             raise SpecParseError(f"expected a number at position {start} of {self.text!r}")
         value = int(self.text[start:self.pos])
         if self.peek() == "/":
             self.take()
             dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
+            self.pos = _digit_run(self.text, dstart)
             if self.pos == dstart:
                 raise SpecParseError(f"expected a denominator at position {dstart}")
             denominator = int(self.text[dstart:self.pos])
@@ -219,9 +229,7 @@ def parse_twist_spec(text: str, curve, components) -> realcurve.TwistDivisor:
         i = close + 1
         mult = 1
         if i < len(body) and body[i] == "*":
-            j = i + 1
-            while j < len(body) and body[j].isdigit():
-                j += 1
+            j = _digit_run(body, i + 1)
             if j == i + 1:
                 raise SpecParseError("expected a multiplicity after '*'")
             mult = int(body[i + 1:j])
@@ -290,7 +298,7 @@ def _witness_json(cert):
             entry["point"] = {"x": jnum(pt.x), "conjugate_pair": True}
         else:
             entry["point"] = {"x": jnum(pt.x), "interval": True}
-        entry["unit"] = term.unit.describe()
+        entry["unit"] = " + ".join(t.unit.describe() for t in cert.witness.terms)
     return entry
 
 

@@ -32,6 +32,8 @@ from .errors import (
 )
 from .numeric import UPoly, is_rational_square, isolate_real_roots, rational_root, sign_of
 from .realcurve import (
+    BRANCH_BOTH,
+    BRANCH_MINUS,
     END_NEG_INF,
     END_POS_INF,
     END_ROOT,
@@ -290,6 +292,9 @@ def gamma_top_witness_search(curve: CurveModel,
     Strategy per circle: a rational branch point (root of f) on it gives the
     generator exactly; otherwise a rational point found within the height
     budget does; otherwise a conjugate pair certifies twice the generator.
+    Where the two sheets are separate circles, points take the circle's sign
+    of y, and the pair carries the unit 1 + (sign)*y, which counts twice on
+    this circle and zero on the other.
     """
     comps = tuple(components) if components is not None else real_components(curve)
     bits = twist_bits if twist_bits is not None else {c.id: 0 for c in comps}
@@ -326,17 +331,22 @@ def _witness_for_circle(curve, comps, bits, comp, budget) -> WitnessCertificate:
             cycle = ZeroCycle.single(RationalPoint(r, Fraction(0)))
             return WitnessCertificate(comp.id, STATUS_EXACT, cycle, gen_hit(1))
     f = curve.f
+    sheet = -1 if comp.branch == BRANCH_MINUS else 1
     lo, hi = _interior_window(comp)
     pair_x = None      # first x with f(x) > 0: a conjugate pair unless f(x) is a square
     for x in _heights_in_window(lo, hi, budget):
         fx = f.eval_at(x)
         if is_rational_square(fx):
-            cycle = ZeroCycle.single(RationalPoint(x, _sqrt_fraction(fx)))
+            cycle = ZeroCycle.single(RationalPoint(x, sheet * _sqrt_fraction(fx)))
             return WitnessCertificate(comp.id, STATUS_EXACT, cycle, gen_hit(1))
         if pair_x is None and fx > 0:
             pair_x = x
     if pair_x is not None:
-        cycle = ZeroCycle.single(ConjugatePair(pair_x))
+        pair = ConjugatePair(pair_x)
+        terms = (ZeroCycleTerm(pair),)
+        if comp.branch != BRANCH_BOTH:
+            terms += (ZeroCycleTerm(pair, UnitCoefficient(UPoly.of(sheet), 1)),)
+        cycle = ZeroCycle(terms)
         return WitnessCertificate(comp.id, STATUS_DOUBLE, cycle, gen_hit(2))
     return WitnessCertificate(comp.id, STATUS_FAILED, None, {})
 

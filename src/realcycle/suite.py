@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Callable, Optional
 
 from . import abgrp, cycleclass, mwk, numeric, qform, realcurve
@@ -357,11 +357,48 @@ def check_group_laws():
 
 
 def _det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
-               for j in range(n))
+    """Determinant by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in m]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def check_snf_random():
+    rng = random.Random(6012)
+    for n in range(6, 13):
+        for trial in range(5):
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            snf = abgrp.smith_normal_form(m)
+            diag = list(snf.diagonal)
+            where = f"{n}x{n} trial {trial}"
+            if _product(_product(snf.u, m), snf.v) != snf.d:
+                return False, f"{where}: U*M*V != D"
+            if any(snf.d[i][j] for i in range(n) for j in range(n) if i != j) \
+                    or diag != [snf.d[i][i] for i in range(n)]:
+                return False, f"{where}: D is not the diagonal {diag}"
+            if abs(_det(snf.u)) != 1 or abs(_det(snf.v)) != 1:
+                return False, f"{where}: a transform is not unimodular"
+            if any(d < 0 for d in diag) or \
+                    any(e if d == 0 else e % d for d, e in zip(diag, diag[1:])):
+                return False, f"{where}: divisibility chain broken in {diag}"
+            if prod(diag) != abs(_det(m)):
+                return False, f"{where}: product of invariant factors {prod(diag)} != |det M|"
+    return True, "35 random n x n matrices, n = 6..12: U*M*V = D, unimodular, chain, |det M|"
 
 
 def check_root_isolation():
@@ -418,6 +455,9 @@ CHECKS: list[tuple[str, str, Callable, float]] = [
     ("gw-identity-steinberg",
      "unit-form identity on 200 random units; Steinberg symbols vanish, 200 trials",
      check_gw_identity_steinberg, 5.0),
+    ("snf-random",
+     "Smith forms of random n x n matrices, n = 6..12, against determinants",
+     check_snf_random, 2.0),
     ("group-law-suite",
      "exponent laws on 1000 random presentations; quotients vs coset enumeration",
      check_group_laws, 20.0),

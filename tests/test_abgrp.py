@@ -20,13 +20,16 @@ from realcycle.abgrp import (
     kernel_presentation,
     lattice_basis,
     lattices_equal,
-    mat_mul,
     order_of,
     quotient,
     smith_normal_form,
     solve_in_lattice,
 )
 from realcycle.errors import IllDefinedMap, NotComposable, RankMismatch
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def det(m):

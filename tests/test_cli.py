@@ -133,6 +133,34 @@ class TestCurveCommand:
         assert code == 2
         assert "zero denominator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("curve", "--spec", "line punctures=" + "1" * 5000),
+        ("curve", "--spec", "line punctures=1/" + "7" * 5000),
+        ("curve", "--spec", "hyperelliptic f=1-x^2", "--twist", "points:(0,+)*" + "1" * 5000),
+        ("form", "<" + "1" * 5000 + ",t>"),
+    ])
+    def test_long_literal_exits_2(self, argv, capsys):
+        code, _ = run_cli(*argv)
+        assert code == 2
+        assert "capped at 1000 digits" in capsys.readouterr().err
+
+    def test_thousand_digit_literal_is_accepted(self):
+        big = "1" * 1000
+        report = run_json("curve", "--spec", f"line punctures={big}")
+        assert report["components"][0]["x_range"] == [["-inf", big]]
+        assert parse_poly(f"{big}*t", "t") == UPoly.of(0, int(big))
+
+    @pytest.mark.parametrize("f", ["x^4+1", "x^4+2"])
+    def test_separate_sheets_are_witnessed(self, f):
+        # no real root and deg f = 0 mod 4: the two sheets close up into two
+        # circles, c0 (y > 0) and c1 (y < 0)
+        report = run_json("curve", "--spec", f"hyperelliptic f={f} projective")
+        assert [c["kind"] for c in report["components"]] == ["circle", "circle"]
+        for gen, other, witness in zip(("c0", "c1"), ("c1", "c0"), report["gamma_top"]["witnesses"]):
+            assert witness["generator"] == gen
+            hits = 1 if witness["status"] == "exact" else 2
+            assert witness["achieved"] == {gen: hits, other: 0}
+
     def test_deterministic_output(self):
         a = run_cli("curve", "--spec", "hyperelliptic f=x^3-x projective")
         b = run_cli("curve", "--spec", "hyperelliptic f=x^3-x projective")
@@ -267,7 +295,7 @@ class TestAffineLineReport:
 # change.
 README_PINS = {
     'realcycle curve --spec "line punctures=0"':
-        "9a2c10dac99be7e58576eb28b33b9e3119cdd94d4246d3fb00dcbc91f7378319",
+        "6b8fbf54203eaf5abee8f092c73b4564b4b6d92d951c91603d7f5149ad08b736",
     'realcycle curve --spec "hyperelliptic f=-(x^2-1)*(x^2-4)"':
         "9cb0e9bb36a32cd417ae464f0dabaaccb03fca55b8347ee97e43c258fd98bb00",
     'realcycle curve --spec "hyperelliptic f=x^3-x projective"':

@@ -229,6 +229,23 @@ class TestWitnessSearch:
         assert certs[0].status == STATUS_DOUBLE
         assert certs[0].achieved[certs[0].generator] == 2
 
+    @pytest.mark.parametrize("f, status", [(UPoly.of(1, 0, 0, 0, 1), STATUS_EXACT),
+                                           (UPoly.of(2, 0, 0, 0, 1), STATUS_DOUBLE)])
+    def test_separate_sheets(self, f, status):
+        # y^2 = x^4 + 1 has the points (0, +-1); on y^2 = x^4 + 2 the search
+        # finds none, so a conjugate pair.  Each sheet is its own circle, and
+        # each witness hits its own circle only.
+        curve = Hyperelliptic(f, projective=True)
+        comps = real_components(curve)
+        certs = gamma_top_witness_search(curve, comps, budget=20)
+        assert [(c.generator, c.status) for c in certs] == [("c0", status), ("c1", status)]
+        for cert, sheet, other in zip(certs, (1, -1), ("c1", "c0")):
+            achieved = class_of_zero_cycle(curve, comps, untwisted(comps), cert.witness)
+            assert achieved == cert.achieved
+            assert achieved == {cert.generator: 1 if status == STATUS_EXACT else 2, other: 0}
+            if status == STATUS_EXACT:
+                assert cert.witness.terms[0].point.y * sheet > 0
+
     def test_rational_roots_helper(self):
         f = UPoly.from_roots([1, Fraction(-1, 2)]) * UPoly.of(1, 0, 1)
         assert rational_roots(f) == [Fraction(-1, 2), Fraction(1)]

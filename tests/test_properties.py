@@ -1,8 +1,8 @@
 """Property tests on generated inputs, each against an independent oracle.
 
-Sizes are kept small (dimension <= 5, entries <= 9, degree <= 8) so that the
-whole module runs in a few seconds; the example order is derandomised, so a
-run is reproducible.
+Sizes are kept small (dimension <= 5, entries <= 9, degree <= 8; Smith forms
+up to 12 x 12) so that the whole module runs in a few seconds; the example
+order is derandomised, so a run is reproducible.
 """
 
 from fractions import Fraction
@@ -11,7 +11,15 @@ from math import gcd, isqrt, lcm
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from realcycle.abgrp import FgAbGroup, Lattice, lattice_basis, lattice_spans, solve_in_lattice
+from realcycle.abgrp import (
+    FgAbGroup,
+    Lattice,
+    lattice_basis,
+    lattice_spans,
+    lattices_equal,
+    smith_normal_form,
+    solve_in_lattice,
+)
 from realcycle.cycleclass import rational_roots
 from realcycle.numeric import (
     ExtendedPoint,
@@ -114,6 +122,81 @@ def test_lattice_basis_has_rank_many_vectors_with_the_same_span(case):
     assert len(basis) == rank
     assert rank_over_q(basis) == rank
     assert hermite_rows(basis, dim) == hermite_rows(gens, dim)
+    # the basis is the Hermite form itself, and feeding it back terminates
+    assert basis == hermite_rows(gens, dim)
+    assert lattice_spans(basis, gens, dim)
+    assert lattices_equal(lat, Lattice(lat.ambient, tuple(map(tuple, basis))))
+
+
+@st.composite
+def mixed_generator_sets(draw):
+    """A generator set, a permutation of it, and a unimodular mixture of it
+    (random shears and sign flips of the generators)."""
+    dim, gens = draw(generator_sets())
+    mixed = [list(g) for g in draw(st.permutations(gens))]
+    for _ in range(draw(st.integers(0, 6)) if len(mixed) > 1 else 0):
+        i, j = draw(st.sampled_from([(i, j) for i in range(len(mixed))
+                                     for j in range(len(mixed)) if i != j]))
+        c = draw(st.integers(-3, 3))
+        mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
+        if draw(st.booleans()):
+            mixed[j] = [-b for b in mixed[j]]
+    return dim, gens, mixed
+
+
+@SETTINGS
+@given(mixed_generator_sets())
+def test_lattice_basis_is_canonical(case):
+    dim, gens, mixed = case
+    ambient = FgAbGroup.free(*(f"e{i}" for i in range(dim)))
+    assert lattice_basis(Lattice(ambient, tuple(map(tuple, gens)))) == \
+        lattice_basis(Lattice(ambient, tuple(map(tuple, mixed))))
+
+
+def det_bareiss(m):
+    """Determinant by fraction-free elimination, independent of the SNF code."""
+    a = [list(r) for r in m]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def integer_matrices(draw):
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@SETTINGS
+@given(integer_matrices())
+def test_smith_normal_form_is_certified_with_bounded_entries(m):
+    rows, cols = len(m), len(m[0])
+    snf = smith_normal_form(m)
+    assert product(product(snf.u, m), snf.v) == snf.d
+    assert abs(det_bareiss(snf.u)) == 1 and abs(det_bareiss(snf.v)) == 1
+    assert all(snf.d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    diag = list(snf.diagonal)
+    assert diag == [snf.d[i][i] for i in range(min(rows, cols))]
+    assert all(d >= 0 for d in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert (b == 0) if a == 0 else (b % a == 0)
+    n = max(rows, cols)
+    assert all(abs(x).bit_length() < 32 * n for t in (snf.d, snf.u, snf.v) for r in t for x in r)
 
 
 @SETTINGS
