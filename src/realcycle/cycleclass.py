@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import floor, isqrt
 from typing import Optional, Sequence, Union
 
-from .abgrp import FgAbGroup, Lattice, exponent, order_of, quotient
+from .abgrp import FgAbGroup, Lattice, exponent, hermite_form, order_of, quotient
 from .errors import (
     BadDimension,
     NegativeInput,
@@ -105,23 +105,12 @@ def mod2_spans_everything(curve: PuncturedLine,
     samples = [sample_point(c, curve).x for c in comps]
     units = [UPoly.of(1)] + [UPoly.of(-a, 1) for a in curve.punctures]
     rows = [[1 if u.eval_at(x) > 0 else 0 for x in samples] for u in units]
-    return _f2_rank(rows) == len(comps)
-
-
-def _f2_rank(rows: list[list[int]]) -> int:
-    rows = [r[:] for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % 2), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % 2:
-                rows[i] = [(a + b) % 2 for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    # the rows span F_2^m exactly when, with 2*Z^m, they span Z^m, whose
+    # Hermite basis is the identity
+    m = len(comps)
+    identity = [[int(i == j) for j in range(m)] for i in range(m)]
+    basis, _ = hermite_form(rows + [[2 * x for x in e] for e in identity], m)
+    return basis == identity
 
 
 # --- zero cycles and their classes ----------------------------------------------

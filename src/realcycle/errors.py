@@ -47,8 +47,8 @@ class UnsupportedContext(RealCycleError):
     """The operation is not decidable over this field context."""
 
 
-class UnsupportedPlace(RealCycleError):
-    """Residues are only taken at rational (degree-one) places and infinity."""
+class FactorizationLimit(RealCycleError):
+    """A square class needs the factors of an integer beyond the trial-division bound."""
 
 
 class EntryVanishesAtOrdering(RealCycleError):

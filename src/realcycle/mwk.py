@@ -19,23 +19,18 @@ from typing import Sequence, Union
 
 from .errors import CompatibilityError, ContextMismatch, ZeroEntry
 from .qform import (
-    TAG_COMPLEXES,
-    TAG_FINITE,
-    TAG_RATIONALS,
-    TAG_REAL_CLOSED,
     DiagForm,
     FieldCtx,
     GWElem,
     Ordering,
     coerce,
     discriminant,
-    elem_str,
     gw_add,
     gw_mul,
     gw_to_form,
+    has_trivial_discriminant,
     hyperbolic_pairing,
-    is_zero_elem,
-    mul_elem,
+    ordering_pool,
     pfister,
     signature,
     square_class,
@@ -64,15 +59,8 @@ class MilnorPart:
         if self.degree == 0:
             return str(self.value)
         if self.degree == 1:
-            return "{%s}" % elem_str(self.ctx, self.value)
-        return " + ".join(
-            f"{c}*{{{elem_str(self.ctx, a)},{elem_str(self.ctx, b)}}}"
-            for c, (a, b) in self.value
-        ) or "0"
-
-
-def _elem_add(ctx: FieldCtx, a, b):
-    return (a + b) % ctx.p if ctx.tag == TAG_FINITE else a + b
+            return "{%s}" % self.value
+        return " + ".join(f"{c}*{{{a},{b}}}" for c, (a, b) in self.value) or "0"
 
 
 def _canonical_sym2(ctx: FieldCtx, terms: Sequence[tuple[int, tuple]]) -> Sym2:
@@ -82,13 +70,10 @@ def _canonical_sym2(ctx: FieldCtx, terms: Sequence[tuple[int, tuple]]) -> Sym2:
     one = coerce(ctx, 1)
     merged: dict = {}
     for c, (a, b) in terms:
-        if c == 0:
+        if c == 0 or a == one or b == one:
             continue
-        if a == one or b == one:
-            continue
-        if _elem_add(ctx, a, b) == one:      # Steinberg
-            continue
-        if is_zero_elem(ctx, _elem_add(ctx, a, b)):   # {a, -a} = 0
+        s = a + b
+        if s == one or not s:       # Steinberg, and {a, -a} = 0
             continue
         key = (repr(a), repr(b))
         if key in merged:
@@ -158,16 +143,13 @@ def _check_compatibility(x: KmwElem) -> None:
         return
     # degree 2: the Witt part must satisfy the computable I^2 necessities;
     # finer agreement is certified by construction
-    if _e1_class(x.witt) != square_class(x.ctx, coerce(x.ctx, 1)):
+    if not has_trivial_discriminant(gw_to_form(x.witt)):
         raise CompatibilityError("degree-2 Witt part must have trivial discriminant")
 
 
-def _empty(ctx: FieldCtx) -> DiagForm:
-    return DiagForm.empty(ctx)
-
-
 def zero(ctx: FieldCtx, degree: int) -> KmwElem:
-    return KmwElem(ctx, degree, _milnor_zero(ctx, degree), GWElem(_empty(ctx), _empty(ctx)))
+    empty = DiagForm.empty(ctx)
+    return KmwElem(ctx, degree, _milnor_zero(ctx, degree), GWElem(empty, empty))
 
 
 def one(ctx: FieldCtx) -> KmwElem:
@@ -177,17 +159,17 @@ def one(ctx: FieldCtx) -> KmwElem:
 def gw_unit(ctx: FieldCtx, a) -> KmwElem:
     """The rank-one element <a> of the degree-0 part."""
     a = coerce(ctx, a)
-    if is_zero_elem(ctx, a):
+    if not a:
         raise ZeroEntry("unit forms need a nonzero entry")
     return KmwElem(ctx, 0, MilnorPart(ctx, 0, 1),
-                   GWElem(DiagForm(ctx, (a,)), _empty(ctx)))
+                   GWElem(DiagForm(ctx, (a,)), DiagForm.empty(ctx)))
 
 
 def integer(ctx: FieldCtx, n: int) -> KmwElem:
     """n times the unit element: rank n, Witt class of n * <1>."""
     entries = tuple(coerce(ctx, 1) for _ in range(abs(n)))
     form = DiagForm(ctx, entries)
-    plus, minus = (form, _empty(ctx)) if n >= 0 else (_empty(ctx), form)
+    plus, minus = (form, DiagForm.empty(ctx)) if n >= 0 else (DiagForm.empty(ctx), form)
     return KmwElem(ctx, 0, MilnorPart(ctx, 0, n), GWElem(plus, minus))
 
 
@@ -202,14 +184,13 @@ def symbol(ctx: FieldCtx, *entries) -> KmwElem:
     if n not in (1, 2):
         raise ValueError("symbols are supported in degrees 1 and 2")
     coerced = tuple(coerce(ctx, a) for a in entries)
-    for a in coerced:
-        if is_zero_elem(ctx, a):
-            raise ZeroEntry("symbol entries must be nonzero")
+    if not all(coerced):
+        raise ZeroEntry("symbol entries must be nonzero")
     pf = pfister(ctx, *coerced)
     if n % 2:
-        witt = GWElem(_empty(ctx), pf)
+        witt = GWElem(DiagForm.empty(ctx), pf)
     else:
-        witt = GWElem(pf, _empty(ctx))
+        witt = GWElem(pf, DiagForm.empty(ctx))
     if n == 1:
         milnor = MilnorPart(ctx, 1, coerced[0])
     else:
@@ -233,7 +214,7 @@ def add(x: KmwElem, y: KmwElem) -> KmwElem:
     if x.degree == 0:
         milnor = MilnorPart(x.ctx, 0, x.milnor.value + y.milnor.value)
     elif x.degree == 1:
-        milnor = MilnorPart(x.ctx, 1, mul_elem(x.ctx, x.milnor.value, y.milnor.value))
+        milnor = MilnorPart(x.ctx, 1, x.milnor.value * y.milnor.value)
     else:
         milnor = MilnorPart(x.ctx, 2, _canonical_sym2(x.ctx, list(x.milnor.value) + list(y.milnor.value)))
     return KmwElem(x.ctx, x.degree, milnor, gw_add(x.witt, y.witt))
@@ -253,23 +234,21 @@ def times_gw_unit(x: KmwElem, a) -> KmwElem:
     """Multiply by the degree-0 unit <a>: the Milnor half is unchanged, the
     Witt half is scaled by <a>."""
     a = coerce(x.ctx, a)
-    unit = GWElem(DiagForm(x.ctx, (a,)), _empty(x.ctx))
+    unit = GWElem(DiagForm(x.ctx, (a,)), DiagForm.empty(x.ctx))
     return KmwElem(x.ctx, x.degree, x.milnor, gw_mul(x.witt, unit))
 
 
 def gw_identity_check(ctx: FieldCtx, a, orderings: Sequence[Ordering] = ()) -> bool:
     """Does 1 + eta*[a] have the rank and the sampled signatures of <a>?"""
     a = coerce(ctx, a)
-    if is_zero_elem(ctx, a):
+    if not a:
         raise ZeroEntry("the identity is about nonzero a")
     lhs = add(one(ctx), eta_mul(symbol(ctx, a)))
     rhs = gw_unit(ctx, a)
     if lhs.rank != rhs.rank:
         return False
-    if ctx.tag in (TAG_COMPLEXES, TAG_FINITE):
-        return True     # no orderings to compare against
-    pool = list(orderings) or [Ordering.archimedean()]
-    return all(signature(lhs.witt, p) == signature(rhs.witt, p) for p in pool)
+    return all(signature(lhs.witt, p) == signature(rhs.witt, p)
+               for p in ordering_pool(ctx, orderings))
 
 
 class Comparison(enum.Enum):
@@ -309,7 +288,6 @@ def compare(x: KmwElem, y: KmwElem, orderings: Sequence[Ordering] = ()) -> Compa
     """Equality through invariants: Equal / Distinct / Indistinguishable."""
     if x.ctx != y.ctx or x.degree != y.degree:
         return Comparison.DISTINCT
-    ctx = x.ctx
     if x.degree == 0 and x.milnor.value != y.milnor.value:
         return Comparison.DISTINCT
     if x.degree == 1 and x.milnor.value != y.milnor.value:
@@ -317,13 +295,9 @@ def compare(x: KmwElem, y: KmwElem, orderings: Sequence[Ordering] = ()) -> Compa
     milnor_known_equal = x.milnor == y.milnor
     if x.degree == 1 and _e1_class(x.witt) != _e1_class(y.witt):
         return Comparison.DISTINCT
-    pool = list(orderings)
-    if ctx.tag in (TAG_RATIONALS, TAG_REAL_CLOSED) and not pool:
-        pool = [Ordering.archimedean()]
-    if ctx.tag not in (TAG_COMPLEXES, TAG_FINITE):
-        for p in pool:
-            if signature(x.witt, p) != signature(y.witt, p):
-                return Comparison.DISTINCT
+    for p in ordering_pool(x.ctx, orderings):
+        if signature(x.witt, p) != signature(y.witt, p):
+            return Comparison.DISTINCT
     difference = gw_add(x.witt, GWElem(y.witt.minus, y.witt.plus))
     if milnor_known_equal and witt_class_is_zero(difference):
         return Comparison.EQUAL

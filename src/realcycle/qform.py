@@ -17,14 +17,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from typing import Optional, Sequence, Union
 
 from .errors import (
     ContextMismatch,
     EntryVanishesAtOrdering,
+    FactorizationLimit,
     UnorderedContext,
     UnsupportedContext,
-    UnsupportedPlace,
     ZeroEntry,
 )
 from .numeric import (
@@ -105,10 +106,6 @@ class RatFunc:
             return RatFunc.make(value)
         return RatFunc.make(UPoly.of(Fraction(value)))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc.make(self.num * other.num, self.den * other.den)
 
@@ -121,50 +118,77 @@ class RatFunc:
     def __neg__(self) -> "RatFunc":
         return RatFunc(-self.num, self.den)
 
+    def __bool__(self) -> bool:
+        return not self.num.is_zero
+
     def to_str(self) -> str:
         if self.den == UPoly.one():
             return self.num.to_str()
         return f"({self.num.to_str()})/({self.den.to_str()})"
 
+    __str__ = to_str
 
-Element = Union[Fraction, int, RatFunc]
+
+class Fp(int):
+    """Element of F_p: an int reduced into [0, p) whose *, + and - are taken
+    mod p.  Everything else (equality with ints, hashing, pow(x, e, p)) is the
+    int's own."""
+
+    def __new__(cls, value, p: int) -> "Fp":
+        x = super().__new__(cls, int(value) % p)
+        x.p = p
+        return x
+
+    def __mul__(self, other) -> "Fp":
+        return Fp(int.__mul__(self, other), self.p)
+
+    def __add__(self, other) -> "Fp":
+        return Fp(int.__add__(self, other), self.p)
+
+    def __sub__(self, other) -> "Fp":
+        return Fp(int.__sub__(self, other), self.p)
+
+    def __rsub__(self, other) -> "Fp":
+        return Fp(int.__rsub__(self, other), self.p)
+
+    def __neg__(self) -> "Fp":
+        return Fp(-int(self), self.p)
+
+    __rmul__ = __mul__
+    __radd__ = __add__
+
+
+Element = Union[Fraction, Fp, RatFunc]
 
 
 def coerce(ctx: FieldCtx, value) -> Element:
     if ctx.tag == TAG_RATFUNC:
         return RatFunc.coerce(value)
     if ctx.tag == TAG_FINITE:
-        return int(value) % ctx.p
+        return Fp(value, ctx.p)
     return Fraction(value)
-
-
-def is_zero_elem(ctx: FieldCtx, x: Element) -> bool:
-    if ctx.tag == TAG_RATFUNC:
-        return x.is_zero
-    return x == 0
-
-
-def mul_elem(ctx: FieldCtx, x: Element, y: Element):
-    if ctx.tag == TAG_FINITE:
-        return (x * y) % ctx.p
-    return x * y
-
-
-def elem_str(ctx: FieldCtx, x: Element) -> str:
-    return x.to_str() if isinstance(x, RatFunc) else str(x)
 
 
 # --- square classes ----------------------------------------------------------
 
+TRIAL_LIMIT = 10 ** 6
+
+
 def squarefree_int(n: int) -> int:
-    """Signed square-free part of a nonzero integer."""
+    """Signed square-free part of a nonzero integer.
+
+    Trial division stops at TRIAL_LIMIT.  The cofactor left has no prime factor
+    up to it, so below TRIAL_LIMIT**3 it is a square, a prime or a product of
+    two distinct primes; a larger one that is not a square raises
+    FactorizationLimit.
+    """
     if n == 0:
         raise ZeroEntry("square class of zero")
     sign = 1 if n > 0 else -1
     n = abs(n)
     out = 1
     d = 2
-    while d * d <= n:
+    while d <= TRIAL_LIMIT and d * d <= n:
         e = 0
         while n % d == 0:
             n //= d
@@ -172,6 +196,12 @@ def squarefree_int(n: int) -> int:
         if e % 2:
             out *= d
         d += 1
+    if isqrt(n) ** 2 == n:
+        n = 1
+    elif n >= TRIAL_LIMIT ** 3:
+        raise FactorizationLimit(
+            f"a square class needs the factors of a {n.bit_length()}-bit integer "
+            f"with no prime factor up to {TRIAL_LIMIT}")
     return sign * out * n
 
 
@@ -187,7 +217,7 @@ def _least_nonresidue(p: int) -> int:
 
 
 def is_square(ctx: FieldCtx, x: Element) -> bool:
-    if is_zero_elem(ctx, x):
+    if not x:
         raise ZeroEntry("zero has no square class")
     if ctx.tag == TAG_RATIONALS:
         return is_rational_square(x)
@@ -210,7 +240,7 @@ def square_class(ctx: FieldCtx, x: Element):
     of the polynomial num*den, scaled by the square-free part of its leading
     coefficient.
     """
-    if is_zero_elem(ctx, x):
+    if not x:
         raise ZeroEntry("zero has no square class")
     if ctx.tag == TAG_RATIONALS:
         return _fraction_squarefree(x)
@@ -223,10 +253,6 @@ def square_class(ctx: FieldCtx, x: Element):
     q = x.num * x.den
     scalar = _fraction_squarefree(q.lc)
     return odd_multiplicity_part(q).scale(scalar)
-
-
-def _trivial_class(ctx: FieldCtx):
-    return UPoly.of(1) if ctx.tag == TAG_RATFUNC else 1
 
 
 # --- orderings and places ----------------------------------------------------
@@ -270,6 +296,17 @@ class Ordering:
         return "archimedean" if self.point is None else self.point.describe()
 
 
+def ordering_pool(ctx: FieldCtx, sample: Sequence[Ordering]) -> list[Ordering]:
+    """The orderings at which signatures are compared: none over C and F_p,
+    the archimedean one over Q and R when no sample is given, else the sample."""
+    if ctx.tag in (TAG_COMPLEXES, TAG_FINITE):
+        return []
+    pool = list(sample)
+    if not pool and ctx.tag in (TAG_RATIONALS, TAG_REAL_CLOSED):
+        pool.append(Ordering.archimedean())
+    return pool
+
+
 @dataclass(frozen=True)
 class Place:
     """A rational place of Q(t): the monic polynomial t - a, or infinity."""
@@ -284,12 +321,6 @@ class Place:
     @staticmethod
     def infinity() -> "Place":
         return Place("infinity")
-
-    @staticmethod
-    def from_poly(p: UPoly) -> "Place":
-        if p.degree != 1 or p.lc != 1:
-            raise UnsupportedPlace("only monic degree-one places are supported")
-        return Place.finite(-p.coeffs[0])
 
 
 # --- forms -------------------------------------------------------------------
@@ -311,9 +342,8 @@ class DiagForm:
     pfister_terms: Optional[PfisterTerms] = field(default=None, compare=False)
 
     def __post_init__(self):
-        for e in self.entries:
-            if is_zero_elem(self.ctx, e):
-                raise ZeroEntry("diagonal forms have nonzero entries")
+        if not all(self.entries):
+            raise ZeroEntry("diagonal forms have nonzero entries")
 
     @staticmethod
     def make(ctx: FieldCtx, entries: Sequence) -> "DiagForm":
@@ -329,7 +359,7 @@ class DiagForm:
         return len(self.entries)
 
     def to_str(self) -> str:
-        return "<" + ",".join(elem_str(self.ctx, e) for e in self.entries) + ">"
+        return "<" + ",".join(map(str, self.entries)) + ">"
 
 
 @dataclass(frozen=True)
@@ -343,17 +373,9 @@ class GWElem:
         if self.plus.ctx != self.minus.ctx:
             raise ContextMismatch("both halves must share a context")
 
-    @staticmethod
-    def of_form(form: DiagForm) -> "GWElem":
-        return GWElem(form, DiagForm.empty(form.ctx))
-
     @property
     def ctx(self) -> FieldCtx:
         return self.plus.ctx
-
-    @property
-    def virtual_rank(self) -> int:
-        return self.plus.dim - self.minus.dim
 
 
 def _require_same_ctx(a, b):
@@ -371,7 +393,7 @@ def direct_sum(phi: DiagForm, psi: DiagForm) -> DiagForm:
 
 def tensor(phi: DiagForm, psi: DiagForm) -> DiagForm:
     _require_same_ctx(phi, psi)
-    entries = tuple(mul_elem(phi.ctx, a, b) for a in phi.entries for b in psi.entries)
+    entries = tuple(a * b for a in phi.entries for b in psi.entries)
     terms = None
     if phi.pfister_terms is not None and psi.pfister_terms is not None:
         terms = tuple(
@@ -385,15 +407,12 @@ def tensor(phi: DiagForm, psi: DiagForm) -> DiagForm:
 def pfister(ctx: FieldCtx, *slots) -> DiagForm:
     """The Pfister form <<a1, ..., an>> = tensor of the <1, -a_i>; dimension 2^n."""
     coerced = tuple(coerce(ctx, a) for a in slots)
+    if not all(coerced):
+        raise ZeroEntry("Pfister slots must be nonzero")
+    entries = (coerce(ctx, 1),)
     for a in coerced:
-        if is_zero_elem(ctx, a):
-            raise ZeroEntry("Pfister slots must be nonzero")
-    out = DiagForm(ctx, (coerce(ctx, 1),), ((1, coerced),))
-    for a in coerced:
-        factor = DiagForm(ctx, (coerce(ctx, 1), mul_elem(ctx, coerce(ctx, -1), a)))
-        out_entries = tuple(mul_elem(ctx, x, y) for x in out.entries for y in factor.entries)
-        out = DiagForm(ctx, out_entries, ((1, coerced),))
-    return out
+        entries = tuple(y for x in entries for y in (x, x * -a))
+    return DiagForm(ctx, entries, ((1, coerced),))
 
 
 def mult_by_pfister_minus_one(x):
@@ -407,10 +426,6 @@ def gw_add(a: GWElem, b: GWElem) -> GWElem:
     return GWElem(direct_sum(a.plus, b.plus), direct_sum(a.minus, b.minus))
 
 
-def gw_neg(a: GWElem) -> GWElem:
-    return GWElem(a.minus, a.plus)
-
-
 def gw_mul(a: GWElem, b: GWElem) -> GWElem:
     plus = direct_sum(tensor(a.plus, b.plus), tensor(a.minus, b.minus))
     minus = direct_sum(tensor(a.plus, b.minus), tensor(a.minus, b.plus))
@@ -419,9 +434,7 @@ def gw_mul(a: GWElem, b: GWElem) -> GWElem:
 
 def gw_to_form(a: GWElem) -> DiagForm:
     """A diagonal representative of the Witt class of a (negate the minus part)."""
-    ctx = a.ctx
-    negated = tuple(mul_elem(ctx, coerce(ctx, -1), e) for e in a.minus.entries)
-    return DiagForm(ctx, a.plus.entries + negated)
+    return DiagForm(a.ctx, a.plus.entries + tuple(-e for e in a.minus.entries))
 
 
 # --- invariants ---------------------------------------------------------------
@@ -433,9 +446,9 @@ def _entry_sign(ctx: FieldCtx, e: Element, p: Ordering) -> int:
         return sign_of(e)
     if p.point is None:
         raise UnorderedContext("an ordering of Q(t) needs a point")
-    s = sign_at(e.num * e.den, p.point)
+    s = sign_at(e.num, p.point) * sign_at(e.den, p.point)
     if s == 0:
-        raise EntryVanishesAtOrdering(elem_str(ctx, e))
+        raise EntryVanishesAtOrdering(str(e))
     return s
 
 
@@ -448,18 +461,17 @@ def signature(phi, p: Ordering) -> int:
 
 def discriminant(phi: DiagForm):
     """Signed discriminant (-1)^(n(n-1)/2) * prod(entries), as a square class."""
-    ctx = phi.ctx
     n = phi.dim
-    out = coerce(ctx, 1)
+    out = coerce(phi.ctx, 1)
     for e in phi.entries:
-        out = mul_elem(ctx, out, e)
+        out = out * e
     if (n * (n - 1) // 2) % 2:
-        out = mul_elem(ctx, out, coerce(ctx, -1))
-    return square_class(ctx, out)
+        out = -out
+    return square_class(phi.ctx, out)
 
 
 def has_trivial_discriminant(phi: DiagForm) -> bool:
-    return discriminant(phi) == _trivial_class(phi.ctx)
+    return discriminant(phi) == (UPoly.one() if phi.ctx.tag == TAG_RATFUNC else 1)
 
 
 def form_value(phi: DiagForm, vector: Sequence) -> Element:
@@ -467,20 +479,16 @@ def form_value(phi: DiagForm, vector: Sequence) -> Element:
     ctx = phi.ctx
     if len(vector) != phi.dim:
         raise ContextMismatch("vector length must equal the form dimension")
-    total = coerce(ctx, 0) if ctx.tag != TAG_RATFUNC else RatFunc.coerce(0)
+    total = coerce(ctx, 0)
     for e, v in zip(phi.entries, vector):
         v = coerce(ctx, v)
-        if ctx.tag == TAG_FINITE:
-            total = (total + e * v * v) % ctx.p
-        else:
-            total = total + mul_elem(ctx, e, mul_elem(ctx, v, v))
+        total = total + e * (v * v)
     return total
 
 
 def is_isotropic_vector(phi: DiagForm, vector: Sequence) -> bool:
     value = form_value(phi, vector)
-    nonzero = any(not is_zero_elem(phi.ctx, coerce(phi.ctx, v)) for v in vector)
-    return nonzero and is_zero_elem(phi.ctx, value)
+    return any(coerce(phi.ctx, v) for v in vector) and not value
 
 
 def hyperbolic_pairing(phi: DiagForm) -> bool:
@@ -489,18 +497,14 @@ def hyperbolic_pairing(phi: DiagForm) -> bool:
     entries = list(phi.entries)
     if len(entries) % 2:
         return False
-    ctx = phi.ctx
-    minus_one = coerce(ctx, -1)
     while entries:
         a = entries.pop()
-        partner = None
         for i, b in enumerate(entries):
-            if is_square(ctx, mul_elem(ctx, minus_one, mul_elem(ctx, a, b))):
-                partner = i
+            if is_square(phi.ctx, -(a * b)):
+                entries.pop(i)
                 break
-        if partner is None:
+        else:
             return False
-        entries.pop(partner)
     return True
 
 
@@ -552,13 +556,9 @@ def in_fundamental_power(phi: DiagForm, n: int,
         return Membership.NO
     if n >= 2 and not has_trivial_discriminant(phi):
         return Membership.NO
-    orderings = list(sample_orderings)
-    if ctx.tag in (TAG_RATIONALS, TAG_REAL_CLOSED) and not orderings:
-        orderings = [Ordering.archimedean()]
-    if ctx.tag not in (TAG_COMPLEXES, TAG_FINITE):
-        for p in orderings:
-            if signature(phi, p) % (2 ** n):
-                return Membership.NO
+    for p in ordering_pool(ctx, sample_orderings):
+        if signature(phi, p) % (2 ** n):
+            return Membership.NO
     if ctx.tag == TAG_REAL_CLOSED:
         return Membership.YES          # signature detects everything here
     if ctx.tag == TAG_COMPLEXES:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .abgrp import FgAbGroup, GroupMap
@@ -136,11 +135,6 @@ class RealComponent:
         return self.kind == KIND_CIRCLE
 
 
-@lru_cache(maxsize=None)
-def _isolated_roots(f: UPoly) -> tuple[IsolatingInterval, ...]:
-    return isolate_real_roots(f)
-
-
 def real_components(curve: CurveModel) -> tuple[RealComponent, ...]:
     if isinstance(curve, PuncturedLine):
         ends = [ArcEnd.neg_inf()] + [ArcEnd.rational(p) for p in curve.punctures] + [ArcEnd.pos_inf()]
@@ -157,7 +151,7 @@ def real_components(curve: CurveModel) -> tuple[RealComponent, ...]:
 
 def _hyperelliptic_components(curve: Hyperelliptic) -> tuple[RealComponent, ...]:
     f = curve.f
-    ivs = _isolated_roots(f)
+    ivs = isolate_real_roots(f)
     k = len(ivs)
     signs = [sign_of(f.eval_at(x)) for x in gap_samples(ivs)]
     assert all(s != 0 for s in signs)

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import shlex
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -213,6 +214,14 @@ class TestFormCommand:
     def test_zero_entry_exits_3(self):
         code, _ = run_cli("form", "<0>")
         assert code == 3
+
+    def test_factorisation_limit_exits_3(self, capsys):
+        # 2^61 - 1 is prime, above 10^18 and has no factor up to 10^6
+        start = time.perf_counter()
+        code, out = run_cli("form", "<2305843009213693951,t>")
+        assert time.perf_counter() - start < 2
+        assert code == 3 and out == ""
+        assert "no prime factor up to 1000000" in capsys.readouterr().err
 
     def test_zero_denominator_exits_2(self, capsys):
         code, _ = run_cli("form", "<1/0>")

@@ -110,6 +110,12 @@ class TestGamma0:
             assert lattices_equal(image, knebusch_gamma(k + 1))
             assert mod2_spans_everything(curve, comps)
 
+    def test_mod2_span_falls_short(self):
+        # the units 1 and t of "line punctures=0" give two rows on the four
+        # components of "line punctures=0,1,2"
+        comps = real_components(PuncturedLine.make([0, 1, 2]))
+        assert not mod2_spans_everything(PuncturedLine.make([0]), comps)
+
     def test_inclusion_chain(self):
         # 2 H^0 <= image <= H^0 for every punctured line
         rng = random.Random(607)

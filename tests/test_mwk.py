@@ -27,6 +27,7 @@ from realcycle.qform import (
     REAL_CLOSED,
     Ordering,
     RatFunc,
+    finite_field,
     signature,
 )
 
@@ -96,6 +97,15 @@ class TestGwIdentity:
     def test_coordinate_function(self):
         assert gw_identity_check(RATFUNC, T, ratfunc_orderings())
 
+    def test_ratfunc_without_orderings_compares_rank(self):
+        # with no sampled ordering of Q(t) only the ranks are compared, as in
+        # compare and in_fundamental_power
+        assert gw_identity_check(RATFUNC, T)
+        assert gw_identity_check(RATFUNC, -1)
+
+    def test_finite_field(self):
+        assert gw_identity_check(finite_field(7), 3)
+
     def test_random_rationals_and_ratfuncs(self):
         rng = random.Random(23)
         for _ in range(100):
@@ -115,6 +125,15 @@ class TestProduct:
         x = product(symbol(RATIONALS, 3), symbol(RATIONALS, 5))
         direct = symbol(RATIONALS, 3, 5)
         assert compare(x, direct, [Ordering.archimedean()]) is Comparison.EQUAL
+
+    def test_finite_field_relations(self):
+        # 3 + 5 = 1 and 3 + 4 = 0 in F_7: Steinberg and {a, -a}
+        f7 = finite_field(7)
+        assert symbol(f7, 3, 5).milnor.is_zero()
+        assert symbol(f7, 3, 4).milnor.is_zero()
+        assert symbol(f7, 3, 3).milnor.value == ((1, (3, 3)),)
+        assert add(symbol(f7, 3), symbol(f7, 5)).milnor.value == 1
+        assert symbol(f7, 3).milnor.describe() == "{3}"
 
     def test_steinberg_product_is_zero(self):
         a = Fraction(7)

@@ -1,7 +1,7 @@
 """Property tests on generated inputs, each against an independent oracle.
 
 Sizes are kept small (dimension <= 5, entries <= 9, degree <= 8; Smith forms
-up to 12 x 12) so that the whole module runs in a few seconds; the example
+up to 12 x 12; primes up to 31) so that the whole module runs in a few seconds; the example
 order is derandomised, so a run is reproducible.
 """
 
@@ -28,7 +28,21 @@ from realcycle.numeric import (
     is_rational_square,
     isolate_real_roots,
     rational_root,
+    sign_at,
     split_root,
+)
+from realcycle.qform import (
+    RATFUNC,
+    RATIONALS,
+    DiagForm,
+    Fp,
+    Ordering,
+    RatFunc,
+    discriminant,
+    finite_field,
+    hyperbolic_pairing,
+    pfister,
+    signature,
 )
 from realcycle.realcurve import Hyperelliptic, component_containing, real_components
 
@@ -328,3 +342,103 @@ def test_rational_root_reads_the_planted_root_or_none(roots, lead, k):
     for iv in ivs:
         planted = [r for r in roots if iv.contains(r)]
         assert rational_root(iv) == (planted[0] if planted else None)
+
+
+# --- field elements and forms ---------------------------------------------------
+
+primes = st.sampled_from([3, 5, 7, 11, 13, 31])
+wide_ints = st.integers(-10 ** 6, 10 ** 6)
+
+
+@SETTINGS
+@given(primes, wide_ints, wide_ints)
+def test_fp_operators_agree_with_reduction(p, a, b):
+    x, y = Fp(a, p), Fp(b, p)
+    for got, want in ((x * y, a * b), (x + y, a + b), (x - y, a - b), (-x, -a),
+                      (a * y, a * b), (a + y, a + b), (a - y, a - b),
+                      (x * b, a * b), (x + b, a + b), (x - b, a - b)):
+        assert type(got) is Fp and got.p == p
+        assert got == want % p
+
+
+@st.composite
+def ratfuncs(draw):
+    """(num, den) with den monic, and the element of Q(t) they make."""
+    num = UPoly.of(*draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3).filter(any)))
+    den = UPoly.of(*draw(st.lists(st.integers(-4, 4), max_size=2)), 1)
+    return num, den, RatFunc.make(num, den)
+
+
+def subset_products(slots, one, times):
+    """Entries of the Pfister form on the slots: entry i is the product of -a_j
+    over the slots j whose bit is set in i, the first slot the highest bit."""
+    n = len(slots)
+    out = []
+    for i in range(2 ** n):
+        e = one
+        for j, a in enumerate(slots):
+            if i >> (n - 1 - j) & 1:
+                e = times(e, a)
+        out.append(e)
+    return out
+
+
+@SETTINGS
+@given(st.lists(small_fractions.filter(lambda r: r != 0), max_size=4))
+def test_pfister_entries_are_subset_products_over_q(slots):
+    form = pfister(RATIONALS, *slots)
+    assert list(form.entries) == subset_products(slots, Fraction(1), lambda e, a: -e * a)
+
+
+@SETTINGS
+@given(primes, st.lists(wide_ints, max_size=4))
+def test_pfister_entries_are_subset_products_over_fp(p, slots):
+    assume(all(a % p for a in slots))
+    form = pfister(finite_field(p), *slots)
+    assert list(form.entries) == subset_products(slots, 1, lambda e, a: -e * a % p)
+
+
+@SETTINGS
+@given(st.lists(ratfuncs(), max_size=3))
+def test_pfister_entries_are_subset_products_over_qt(slots):
+    form = pfister(RATFUNC, *(f for _, _, f in slots))
+    pairs = subset_products([(num, den) for num, den, _ in slots], (UPoly.one(), UPoly.one()),
+                            lambda e, a: (-e[0] * a[0], e[1] * a[1]))
+    assert len(form.entries) == len(pairs)
+    for e, (num, den) in zip(form.entries, pairs):
+        assert e.num * den == num * e.den
+
+
+@SETTINGS
+@given(primes, wide_ints, wide_ints)
+def test_binary_fp_forms_are_hyperbolic_exactly_when_isotropic(p, a, b):
+    assume(a % p and b % p)
+    isotropic = any((a * x * x + b * y * y) % p == 0
+                    for x in range(p) for y in range(p) if x or y)
+    assert hyperbolic_pairing(DiagForm.make(finite_field(p), [a, b])) == isotropic
+
+
+@SETTINGS
+@given(primes, st.lists(wide_ints, max_size=5))
+def test_fp_discriminant_is_the_class_of_the_signed_product(p, es):
+    assume(all(e % p for e in es))
+    n = len(es)
+    d = (-1) ** (n * (n - 1) // 2)
+    for e in es:
+        d = d * e % p
+    squares = {x * x % p for x in range(1, p)}
+    nonresidue = min(x for x in range(2, p) if x not in squares)
+    assert discriminant(DiagForm.make(finite_field(p), es)) == (1 if d in squares else nonresidue)
+
+
+orderings = st.one_of(
+    st.just(Ordering.at_pos_inf()), st.just(Ordering.at_neg_inf()),
+    st.builds(Ordering.above, small_fractions), st.builds(Ordering.below, small_fractions))
+
+
+@SETTINGS
+@given(st.lists(ratfuncs(), min_size=1, max_size=4), orderings)
+def test_qt_signature_is_the_sign_of_num_times_den(entries, ordering):
+    form = DiagForm.make(RATFUNC, [f for _, _, f in entries])
+    want = sum(sign_at(e.num * e.den, ordering.point) for e in form.entries)
+    assert signature(form, ordering) == want

@@ -5,6 +5,7 @@ import pytest
 
 from realcycle.errors import (
     ContextMismatch,
+    FactorizationLimit,
     UnorderedContext,
     UnsupportedContext,
     ZeroEntry,
@@ -173,6 +174,21 @@ class TestDiscriminant:
         assert squarefree_int(-16) == -1
         assert squarefree_int(12) == 3
         assert squarefree_int(1) == 1
+
+    def test_squarefree_int_past_trial_division(self):
+        # cofactors with no prime factor up to 10^6: a square, a prime, a
+        # product of two primes
+        p, q = 1000003, 1000033
+        for s, k in ((-6, p), (15, 6 * q), (2, p * q), (-q, 1), (7 * p, 2),
+                     (p * q, 1), (-2 * p * q, 15)):
+            assert squarefree_int(s * k * k) == s
+        assert squarefree_int(p * p) == 1
+
+    def test_squarefree_int_limit(self):
+        p, q, r = 1000003, 1000033, 1000037
+        for n in (2 ** 61 - 1, p * q * r, -5 * p * q * q):
+            with pytest.raises(FactorizationLimit):
+                squarefree_int(n)
 
     def test_witt_invariance_under_hyperbolic_pairs(self):
         rng = random.Random(7)
