@@ -161,7 +161,9 @@ def _parse_atom(toks, var):
     if ch == var:
         toks.take()
         return UPoly.x()
-    if ch is not None and ch.isdigit():
+    if ch is None:
+        raise SpecParseError(f"unexpected end of polynomial {toks.text!r}")
+    if ch.isdigit():
         return UPoly.constant(toks.number())
     raise SpecParseError(f"unexpected {ch!r} in polynomial {toks.text!r}")
 
@@ -369,7 +371,7 @@ def _ordering_panel(entries):
     product = UPoly.one()
     for e in entries:
         product = product * e.num * e.den
-    ivs = isolate_real_roots(product) if product.degree > 0 else ()
+    ivs = isolate_real_roots(product)
     return ([("-inf", Ordering.at_neg_inf())]
             + [(f"t={s}+", Ordering.above(s)) for s in gap_samples(ivs)]
             + [("+inf", Ordering.at_pos_inf())])

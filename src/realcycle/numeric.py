@@ -1,10 +1,11 @@
 """Exact univariate polynomial arithmetic over Q with certified real-root isolation.
 
-Everything here is built on ``fractions.Fraction``: no floating point is used
+Polynomials are integer numerators over one common denominator, lowest degree
+first, and their arithmetic is integer arithmetic: no floating point is used
 anywhere, so root counts, signs and isolating intervals are certificates, not
-estimates.  Polynomials are stored lowest degree first.  Points of the extended
-real line carry an optional side (just left / just right of a rational), which
-is how orderings of the rational function field are represented downstream.
+estimates.  Points of the extended real line carry an optional side (just left
+/ just right of a rational), which is how orderings of the rational function
+field are represented downstream.
 """
 
 from __future__ import annotations
@@ -17,31 +18,44 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BadInterval, ZeroPolynomial
 
-Rat = Fraction
-
 Coeffable = Union[int, Fraction]
-
-
-def _frac(x: Coeffable) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
 class UPoly:
-    """Univariate polynomial with exact rational coefficients, lowest degree first.
+    """Univariate polynomial over Q, lowest degree first: the integer
+    numerators ``nums`` over one common denominator ``den``.
 
-    The zero polynomial has an empty coefficient tuple; otherwise the leading
-    coefficient is nonzero.
+    The form is canonical, so equal polynomials have equal fields: ``den`` is
+    positive, ``gcd(den, *nums) == 1`` and the leading numerator is nonzero;
+    the zero polynomial has empty ``nums``.
+
+    >>> p = UPoly.of(Fraction(1, 2), 1)
+    >>> p.nums, p.den
+    ((1, 2), 2)
     """
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
+
+    @staticmethod
+    def _make(nums: Iterable[int], den: int) -> "UPoly":
+        """The canonical form of nums/den, for any nonzero den."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        if not nums:
+            return UPoly(())
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+        return UPoly(tuple(nums), den)
 
     @staticmethod
     def of(*coeffs: Coeffable) -> "UPoly":
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return UPoly(tuple(cs))
+        den = lcm(*(c.denominator for c in coeffs))
+        return UPoly._make((c.numerator * (den // c.denominator) for c in coeffs), den)
 
     @staticmethod
     def zero() -> "UPoly":
@@ -49,11 +63,11 @@ class UPoly:
 
     @staticmethod
     def one() -> "UPoly":
-        return UPoly.of(1)
+        return UPoly((1,))
 
     @staticmethod
     def x() -> "UPoly":
-        return UPoly.of(0, 1)
+        return UPoly((0, 1))
 
     @staticmethod
     def constant(c: Coeffable) -> "UPoly":
@@ -63,67 +77,74 @@ class UPoly:
     def from_roots(roots: Iterable[Coeffable], lead: Coeffable = 1) -> "UPoly":
         p = UPoly.of(lead)
         for r in roots:
-            p = p * UPoly.of(-_frac(r), 1)
+            p = p * UPoly.of(-r, 1)
         return p
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def lc(self) -> Fraction:
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __add__(self, other: "UPoly") -> "UPoly":
-        cs = [a + b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0))]
-        return UPoly.of(*cs)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        return UPoly._make((x * a + y * b for x, y in
+                            itertools.zip_longest(self.nums, other.nums, fillvalue=0)), den)
 
     def __sub__(self, other: "UPoly") -> "UPoly":
-        cs = [a - b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0))]
-        return UPoly.of(*cs)
+        return self + -other
 
     def __neg__(self) -> "UPoly":
-        return UPoly(tuple(-c for c in self.coeffs))
+        return UPoly(tuple(-n for n in self.nums), self.den)
 
     def __mul__(self, other: "UPoly") -> "UPoly":
-        if self.is_zero or other.is_zero:
-            return UPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.nums):
                     out[i + j] += a * b
-        return UPoly.of(*out)
+        return UPoly._make(out, self.den * other.den)
 
     def scale(self, c: Coeffable) -> "UPoly":
-        c = _frac(c)
-        if c == 0:
-            return UPoly.zero()
-        return UPoly(tuple(a * c for a in self.coeffs))
+        return UPoly._make((n * c.numerator for n in self.nums), self.den * c.denominator)
 
     def divmod(self, other: "UPoly") -> tuple["UPoly", "UPoly"]:
+        """(q, r) with self = q*other + r, deg r < deg other: integer pseudo-division."""
         if other.is_zero:
             raise ZeroPolynomial("division by the zero polynomial")
-        rem = list(self.coeffs)
-        qdeg = len(rem) - len(other.coeffs)
+        divisor, lead, dd = other.nums, other.nums[-1], other.degree
+        qdeg = self.degree - dd
         if qdeg < 0:
             return UPoly.zero(), self
-        quo = [Fraction(0)] * (qdeg + 1)
-        dlc = other.lc
+        rem, quo, mult = list(self.nums), [0] * (qdeg + 1), 1
+        # mult * self.nums == quo * divisor + rem holds throughout
         for k in range(qdeg, -1, -1):
-            c = rem[k + other.degree] / dlc
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return UPoly.of(*quo), UPoly.of(*rem)
+            c = rem[k + dd]
+            if not c:
+                continue
+            m = abs(lead) // gcd(c, lead)   # the least m > 0 with lead | m * c
+            if m != 1:
+                rem, quo, mult = [m * r for r in rem], [m * q for q in quo], mult * m
+            quo[k] = t = c * m // lead
+            for j, b in enumerate(divisor):
+                rem[k + j] -= t * b
+        den = mult * self.den
+        return UPoly._make((q * other.den for q in quo), den), UPoly._make(rem[:dd], den)
 
     def __floordiv__(self, other: "UPoly") -> "UPoly":
         q, r = self.divmod(other)
@@ -132,25 +153,29 @@ class UPoly:
         return q
 
     def deriv(self) -> "UPoly":
-        return UPoly.of(*(c * i for i, c in enumerate(self.coeffs) if i))
+        return UPoly._make([i * n for i, n in enumerate(self.nums)][1:], self.den)
 
     def eval_at(self, x: Coeffable) -> Fraction:
-        x = _frac(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """f(p/q) by homogeneous Horner: sum of nums[i] p^i q^(d-i), over den q^d."""
+        p, q = x.numerator, x.denominator
+        acc, qpow = 0, 1
+        for n in reversed(self.nums):
+            acc = acc * p + n * qpow
+            qpow *= q
+        return Fraction(acc * q, self.den * qpow)     # qpow is q^(d+1) here
 
     def monic(self) -> "UPoly":
         if self.is_zero:
             raise ZeroPolynomial("zero polynomial cannot be made monic")
-        return self.scale(1 / self.lc)
+        return UPoly._make(self.nums, self.nums[-1])
 
     def gcd(self, other: "UPoly") -> "UPoly":
         """Monic greatest common divisor; gcd(0, 0) is the zero polynomial."""
         a, b = self, other
         while not b.is_zero:
-            a, b = b, a.divmod(b)[1]
+            r = a.divmod(b)[1]
+            # the result is made monic, so each remainder is cut to its primitive part
+            a, b = b, UPoly._make(r.nums, gcd(*r.nums))
         if a.is_zero:
             return a
         return a.monic()
@@ -159,8 +184,7 @@ class UPoly:
         if self.is_zero:
             return "0"
         parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
+        for i, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
                 continue
             if i == 0:
@@ -204,15 +228,15 @@ class ExtendedPoint:
 
     @staticmethod
     def at(x: Coeffable) -> "ExtendedPoint":
-        return ExtendedPoint("finite", _frac(x), SIDE_EXACT)
+        return ExtendedPoint("finite", Fraction(x), SIDE_EXACT)
 
     @staticmethod
     def above(x: Coeffable) -> "ExtendedPoint":
-        return ExtendedPoint("finite", _frac(x), SIDE_PLUS)
+        return ExtendedPoint("finite", Fraction(x), SIDE_PLUS)
 
     @staticmethod
     def below(x: Coeffable) -> "ExtendedPoint":
-        return ExtendedPoint("finite", _frac(x), SIDE_MINUS)
+        return ExtendedPoint("finite", Fraction(x), SIDE_MINUS)
 
     @staticmethod
     def neg_inf() -> "ExtendedPoint":
@@ -282,7 +306,6 @@ class IsolatingInterval:
         return iv
 
     def contains(self, x: Coeffable) -> bool:
-        x = _frac(x)
         return self.lo < x < self.hi
 
 
@@ -313,49 +336,19 @@ def squarefree_part(p: UPoly) -> UPoly:
     """
     if p.is_zero:
         raise ZeroPolynomial("square-free part of the zero polynomial")
-    g = p.gcd(p.deriv())
-    if g.is_zero:  # p is a nonzero constant: derivative is 0, gcd convention gives 0
-        g = p.monic()
-    q = p // g
-    return q.monic().scale(sign_of(p.lc))
-
-
-def squarefree_decomposition(p: UPoly) -> list[tuple[UPoly, int]]:
-    """Yun decomposition of the monic part of p: returns [(a_i, i)] with
-    monic(p) = prod a_i^i, each a_i monic square-free, pairwise coprime.
-
-    Factors that come out trivial (degree zero) are omitted.
-    """
-    if p.is_zero:
-        raise ZeroPolynomial("square-free decomposition of the zero polynomial")
-    f = p.monic()
-    if f.degree == 0:
-        return []
-    out: list[tuple[UPoly, int]] = []
-    g = f.gcd(f.deriv())
-    if g.degree == 0:
-        return [(f, 1)]
-    c = f // g
-    d = (f.deriv() // g) - c.deriv()
-    i = 1
-    while c.degree > 0:
-        a = c.gcd(d)
-        if a.degree > 0:
-            out.append((a, i))
-        c = c // a if not a.is_zero else c
-        d = (d // a) - c.deriv()
-        i += 1
-    return out
+    q = p // p.gcd(p.deriv())
+    return q.monic().scale(sign_of(p.nums[-1]))
 
 
 def odd_multiplicity_part(p: UPoly) -> UPoly:
     """Product of the monic irreducible factors of p occurring with odd
-    multiplicity (the square class of monic(p) in Q(t))."""
-    out = UPoly.one()
-    for factor, mult in squarefree_decomposition(p):
-        if mult % 2 == 1:
-            out = out * factor
-    return out
+    multiplicity (the square class of monic(p) in Q(t)).  With g = gcd(p, p'),
+    monic(p)/g is the product of all the factors and g has each multiplicity
+    lowered by one, so the odd part of p is monic(p)/g over that of g."""
+    if p.degree == 0:
+        return UPoly.one()
+    g = p.gcd(p.deriv())
+    return p.monic() // g // odd_multiplicity_part(g)
 
 
 def sturm_sequence(p: UPoly) -> tuple[UPoly, ...]:
@@ -387,9 +380,9 @@ def sign_at(p: UPoly, x: ExtendedPoint) -> int:
     if p.is_zero:
         return 0
     if x.kind == "+inf":
-        return sign_of(p.lc)
+        return sign_of(p.nums[-1])
     if x.kind == "-inf":
-        return sign_of(p.lc) * (-1) ** p.degree
+        return sign_of(p.nums[-1]) * (-1) ** p.degree
     value = p.eval_at(x.base)
     if x.side == SIDE_EXACT:
         return sign_of(value)
@@ -407,7 +400,7 @@ def split_root(p: UPoly, a: Coeffable) -> tuple[UPoly, int]:
     a as a root of p."""
     if p.is_zero:
         raise ZeroPolynomial("every point is a root of the zero polynomial")
-    linear = UPoly.of(-_frac(a), 1)
+    linear = UPoly.of(-a, 1)
     k = 0
     while True:
         q, r = p.divmod(linear)
@@ -419,14 +412,13 @@ def split_root(p: UPoly, a: Coeffable) -> tuple[UPoly, int]:
 def rational_root(iv: IsolatingInterval) -> Optional[Fraction]:
     """The root isolated by iv when it is rational, else None.
 
-    With the denominators of iv.poly cleared and its content removed, every
-    rational root is k/L for an integer k, L the leading coefficient (rational
-    root theorem); an open interval at most 1/L wide holds at most one such
-    point, the least k/L above its lower end.
+    With the content of the numerators of iv.poly removed, every rational root
+    is k/L for an integer k, L the leading coefficient (rational root theorem);
+    an open interval at most 1/L wide holds at most one such point, the least
+    k/L above its lower end.
     """
-    den = lcm(*(c.denominator for c in iv.poly.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in iv.poly.coeffs]
-    lead = abs(ints[-1]) // gcd(*ints)
+    nums = iv.poly.nums
+    lead = abs(nums[-1]) // gcd(*nums)
     iv = iv.refined_to(Fraction(1, lead))
     x = Fraction(floor(iv.lo * lead) + 1, lead)
     return x if x < iv.hi and iv.poly.eval_at(x) == 0 else None
@@ -475,8 +467,7 @@ def root_bound(p: UPoly) -> Fraction:
         raise ZeroPolynomial("root bound of the zero polynomial")
     if p.degree == 0:
         return Fraction(1)
-    lead = abs(p.lc)
-    return 1 + max(abs(c) for c in p.coeffs[:-1]) / lead
+    return 1 + Fraction(max(abs(n) for n in p.nums[:-1]), abs(p.nums[-1]))
 
 
 def gap_samples(ivs: Sequence[IsolatingInterval]) -> list[Fraction]:

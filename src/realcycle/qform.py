@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence, Union
@@ -358,6 +359,17 @@ class DiagForm:
     def dim(self) -> int:
         return len(self.entries)
 
+    @cached_property
+    def discriminant(self):
+        """The signed discriminant as a square class, computed once per form."""
+        n = self.dim
+        out = coerce(self.ctx, 1)
+        for e in self.entries:
+            out = out * e
+        if (n * (n - 1) // 2) % 2:
+            out = -out
+        return square_class(self.ctx, out)
+
     def to_str(self) -> str:
         return "<" + ",".join(map(str, self.entries)) + ">"
 
@@ -461,13 +473,7 @@ def signature(phi, p: Ordering) -> int:
 
 def discriminant(phi: DiagForm):
     """Signed discriminant (-1)^(n(n-1)/2) * prod(entries), as a square class."""
-    n = phi.dim
-    out = coerce(phi.ctx, 1)
-    for e in phi.entries:
-        out = out * e
-    if (n * (n - 1) // 2) % 2:
-        out = -out
-    return square_class(phi.ctx, out)
+    return phi.discriminant
 
 
 def has_trivial_discriminant(phi: DiagForm) -> bool:
@@ -545,7 +551,7 @@ def in_fundamental_power(phi: DiagForm, n: int,
     signatures divisible by 2^n at every sampled ordering); a failure is a
     definite No.  Yes needs a certificate: a recorded Pfister presentation of
     arity >= n, a hyperbolic pairing, full decidability of the context, or
-    n <= 1 where the rank condition is also sufficient.
+    n <= 1, where I^1 is exactly the classes of even rank over every field.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -554,7 +560,9 @@ def in_fundamental_power(phi: DiagForm, n: int,
     ctx = phi.ctx
     if phi.dim % 2:
         return Membership.NO
-    if n >= 2 and not has_trivial_discriminant(phi):
+    if n == 1:
+        return Membership.YES
+    if not has_trivial_discriminant(phi):
         return Membership.NO
     for p in ordering_pool(ctx, sample_orderings):
         if signature(phi, p) % (2 ** n):
@@ -566,8 +574,6 @@ def in_fundamental_power(phi: DiagForm, n: int,
     if ctx.tag == TAG_FINITE:
         # I^2 vanishes: membership beyond n=1 means Witt class zero,
         # which even rank plus trivial discriminant already certifies
-        return Membership.YES
-    if n == 1:
         return Membership.YES
     if phi.pfister_terms is not None and all(len(s) >= n for _, s in phi.pfister_terms):
         return Membership.YES

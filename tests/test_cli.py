@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from realcycle import qform
 from realcycle.cli import main, parse_curve_spec, parse_poly, parse_twist_spec
 from realcycle.errors import SpecParseError
 from realcycle.numeric import UPoly
@@ -123,6 +124,12 @@ class TestCurveCommand:
         code, _ = run_cli("curve", "--spec", "hyperelliptic f=x^^2")
         assert code == 2
 
+    @pytest.mark.parametrize("form", ["<t,>", "<>"])
+    def test_end_of_polynomial_exits_2(self, form, capsys):
+        code, _ = run_cli("form", form)
+        assert code == 2
+        assert "unexpected end of polynomial ''" in capsys.readouterr().err
+
     @pytest.mark.parametrize("f", ["x^2000", "((x^30)^30)^30"])
     def test_power_cap_exits_2(self, f, capsys):
         code, _ = run_cli("curve", "--spec", f"hyperelliptic f={f}")
@@ -210,6 +217,19 @@ class TestFormCommand:
         report = run_json("form", "<1,-1>")["form"]
         assert all(row["value"] == 0 for row in report["signatures"])
         assert report["fundamental_power"] == {"1": "yes", "2": "yes"}
+
+    def test_discriminant_computed_once(self, monkeypatch):
+        calls = []
+        original = qform.square_class
+
+        def counted(ctx, x):
+            calls.append(x)
+            return original(ctx, x)
+
+        monkeypatch.setattr(qform, "square_class", counted)
+        report = run_json("form", "<t,2>")["form"]
+        assert report["discriminant"] == "-2*t"
+        assert len(calls) == 1
 
     def test_zero_entry_exits_3(self):
         code, _ = run_cli("form", "<0>")

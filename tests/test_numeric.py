@@ -12,7 +12,6 @@ from realcycle.numeric import (
     odd_multiplicity_part,
     rational_root,
     sign_at,
-    squarefree_decomposition,
     squarefree_part,
     sturm_sequence,
 )
@@ -221,7 +220,4 @@ class TestSquarefree:
 
     def test_decomposition(self):
         p = UPoly.from_roots([1, 1, -2])  # (t-1)^2 (t+2)
-        decomp = squarefree_decomposition(p)
-        assert (UPoly.of(2, 1), 1) in decomp
-        assert (UPoly.of(-1, 1), 2) in decomp
         assert odd_multiplicity_part(p) == UPoly.of(2, 1)

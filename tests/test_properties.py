@@ -1,8 +1,9 @@
 """Property tests on generated inputs, each against an independent oracle.
 
-Sizes are kept small (dimension <= 5, entries <= 9, degree <= 8; Smith forms
-up to 12 x 12; primes up to 31) so that the whole module runs in a few seconds; the example
-order is derandomised, so a run is reproducible.
+Sizes are kept small (dimension <= 5, entries <= 9, degree <= 8 and 24 for
+planted factorisations; Smith forms up to 12 x 12; primes up to 31) so that the
+whole module runs in a few seconds; the example order is derandomised, so a
+run is reproducible.
 """
 
 from fractions import Fraction
@@ -27,6 +28,7 @@ from realcycle.numeric import (
     count_real_roots,
     is_rational_square,
     isolate_real_roots,
+    odd_multiplicity_part,
     rational_root,
     sign_at,
     split_root,
@@ -342,6 +344,110 @@ def test_rational_root_reads_the_planted_root_or_none(roots, lead, k):
     for iv in ivs:
         planted = [r for r in roots if iv.contains(r)]
         assert rational_root(iv) == (planted[0] if planted else None)
+
+
+# --- polynomial arithmetic against Fraction lists ------------------------------
+
+def trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def list_add(a, b):
+    n = max(len(a), len(b))
+    return trimmed((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def list_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trimmed(out)
+
+
+def list_divmod(a, b):
+    """Schoolbook long division over Q, the divisor's leading term first."""
+    rem, quo = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quo[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return trimmed(quo), trimmed(rem)
+
+
+def list_gcd(a, b):
+    while b:
+        a, b = b, list_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+fraction_lists = st.lists(small_fractions, max_size=6).map(trimmed)
+
+
+@SETTINGS
+@given(fraction_lists, fraction_lists, small_fractions)
+def test_upoly_arithmetic_agrees_with_fraction_lists(a, b, x):
+    p, q = UPoly.of(*a), UPoly.of(*b)
+    assert list(p.coeffs) == a
+    assert list((p + q).coeffs) == list_add(a, b)
+    assert list((p - q).coeffs) == list_add(a, [-c for c in b])
+    assert list((p * q).coeffs) == list_mul(a, b)
+    assert list(p.scale(x).coeffs) == trimmed(c * x for c in a)
+    assert list(p.deriv().coeffs) == trimmed(i * c for i, c in enumerate(a) if i)
+    assert p.eval_at(x) == sum(c * x ** i for i, c in enumerate(a))
+    if a:
+        assert list(p.monic().coeffs) == [c / a[-1] for c in a]
+
+
+@SETTINGS
+@given(fraction_lists, fraction_lists.filter(bool), fraction_lists)
+def test_upoly_divmod_and_gcd_agree_with_fraction_lists(a, b, common):
+    p, q = UPoly.of(*a), UPoly.of(*b)
+    quo, rem = p.divmod(q)
+    assert quo * q + rem == p and rem.degree < q.degree
+    assert (list(quo.coeffs), list(rem.coeffs)) == list_divmod(a, b)
+    # a planted common factor makes the gcd nontrivial
+    c = UPoly.of(*common) if common else UPoly.one()
+    p, q = p * c, q * c
+    g = p.gcd(q)
+    assert g.lc == 1
+    assert p.divmod(g)[1].is_zero and q.divmod(g)[1].is_zero
+    assert list(g.coeffs) == list_gcd(list(p.coeffs), list(q.coeffs))
+
+
+@SETTINGS
+@given(fraction_lists, fraction_lists.filter(bool), nonzero_fractions)
+def test_upoly_form_is_canonical(a, b, x):
+    p = UPoly.of(*a)
+    assert p.den > 0 and gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert UPoly.of(*p.coeffs) == p
+    q = UPoly.of(*b)
+    for same in ((p * q) // q, p.scale(x).scale(1 / x), p + q - q):
+        assert same == p and hash(same) == hash(p)
+        assert (same.nums, same.den) == (p.nums, p.den)
+
+
+# pairwise coprime monic irreducibles over Q
+PLANTABLE = ([UPoly.of(-r, 1) for r in (Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(2))]
+             + [UPoly.of(k, 0, 1) for k in (1, 2, 5)])
+
+
+@SETTINGS
+@given(st.dictionaries(st.sampled_from(PLANTABLE), st.integers(1, 4), max_size=3),
+       nonzero_fractions)
+def test_odd_multiplicity_part_keeps_the_odd_planted_factors(mults, lead):
+    p, odd = UPoly.of(lead), UPoly.one()
+    for factor, m in mults.items():
+        for _ in range(m):
+            p = p * factor
+        if m % 2:
+            odd = odd * factor
+    assert odd_multiplicity_part(p) == odd
 
 
 # --- field elements and forms ---------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from realcycle import qform
 from realcycle.errors import (
     ContextMismatch,
     FactorizationLimit,
@@ -258,6 +259,19 @@ class TestFundamentalPower:
 
     def test_even_rank_is_enough_for_first_power(self):
         assert in_fundamental_power(DiagForm.make(RATIONALS, [3, 5]), 1) is Membership.YES
+
+    def test_first_power_needs_no_signature(self, monkeypatch):
+        def refuse(phi, p):
+            raise AssertionError("I^1 membership is decided by rank parity")
+
+        monkeypatch.setattr(qform, "signature", refuse)
+        t = RatFunc.make(UPoly.x())
+        panel = [Ordering.at_neg_inf(), Ordering.below(0), Ordering.above(0),
+                 Ordering.at_pos_inf(), Ordering.archimedean()]
+        even = DiagForm.make(RATFUNC, [t, RatFunc.coerce(-3)])
+        odd = DiagForm.make(RATFUNC, [t, RatFunc.coerce(-3), t])
+        assert in_fundamental_power(even, 1, panel) is Membership.YES
+        assert in_fundamental_power(odd, 1, panel) is Membership.NO
 
 
 class TestHyperbolicPairing:
