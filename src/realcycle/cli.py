@@ -11,7 +11,7 @@ rendered as "p/q" strings.  Reports contain no timestamps; identical inputs
 produce byte-identical output.
 
 Exit codes: 0 success, 1 suite failure, 2 parse error, 3 precondition
-violation.
+violation, 4 internal error.
 """
 
 from __future__ import annotations
@@ -41,11 +41,13 @@ PRECONDITION_ERRORS = (
 )
 
 # Caps on a power in a spec (exponent and degree), whose cost grows with the
-# square of its degree, on the d and c of `bound`, so 2^(2(d+1)) prints, and
-# on the digits of a literal, below Python's int-to-string limit.
+# square of its degree, on the d and c of `bound`, so 2^(2(d+1)) prints, on the
+# digits of a literal, below Python's int-to-string limit, and on the height
+# budget of the rational-point search, whose cost grows with its square.
 MAX_POWER = 1000
 MAX_DIMENSION = 1000
 MAX_DIGITS = 1000
+MAX_BUDGET = 1000
 
 
 def _digit_run(text: str, start: int) -> int:
@@ -437,14 +439,14 @@ def _bounded_int(low: int, high: int | None = None):
     return parse
 
 
-_positive_budget = _bounded_int(1)
+_budget = _bounded_int(1, MAX_BUDGET)
 _dimension = _bounded_int(0, MAX_DIMENSION)
 
 
 def _default_budget() -> int:
-    """RC_SEARCH_BUDGET when it is a positive integer, else 50."""
+    """RC_SEARCH_BUDGET when it is an integer in 1..MAX_BUDGET, else 50."""
     try:
-        return _positive_budget(os.environ.get("RC_SEARCH_BUDGET", "50"))
+        return _budget(os.environ.get("RC_SEARCH_BUDGET", "50"))
     except argparse.ArgumentTypeError:
         return 50
 
@@ -458,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--spec", required=True,
                          help='e.g. "line punctures=0,1" or "hyperelliptic f=1-x^2 projective"')
     p_curve.add_argument("--twist", help='divisor spec "points:(x0,+)[*mult],..."')
-    p_curve.add_argument("--budget", type=_positive_budget, default=_default_budget(),
-                         help="height budget for rational point search (a positive integer)")
+    p_curve.add_argument("--budget", type=_budget, default=_default_budget(),
+                         help=f"height budget for rational point search, 1..{MAX_BUDGET}")
     p_curve.set_defaults(func=cmd_curve)
 
     p_bound = sub.add_parser("bound", help="exponent bounds for (d, c)")
@@ -494,6 +496,9 @@ def main(argv=None) -> int:
     except RealCycleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

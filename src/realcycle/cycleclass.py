@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, isqrt
+from math import gcd, isqrt
 from typing import Optional, Sequence, Union
 
 from .abgrp import FgAbGroup, Lattice, exponent, hermite_form, order_of, quotient
@@ -165,10 +165,6 @@ class ZeroCycle:
         return ZeroCycle((ZeroCycleTerm(point, unit),))
 
 
-def _sqrt_fraction(x: Fraction) -> Fraction:
-    return Fraction(isqrt(x.numerator), isqrt(x.denominator))
-
-
 def class_of_zero_cycle(curve: CurveModel, components: Sequence[RealComponent],
                         twist_bits: dict[str, int], cycle: ZeroCycle) -> dict[str, int]:
     """Class of a zero cycle in the top cohomology, as coefficients on the
@@ -264,12 +260,47 @@ def _interior_window(comp: RealComponent) -> tuple[Fraction, Fraction]:
     return left.hi, right.lo
 
 
-def _heights_in_window(lo: Fraction, hi: Fraction, budget: int):
+# The residues of squares modulo 64, 63, 65 and 11.  An integer whose residue is
+# missing from one of them is not a square; about one in 120 non-squares passes
+# all four, so isqrt runs on almost nothing but the squares.
+_SQUARES_64, _SQUARES_63, _SQUARES_65, _SQUARES_11 = (
+    frozenset(r * r % m for r in range(m)) for m in (64, 63, 65, 11))
+
+
+def _height_search(f: UPoly, lo: Fraction, hi: Fraction, budget: int):
+    """Walk x = p/q in lowest terms with lo < x < hi, q = 1..budget and then p
+    ascending, for the first x at which f is a nonzero rational square.
+
+    Returns ((x, y), pair_x) with y = sqrt(f(x)) > 0 at the first such x, or
+    (None, pair_x) when there is none; pair_x is the first x walked with
+    f(x) > 0 (None if there is none before the point).  The walk is integer
+    arithmetic: with 2k the least even number >= deg f, the integer
+    N(p) = den^2 q^(2k) f(p/q) = sum of den*nums[i]*q^(2k-i) * p^i has the sign
+    of f(p/q) and is a square exactly when f(p/q) is a rational square.
+    """
+    k = (f.degree + 1) // 2
+    a, b = lo.numerator, lo.denominator
+    c, d = hi.numerator, hi.denominator
+    pair_x = None
     for q in range(1, budget + 1):
-        for p in range(floor(lo * q) + 1, floor(hi * q) + 1):
-            x = Fraction(p, q)
-            if lo < x < hi and x.denominator == q:
-                yield x
+        weights = [f.den * n * q ** (2 * k - i) for i, n in enumerate(f.nums)][::-1]
+        # a/b < p/q < c/d, with b, d, q > 0
+        for p in range(a * q // b + 1, (c * q - 1) // d + 1):
+            if gcd(p, q) != 1:
+                continue
+            value = 0
+            for w in weights:
+                value = value * p + w
+            if value <= 0:
+                continue
+            if pair_x is None:
+                pair_x = Fraction(p, q)
+            if (value % 64 in _SQUARES_64 and value % 63 in _SQUARES_63
+                    and value % 65 in _SQUARES_65 and value % 11 in _SQUARES_11):
+                root = isqrt(value)
+                if root * root == value:
+                    return (Fraction(p, q), Fraction(root, f.den * q ** k)), pair_x
+    return None, pair_x
 
 
 def gamma_top_witness_search(curve: CurveModel,
@@ -319,17 +350,13 @@ def _witness_for_circle(curve, comps, bits, comp, budget) -> WitnessCertificate:
         if r is not None:
             cycle = ZeroCycle.single(RationalPoint(r, Fraction(0)))
             return WitnessCertificate(comp.id, STATUS_EXACT, cycle, gen_hit(1))
-    f = curve.f
     sheet = -1 if comp.branch == BRANCH_MINUS else 1
     lo, hi = _interior_window(comp)
-    pair_x = None      # first x with f(x) > 0: a conjugate pair unless f(x) is a square
-    for x in _heights_in_window(lo, hi, budget):
-        fx = f.eval_at(x)
-        if is_rational_square(fx):
-            cycle = ZeroCycle.single(RationalPoint(x, sheet * _sqrt_fraction(fx)))
-            return WitnessCertificate(comp.id, STATUS_EXACT, cycle, gen_hit(1))
-        if pair_x is None and fx > 0:
-            pair_x = x
+    point, pair_x = _height_search(curve.f, lo, hi, budget)
+    if point is not None:
+        x, y = point
+        cycle = ZeroCycle.single(RationalPoint(x, sheet * y))
+        return WitnessCertificate(comp.id, STATUS_EXACT, cycle, gen_hit(1))
     if pair_x is not None:
         pair = ConjugatePair(pair_x)
         terms = (ZeroCycleTerm(pair),)

@@ -354,7 +354,10 @@ def odd_multiplicity_part(p: UPoly) -> UPoly:
 def sturm_sequence(p: UPoly) -> tuple[UPoly, ...]:
     """Sturm chain of the square-free part of p.
 
-    Degree-zero polynomials are returned as a one-element chain unchanged.
+    Each remainder is kept as its negated primitive part: a positive scale
+    changes no sign, so the chain counts the same roots with integer
+    coefficients that stay small.  Degree-zero polynomials are returned as a
+    one-element chain unchanged.
     """
     if p.is_zero:
         raise ZeroPolynomial("Sturm chain of the zero polynomial")
@@ -367,7 +370,7 @@ def sturm_sequence(p: UPoly) -> tuple[UPoly, ...]:
         if rem.is_zero:
             # cannot happen for a square-free q, but guard anyway
             break
-        chain.append(-rem)
+        chain.append(-UPoly._make(rem.nums, gcd(*rem.nums)))
     return tuple(chain)
 
 

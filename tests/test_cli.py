@@ -261,6 +261,17 @@ class TestSuiteCommand:
         code, out = run_cli("suite", "--filter", "exponent-oracle")
         assert code == 0 and "exponent-oracle-table" in out
 
+    def test_unexpected_error_exits_4(self, monkeypatch, capsys):
+        import realcycle.cli as cli_mod
+
+        def broken(args):
+            raise AssertionError("deliberately injected")
+
+        monkeypatch.setattr(cli_mod, "cmd_curve", broken)
+        assert main(["curve", "--spec", "line"]) == 4
+        err = capsys.readouterr().err
+        assert err == "internal error: AssertionError: deliberately injected\n"
+
     def test_injected_failure_exits_1(self, monkeypatch):
         import realcycle.suite as suite_mod
 
@@ -292,6 +303,25 @@ class TestBudgetConfiguration:
         from realcycle.cli import build_parser
         args = build_parser().parse_args(["curve", "--spec", "line"])
         assert args.budget == 50
+
+    def test_env_above_cap_falls_back(self, monkeypatch):
+        monkeypatch.setenv("RC_SEARCH_BUDGET", "1001")
+        from realcycle.cli import build_parser
+        args = build_parser().parse_args(["curve", "--spec", "line"])
+        assert args.budget == 50
+
+    def test_cap_is_accepted(self):
+        from realcycle.cli import build_parser
+        args = build_parser().parse_args(["curve", "--spec", "line", "--budget", "1000"])
+        assert args.budget == 1000
+        assert run_json("curve", "--spec", "line", "--budget", "1000")["gamma_top"]["status"] \
+            == "certified"
+
+    def test_flag_above_cap_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", "--spec", "line", "--budget", "1001"])
+        assert exc.value.code == 2
+        assert "must be an integer in 1..1000, got 1001" in capsys.readouterr().err
 
     @pytest.mark.parametrize("budget", ["0", "-5", "many"])
     def test_flag_must_be_positive(self, budget, capsys):
@@ -335,6 +365,8 @@ README_PINS = {
         "70e0b227de225083dbf87755377b9a97f36313023815f9a7c00686150af5f173",
     'realcycle form "<t,t-1,-1>"':
         "b652854dd78bc64ab0c08d1e5ba2445c95502f88edac16b0ed40ca5bc2efa834",
+    'realcycle curve --spec "hyperelliptic f=3-x^2" --budget 200':
+        "2c69a16ec3e1bef59e3806bfda82c18c02c7a5dda2f1db80c0815c47ba2f8f62",
 }
 
 

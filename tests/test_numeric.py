@@ -65,7 +65,16 @@ class TestArithmetic:
 class TestSturmSequence:
     def test_t2_minus_2(self):
         chain = sturm_sequence(UPoly.of(-2, 0, 1))
-        assert chain == (UPoly.of(-2, 0, 1), UPoly.of(0, 2), UPoly.of(2))
+        assert chain == (UPoly.of(-2, 0, 1), UPoly.of(0, 2), UPoly.of(1))
+
+    def test_remainders_stay_small(self):
+        # twenty roots with denominators 1..7: Q-remainders reach 15332 bits
+        p = UPoly.from_roots([Fraction(i, (i % 7) + 1) for i in range(1, 21)])
+        chain = sturm_sequence(p)
+        assert all(g.den == 1 for g in chain[2:])
+        assert max(max(abs(n).bit_length() for n in g.nums) + g.den.bit_length()
+                   for g in chain) < 1000
+        assert count_real_roots(p, NEG_INF, POS_INF) == 20
 
     def test_constant(self):
         assert sturm_sequence(UPoly.of(5)) == (UPoly.of(5),)

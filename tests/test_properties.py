@@ -7,7 +7,7 @@ run is reproducible.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import floor, gcd, isqrt, lcm
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,7 +21,21 @@ from realcycle.abgrp import (
     smith_normal_form,
     solve_in_lattice,
 )
-from realcycle.cycleclass import rational_roots
+from realcycle import cycleclass
+from realcycle.cycleclass import (
+    STATUS_DOUBLE,
+    STATUS_EXACT,
+    STATUS_FAILED,
+    ConjugatePair,
+    RationalPoint,
+    UnitCoefficient,
+    WitnessCertificate,
+    ZeroCycle,
+    ZeroCycleTerm,
+    class_of_zero_cycle,
+    gamma_top_witness_search,
+    rational_roots,
+)
 from realcycle.numeric import (
     ExtendedPoint,
     UPoly,
@@ -31,7 +45,10 @@ from realcycle.numeric import (
     odd_multiplicity_part,
     rational_root,
     sign_at,
+    sign_of,
     split_root,
+    squarefree_part,
+    sturm_sequence,
 )
 from realcycle.qform import (
     RATFUNC,
@@ -46,12 +63,19 @@ from realcycle.qform import (
     pfister,
     signature,
 )
-from realcycle.realcurve import Hyperelliptic, component_containing, real_components
+from realcycle.realcurve import (
+    BRANCH_BOTH,
+    BRANCH_MINUS,
+    Hyperelliptic,
+    component_containing,
+    real_components,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 entries = st.integers(-9, 9)
 small_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 8))
+nonzero_fractions = small_fractions.filter(lambda r: r != 0)
 
 
 def rank_over_q(vectors):
@@ -285,6 +309,117 @@ def test_component_containing_agrees_with_root_counts(case, points):
         assert component_containing(curve, comps, x) == locate_by_counting(curve, comps, x)
 
 
+# --- the witness search against the plain Fraction walk -----------------------
+
+def heights_in_window(lo, hi, budget):
+    """Every x = p/q in lowest terms with lo < x < hi, q = 1..budget, then p
+    ascending: the walk order of the witness search, enumerated by Fractions."""
+    for q in range(1, budget + 1):
+        for p in range(floor(lo * q) + 1, floor(hi * q) + 1):
+            x = Fraction(p, q)
+            if lo < x < hi and x.denominator == q:
+                yield x
+
+
+def witness_by_fraction_walk(curve, comps, bits, comp, budget):
+    """The certificate of a circle without rational root ends, from f(x)
+    evaluated as a Fraction at every candidate: the first rational square
+    gives a point, else the first x with f(x) > 0 gives a conjugate pair."""
+    sheet = -1 if comp.branch == BRANCH_MINUS else 1
+    pair_x = None
+    cycle, status = None, STATUS_DOUBLE
+    for x in heights_in_window(*cycleclass._interior_window(comp), budget):
+        fx = curve.f.eval_at(x)
+        if is_rational_square(fx):
+            y = Fraction(isqrt(fx.numerator), isqrt(fx.denominator))
+            cycle, status = ZeroCycle.single(RationalPoint(x, sheet * y)), STATUS_EXACT
+            break
+        if pair_x is None and fx > 0:
+            pair_x = x
+    if cycle is None and pair_x is not None:
+        terms = (ZeroCycleTerm(ConjugatePair(pair_x)),)
+        if comp.branch != BRANCH_BOTH:
+            terms += (ZeroCycleTerm(ConjugatePair(pair_x), UnitCoefficient(UPoly.of(sheet), 1)),)
+        cycle = ZeroCycle(terms)
+    if cycle is None:
+        return WitnessCertificate(comp.id, STATUS_FAILED, None, {})
+    return WitnessCertificate(comp.id, status, cycle, class_of_zero_cycle(curve, comps, bits, cycle))
+
+
+@st.composite
+def search_curves(draw):
+    """Square-free f of degree 1..8 with fractional coefficients and either
+    sign: products of quadratics (x - c)^2 - s with irrational roots, which
+    bound ovals, an oval through a planted rational point, separate-sheet
+    shapes x^(2m) + c, or random coefficients."""
+    shape = draw(st.sampled_from(["ovals", "planted", "sheets", "random"]))
+    lead = draw(nonzero_fractions)
+    if shape == "planted":
+        # the oval s - (x - c)^2 times factors positive on it, with s chosen
+        # so that f(x0) = y0^2: the search has rational points to find
+        c, x0, y0 = draw(small_fractions), draw(small_fractions), draw(nonzero_fractions)
+        g = UPoly.of(abs(lead))
+        for _ in range(draw(st.integers(0, 3))):
+            e, t = draw(small_fractions), abs(draw(nonzero_fractions))
+            g = g * UPoly.of(e * e + t, -2 * e, 1)
+        s = (x0 - c) ** 2 + y0 * y0 / g.eval_at(x0)
+        f = g * UPoly.of(s - c * c, 2 * c, -1)
+    elif shape == "ovals":
+        f = UPoly.of(lead)
+        for _ in range(draw(st.integers(1, 4))):
+            c = draw(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
+            # 2, 5, 10, 13, 1/2 and 5/4 are sums of two rational squares, so
+            # the conic (x - c)^2 + y^2 = s has rational points; 3, 6, 7 are not
+            s = draw(st.sampled_from([2, 3, 5, 6, 7, 10, 13, Fraction(1, 2), Fraction(5, 4)]))
+            f = f * UPoly.of(c * c - s, -2 * c, 1)
+        if draw(st.booleans()):
+            f = f * UPoly.of(-draw(small_fractions), 1)
+    elif shape == "sheets":
+        m = draw(st.integers(1, 4))
+        f = UPoly.of(*([draw(small_fractions.filter(lambda r: r != 0))] + [0] * (2 * m - 1)
+                       + [abs(lead)]))
+    else:
+        f = UPoly.of(*draw(st.lists(small_fractions, min_size=2, max_size=9)))
+    assume(1 <= f.degree <= 8 and f.gcd(f.deriv()).degree == 0)
+    return Hyperelliptic(f, draw(st.booleans()))
+
+
+@SETTINGS
+@given(search_curves(), st.integers(1, 40))
+def test_witness_search_agrees_with_the_fraction_walk(curve, budget):
+    comps = real_components(curve)
+    bits = {c.id: 0 for c in comps}
+    certs = gamma_top_witness_search(curve, comps, bits, budget)
+    circles = [c for c in comps if c.is_circle]
+    assert [c.generator for c in certs] == [c.id for c in circles]
+    for cert, comp in zip(certs, circles):
+        if any(end.kind == "root" and rational_root(end.interval) is not None
+               for arc in comp.arcs for end in arc):
+            continue        # witnessed by a rational root end, before any search
+        assert cert == witness_by_fraction_walk(curve, comps, bits, comp, budget)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.lists(small_fractions, min_size=1, max_size=8),
+       st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12)),
+       st.lists(st.builds(Fraction, st.integers(1, 10 ** 4), st.integers(1, 8)),
+                min_size=1, max_size=8))
+def test_search_finds_a_planted_point_first(coeffs, x0, heights):
+    # f(x0) = y0^2; a window narrower than 1/q0^2 around x0 = p0/q0 holds no
+    # other p/q with q <= q0, so x0 is the first candidate and must be taken
+    g = UPoly.of(*coeffs, 1)
+    q0 = x0.denominator
+    delta, budget = Fraction(1, 2 * q0 * q0), q0 + 2
+    for y0 in heights:
+        f = g - UPoly.of(g.eval_at(x0) - y0 * y0)
+        assert cycleclass._height_search(f, x0 - delta, x0 + delta, budget) == ((x0, y0), x0)
+        # but never as an end of the open window, nor where f has a root
+        root = g - UPoly.of(g.eval_at(x0))
+        for h, lo, hi in ((f, x0 - delta, x0), (f, x0, x0 + delta), (root, x0 - delta, x0 + delta)):
+            point, pair_x = cycleclass._height_search(h, lo, hi, budget)
+            assert pair_x != x0 and (point is None or point[0] != x0)
+
+
 def divisors(n):
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     return sorted(set(small + [n // d for d in small]))
@@ -308,9 +443,6 @@ def rational_roots_by_divisors(f):
                 if gcd(p, q) == 1 and sum(c * num ** i * q ** (n - i) for i, c in enumerate(ints)) == 0:
                     roots.add(Fraction(num, q))
     return sorted(roots)
-
-
-nonzero_fractions = small_fractions.filter(lambda r: r != 0)
 
 
 @st.composite
@@ -417,6 +549,33 @@ def test_upoly_divmod_and_gcd_agree_with_fraction_lists(a, b, common):
     assert g.lc == 1
     assert p.divmod(g)[1].is_zero and q.divmod(g)[1].is_zero
     assert list(g.coeffs) == list_gcd(list(p.coeffs), list(q.coeffs))
+
+
+def fraction_sturm_chain(p):
+    """Sturm chain of p's square-free part with remainders kept over Q."""
+    q = list(squarefree_part(p).coeffs)
+    chain = [q, trimmed(i * c for i, c in enumerate(q) if i)]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in list_divmod(chain[-2], chain[-1])[1]])
+    return chain
+
+
+def sign_variations(signs):
+    nonzero = [s for s in signs if s]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
+
+
+@SETTINGS
+@given(fraction_lists.filter(lambda cs: len(cs) >= 2), st.lists(small_fractions, max_size=6))
+def test_sturm_chain_signs_agree_with_fraction_remainders(coeffs, points):
+    p = UPoly.of(*coeffs)
+    chain, oracle = sturm_sequence(p), fraction_sturm_chain(p)
+    assert len(chain) == len(oracle)
+    for x in points:
+        signs = [sign_of(g.eval_at(x)) for g in chain]
+        want = [sign_of(sum(c * x ** i for i, c in enumerate(g))) for g in oracle]
+        assert signs == want
+        assert sign_variations(signs) == sign_variations(want)
 
 
 @SETTINGS
