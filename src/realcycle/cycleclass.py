@@ -59,7 +59,7 @@ def unit_sign_vectors(curve: PuncturedLine,
     """Signature vectors of <u> for u in {-1} and the linear units t - a."""
     samples = [sample_point(c, curve).x for c in components]
     units = [UPoly.of(-1)] + [UPoly.of(-a, 1) for a in curve.punctures]
-    return [tuple(sign_of(u.eval_at(x)) for x in samples) for u in units]
+    return [tuple(u.sign_at(x) for x in samples) for u in units]
 
 
 def gamma0_image(curve: PuncturedLine,
@@ -104,7 +104,7 @@ def mod2_spans_everything(curve: PuncturedLine,
     comps = tuple(components) if components is not None else real_components(curve)
     samples = [sample_point(c, curve).x for c in comps]
     units = [UPoly.of(1)] + [UPoly.of(-a, 1) for a in curve.punctures]
-    rows = [[1 if u.eval_at(x) > 0 else 0 for x in samples] for u in units]
+    rows = [[1 if u.sign_at(x) > 0 else 0 for x in samples] for u in units]
     # the rows span F_2^m exactly when, with 2*Z^m, they span Z^m, whose
     # Hermite basis is the identity
     m = len(comps)

@@ -155,14 +155,25 @@ class UPoly:
     def deriv(self) -> "UPoly":
         return UPoly._make([i * n for i, n in enumerate(self.nums)][1:], self.den)
 
-    def eval_at(self, x: Coeffable) -> Fraction:
-        """f(p/q) by homogeneous Horner: sum of nums[i] p^i q^(d-i), over den q^d."""
-        p, q = x.numerator, x.denominator
+    def _horner(self, p: int, q: int) -> tuple[int, int]:
+        """(sum of nums[i] p^i q^(d-i), q^(d+1)) by homogeneous Horner."""
         acc, qpow = 0, 1
         for n in reversed(self.nums):
             acc = acc * p + n * qpow
             qpow *= q
-        return Fraction(acc * q, self.den * qpow)     # qpow is q^(d+1) here
+        return acc, qpow
+
+    def eval_at(self, x: Coeffable) -> Fraction:
+        """f(p/q): the homogeneous Horner numerator over den q^d."""
+        q = x.denominator
+        acc, qpow = self._horner(x.numerator, q)
+        return Fraction(acc * q, self.den * qpow)
+
+    def sign_at(self, x: Coeffable) -> int:
+        """The sign of f(x) for a rational x, exactly: den > 0 and q > 0, so it
+        is the sign of the integer Horner numerator."""
+        acc = self._horner(x.numerator, x.denominator)[0]
+        return (acc > 0) - (acc < 0)
 
     def monic(self) -> "UPoly":
         if self.is_zero:
@@ -290,11 +301,11 @@ class IsolatingInterval:
     def refined(self) -> "IsolatingInterval":
         """Halve the interval, keeping the unique root inside."""
         m = self.midpoint()
-        fm = self.poly.eval_at(m)
-        if fm == 0:
+        sm = self.poly.sign_at(m)
+        if sm == 0:
             w = (self.hi - self.lo) / 4
             return IsolatingInterval(m - w, m + w, self.poly)
-        if same_sign(self.poly.eval_at(self.lo), fm):
+        if self.poly.sign_at(self.lo) == sm:
             return IsolatingInterval(m, self.hi, self.poly)
         return IsolatingInterval(self.lo, m, self.poly)
 
@@ -307,10 +318,6 @@ class IsolatingInterval:
 
     def contains(self, x: Coeffable) -> bool:
         return self.lo < x < self.hi
-
-
-def same_sign(a: Fraction, b: Fraction) -> bool:
-    return (a > 0) == (b > 0) and a != 0 and b != 0
 
 
 def sign_of(x: Fraction) -> int:
@@ -348,6 +355,8 @@ def odd_multiplicity_part(p: UPoly) -> UPoly:
     if p.degree == 0:
         return UPoly.one()
     g = p.gcd(p.deriv())
+    if g.degree == 0:
+        return p.monic()
     return p.monic() // g // odd_multiplicity_part(g)
 
 
@@ -386,13 +395,11 @@ def sign_at(p: UPoly, x: ExtendedPoint) -> int:
         return sign_of(p.nums[-1])
     if x.kind == "-inf":
         return sign_of(p.nums[-1]) * (-1) ** p.degree
-    value = p.eval_at(x.base)
-    if x.side == SIDE_EXACT:
-        return sign_of(value)
-    if value != 0:
-        return sign_of(value)
+    s = p.sign_at(x.base)
+    if s or x.side == SIDE_EXACT:
+        return s
     u, k = split_root(p, x.base)
-    base_sign = sign_of(u.eval_at(x.base))
+    base_sign = u.sign_at(x.base)
     if x.side == SIDE_PLUS:
         return base_sign
     return base_sign * (-1) ** k
@@ -424,7 +431,7 @@ def rational_root(iv: IsolatingInterval) -> Optional[Fraction]:
     lead = abs(nums[-1]) // gcd(*nums)
     iv = iv.refined_to(Fraction(1, lead))
     x = Fraction(floor(iv.lo * lead) + 1, lead)
-    return x if x < iv.hi and iv.poly.eval_at(x) == 0 else None
+    return x if x < iv.hi and iv.poly.sign_at(x) == 0 else None
 
 
 def _variations(signs: Sequence[int]) -> int:
@@ -506,14 +513,14 @@ def isolate_real_roots(p: UPoly) -> tuple[IsolatingInterval, ...]:
             out.append(IsolatingInterval(lo, hi, q))
             continue
         mid = (lo + hi) / 2
-        if q.eval_at(mid) != 0:
+        if q.sign_at(mid):
             vmid = var_at(ExtendedPoint.at(mid))
             work.append((lo, mid, vlo, vmid))
             work.append((mid, hi, vmid, vhi))
             continue
         # the midpoint is itself a root: carve out a window around it
         w = (hi - lo) / 4
-        while (q.eval_at(mid - w) == 0 or q.eval_at(mid + w) == 0
+        while (not q.sign_at(mid - w) or not q.sign_at(mid + w)
                or var_at(ExtendedPoint.at(mid - w)) - var_at(ExtendedPoint.at(mid + w)) != 1):
             w /= 2
         out.append(IsolatingInterval(mid - w, mid + w, q))

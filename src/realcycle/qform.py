@@ -70,14 +70,35 @@ def finite_field(p: int) -> FieldCtx:
     return FieldCtx(TAG_FINITE, p)
 
 
+# Miller-Rabin with the first 13 primes as bases is a proof of primality below
+# this bound (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; UnsupportedContext at or above _MR_BOUND."""
+    if n >= _MR_BOUND:
+        raise UnsupportedContext(f"primality is not certified at or above {_MR_BOUND}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n in _MR_BASES:
+        return True
+    if any(n % b == 0 for b in _MR_BASES):
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -94,6 +115,10 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator in Q(t)")
         if num.is_zero:
             return RatFunc(UPoly.zero(), UPoly.one())
+        if den.degree == 0:
+            # a nonzero constant divides num, so there is no gcd to take
+            lead = den.lc
+            return RatFunc(num if lead == 1 else num.scale(1 / lead), UPoly.one())
         g = num.gcd(den)
         num, den = num // g, den // g
         lead = den.lc
@@ -117,7 +142,16 @@ class RatFunc:
         return self + (-other)
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        out = RatFunc(-self.num, self.den)
+        if "odd_part" in self.__dict__:
+            out.__dict__["odd_part"] = self.odd_part
+        return out
+
+    @cached_property
+    def odd_part(self) -> UPoly:
+        """The monic odd-multiplicity part of num*den: with the sign of lc(num)
+        (den is monic), it fixes the square class.  Computed once, on demand."""
+        return odd_multiplicity_part(self.num * self.den)
 
     def __bool__(self) -> bool:
         return not self.num.is_zero
@@ -229,8 +263,7 @@ def is_square(ctx: FieldCtx, x: Element) -> bool:
     if ctx.tag == TAG_FINITE:
         return pow(x, (ctx.p - 1) // 2, ctx.p) == 1
     # Q(t): num*den must be a square polynomial
-    q = x.num * x.den
-    return is_rational_square(q.lc) and odd_multiplicity_part(q).degree == 0
+    return is_rational_square(x.num.lc) and x.odd_part.degree == 0
 
 
 def square_class(ctx: FieldCtx, x: Element):
@@ -251,9 +284,17 @@ def square_class(ctx: FieldCtx, x: Element):
         return 1
     if ctx.tag == TAG_FINITE:
         return 1 if is_square(ctx, x) else _least_nonresidue(ctx.p)
-    q = x.num * x.den
-    scalar = _fraction_squarefree(q.lc)
-    return odd_multiplicity_part(q).scale(scalar)
+    return x.odd_part.scale(_fraction_squarefree(x.num.lc))
+
+
+def _odd_product(a: UPoly, b: UPoly) -> UPoly:
+    """The odd part of a*b for monic square-free a and b: a*b/gcd(a, b)^2."""
+    if a.degree == 0:
+        return b
+    if b.degree == 0:
+        return a
+    g = a.gcd(b)
+    return a * b if g.degree == 0 else (a // g) * (b // g)
 
 
 # --- orderings and places ----------------------------------------------------
@@ -361,13 +402,21 @@ class DiagForm:
 
     @cached_property
     def discriminant(self):
-        """The signed discriminant as a square class, computed once per form."""
+        """The signed discriminant as a square class, computed once per form.
+
+        Over Q(t) no product entry is formed: the odd parts A, B of two square
+        classes combine to A*B/gcd(A, B)^2, and the scalar is the square-free
+        part of the signed product of the leading coefficients."""
         n = self.dim
-        out = coerce(self.ctx, 1)
+        sign = -1 if (n * (n - 1) // 2) % 2 else 1
+        if self.ctx.tag == TAG_RATFUNC:
+            odd, lead = UPoly.one(), Fraction(sign)
+            for e in self.entries:
+                odd, lead = _odd_product(odd, e.odd_part), lead * e.num.lc
+            return odd.scale(_fraction_squarefree(lead))
+        out = coerce(self.ctx, sign)
         for e in self.entries:
             out = out * e
-        if (n * (n - 1) // 2) % 2:
-            out = -out
         return square_class(self.ctx, out)
 
     def to_str(self) -> str:
@@ -497,6 +546,14 @@ def is_isotropic_vector(phi: DiagForm, vector: Sequence) -> bool:
     return any(coerce(phi.ctx, v) for v in vector) and not value
 
 
+def _pairs_hyperbolically(ctx: FieldCtx, a: Element, b: Element) -> bool:
+    """Is -ab a square?  Over Q(t) that holds when a and b have the same odd
+    part and -lc(a)lc(b) is a rational square, so no product is formed."""
+    if ctx.tag == TAG_RATFUNC:
+        return a.odd_part == b.odd_part and is_rational_square(-a.num.lc * b.num.lc)
+    return is_square(ctx, -(a * b))
+
+
 def hyperbolic_pairing(phi: DiagForm) -> bool:
     """Greedy recognizer: can the entries be matched into hyperbolic pairs
     <a, b> with -ab a square?  True certifies Witt class zero."""
@@ -506,7 +563,7 @@ def hyperbolic_pairing(phi: DiagForm) -> bool:
     while entries:
         a = entries.pop()
         for i, b in enumerate(entries):
-            if is_square(phi.ctx, -(a * b)):
+            if _pairs_hyperbolically(phi.ctx, a, b):
                 entries.pop(i)
                 break
         else:

@@ -153,7 +153,7 @@ def _hyperelliptic_components(curve: Hyperelliptic) -> tuple[RealComponent, ...]
     f = curve.f
     ivs = isolate_real_roots(f)
     k = len(ivs)
-    signs = [sign_of(f.eval_at(x)) for x in gap_samples(ivs)]
+    signs = [f.sign_at(x) for x in gap_samples(ivs)]
     assert all(s != 0 for s in signs)
     for a, b in zip(signs, signs[1:]):
         assert a != b, "simple roots must separate signs"
@@ -236,7 +236,7 @@ def _compare_to_end(x: Fraction, end: ArcEnd) -> int:
     # refine the root's isolating interval until x falls outside, unless x is
     # that root
     iv = end.interval
-    if iv.contains(x) and iv.poly.eval_at(x) == 0:
+    if iv.contains(x) and iv.poly.sign_at(x) == 0:
         return 0
     while iv.contains(x):
         iv = iv.refined()
@@ -263,7 +263,7 @@ def component_containing(curve: CurveModel, components: Sequence[RealComponent],
     x = Fraction(x)
     if isinstance(curve, PuncturedLine) and x in curve.punctures:
         return None
-    if isinstance(curve, Hyperelliptic) and curve.f.eval_at(x) < 0:
+    if isinstance(curve, Hyperelliptic) and curve.f.sign_at(x) < 0:
         return None
     for comp in components:
         if comp.branch != BRANCH_BOTH and y_sign is not None:
@@ -296,7 +296,7 @@ def sample_point(component: RealComponent, curve: CurveModel) -> SamplePoint:
     branch = 0
     if isinstance(curve, Hyperelliptic):
         branch = -1 if component.branch == BRANCH_MINUS else 1
-        assert curve.f.eval_at(x) > 0
+        assert curve.f.sign_at(x) > 0
     return SamplePoint(x, branch)
 
 

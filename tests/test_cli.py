@@ -219,17 +219,20 @@ class TestFormCommand:
         assert report["fundamental_power"] == {"1": "yes", "2": "yes"}
 
     def test_discriminant_computed_once(self, monkeypatch):
+        # the Q(t) discriminant factors one integer, the square-free part of
+        # the signed product of the leading coefficients, and nothing else in
+        # a form report does, so one call means one discriminant computation
         calls = []
-        original = qform.square_class
+        original = qform.squarefree_int
 
-        def counted(ctx, x):
-            calls.append(x)
-            return original(ctx, x)
+        def counted(n):
+            calls.append(n)
+            return original(n)
 
-        monkeypatch.setattr(qform, "square_class", counted)
+        monkeypatch.setattr(qform, "squarefree_int", counted)
         report = run_json("form", "<t,2>")["form"]
         assert report["discriminant"] == "-2*t"
-        assert len(calls) == 1
+        assert calls == [-2]
 
     def test_zero_entry_exits_3(self):
         code, _ = run_cli("form", "<0>")
@@ -242,6 +245,14 @@ class TestFormCommand:
         assert time.perf_counter() - start < 2
         assert code == 3 and out == ""
         assert "no prime factor up to 1000000" in capsys.readouterr().err
+
+    def test_discriminant_factors_the_product_of_leading_coefficients(self):
+        # 6521908894648437971 = 3037000493 * 2147483647: two primes above 10^6
+        # whose product is above 10^18, so factoring one entry's scalar alone
+        # hits the factorisation limit; the signed product -N^2 is -1 times a
+        # square, which the discriminant reads off without factoring N
+        report = run_json("form", "<6521908894648437971*t,6521908894648437971>")["form"]
+        assert report["discriminant"] == "-t"
 
     def test_zero_denominator_exits_2(self, capsys):
         code, _ = run_cli("form", "<1/0>")
@@ -367,6 +378,8 @@ README_PINS = {
         "b652854dd78bc64ab0c08d1e5ba2445c95502f88edac16b0ed40ca5bc2efa834",
     'realcycle curve --spec "hyperelliptic f=3-x^2" --budget 200':
         "2c69a16ec3e1bef59e3806bfda82c18c02c7a5dda2f1db80c0815c47ba2f8f62",
+    'realcycle form "<(t^2+1)^3*(t-1/3)^5,(t-2)*(t+5/7)^2,-3*t^4+7,t^2-2>"':
+        "49e1f773a9a5b4eb5df6f25fd3e294f69405dc64bb3bb946a0e32d1ab0677824",
 }
 
 

@@ -60,8 +60,10 @@ from realcycle.qform import (
     discriminant,
     finite_field,
     hyperbolic_pairing,
+    is_square,
     pfister,
     signature,
+    square_class,
 )
 from realcycle.realcurve import (
     BRANCH_BOTH,
@@ -707,3 +709,126 @@ def test_qt_signature_is_the_sign_of_num_times_den(entries, ordering):
     form = DiagForm.make(RATFUNC, [f for _, _, f in entries])
     want = sum(sign_at(e.num * e.den, ordering.point) for e in form.entries)
     assert signature(form, ordering) == want
+
+
+# --- integer signs and Q(t) square classes -------------------------------------
+
+@SETTINGS
+@given(fraction_lists.filter(lambda cs: len(cs) >= 2), st.lists(small_fractions, max_size=6),
+       nonzero_fractions)
+def test_integer_sign_is_the_sign_of_the_value(coeffs, points, root):
+    p = UPoly.of(*coeffs)
+    planted = p * UPoly.of(-root, 1)
+    assume(p.den > 1 and planted.den > 1)
+    for f in (p, planted):
+        for x in points + [root]:
+            want = sign_of(sum(c * x ** i for i, c in enumerate(f.coeffs)))
+            assert f.sign_at(x) == sign_of(f.eval_at(x)) == want
+    assert planted.sign_at(root) == 0
+
+
+@st.composite
+def planted_ratfuncs(draw):
+    """(element, multiplicity of each planted factor): the factors, repeated
+    up to four times, go to the numerator or the denominator, and both carry
+    a fractional scalar."""
+    mults = draw(st.dictionaries(st.sampled_from(PLANTABLE), st.integers(1, 4), max_size=3))
+    num, den = UPoly.of(draw(nonzero_fractions)), UPoly.of(draw(nonzero_fractions))
+    for factor, m in mults.items():
+        below = draw(st.booleans())
+        for _ in range(m):
+            if below:
+                den = den * factor
+            else:
+                num = num * factor
+    return RatFunc.make(num, den), mults
+
+
+def signed_product(es):
+    n = len(es)
+    out = RatFunc.coerce(-1 if (n * (n - 1) // 2) % 2 else 1)
+    for e in es:
+        out = out * e
+    return out
+
+
+@SETTINGS
+@given(st.lists(planted_ratfuncs(), max_size=4))
+def test_qt_discriminant_is_the_class_of_the_signed_product(planted):
+    es = [e for e, _ in planted]
+    disc = discriminant(DiagForm.make(RATFUNC, es))
+    assert disc == square_class(RATFUNC, signed_product(es))
+    # negation carries the odd parts computed above over to the new entries
+    negated = [-e for e in es]
+    assert discriminant(DiagForm.make(RATFUNC, negated)) == square_class(
+        RATFUNC, signed_product([RatFunc.make(e.num, e.den) for e in negated]))
+    # the odd part is the product of the factors of odd total multiplicity
+    total = {}
+    for _, mults in planted:
+        for factor, m in mults.items():
+            total[factor] = total.get(factor, 0) + m
+    odd = UPoly.one()
+    for factor, m in total.items():
+        if m % 2:
+            odd = odd * factor
+    assert disc.monic() == odd
+
+
+def greedy_pairing(es):
+    """The hyperbolic pairing walk on the product of each candidate pair."""
+    es = list(es)
+    if len(es) % 2:
+        return False
+    while es:
+        a = es.pop()
+        for i, b in enumerate(es):
+            if is_square(RATFUNC, -(a * b)):
+                es.pop(i)
+                break
+        else:
+            return False
+    return True
+
+
+# entries drawn from few square classes, so that pairs are often hyperbolic
+squares = st.builds(lambda c, h: RatFunc.make(h * h * UPoly.of(c)),
+                    st.sampled_from([1, 4, Fraction(1, 9)]),
+                    st.sampled_from([UPoly.one(), UPoly.of(2, 1), UPoly.of(Fraction(-1, 3), 1)]))
+pairing_entries = st.builds(
+    lambda base, scalar, square: RatFunc.make(base * UPoly.of(scalar)) * square,
+    st.sampled_from([UPoly.one(), UPoly.x(), UPoly.of(-1, 1), UPoly.of(1, 0, 1),
+                     UPoly.of(0, -1, 1)]),
+    st.sampled_from([1, -1, 2, -2, Fraction(-9, 2), 3]),
+    squares)
+
+
+@st.composite
+def pairing_forms(draw):
+    """Entries in a shuffled order, most of them planted in hyperbolic pairs
+    <a, -a*s> with s a square, some free."""
+    anything = st.one_of(pairing_entries, planted_ratfuncs().map(lambda case: case[0]))
+    es = []
+    for a, s, free in draw(st.lists(st.tuples(anything, squares, st.integers(0, 3)),
+                                    max_size=3)):
+        es += [a, draw(pairing_entries) if free == 3 else -(a * s)]
+    if draw(st.integers(0, 3)) == 3:
+        es.append(draw(anything))
+    return draw(st.permutations(es))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(pairing_forms())
+def test_qt_hyperbolic_pairing_agrees_with_the_product_walk(es):
+    assert hyperbolic_pairing(DiagForm.make(RATFUNC, es)) == greedy_pairing(es)
+
+
+@SETTINGS
+@given(fraction_lists.filter(bool), nonzero_fractions)
+def test_ratfunc_make_with_a_constant_denominator_takes_the_gcd_path(coeffs, c):
+    num, den = UPoly.of(*coeffs), UPoly.of(c)
+    g = num.gcd(den)
+    num, den = num // g, den // g
+    lead = den.lc
+    want = (num.scale(1 / lead), den.scale(1 / lead))
+    got = RatFunc.make(UPoly.of(*coeffs), UPoly.of(c))
+    assert (got.num, got.den) == want

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,35 @@ class TestDiscriminant:
         sq = RatFunc.coerce(UPoly.from_roots([1, 1]))
         assert square_class(RATFUNC, sq) == UPoly.of(1)
         assert discriminant(rf_form(UPoly.one(), -T)) == T
+
+
+class TestFiniteFieldContext:
+    def test_large_prime_builds_quickly(self):
+        # trial division up to the square root took longer than 20 s
+        start = time.perf_counter()
+        f = finite_field(2 ** 61 - 1)
+        assert time.perf_counter() - start < 1
+        assert discriminant(DiagForm.make(f, [1, -1])) == 1
+
+    @pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051])
+    def test_pseudoprimes_are_rejected(self, n):
+        # a Carmichael number, and strong pseudoprimes to the bases 2..7 and 2..23
+        with pytest.raises(UnsupportedContext):
+            finite_field(n)
+
+    def test_primality_matches_trial_division(self):
+        primes = [n for n in range(3, 3000, 2) if all(n % d for d in range(2, int(n ** 0.5) + 1))]
+        for n in range(3, 3000, 2):
+            try:
+                finite_field(n)
+                built = True
+            except UnsupportedContext:
+                built = False
+            assert built == (n in primes)
+
+    def test_uncertified_size_is_unsupported(self):
+        with pytest.raises(UnsupportedContext, match="not certified"):
+            finite_field(3_317_044_064_679_887_385_961_981)
 
 
 class TestWittDecompose:
