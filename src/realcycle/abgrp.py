@@ -4,7 +4,8 @@ A group is Z^g modulo the column span of an integer relation matrix.  Every
 lattice question (membership, bases, equality, solving, kernels, exactness of
 complexes) is one use of a row Hermite normal form, computed with
 arbitrary-precision integers; the Smith normal form behind invariant factors
-and exponents alternates row and column Hermite forms.  A group computes its
+and exponents alternates row and column Hermite forms, and carries no
+transforms when only the invariants are wanted.  A group computes its
 invariants once, and a lattice its Hermite basis once.
 
 >>> G = FgAbGroup.of_cyclics("a", "b", orders=(2, 4))
@@ -111,33 +112,50 @@ def _row_form(a: Matrix, t: Matrix, width: int) -> tuple[Matrix, Matrix]:
     return [r[:width] for r in out], [r[width:] for r in out]
 
 
-def smith_normal_form(m: Sequence[Sequence[int]]) -> SNF:
-    """Diagonalise an integer matrix by unimodular row and column operations.
+def _smith_elimination(m: Sequence[Sequence[int]], u: Matrix,
+                       vt: Matrix) -> tuple[Matrix, Matrix, Matrix, tuple[int, ...]]:
+    """Bring m to Smith form D; returns (D, u, vt, diagonal of D), the blocks
+    after the same operations.
 
-    Returns (D, U, V) with U*M*V = D, the diagonal non-negative with each entry
-    dividing the next, and det(U), det(V) = +-1.  A row Hermite form carrying
-    U and a column Hermite form carrying V alternate until D is diagonal;
-    where d_i does not divide d_j, column j is added to column i and the
-    forms run again.
+    A row Hermite form and a column Hermite form alternate until the matrix is
+    diagonal; where d_i does not divide d_j, column j is added to column i
+    and the forms run again.  Row operations are applied to the carried block
+    u (one row per row of m), column operations to vt (one row per column of
+    m, so V transposed: a column operation on m is a row operation on vt).
+    Either block may have width 0, when only the diagonal is wanted.
     """
     a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u, v = identity_matrix(rows), identity_matrix(cols)
     while True:
         a, u = _row_form(a, u, cols)
         if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
-            at, vt = _row_form(columns_of(a), columns_of(v), rows)
-            a, v = matrix_from_columns(at, rows), matrix_from_columns(vt, cols)
+            at, vt = _row_form(columns_of(a), vt, rows)
+            a = matrix_from_columns(at, rows)
             continue
         diag = [a[i][i] for i in range(min(rows, cols))]
         stray = next(((i, j) for i in range(len(diag)) for j in range(i + 1, len(diag))
                       if diag[i] and diag[j] % diag[i]), None)
         if stray is None:
-            return SNF(a, u, v, tuple(diag))
+            return a, u, vt, tuple(diag)
         i, j = stray
-        for row in a + v:
+        for row in a:
             row[i] += row[j]
+        vt[i] = [x + y for x, y in zip(vt[i], vt[j])]
+
+
+def smith_normal_form(m: Sequence[Sequence[int]]) -> SNF:
+    """Diagonalise an integer matrix by unimodular row and column operations.
+
+    Returns (D, U, V) with U*M*V = D, the diagonal non-negative with each entry
+    dividing the next, and det(U), det(V) = +-1.  U and V are carried through
+    the elimination as identity blocks; a caller that wants only the
+    invariants (``FgAbGroup.normal_form``) runs it with no blocks at all.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    d, u, vt, diagonal = _smith_elimination(m, identity_matrix(rows), identity_matrix(cols))
+    return SNF(d, u, matrix_from_columns(vt, cols), diagonal)
 
 
 def integer_kernel(m: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
@@ -242,9 +260,10 @@ class FgAbGroup:
         """(free rank, torsion invariant factors), computed once."""
         if not self.relations or not self.relations[0]:
             return self.n_generators, ()
-        snf = smith_normal_form(self.relations)
-        torsion = tuple(d for d in snf.diagonal if d not in (0, 1))
-        return self.n_generators - sum(1 for d in snf.diagonal if d != 0), torsion
+        rels = self.relations
+        diagonal = _smith_elimination(rels, [[] for _ in rels], [[] for _ in rels[0]])[3]
+        torsion = tuple(d for d in diagonal if d not in (0, 1))
+        return self.n_generators - sum(1 for d in diagonal if d != 0), torsion
 
 
 def free_rank(g: FgAbGroup) -> int:
@@ -332,12 +351,18 @@ def lattice_basis(sub: Lattice) -> list[list[int]]:
 
 
 def quotient(ambient: FgAbGroup, sub: Lattice) -> FgAbGroup:
-    """Presentation of ambient/sub, keeping the generator labels."""
+    """Presentation of ambient/sub, keeping the generator labels.
+
+    The relations are the lattice's Hermite basis, computed once per lattice
+    and shared with ``lattice_basis``, ``lattices_equal`` and ``contains``, so
+    the quotient's Smith form starts from an echelon matrix with at most
+    rank-of-sub columns rather than from the raw generators.
+    """
     if not ambient.is_free():
         raise RankMismatch("quotient ambient must be free")
     if sub.rank_of_ambient != ambient.n_generators:
         raise RankMismatch("lattice does not live in this ambient group")
-    rels = tuple(tuple(g[i] for g in sub.generators) for i in range(ambient.n_generators))
+    rels = tuple(tuple(b[i] for b in sub.hermite_basis) for i in range(ambient.n_generators))
     return FgAbGroup(ambient.labels, rels)
 
 

@@ -413,7 +413,10 @@ def cmd_form(args) -> int:
 
 def cmd_suite(args) -> int:
     rows = run_suite(args.filter)
-    width = max((len(r.ident) for r in rows), default=10)
+    if not rows:
+        print(f"no check id contains {args.filter!r}", file=sys.stderr)
+        return 2
+    width = max(len(r.ident) for r in rows)
     for row in rows:
         mark = "PASS" if row.ok else "FAIL"
         print(f"{mark}  {row.ident:<{width}}  {row.label}")

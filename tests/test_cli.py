@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from realcycle import qform
+from realcycle import abgrp, cycleclass, qform
 from realcycle.cli import main, parse_curve_spec, parse_poly, parse_twist_spec
 from realcycle.errors import SpecParseError
 from realcycle.numeric import UPoly
@@ -169,6 +169,33 @@ class TestCurveCommand:
             hits = 1 if witness["status"] == "exact" else 2
             assert witness["achieved"] == {gen: hits, other: 0}
 
+    def test_gamma_report_shares_one_hermite_form_and_carries_no_transforms(self, monkeypatch):
+        # the cokernel, the reported basis and the Knebusch comparison all
+        # read the image's one cached Hermite basis, and the cokernel's
+        # invariants come from the Smith diagonal alone
+        image = cycleclass.gamma0_image(PuncturedLine.make([0, 1, 2]))
+        generators = [list(g) for g in image.generators]
+        snf_calls, hermite_inputs = [], []
+        smith, hermite = abgrp.smith_normal_form, abgrp.hermite_form
+
+        def counted_smith(m):
+            snf_calls.append(m)
+            return smith(m)
+
+        def counted_hermite(rows, width):
+            rows = [list(r) for r in rows]
+            hermite_inputs.append(rows)
+            return hermite(rows, width)
+
+        monkeypatch.setattr(abgrp, "smith_normal_form", counted_smith)
+        monkeypatch.setattr(abgrp, "hermite_form", counted_hermite)
+        monkeypatch.setattr(cycleclass, "hermite_form", counted_hermite)
+        report = run_json("curve", "--spec", "line punctures=0,1,2")
+        assert report["gamma0"]["coker"] == {"order": 8, "exponent": 2}
+        assert report["gamma0"]["knebusch_match"] is True
+        assert snf_calls == []
+        assert sum(1 for rows in hermite_inputs if rows == generators) == 1
+
     def test_deterministic_output(self):
         a = run_cli("curve", "--spec", "hyperelliptic f=x^3-x projective")
         b = run_cli("curve", "--spec", "hyperelliptic f=x^3-x projective")
@@ -267,6 +294,11 @@ class TestSuiteCommand:
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 3
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_filter_matching_nothing_exits_2(self, capsys):
+        code, out = run_cli("suite", "--filter", "zzz")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "no check id contains 'zzz'\n"
 
     def test_oracle_row(self):
         code, out = run_cli("suite", "--filter", "exponent-oracle")

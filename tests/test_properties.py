@@ -7,17 +7,23 @@ run is reproducible.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import floor, gcd, isqrt, lcm
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from realcycle.abgrp import (
     FgAbGroup,
     Lattice,
+    exponent,
+    free_rank,
+    invariant_factors,
     lattice_basis,
     lattice_spans,
     lattices_equal,
+    order_of,
+    quotient,
     smith_normal_form,
     solve_in_lattice,
 )
@@ -239,6 +245,83 @@ def test_smith_normal_form_is_certified_with_bounded_entries(m):
         assert (b == 0) if a == 0 else (b % a == 0)
     n = max(rows, cols)
     assert all(abs(x).bit_length() < 32 * n for t in (snf.d, snf.u, snf.v) for r in t for x in r)
+
+
+def determinantal_invariants(m):
+    """(rank, invariant factors) from the determinantal divisors: d_k is the
+    gcd of the k x k minors, and the k-th diagonal entry of the Smith form is
+    d_k / d_(k-1).  Independent of the elimination code; small matrices only."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    divisors = [1]
+    for k in range(1, min(rows, cols) + 1):
+        d = 0
+        for rs in combinations(range(rows), k):
+            for cs in combinations(range(cols), k):
+                d = gcd(d, det_bareiss([[m[i][j] for j in cs] for i in rs]))
+        if d == 0:
+            break
+        divisors.append(d)
+    factors = tuple(b // a for a, b in zip(divisors, divisors[1:]))
+    return len(factors), tuple(f for f in factors if f != 1)
+
+
+@st.composite
+def relation_matrices(draw):
+    """0-12 rows by 0-12 columns, half of them at most 4 x 4; some all zero,
+    and some with every entry a multiple of 2 or 3, so that torsion shows."""
+    limit = draw(st.sampled_from([4, 12]))
+    rows, cols = draw(st.integers(0, limit)), draw(st.integers(0, limit))
+    scale = draw(st.sampled_from([0, 1, 1, 2, 3]))
+    cell = st.integers(-(9 // scale), 9 // scale).map(lambda x: scale * x) if scale else st.just(0)
+    return draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@SETTINGS
+@given(relation_matrices())
+@example([])
+@example([[], [], []])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+def test_group_invariants_are_the_smith_diagonal(m):
+    group = FgAbGroup(tuple(f"g{i}" for i in range(len(m))), tuple(map(tuple, m)))
+    diagonal = smith_normal_form(m).diagonal
+    rank = sum(1 for d in diagonal if d)
+    assert free_rank(group) == len(m) - rank
+    assert invariant_factors(group) == tuple(d for d in diagonal if d not in (0, 1))
+    if len(m) <= 4 and (not m or len(m[0]) <= 4):
+        oracle_rank, oracle_factors = determinantal_invariants(m)
+        assert free_rank(group) == len(m) - oracle_rank
+        assert invariant_factors(group) == oracle_factors
+
+
+@st.composite
+def sublattices(draw):
+    """Lattices in Z^0..Z^5: empty ones, zero generators, and generators that
+    repeat integer combinations of the others (so rank-deficient ones)."""
+    dim = draw(st.integers(0, 5))
+    vec = st.lists(entries, min_size=dim, max_size=dim)
+    gens = draw(st.lists(vec, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = [draw(st.integers(-3, 3)) for _ in gens]
+        gens.append([sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(dim)])
+    if draw(st.booleans()):
+        gens.append([0] * dim)
+    gens = draw(st.permutations(gens))
+    return Lattice(FgAbGroup.free(*(f"e{i}" for i in range(dim))), tuple(map(tuple, gens)))
+
+
+def invariants(group):
+    return free_rank(group), invariant_factors(group), order_of(group), exponent(group)
+
+
+@SETTINGS
+@given(sublattices())
+def test_quotient_by_the_hermite_basis_matches_the_generator_presentation(sub):
+    ambient = sub.ambient
+    by_generators = FgAbGroup(ambient.labels, tuple(
+        tuple(g[i] for g in sub.generators) for i in range(ambient.n_generators)))
+    assert invariants(quotient(ambient, sub)) == invariants(by_generators)
 
 
 @SETTINGS

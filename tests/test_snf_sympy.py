@@ -7,9 +7,9 @@ import random
 import pytest
 
 sympy = pytest.importorskip("sympy")
-from sympy.matrices.normalforms import invariant_factors  # noqa: E402
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors  # noqa: E402
 
-from realcycle.abgrp import smith_normal_form  # noqa: E402
+from realcycle.abgrp import FgAbGroup, free_rank, invariant_factors, smith_normal_form  # noqa: E402
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -18,5 +18,9 @@ def test_invariant_factors_match_sympy(seed):
     for _ in range(25):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        expected = invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)
-        assert smith_normal_form(m).diagonal == tuple(int(d) for d in expected)
+        expected = tuple(int(d) for d in sympy_invariant_factors(sympy.Matrix(m), domain=sympy.ZZ))
+        assert smith_normal_form(m).diagonal == expected
+        # the group's invariants come from the diagonal computed without transforms
+        group = FgAbGroup(tuple(f"g{i}" for i in range(rows)), tuple(map(tuple, m)))
+        assert invariant_factors(group) == tuple(d for d in expected if d not in (0, 1))
+        assert free_rank(group) == rows - sum(1 for d in expected if d)
