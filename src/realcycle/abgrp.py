@@ -1,6 +1,9 @@
 """Finitely generated abelian groups presented by integer matrices.
 
-A group is Z^g modulo the column span of an integer relation matrix.  Every
+A group is Z^g modulo the span of its relations.  ``FgAbGroup.relations`` has
+one row per generator, so each column is a relation; column j of a
+``GroupMap``'s matrix is the image of source generator j.  Internally both are
+read as vectors (``relation_columns`` and ``images``), computed once.  Every
 lattice question (membership, bases, equality, solving, kernels, exactness of
 complexes) is one use of a row Hermite normal form, computed with
 arbitrary-precision integers; the Smith normal form behind invariant factors
@@ -32,18 +35,9 @@ def identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [sum(c * x for c, x in zip(row, v)) for row in a]
-
-
-def columns_of(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    if not m:
-        return []
-    return [[row[j] for row in m] for j in range(len(m[0]))]
-
-
-def matrix_from_columns(cols: Sequence[Sequence[int]], rows: int) -> Matrix:
-    return [[col[i] for col in cols] for i in range(rows)]
+def _transpose(m: Sequence[Sequence[int]], width: int) -> Matrix:
+    """The columns of m, which has ``width`` columns, as a list of rows."""
+    return [[row[j] for row in m] for j in range(width)]
 
 
 class SNF(NamedTuple):
@@ -130,8 +124,8 @@ def _smith_elimination(m: Sequence[Sequence[int]], u: Matrix,
     while True:
         a, u = _row_form(a, u, cols)
         if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
-            at, vt = _row_form(columns_of(a), vt, rows)
-            a = matrix_from_columns(at, rows)
+            at, vt = _row_form(_transpose(a, cols), vt, rows)
+            a = _transpose(at, rows)
             continue
         diag = [a[i][i] for i in range(min(rows, cols))]
         stray = next(((i, j) for i in range(len(diag)) for j in range(i + 1, len(diag))
@@ -155,16 +149,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SNF:
     rows = len(m)
     cols = len(m[0]) if rows else 0
     d, u, vt, diagonal = _smith_elimination(m, identity_matrix(rows), identity_matrix(cols))
-    return SNF(d, u, matrix_from_columns(vt, cols), diagonal)
-
-
-def integer_kernel(m: Sequence[Sequence[int]], cols: int) -> list[list[int]]:
-    """Basis of the integer kernel of m acting on Z^cols (columns as vectors)."""
-    if not m or cols == 0:
-        return identity_matrix(cols)
-    # the carried row operations of the rows that vanish span the kernel
-    _, rest = hermite_form(_with_identity(columns_of(m)), len(m))
-    return [r[len(m):] for r in rest]
+    return SNF(d, u, _transpose(vt, cols), diagonal)
 
 
 def solve_in_lattice(gens: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[list[int]]:
@@ -193,16 +178,18 @@ def lattice_spans(gens: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]
     return not any(any(_reduce(basis, v)) for v in vectors)
 
 
-def preimage_lattice(m: Sequence[Sequence[int]], target_gens: Sequence[Sequence[int]],
-                     cols: int) -> list[list[int]]:
-    """Generators of {x in Z^cols : m*x lies in the span of target_gens}."""
-    rows = len(m)
-    stacked_cols = columns_of(m) + [list(g) for g in target_gens]
-    if not stacked_cols:
-        return [list(c) for c in identity_matrix(cols)]
-    stacked = matrix_from_columns(stacked_cols, rows)
-    kernel = integer_kernel(stacked, len(stacked_cols))
-    return [vec[:cols] for vec in kernel]
+def preimage_lattice(images: Sequence[Sequence[int]], target_gens: Sequence[Sequence[int]],
+                     dim: int) -> list[list[int]]:
+    """Generators of {x : sum x_j * images_j lies in the span of target_gens}.
+
+    All vectors have length ``dim``.  One Hermite form of the stacked vectors
+    with an identity block carried: the rows that vanish record the integer
+    relations among the vectors, and their first len(images) coefficients
+    span the preimage.
+    """
+    n = len(images)
+    _, rest = hermite_form(_with_identity(list(images) + list(target_gens)), dim)
+    return [r[dim:dim + n] for r in rest]
 
 
 # --- presented groups ---------------------------------------------------------
@@ -248,9 +235,10 @@ class FgAbGroup:
     def n_generators(self) -> int:
         return len(self.labels)
 
-    @property
-    def relation_columns(self) -> list[list[int]]:
-        return columns_of(self.relations)
+    @cached_property
+    def relation_columns(self) -> Matrix:
+        """The relations as vectors, computed once."""
+        return _transpose(self.relations, len(self.relations[0]) if self.relations else 0)
 
     def is_free(self) -> bool:
         return all(x == 0 for row in self.relations for x in row)
@@ -300,12 +288,16 @@ def has_exponent(g: FgAbGroup, e: int) -> bool:
     return ex != 0 and e % ex == 0
 
 
+def _presented(labels: tuple[str, ...], vectors: Sequence[Sequence[int]]) -> FgAbGroup:
+    """The group on ``labels`` with the given relation vectors."""
+    return FgAbGroup(labels, tuple(map(tuple, _transpose(vectors, len(labels)))))
+
+
 def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
-    ra = len(a.relations[0]) if a.relations and a.relations[0] else 0
-    rb = len(b.relations[0]) if b.relations and b.relations[0] else 0
-    rels = tuple(tuple(row) + (0,) * rb for row in a.relations) + \
-        tuple((0,) * ra + tuple(row) for row in b.relations)
-    return FgAbGroup(a.labels + b.labels, rels)
+    na, nb = a.n_generators, b.n_generators
+    return _presented(a.labels + b.labels,
+                      [c + [0] * nb for c in a.relation_columns] +
+                      [[0] * na + c for c in b.relation_columns])
 
 
 @dataclass(frozen=True)
@@ -362,15 +354,15 @@ def quotient(ambient: FgAbGroup, sub: Lattice) -> FgAbGroup:
         raise RankMismatch("quotient ambient must be free")
     if sub.rank_of_ambient != ambient.n_generators:
         raise RankMismatch("lattice does not live in this ambient group")
-    rels = tuple(tuple(b[i] for b in sub.hermite_basis) for i in range(ambient.n_generators))
-    return FgAbGroup(ambient.labels, rels)
+    return _presented(ambient.labels, sub.hermite_basis)
 
 
 @dataclass(frozen=True)
 class GroupMap:
     """Homomorphism between presented groups, as a matrix on chosen generators.
 
-    Column j is the image of the j-th source generator.  Construction checks
+    ``matrix`` has one row per target generator; its column j, ``images[j]``,
+    is the image of the j-th source generator.  Construction checks
     that every source relation is carried into the relation lattice of the
     target, so the matrix genuinely defines a map of quotients.
     """
@@ -386,9 +378,15 @@ class GroupMap:
         for row in self.matrix:
             if len(row) != self.source.n_generators:
                 raise RankMismatch("matrix needs one column per source generator")
-        images = [mat_vec(self.matrix, rel) for rel in self.source.relation_columns]
-        if not lattice_spans(self.target.relation_columns, images, rows):
+        relation_images = [[sum(c * x for c, x in zip(row, rel)) for row in self.matrix]
+                           for rel in self.source.relation_columns]
+        if not lattice_spans(self.target.relation_columns, relation_images, rows):
             raise IllDefinedMap("matrix does not respect the source relations")
+
+    @cached_property
+    def images(self) -> Matrix:
+        """The images of the source generators (the matrix's columns), computed once."""
+        return _transpose(self.matrix, self.source.n_generators)
 
     @staticmethod
     def make(source: FgAbGroup, target: FgAbGroup, matrix: Sequence[Sequence[int]]) -> "GroupMap":
@@ -408,29 +406,22 @@ class GroupMap:
 def kernel_presentation(f: GroupMap) -> tuple[FgAbGroup, GroupMap]:
     """Present Ker f and return it with its inclusion into the source."""
     src, tgt = f.source, f.target
-    gens = preimage_lattice([list(r) for r in f.matrix], tgt.relation_columns,
-                            src.n_generators)
-    gens = gens + src.relation_columns
-    rels = preimage_lattice(matrix_from_columns(gens, src.n_generators) if gens else [],
-                            src.relation_columns, len(gens))
-    labels = tuple(f"k{i}" for i in range(len(gens)))
-    ker = FgAbGroup(labels, tuple(tuple(r[i] for r in rels) for i in range(len(gens))))
-    incl = GroupMap.make(ker, src, matrix_from_columns(gens, src.n_generators))
-    return ker, incl
+    gens = preimage_lattice(f.images, tgt.relation_columns, tgt.n_generators)
+    gens += src.relation_columns
+    rels = preimage_lattice(gens, src.relation_columns, src.n_generators)
+    ker = _presented(tuple(f"k{i}" for i in range(len(gens))), rels)
+    return ker, GroupMap.make(ker, src, _transpose(gens, src.n_generators))
 
 
 def image_presentation(f: GroupMap) -> FgAbGroup:
     """Im f presented as source/kernel (the first isomorphism theorem)."""
-    src = f.source
-    rels = preimage_lattice([list(r) for r in f.matrix], f.target.relation_columns,
-                            src.n_generators)
-    return FgAbGroup(src.labels, tuple(tuple(r[i] for r in rels) for i in range(src.n_generators)))
+    tgt = f.target
+    return _presented(f.source.labels,
+                      preimage_lattice(f.images, tgt.relation_columns, tgt.n_generators))
 
 
 def cokernel_presentation(f: GroupMap) -> FgAbGroup:
-    tgt = f.target
-    cols = columns_of(f.matrix) + tgt.relation_columns
-    return FgAbGroup(tgt.labels, tuple(tuple(c[i] for c in cols) for i in range(tgt.n_generators)))
+    return _presented(f.target.labels, f.images + f.target.relation_columns)
 
 
 class ExactnessReport(NamedTuple):
@@ -449,11 +440,10 @@ def check_exact(maps: Sequence[GroupMap]) -> ExactnessReport:
     for i in range(len(maps) - 1):
         into, outof = maps[i], maps[i + 1]
         node = into.target
-        im_gens = columns_of(into.matrix) + node.relation_columns
-        ker_gens = preimage_lattice([list(r) for r in outof.matrix],
-                                    outof.target.relation_columns,
-                                    node.n_generators) + node.relation_columns
         dim = node.n_generators
+        im_gens = into.images + node.relation_columns
+        ker_gens = preimage_lattice(outof.images, outof.target.relation_columns,
+                                    outof.target.n_generators) + node.relation_columns
         if hermite_form(ker_gens, dim)[0] != hermite_form(im_gens, dim)[0]:
             return ExactnessReport(False, i)
     return ExactnessReport(True, None)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Sequence, Union
 
-from .abgrp import FgAbGroup, Lattice, exponent, hermite_form, order_of, quotient
+from .abgrp import FgAbGroup, Lattice, exponent, hermite_form, identity_matrix, order_of, quotient
 from .errors import (
     BadDimension,
     NegativeInput,
@@ -85,8 +85,7 @@ def knebusch_gamma(m: int) -> Lattice:
     if m < 1:
         raise NegativeInput("need at least one component")
     ambient = FgAbGroup.free(*(f"c{i}" for i in range(m)))
-    gens = [tuple(1 for _ in range(m))]
-    gens += [tuple(2 if i == j else 0 for j in range(m)) for i in range(m)]
+    gens = [(1,) * m] + [tuple(2 * x for x in e) for e in identity_matrix(m)]
     return Lattice(ambient, tuple(gens))
 
 
@@ -107,9 +106,8 @@ def mod2_spans_everything(curve: PuncturedLine,
     rows = [[1 if u.sign_at(x) > 0 else 0 for x in samples] for u in units]
     # the rows span F_2^m exactly when, with 2*Z^m, they span Z^m, whose
     # Hermite basis is the identity
-    m = len(comps)
-    identity = [[int(i == j) for j in range(m)] for i in range(m)]
-    basis, _ = hermite_form(rows + [[2 * x for x in e] for e in identity], m)
+    identity = identity_matrix(len(comps))
+    basis, _ = hermite_form(rows + [[2 * x for x in e] for e in identity], len(comps))
     return basis == identity
 
 

@@ -352,13 +352,9 @@ def twisted_cohomology(components: Sequence[RealComponent],
     untwisted circle and a Z/2 per twisted circle."""
     h0_labels = tuple(c.id for c in components if not c.is_circle or bits[c.id] == 0)
     circles = [c for c in components if c.is_circle]
-    h1_labels = tuple(c.id for c in circles)
-    twisted = [c.id for c in circles if bits[c.id] == 1]
-    relations = tuple(
-        tuple((2 if c.id == t else 0) for t in twisted)
-        for c in circles
-    )
-    return TwistedCohomology(FgAbGroup.free(*h0_labels), FgAbGroup(h1_labels, relations))
+    orders = [2 if bits[c.id] == 1 else 0 for c in circles]
+    return TwistedCohomology(FgAbGroup.free(*h0_labels),
+                             FgAbGroup.of_cyclics(*(c.id for c in circles), orders=orders))
 
 
 def bockstein_ladder(components: Sequence[RealComponent],
@@ -370,34 +366,23 @@ def bockstein_ladder(components: Sequence[RealComponent],
     h0, h1 = coh.h0, coh.h1
     all_ids = [c.id for c in components]
     circle_ids = [c.id for c in components if c.is_circle]
-    h0_mod2 = FgAbGroup(tuple(all_ids), tuple(
-        tuple((2 if i == j else 0) for j in range(len(all_ids)))
-        for i in range(len(all_ids))
-    ))
-    h1_mod2 = FgAbGroup(tuple(circle_ids), tuple(
-        tuple((2 if i == j else 0) for j in range(len(circle_ids)))
-        for i in range(len(circle_ids))
-    ))
+    h0_mod2 = FgAbGroup.of_cyclics(*all_ids, orders=[2] * len(all_ids))
+    h1_mod2 = FgAbGroup.of_cyclics(*circle_ids, orders=[2] * len(circle_ids))
     zero = FgAbGroup.trivial()
 
-    red0 = GroupMap.make(h0, h0_mod2, [
-        [1 if row_id == col_id else 0 for col_id in h0.labels]
-        for row_id in all_ids
-    ])
-    bock = GroupMap.make(h0_mod2, h1, [
-        [1 if (col_id == row_id and bits[col_id] == 1) else 0 for col_id in all_ids]
-        for row_id in h1.labels
-    ])
-    red1 = GroupMap.make(h1, h1_mod2, [
-        [1 if row_id == col_id else 0 for col_id in h1.labels]
-        for row_id in circle_ids
-    ])
+    def by_label(source, target, keep=lambda label: True):
+        """Each kept source generator to the target generator with its label."""
+        return GroupMap.make(source, target, [
+            [1 if row_id == col_id and keep(col_id) else 0 for col_id in source.labels]
+            for row_id in target.labels
+        ])
+
     return [
         GroupMap.zero(zero, h0),
         GroupMap.scalar(h0, 2),
-        red0,
-        bock,
+        by_label(h0, h0_mod2),
+        by_label(h0_mod2, h1, lambda label: bits[label] == 1),
         GroupMap.scalar(h1, 2),
-        red1,
+        by_label(h1, h1_mod2),
         GroupMap.zero(h1_mod2, zero),
     ]

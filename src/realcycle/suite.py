@@ -123,7 +123,9 @@ def check_twisted_circle():
     return ok, f"H0 trivial: {h0_trivial}, H1 = Z/2: {h1_z2}, point class {cls}"
 
 
-def check_bockstein_ladders():
+def ladder_cases():
+    """Every (curve, components, twist bits) that ``bockstein-ladders`` checks:
+    each curve of the corpus with every pattern of twisted circles."""
     corpus = [
         realcurve.PuncturedLine.make(),
         realcurve.PuncturedLine.make([0]),
@@ -134,22 +136,24 @@ def check_bockstein_ladders():
         realcurve.Hyperelliptic(UPoly.of(0, -1, 0, 1), True),
         realcurve.Hyperelliptic(UPoly.of(-1, 0, -1)),
     ]
-    count = 0
     for curve in corpus:
         comps = realcurve.real_components(curve)
         circle_ids = [c.id for c in comps if c.is_circle]
-        twist_patterns = [dict.fromkeys((c.id for c in comps), 0)]
-        for subset in range(1, 2 ** len(circle_ids)):
+        for subset in range(2 ** len(circle_ids)):
             bits = dict.fromkeys((c.id for c in comps), 0)
             for i, cid in enumerate(circle_ids):
                 if subset >> i & 1:
                     bits[cid] = 1
-            twist_patterns.append(bits)
-        for bits in twist_patterns:
-            report = abgrp.check_exact(realcurve.bockstein_ladder(comps, bits))
-            if not report.ok:
-                return False, f"ladder fails at node {report.failed_at} for {curve}"
-            count += 1
+            yield curve, comps, bits
+
+
+def check_bockstein_ladders():
+    count = 0
+    for curve, comps, bits in ladder_cases():
+        report = abgrp.check_exact(realcurve.bockstein_ladder(comps, bits))
+        if not report.ok:
+            return False, f"ladder fails at node {report.failed_at} for {curve}"
+        count += 1
     return True, f"{count} (curve, twist) ladders exact"
 
 

@@ -14,6 +14,7 @@ from realcycle.abgrp import (
     contains,
     direct_sum,
     exponent,
+    free_rank,
     has_exponent,
     image_presentation,
     invariant_factors,
@@ -327,6 +328,17 @@ class TestExponentLaws:
             for p in parts[1:]:
                 total = direct_sum(total, p)
             assert has_exponent(total, e)
+
+    def test_direct_sum_with_an_empty_relation_set(self):
+        # the constructor accepts relations=() for a labelled group and reads it as free
+        bare = FgAbGroup(("a",), ())
+        three = FgAbGroup.of_cyclics("b", orders=(3,))
+        for total in (direct_sum(bare, three), direct_sum(three, bare)):
+            assert free_rank(total) == 1 and invariant_factors(total) == (3,)
+        for other in (FgAbGroup.free("a"), FgAbGroup.trivial()):
+            for total in (direct_sum(other, three), direct_sum(three, other)):
+                assert free_rank(total) == other.n_generators
+                assert invariant_factors(total) == (3,)
 
 
 class TestBruteForceOracle:

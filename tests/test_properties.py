@@ -7,7 +7,7 @@ run is reproducible.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product as cartesian
 from math import floor, gcd, isqrt, lcm
 
 from hypothesis import assume, example, given, settings
@@ -15,10 +15,14 @@ from hypothesis import strategies as st
 
 from realcycle.abgrp import (
     FgAbGroup,
+    GroupMap,
     Lattice,
+    cokernel_presentation,
     exponent,
     free_rank,
+    image_presentation,
     invariant_factors,
+    kernel_presentation,
     lattice_basis,
     lattice_spans,
     lattices_equal,
@@ -322,6 +326,59 @@ def test_quotient_by_the_hermite_basis_matches_the_generator_presentation(sub):
     by_generators = FgAbGroup(ambient.labels, tuple(
         tuple(g[i] for g in sub.generators) for i in range(ambient.n_generators)))
     assert invariants(quotient(ambient, sub)) == invariants(by_generators)
+
+
+@st.composite
+def cyclic_maps(draw):
+    """Orders a_j and b_i in 1..12, at most two of each, and the matrix of a
+    map from sum Z/a_j to sum Z/b_i: the entry in row i, column j is a multiple
+    of b_i / gcd(a_j, b_i), so a_j times column j lies in the target relations."""
+    a = draw(st.lists(st.integers(1, 12), max_size=2))
+    b = draw(st.lists(st.integers(1, 12), max_size=2))
+    return a, b, [[draw(st.integers(-3, 3)) * (bi // gcd(aj, bi)) for aj in a] for bi in b]
+
+
+def elements(orders):
+    """Every element of sum Z/orders, as a tuple of residues."""
+    return list(cartesian(*(range(n) for n in orders)))
+
+
+def subgroup_invariants(members, orders):
+    """(order, exponent) of a subgroup of sum Z/orders, given all its elements."""
+    return len(members), lcm(1, *(n // gcd(n, xi) for x in members for n, xi in zip(orders, x)))
+
+
+@SETTINGS
+@given(cyclic_maps())
+@example(([], [3], [[]]))
+@example(([4, 6], [], []))
+@example(([4, 6], [2, 3], [[1, 1], [0, 1]]))
+@example(([12, 12], [12, 12], [[2, 4], [6, 3]]))
+def test_kernel_image_and_cokernel_agree_with_enumeration(case):
+    a, b, matrix = case
+    f = GroupMap.make(FgAbGroup.of_cyclics(*(f"s{j}" for j in range(len(a))), orders=a),
+                      FgAbGroup.of_cyclics(*(f"t{i}" for i in range(len(b))), orders=b),
+                      matrix)
+
+    def apply(x):
+        return tuple(sum(c * xj for c, xj in zip(row, x)) % bi for row, bi in zip(matrix, b))
+
+    source, target = elements(a), elements(b)
+    image = {apply(x) for x in source}
+    ker, incl = kernel_presentation(f)
+    assert (order_of(ker), exponent(ker)) == subgroup_invariants(
+        [x for x in source if not any(apply(x))], a)
+    im = image_presentation(f)
+    assert (order_of(im), exponent(im)) == subgroup_invariants(image, b)
+    coker = cokernel_presentation(f)
+    coker_exponent = next(e for e in range(1, len(target) + 1)
+                          if all(tuple(e * yi % bi for yi, bi in zip(y, b)) in image
+                                 for y in target))
+    assert (order_of(coker), exponent(coker)) == (len(target) // len(image), coker_exponent)
+    # f after the inclusion is zero: each kernel generator maps into the relations
+    assert incl.source == ker and incl.target == f.source
+    for gen in zip(*incl.matrix):
+        assert not any(apply(gen))
 
 
 @SETTINGS
