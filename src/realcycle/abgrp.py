@@ -404,10 +404,13 @@ class GroupMap:
 
 
 def kernel_presentation(f: GroupMap) -> tuple[FgAbGroup, GroupMap]:
-    """Present Ker f and return it with its inclusion into the source."""
+    """Present Ker f and return it with its inclusion into the source.
+
+    The preimage of the target relations already holds the source relations,
+    since ``GroupMap`` checks that f carries them into the target relations.
+    """
     src, tgt = f.source, f.target
     gens = preimage_lattice(f.images, tgt.relation_columns, tgt.n_generators)
-    gens += src.relation_columns
     rels = preimage_lattice(gens, src.relation_columns, src.n_generators)
     ker = _presented(tuple(f"k{i}" for i in range(len(gens))), rels)
     return ker, GroupMap.make(ker, src, _transpose(gens, src.n_generators))
@@ -442,8 +445,9 @@ def check_exact(maps: Sequence[GroupMap]) -> ExactnessReport:
         node = into.target
         dim = node.n_generators
         im_gens = into.images + node.relation_columns
+        # holds node.relation_columns, as in kernel_presentation
         ker_gens = preimage_lattice(outof.images, outof.target.relation_columns,
-                                    outof.target.n_generators) + node.relation_columns
+                                    outof.target.n_generators)
         if hermite_form(ker_gens, dim)[0] != hermite_form(im_gens, dim)[0]:
             return ExactnessReport(False, i)
     return ExactnessReport(True, None)

@@ -298,10 +298,8 @@ def _witness_json(cert):
         pt = term.point
         if isinstance(pt, cycleclass.RationalPoint):
             entry["point"] = {"x": jnum(pt.x), "y": jnum(pt.y) if pt.y is not None else None}
-        elif isinstance(pt, cycleclass.ConjugatePair):
-            entry["point"] = {"x": jnum(pt.x), "conjugate_pair": True}
         else:
-            entry["point"] = {"x": jnum(pt.x), "interval": True}
+            entry["point"] = {"x": jnum(pt.x), "conjugate_pair": True}
         entry["unit"] = " + ".join(t.unit.describe() for t in cert.witness.terms)
     return entry
 
@@ -325,21 +323,18 @@ def cmd_curve(args) -> int:
     }
 
     if isinstance(curve, realcurve.PuncturedLine):
-        if any(bits.values()):
-            report["gamma0"] = {"image_basis": None, "coker": None,
-                                "knebusch_match": None, "bound_only": True}
-        else:
-            image = cycleclass.gamma0_image(curve, components)
-            order, exp = cycleclass.coker_report(image)
-            basis = abgrp.lattice_basis(image)
-            gamma = cycleclass.knebusch_gamma(len(components))
-            report["gamma0"] = {
-                "image_basis": [[jnum(x) for x in row] for row in basis],
-                "coker": {"order": order if order is not None else "infinite",
-                          "exponent": exp},
-                "knebusch_match": abgrp.lattices_equal(image, gamma),
-                "bound_only": False,
-            }
+        # a punctured line has no circles, so its twist bits are all 0
+        image = cycleclass.gamma0_image(curve, components)
+        order, exp = cycleclass.coker_report(image)
+        basis = abgrp.lattice_basis(image)
+        gamma = cycleclass.knebusch_gamma(len(components))
+        report["gamma0"] = {
+            "image_basis": [[jnum(x) for x in row] for row in basis],
+            "coker": {"order": order if order is not None else "infinite",
+                      "exponent": exp},
+            "knebusch_match": abgrp.lattices_equal(image, gamma),
+            "bound_only": False,
+        }
 
     certs = cycleclass.gamma_top_witness_search(curve, components, bits, args.budget)
     if not components:

@@ -9,7 +9,8 @@ cokernel is reported exactly.
 Top codimension is handled constructively: for every circle generator of the
 degree-one cohomology a zero-cycle witness is searched for (rational branch
 points first, then rational points found by a budgeted height search, then a
-conjugate-pair fallback which certifies twice the generator).
+conjugate-pair fallback which certifies twice the generator).  A conic that
+Hilbert symbols prove to have no rational point skips the search for one.
 
 The exponent oracle encodes the proved and conjectured bounds for the general
 cokernel and kernel as a function of dimension, codimension and the standard
@@ -26,11 +27,13 @@ from typing import Optional, Sequence, Union
 from .abgrp import FgAbGroup, Lattice, exponent, hermite_form, identity_matrix, order_of, quotient
 from .errors import (
     BadDimension,
+    FactorizationLimit,
     NegativeInput,
     PointOffCurve,
     UnsupportedTwist,
 )
-from .numeric import UPoly, is_rational_square, isolate_real_roots, rational_root, sign_of
+from .numeric import UPoly, is_rational_square, rational_root, sign_of
+from .qform import hilbert_obstruction
 from .realcurve import (
     BRANCH_BOTH,
     BRANCH_MINUS,
@@ -63,18 +66,16 @@ def unit_sign_vectors(curve: PuncturedLine,
 
 
 def gamma0_image(curve: PuncturedLine,
-                 components: Optional[Sequence[RealComponent]] = None,
-                 twist_bits: Optional[dict[str, int]] = None) -> Lattice:
+                 components: Optional[Sequence[RealComponent]] = None) -> Lattice:
     """The image of the global signature map inside H^0, as a lattice.
 
     The generators are the signature vectors of the unit forms; sums of unit
     forms have the vector sums as signatures and <-u> realizes negation, so
-    the integer span is the full image of the signature map.
+    the integer span is the full image of the signature map.  Twists live on
+    circles, and a punctured line has none, so the image is always untwisted.
     """
     if not isinstance(curve, PuncturedLine):
         raise UnsupportedTwist("unit signature lattices are computed for punctured lines")
-    if twist_bits and any(twist_bits.values()):
-        raise UnsupportedTwist("only the untwisted case is computed from units")
     comps = tuple(components) if components is not None else real_components(curve)
     vectors = unit_sign_vectors(curve, comps)
     return Lattice(_component_ambient(comps), tuple(vectors))
@@ -128,12 +129,7 @@ class ConjugatePair:
     x: Fraction
 
 
-@dataclass(frozen=True)
-class IntervalPoint:
-    x: Fraction
-
-
-CyclePoint = Union[RationalPoint, ConjugatePair, IntervalPoint]
+CyclePoint = Union[RationalPoint, ConjugatePair]
 
 
 @dataclass(frozen=True)
@@ -205,12 +201,6 @@ def class_of_zero_cycle(curve: CurveModel, components: Sequence[RealComponent],
                     f"x={pt.x} does not define a conjugate pair (f(x) = {fx})")
             place_contribution(pt.x, 1, unit)
             place_contribution(pt.x, -1, unit)
-        else:
-            comp = component_containing(curve, components, pt.x)
-            if comp is None:
-                raise PointOffCurve(f"x={pt.x} is not on the real locus")
-            if comp.is_circle:
-                raise PointOffCurve("interval-supported terms must sit on an interval")
     for cid, bit in twist_bits.items():
         if cid in out and bit:
             out[cid] %= 2
@@ -227,17 +217,20 @@ STATUS_FAILED = "failed"
 
 @dataclass(frozen=True)
 class WitnessCertificate:
+    """The witness found for one circle generator and the class it achieves.
+
+    ``obstruction``, when present, proves that the curve has no rational point
+    at all, so a conjugate pair is the best a point search can do: it is a
+    place v (a prime, or 0 for the real place) at which the Hilbert symbol
+    (A, B)_v of the conic y^2 = A*u^2 + B is -1 (see ``_conic_obstruction``).
+    Like ``DiagForm.pfister_terms`` it is ignored by equality.
+    """
+
     generator: str
     status: str
     witness: Optional[ZeroCycle] = None
     achieved: dict[str, int] = field(default_factory=dict)
-
-
-def rational_roots(f: UPoly) -> list[Fraction]:
-    """All distinct rational roots, sorted, read off the isolating intervals."""
-    if f.is_zero:
-        return []
-    return [r for r in map(rational_root, isolate_real_roots(f)) if r is not None]
+    obstruction: Optional[int] = field(default=None, compare=False)
 
 
 def _interior_window(comp: RealComponent) -> tuple[Fraction, Fraction]:
@@ -265,13 +258,37 @@ _SQUARES_64, _SQUARES_63, _SQUARES_65, _SQUARES_11 = (
     frozenset(r * r % m for r in range(m)) for m in (64, 63, 65, 11))
 
 
-def _height_search(f: UPoly, lo: Fraction, hi: Fraction, budget: int):
+def _conic_obstruction(f: UPoly) -> Optional[int]:
+    """A place proving that y^2 = f(x) has no rational point, for deg f = 2.
+
+    Completing the square gives y^2 = A*u^2 + B with A = lc(f),
+    B = -disc(f)/(4A) and u = x + f_1/(2 f_2); this conic has a rational point
+    exactly when the Hilbert symbol (A, B)_v is 1 at every place v
+    (Hasse-Minkowski; Serre, *A Course in Arithmetic*, Ch. III-IV).  Returns
+    the first place where it is -1, or None when the conic has a point, when
+    deg f != 2, or when A or B is beyond the factorisation limit.  With
+    f = (n0 + n1*x + n2*x^2)/den, the integers n2*den and
+    (4*n0*n2 - n1^2)*n2*den are A and B times rational squares.
+    """
+    if f.degree != 2:
+        return None
+    n0, n1, n2 = f.nums
+    try:
+        return hilbert_obstruction(n2 * f.den, (4 * n0 * n2 - n1 * n1) * n2 * f.den)
+    except FactorizationLimit:
+        return None
+
+
+def _height_search(f: UPoly, lo: Fraction, hi: Fraction, budget: int,
+                   insoluble: bool = False):
     """Walk x = p/q in lowest terms with lo < x < hi, q = 1..budget and then p
     ascending, for the first x at which f is a nonzero rational square.
 
     Returns ((x, y), pair_x) with y = sqrt(f(x)) > 0 at the first such x, or
     (None, pair_x) when there is none; pair_x is the first x walked with
-    f(x) > 0 (None if there is none before the point).  The walk is integer
+    f(x) > 0 (None if there is none before the point).  ``insoluble`` says
+    that y^2 = f(x) is proved to have no rational point, so the walk returns
+    at pair_x with the same answer as a full walk.  The walk is integer
     arithmetic: with 2k the least even number >= deg f, the integer
     N(p) = den^2 q^(2k) f(p/q) = sum of den*nums[i]*q^(2k-i) * p^i has the sign
     of f(p/q) and is a square exactly when f(p/q) is a rational square.
@@ -293,6 +310,8 @@ def _height_search(f: UPoly, lo: Fraction, hi: Fraction, budget: int):
                 continue
             if pair_x is None:
                 pair_x = Fraction(p, q)
+                if insoluble:
+                    return None, pair_x
             if (value % 64 in _SQUARES_64 and value % 63 in _SQUARES_63
                     and value % 65 in _SQUARES_65 and value % 11 in _SQUARES_11):
                 root = isqrt(value)
@@ -309,7 +328,8 @@ def gamma_top_witness_search(curve: CurveModel,
 
     Strategy per circle: a rational branch point (root of f) on it gives the
     generator exactly; otherwise a rational point found within the height
-    budget does; otherwise a conjugate pair certifies twice the generator.
+    budget does; otherwise a conjugate pair certifies twice the generator.  A
+    conic proved insoluble by Hilbert symbols skips the search for a point.
     Where the two sheets are separate circles, points take the circle's sign
     of y, and the pair carries the unit 1 + (sign)*y, which counts twice on
     this circle and zero on the other.
@@ -350,7 +370,8 @@ def _witness_for_circle(curve, comps, bits, comp, budget) -> WitnessCertificate:
             return WitnessCertificate(comp.id, STATUS_EXACT, cycle, gen_hit(1))
     sheet = -1 if comp.branch == BRANCH_MINUS else 1
     lo, hi = _interior_window(comp)
-    point, pair_x = _height_search(curve.f, lo, hi, budget)
+    obstruction = _conic_obstruction(curve.f)
+    point, pair_x = _height_search(curve.f, lo, hi, budget, obstruction is not None)
     if point is not None:
         x, y = point
         cycle = ZeroCycle.single(RationalPoint(x, sheet * y))
@@ -361,7 +382,7 @@ def _witness_for_circle(curve, comps, bits, comp, budget) -> WitnessCertificate:
         if comp.branch != BRANCH_BOTH:
             terms += (ZeroCycleTerm(pair, UnitCoefficient(UPoly.of(sheet), 1)),)
         cycle = ZeroCycle(terms)
-        return WitnessCertificate(comp.id, STATUS_DOUBLE, cycle, gen_hit(2))
+        return WitnessCertificate(comp.id, STATUS_DOUBLE, cycle, gen_hit(2), obstruction)
     return WitnessCertificate(comp.id, STATUS_FAILED, None, {})
 
 

@@ -9,7 +9,9 @@ discriminant, residues at rational places) is computed entrywise and exactly.
 Witt-class equality over Q and Q(t) is deliberately not decided in general:
 downstream code works through invariants and explicit certificates (isotropic
 vectors, recorded Pfister presentations).  The three-valued answer of
-``in_fundamental_power`` reflects that honestly.
+``in_fundamental_power`` reflects that honestly; it is definite for I and I^2.
+Hilbert symbols over Q decide, by Hasse-Minkowski, whether a ternary form
+<1, -a, -b> is isotropic.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from typing import Optional, Sequence, Union
 
 from .errors import (
@@ -209,39 +211,127 @@ def coerce(ctx: FieldCtx, value) -> Element:
 TRIAL_LIMIT = 10 ** 6
 
 
-def squarefree_int(n: int) -> int:
-    """Signed square-free part of a nonzero integer.
+def _trial_division(n: int) -> tuple[list[int], int]:
+    """Split a positive integer by trial division (2, then odd divisors) up to
+    TRIAL_LIMIT.
 
-    Trial division stops at TRIAL_LIMIT.  The cofactor left has no prime factor
-    up to it, so below TRIAL_LIMIT**3 it is a square, a prime or a product of
-    two distinct primes; a larger one that is not a square raises
-    FactorizationLimit.
+    Returns the primes found that divide n to an odd power, in increasing
+    order, and the square-free part of the cofactor left.  Division stops at
+    TRIAL_LIMIT, at the square root of what is left, or when what is left is
+    a square or a prime below TRIAL_LIMIT**3 (tested once the divisor passes
+    2^10, 2^11, ..., so a large prime or squared factor costs about as many
+    divisions as the next largest prime factor).  So the cofactor is 1, a
+    prime, or free of prime factors up to TRIAL_LIMIT; below TRIAL_LIMIT**3 it
+    is then a square, a prime or a product of two distinct primes, and a
+    larger one that is not a square raises FactorizationLimit.
     """
-    if n == 0:
-        raise ZeroEntry("square class of zero")
-    sign = 1 if n > 0 else -1
-    n = abs(n)
-    out = 1
-    d = 2
+    primes = []
+    d, step, test_at = 2, 1, 2 ** 10
     while d <= TRIAL_LIMIT and d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e % 2:
-            out *= d
-        d += 1
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            if e % 2:
+                primes.append(d)
+        if d > test_at:
+            if isqrt(n) ** 2 == n or (n < TRIAL_LIMIT ** 3 and _is_prime(n)):
+                break
+            test_at *= 2
+        d, step = d + step, 2
     if isqrt(n) ** 2 == n:
         n = 1
     elif n >= TRIAL_LIMIT ** 3:
         raise FactorizationLimit(
             f"a square class needs the factors of a {n.bit_length()}-bit integer "
             f"with no prime factor up to {TRIAL_LIMIT}")
-    return sign * out * n
+    return primes, n
+
+
+def squarefree_int(n: int) -> int:
+    """Signed square-free part of a nonzero integer, by ``_trial_division``."""
+    if n == 0:
+        raise ZeroEntry("square class of zero")
+    primes, rest = _trial_division(abs(n))
+    return (1 if n > 0 else -1) * prod(primes) * rest
 
 
 def _fraction_squarefree(x: Fraction) -> int:
     return squarefree_int(x.numerator * x.denominator)
+
+
+# --- Hilbert symbols over Q -----------------------------------------------------
+
+def _split_prime(n: int, p: int) -> tuple[int, int]:
+    """(k, u) with n = p^k * u and p not dividing u, for a nonzero integer n."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k, n
+
+
+def hilbert_symbol(a, b, p: int) -> int:
+    """The Hilbert symbol (a, b)_p of nonzero rationals a and b.
+
+    It is 1 when z^2 = a*x^2 + b*y^2 has a nonzero solution over Q_p, else -1.
+    ``p`` is a prime, or 0 for the real place (the convention of PARI's
+    ``hilbert``).  The formulas are those of Serre, *A Course in Arithmetic*,
+    Ch. III, Thm. 1: with a = p^alpha*u and b = p^beta*v for units u and v,
+    an odd p gives (-1)^(alpha*beta*e(p)) (u/p)^beta (v/p)^alpha, and p = 2
+    gives (-1)^(e(u)e(v) + alpha*w(v) + beta*w(u)), where e(x) = (x-1)/2 and
+    w(x) = (x^2-1)/8 mod 2.
+
+    >>> [hilbert_symbol(-1, -1, v) for v in (0, 2, 3, 5)]
+    [-1, -1, 1, 1]
+    """
+    a, b = Fraction(a), Fraction(b)
+    if not a or not b:
+        raise ZeroEntry("the Hilbert symbol needs nonzero entries")
+    if p == 0:
+        return -1 if a < 0 and b < 0 else 1
+    if p < 2 or not _is_prime(p):
+        raise ValueError(f"{p} is neither a prime nor 0 (the real place)")
+    # n*d has the square class of n/d
+    alpha, u = _split_prime(a.numerator * a.denominator, p)
+    beta, v = _split_prime(b.numerator * b.denominator, p)
+    if p == 2:
+        e = ((u - 1) // 2 * ((v - 1) // 2) + alpha * ((v * v - 1) // 8)
+             + beta * ((u * u - 1) // 8))
+        return -1 if e % 2 else 1
+    out = -1 if alpha * beta % 2 and p % 4 == 3 else 1
+    if beta % 2 and pow(u, (p - 1) // 2, p) != 1:
+        out = -out
+    if alpha % 2 and pow(v, (p - 1) // 2, p) != 1:
+        out = -out
+    return out
+
+
+def _class_primes(x: Fraction) -> list[int]:
+    """The primes dividing the square-free part of a nonzero rational, or
+    FactorizationLimit when a cofactor left by trial division is not a prime."""
+    primes, rest = _trial_division(abs(x.numerator * x.denominator))
+    if rest == 1:
+        return primes
+    if _is_prime(rest):
+        return primes + [rest]
+    raise FactorizationLimit(
+        f"a {rest.bit_length()}-bit product of two primes above {TRIAL_LIMIT} is not split")
+
+
+def hilbert_obstruction(a, b) -> Optional[int]:
+    """The first place v with (a, b)_v = -1: the real place (0) first, then the
+    primes dividing 2ab in increasing order.  None when there is none, which by
+    Hasse-Minkowski is exactly when z^2 = a*x^2 + b*y^2 has a nonzero rational
+    solution.  FactorizationLimit when the primes of a or b cannot be listed.
+
+    >>> hilbert_obstruction(-1, 3), hilbert_obstruction(-1, 5)
+    (2, None)
+    """
+    a, b = Fraction(a), Fraction(b)
+    places = [0] + sorted({2, *_class_primes(a), *_class_primes(b)})
+    return next((v for v in places if hilbert_symbol(a, b, v) == -1), None)
 
 
 def _least_nonresidue(p: int) -> int:
@@ -604,11 +694,12 @@ def in_fundamental_power(phi: DiagForm, n: int,
                          sample_orderings: Sequence[Ordering] = ()) -> Membership:
     """Does the Witt class of phi lie in the n-th power of the fundamental ideal?
 
-    Necessary conditions are applied in order (rank parity, discriminant,
-    signatures divisible by 2^n at every sampled ordering); a failure is a
-    definite No.  Yes needs a certificate: a recorded Pfister presentation of
-    arity >= n, a hyperbolic pairing, full decidability of the context, or
-    n <= 1, where I^1 is exactly the classes of even rank over every field.
+    Over every field I^1 is exactly the classes of even rank, and I^2 those of
+    even rank and trivial signed discriminant (I/I^2 is F*/F*^2 through the
+    discriminant; Lam, Ch. II), so n <= 2 is always decided.  Beyond that,
+    signatures not divisible by 2^n at a sampled ordering give a definite No,
+    and Yes needs a certificate: a recorded Pfister presentation of arity >= n,
+    a hyperbolic pairing, or full decidability of the context.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -621,6 +712,8 @@ def in_fundamental_power(phi: DiagForm, n: int,
         return Membership.YES
     if not has_trivial_discriminant(phi):
         return Membership.NO
+    if n == 2:
+        return Membership.YES
     for p in ordering_pool(ctx, sample_orderings):
         if signature(phi, p) % (2 ** n):
             return Membership.NO
@@ -629,7 +722,7 @@ def in_fundamental_power(phi: DiagForm, n: int,
     if ctx.tag == TAG_COMPLEXES:
         return Membership.YES          # even rank forms are hyperbolic
     if ctx.tag == TAG_FINITE:
-        # I^2 vanishes: membership beyond n=1 means Witt class zero,
+        # I^2 vanishes: membership beyond n=2 means Witt class zero,
         # which even rank plus trivial discriminant already certifies
         return Membership.YES
     if phi.pfister_terms is not None and all(len(s) >= n for _, s in phi.pfister_terms):

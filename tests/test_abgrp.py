@@ -232,6 +232,18 @@ class TestGroupMap:
         with pytest.raises(NotComposable):
             check_exact([f, g])
 
+    def test_kernel_has_no_redundant_generators(self):
+        # x2 on Z/4 + Z/6 has kernel <2a> + <3b> = Z/2 + Z/2: two generators,
+        # since the preimage of the target relations holds the source ones
+        g = FgAbGroup.of_cyclics("a", "b", orders=(4, 6))
+        ker, incl = kernel_presentation(GroupMap.scalar(g, 2))
+        assert ker.n_generators == 2
+        assert invariant_factors(ker) == (2, 2) and free_rank(ker) == 0
+        free = FgAbGroup.free("a", "b")
+        rels = list(g.relation_columns)
+        assert lattices_equal(Lattice(free, tuple(incl.images) + tuple(rels)),
+                              Lattice(free, ((2, 0), (0, 3), *rels)))
+
 
 def bockstein_row():
     z = FgAbGroup.free("e")

@@ -245,6 +245,14 @@ class TestFormCommand:
         assert all(row["value"] == 0 for row in report["signatures"])
         assert report["fundamental_power"] == {"1": "yes", "2": "yes"}
 
+    def test_second_power_decided_by_the_discriminant(self):
+        # even rank and trivial discriminant, with no hyperbolic pairing in
+        # sight: I^2 membership is still decided
+        for form in ("<2,3,-1,-6>", "<t,t-1,-t,-t+1>", "<t,t-1,t,t-1>"):
+            assert run_json("form", form)["form"]["fundamental_power"] == {"1": "yes", "2": "yes"}
+        report = run_json("form", "<t,t-1,-1,-t>")["form"]      # discriminant t - 1
+        assert report["fundamental_power"] == {"1": "yes", "2": "no"}
+
     def test_discriminant_computed_once(self, monkeypatch):
         # the Q(t) discriminant factors one integer, the square-free part of
         # the signed product of the leading coefficients, and nothing else in
@@ -381,15 +389,15 @@ class TestAffineLineReport:
         assert report["gamma0"]["knebusch_match"] is True
         assert report["gamma_top"] == {"status": "certified", "witnesses": []}
 
-    def test_twisted_punctured_line_is_bound_only(self):
-        # a marker on an interval never twists anything, so force the marker
-        # onto a circle-free model via the raw pipeline instead
-        from realcycle.cycleclass import gamma0_image
-        from realcycle.errors import UnsupportedTwist
-        curve = PuncturedLine.make([0])
-        comps = real_components(curve)
-        with pytest.raises(UnsupportedTwist):
-            gamma0_image(curve, comps, {comps[0].id: 1, comps[1].id: 0})
+    def test_markers_on_a_punctured_line_twist_nothing(self):
+        # every component of a punctured line is an interval, so markers
+        # leave the bits 0 and the image lattice is reported in full
+        report = run_json("curve", "--spec", "line punctures=0", "--twist", "points:(1,+)*3,(-2,-)")
+        assert [c["twist"] for c in report["components"]] == [0, 0]
+        assert report["gamma0"] == {"image_basis": [[1, 1], [0, 2]],
+                                    "coker": {"order": 2, "exponent": 2},
+                                    "knebusch_match": True, "bound_only": False}
+
 
 
 # SHA-256 of the stdout of each README "Command line" example, so any change
@@ -409,6 +417,8 @@ README_PINS = {
     'realcycle form "<t,t-1,-1>"':
         "b652854dd78bc64ab0c08d1e5ba2445c95502f88edac16b0ed40ca5bc2efa834",
     'realcycle curve --spec "hyperelliptic f=3-x^2" --budget 200':
+        "2c69a16ec3e1bef59e3806bfda82c18c02c7a5dda2f1db80c0815c47ba2f8f62",
+    'realcycle curve --spec "hyperelliptic f=3-x^2" --budget 1000':
         "2c69a16ec3e1bef59e3806bfda82c18c02c7a5dda2f1db80c0815c47ba2f8f62",
     'realcycle form "<(t^2+1)^3*(t-1/3)^5,(t-2)*(t+5/7)^2,-3*t^4+7,t^2-2>"':
         "49e1f773a9a5b4eb5df6f25fd3e294f69405dc64bb3bb946a0e32d1ab0677824",

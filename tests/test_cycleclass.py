@@ -1,15 +1,16 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from realcycle import cycleclass
 from realcycle.abgrp import Lattice, contains, lattices_equal
 from realcycle.cycleclass import (
     STATUS_DOUBLE,
     STATUS_EXACT,
     ConjugatePair,
-    IntervalPoint,
     RationalPoint,
     UnitCoefficient,
     ZeroCycle,
@@ -21,11 +22,10 @@ from realcycle.cycleclass import (
     knebusch_gamma,
     mod2_spans_everything,
     punctured_affine_report,
-    rational_roots,
     unit_sign_vectors,
 )
 from realcycle.errors import BadDimension, NegativeInput, PointOffCurve, UnsupportedTwist
-from realcycle.numeric import UPoly
+from realcycle.numeric import UPoly, isolate_real_roots, rational_root
 from realcycle.realcurve import (
     Hyperelliptic,
     ProjectiveLine,
@@ -91,11 +91,9 @@ class TestGamma0:
                   for cls in classes}
         assert max(orders) == 2
 
-    def test_twist_not_supported(self):
-        curve = PuncturedLine.make([0])
-        comps = real_components(curve)
+    def test_only_punctured_lines(self):
         with pytest.raises(UnsupportedTwist):
-            gamma0_image(curve, comps, {comps[0].id: 1, comps[1].id: 0})
+            gamma0_image(ProjectiveLine())
 
     def test_knebusch_equality_random(self):
         rng = random.Random(606)
@@ -185,12 +183,15 @@ class TestClassOfZeroCycle:
                                 ZeroCycle.single(RationalPoint(Fraction(0), Fraction(1))))
 
     def test_interval_point_contributes_zero(self):
-        curve = Hyperelliptic(UPoly.of(0, -1, 0, 1))     # x^3 - x, affine
+        # x^3 - x, affine: an oval over [-1, 0] and an interval over [1, oo);
+        # the places over x = 2 (f = 6) and the branch point (1, 0) sit on
+        # the interval
+        curve = Hyperelliptic(UPoly.of(0, -1, 0, 1))
         comps = real_components(curve)
         bits = untwisted(comps)
-        cycle = ZeroCycle.single(IntervalPoint(Fraction(2)))
-        cls = class_of_zero_cycle(curve, comps, bits, cycle)
-        assert all(v == 0 for v in cls.values())
+        for point in (ConjugatePair(Fraction(2)), RationalPoint(Fraction(1), Fraction(0))):
+            cls = class_of_zero_cycle(curve, comps, bits, ZeroCycle.single(point))
+            assert cls == {"c0": 0}
 
 
 class TestWitnessSearch:
@@ -234,6 +235,46 @@ class TestWitnessSearch:
         assert len(certs) == 1
         assert certs[0].status == STATUS_DOUBLE
         assert certs[0].achieved[certs[0].generator] == 2
+        # the proof: (-1, 3)_2 = -1, so x^2 + y^2 = 3 has no point over Q_2
+        assert certs[0].obstruction == 2
+
+    def test_insoluble_conic_walks_to_its_first_positive_candidate(self, monkeypatch):
+        # the walk calls gcd once per candidate; y^2 = 3 - x^2 is positive at
+        # the first candidate, x = -1, of the window (-13/8, 13/8), where a
+        # full walk to height 1000 calls it 1,626,500 times
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(cycleclass, "gcd", counted)
+        certs = gamma_top_witness_search(Hyperelliptic(UPoly.of(3, 0, -1)), budget=1000)
+        assert certs[0].status == STATUS_DOUBLE
+        assert certs[0].witness.terms[0].point == ConjugatePair(Fraction(-1))
+        assert len(calls) <= 3
+        # a soluble conic still walks to its first point, (-3/17, 2/17) on
+        # x^2 + y^2 = 13/289
+        calls.clear()
+        certs = gamma_top_witness_search(Hyperelliptic(UPoly.of(Fraction(13, 289), 0, -1)),
+                                         budget=1000)
+        assert certs[0].witness.terms[0].point == RationalPoint(Fraction(-3, 17), Fraction(2, 17))
+        assert certs[0].obstruction is None and len(calls) >= 50
+
+    def test_obstruction_only_on_insoluble_conics(self):
+        # 5 = 1 + 4 and 1/2 = 1/4 + 1/4 are sums of two squares, 3 and 7 not;
+        # y^2 = 3x^2 + 5 has points over Q_2 but none over Q_3 or Q_5, and is
+        # a circle only when closed up through infinity; quartics are never
+        # decided, and -(x^2-3)(x^2-7) has no rational root
+        cases = [(UPoly.of(5, 0, -1), (False, True), None),
+                 (UPoly.of(Fraction(1, 2), 0, -1), (False, True), None),
+                 (UPoly.of(7, 0, -1), (False, True), 2),
+                 (UPoly.of(5, 0, 3), (True,), 3),
+                 (UPoly.of(21, 0, -10, 0, 1).scale(-1), (False, True), None)]
+        for f, closures, place in cases:
+            for projective in closures:
+                certs = gamma_top_witness_search(Hyperelliptic(f, projective), budget=10)
+                assert certs and all(c.obstruction == place for c in certs)
 
     @pytest.mark.parametrize("f, status", [(UPoly.of(1, 0, 0, 0, 1), STATUS_EXACT),
                                            (UPoly.of(2, 0, 0, 0, 1), STATUS_DOUBLE)])
@@ -253,8 +294,10 @@ class TestWitnessSearch:
                 assert cert.witness.terms[0].point.y * sheet > 0
 
     def test_rational_roots_helper(self):
+        # the witness search reads rational branch points off the isolating
+        # intervals; the quadratic factor t^2 + 1 has no real root
         f = UPoly.from_roots([1, Fraction(-1, 2)]) * UPoly.of(1, 0, 1)
-        assert rational_roots(f) == [Fraction(-1, 2), Fraction(1)]
+        assert [rational_root(iv) for iv in isolate_real_roots(f)] == [Fraction(-1, 2), Fraction(1)]
 
     def test_fractional_branch_points_of_degree_12(self):
         # f = -prod (x - r) over twelve non-integral roots: six ovals, each

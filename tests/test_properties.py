@@ -8,7 +8,7 @@ run is reproducible.
 
 from fractions import Fraction
 from itertools import combinations, product as cartesian
-from math import floor, gcd, isqrt, lcm
+from math import floor, gcd, isqrt, lcm, prod
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -44,7 +44,6 @@ from realcycle.cycleclass import (
     ZeroCycleTerm,
     class_of_zero_cycle,
     gamma_top_witness_search,
-    rational_roots,
 )
 from realcycle.numeric import (
     ExtendedPoint,
@@ -61,19 +60,25 @@ from realcycle.numeric import (
     sturm_sequence,
 )
 from realcycle.qform import (
+    COMPLEXES,
     RATFUNC,
     RATIONALS,
+    REAL_CLOSED,
     DiagForm,
     Fp,
+    Membership,
     Ordering,
     RatFunc,
     discriminant,
     finite_field,
+    hilbert_symbol,
     hyperbolic_pairing,
+    in_fundamental_power,
     is_square,
     pfister,
     signature,
     square_class,
+    squarefree_int,
 )
 from realcycle.realcurve import (
     BRANCH_BOTH,
@@ -602,7 +607,7 @@ def polys_with_rational_roots(draw):
 @given(polys_with_rational_roots())
 def test_rational_roots_agree_with_divisor_pairs(case):
     f, roots = case
-    found = rational_roots(f)
+    found = [r for r in map(rational_root, isolate_real_roots(f)) if r is not None]
     assert found == rational_roots_by_divisors(f)
     assert set(roots) <= set(found)
 
@@ -972,3 +977,157 @@ def test_ratfunc_make_with_a_constant_denominator_takes_the_gcd_path(coeffs, c):
     want = (num.scale(1 / lead), den.scale(1 / lead))
     got = RatFunc.make(UPoly.of(*coeffs), UPoly.of(c))
     assert (got.num, got.den) == want
+
+
+# --- I^2 by the discriminant ----------------------------------------------------
+
+@st.composite
+def forms_in_every_context(draw):
+    """(form, whether the signed product of its entries is a square), over each
+    of the five contexts, the square read by that context's own test."""
+    kind = draw(st.sampled_from(["rationals", "real-closed", "complexes", "finite", "ratfunc"]))
+    n = draw(st.integers(0, 5))
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    if kind == "ratfunc":
+        es = draw(st.lists(pairing_entries, min_size=n, max_size=n))
+        d = signed_product(es)
+        square = is_rational_square(d.num.lc) and odd_multiplicity_part(d.num * d.den).degree == 0
+        return DiagForm.make(RATFUNC, es), square
+    if kind == "finite":
+        p = draw(primes)
+        es = draw(st.lists(wide_ints.filter(lambda e: e % p), min_size=n, max_size=n))
+        d = sign
+        for e in es:
+            d = d * e % p
+        return DiagForm.make(finite_field(p), es), d % p in {x * x % p for x in range(1, p)}
+    es = draw(st.lists(nonzero_fractions, min_size=n, max_size=n))
+    d = Fraction(sign)
+    for e in es:
+        d *= e
+    ctx = {"rationals": RATIONALS, "real-closed": REAL_CLOSED, "complexes": COMPLEXES}[kind]
+    square = {"rationals": is_rational_square(d), "real-closed": d > 0, "complexes": True}[kind]
+    return DiagForm.make(ctx, es), square
+
+
+@settings(SETTINGS, max_examples=200)
+@given(forms_in_every_context(), st.lists(orderings, max_size=3))
+def test_second_power_is_even_rank_and_trivial_discriminant(case, sample):
+    form, square = case
+    want = Membership.YES if form.dim % 2 == 0 and square else Membership.NO
+    assert in_fundamental_power(form, 2, sample if form.ctx == RATFUNC else ()) is want
+
+
+# --- Hilbert symbols and conics ---------------------------------------------------
+
+def locally_soluble(a, b, p, k):
+    """Does z^2 = a*x^2 + b*y^2 have a solution mod p^k with x, y, z not all
+    divisible by p?  For square-free a and b, such a solution mod p^3 (p odd)
+    or mod 2^5 lifts to Z_p by Hensel's lemma, so this decides solubility over
+    Q_p.  Scaling by a unit makes the first unit coordinate 1, and z = 1 with
+    p dividing x and y is impossible, since then p^2 divides a*x^2 + b*y^2."""
+    m = p ** k
+    squares = {z * z % m for z in range(m)}
+    return (any((a + b * y * y) % m in squares for y in range(m))
+            or any((a * x * x + b) % m in squares for x in range(0, m, p)))
+
+
+squarefree_classes = st.builds(lambda sign, ps: sign * prod(ps), st.sampled_from([1, -1]),
+                               st.sets(st.sampled_from([2, 3, 5, 7, 11, 13, 17]), max_size=3))
+rational_squares = nonzero_fractions.map(lambda r: r * r)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(squarefree_classes, squarefree_classes, st.sampled_from([2, 3, 5, 7, 11, 13]),
+       rational_squares, rational_squares)
+def test_hilbert_symbol_is_local_solubility(a, b, p, r, s):
+    want = 1 if locally_soluble(a, b, p, 5 if p == 2 else 3) else -1
+    assert hilbert_symbol(a * r, b * s, p) == want
+
+
+def prime_factors(n):
+    out, d, n = set(), 2, abs(n)
+    while d * d <= n:
+        while n % d == 0:
+            out.add(d)
+            n //= d
+        d += 1
+    return out | ({n} if n > 1 else set())
+
+
+wide_fractions = st.builds(Fraction, st.integers(-10 ** 4, 10 ** 4).filter(bool),
+                           st.integers(1, 60))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(wide_fractions, wide_fractions)
+def test_hilbert_symbols_satisfy_the_product_formula(a, b):
+    bad = prime_factors(a.numerator * a.denominator * b.numerator * b.denominator) | {2}
+    assert prod(hilbert_symbol(a, b, v) for v in bad | {0}) == 1
+    assert hilbert_symbol(a, b, 0) == (-1 if a < 0 and b < 0 else 1)
+    # two units at an odd prime have symbol 1
+    assert all(hilbert_symbol(a, b, p) == 1 for p in (3, 5, 7, 11, 13, 17, 19) if p not in bad)
+
+
+@st.composite
+def conics(draw):
+    """(y^2 = f(x) with deg f = 2, whether a rational point was planted): f of
+    either sign and closure with fractional coefficients, from random
+    coefficients, a rational multiple of a circle (x - c)^2 + y^2 = s (soluble
+    for s = 2, 5, 13, 1/2, 5/4; not for s = 3, 6, 7, 21, 3/4, 7/9), or
+    through a planted rational point."""
+    shape = draw(st.sampled_from(["random", "circle", "planted"]))
+    if shape == "circle":
+        c = draw(small_fractions)
+        s = draw(st.sampled_from([2, 3, 5, 6, 7, 13, 21, Fraction(1, 2), Fraction(5, 4),
+                                  Fraction(3, 4), Fraction(7, 9)]))
+        f = UPoly.of(s - c * c, 2 * c, -1).scale(draw(nonzero_fractions))
+    elif shape == "planted":
+        x0, y0, a1, a2 = (draw(small_fractions), draw(nonzero_fractions),
+                          draw(small_fractions), draw(nonzero_fractions))
+        f = UPoly.of(y0 * y0 - a1 * x0 - a2 * x0 * x0, a1, a2)
+    else:
+        f = UPoly.of(draw(small_fractions), draw(small_fractions), draw(nonzero_fractions))
+    assume(f.coeffs[1] ** 2 != 4 * f.coeffs[0] * f.coeffs[2])
+    return Hyperelliptic(f, draw(st.booleans())), shape == "planted"
+
+
+@settings(SETTINGS, max_examples=300)
+@given(conics(), st.integers(1, 40))
+@example((Hyperelliptic(UPoly.of(Fraction(3, 4), 0, -1)), False), 40)
+@example((Hyperelliptic(UPoly.of(Fraction(5, 3), 0, Fraction(9, 7)), True), False), 40)
+@example((Hyperelliptic(UPoly.of(Fraction(13, 289), 0, -1)), True), 40)
+def test_conic_certificates_equal_the_full_walk(case, budget):
+    """The certificate equals the full Fraction walk's; an obstruction is a
+    place where the Hilbert symbol of the completed square is -1, and then no
+    point of small height exists."""
+    curve, planted = case
+    f = curve.f
+    a, b = f.lc, f.eval_at(-f.coeffs[1] / (2 * f.lc))        # y^2 = a*u^2 + b
+    comps = real_components(curve)
+    bits = {c.id: 0 for c in comps}
+    certs = gamma_top_witness_search(curve, comps, bits, budget)
+    for cert, comp in zip(certs, [c for c in comps if c.is_circle]):
+        if any(end.kind == "root" and rational_root(end.interval) is not None
+               for arc in comp.arcs for end in arc):
+            continue        # witnessed by a rational root end, before any search
+        assert cert == witness_by_fraction_walk(curve, comps, bits, comp, budget)
+        assert cert.obstruction in (None, cycleclass._conic_obstruction(f))
+    place = cycleclass._conic_obstruction(f)
+    if place is None:
+        assert all(hilbert_symbol(a, b, v) == 1 for v in (0, 2, 3, 5, 7, 11, 13))
+        return
+    assert not planted and hilbert_symbol(a, b, place) == -1
+    for u, z in cartesian(range(-12, 13), range(13)):
+        v = a * u * u + b * z * z
+        assert (u, z) == (0, 0) or (v != 0 and not (v > 0 and is_rational_square(v)))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.dictionaries(st.sampled_from([2, 3, 5, 7919, 104729]), st.integers(1, 3), max_size=3),
+       st.sampled_from([1, 1000003, 999999999989]), st.integers(1, 2), st.sampled_from([1, -1]))
+def test_squarefree_int_of_planted_factorisations(powers, big, e, sign):
+    # one prime above 10^6, once or squared: trial division leaves it, or its
+    # square, as the cofactor
+    powers[big] = e
+    n = sign * prod(p ** k for p, k in powers.items())
+    assert squarefree_int(n) == sign * prod(p for p, k in powers.items() if k % 2)
