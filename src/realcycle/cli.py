@@ -11,7 +11,7 @@ rendered as "p/q" strings.  Reports contain no timestamps; identical inputs
 produce byte-identical output.
 
 Exit codes: 0 success, 1 suite failure, 2 parse error, 3 precondition
-violation, 4 internal error.
+violation, 4 internal error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -484,7 +484,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull, so
+        # the interpreter's final flush stays quiet, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except SpecParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

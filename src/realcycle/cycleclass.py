@@ -57,12 +57,38 @@ def _component_ambient(components: Sequence[RealComponent]) -> FgAbGroup:
     return FgAbGroup.free(*(c.id for c in components))
 
 
+def _puncture_signs(curve: PuncturedLine,
+                    components: Sequence[RealComponent]) -> list[tuple[int, ...]]:
+    """The sign vector of t - a at the components' sample points, for each
+    puncture a in increasing order.
+
+    The sign of t - a at x is the sign of x - a.  With the samples sorted,
+    each row is a run of -1s, the 0s of the samples equal to a, then +1s, and
+    one merge walk against the sorted punctures finds every run.  Each row is
+    then read back in the components' order.
+    """
+    samples = [sample_point(c, curve).x for c in components]
+    m = len(samples)
+    order = sorted(range(m), key=samples.__getitem__)
+    ranked = [samples[i] for i in order]
+    position = sorted(range(m), key=order.__getitem__)     # sample i is ranked[position[i]]
+    rows = []
+    below = 0
+    for a in curve.punctures:
+        while below < m and ranked[below] < a:
+            below += 1
+        upto = below
+        while upto < m and ranked[upto] == a:
+            upto += 1
+        run = (-1,) * below + (0,) * (upto - below) + (1,) * (m - upto)
+        rows.append(tuple(map(run.__getitem__, position)))
+    return rows
+
+
 def unit_sign_vectors(curve: PuncturedLine,
                       components: Sequence[RealComponent]) -> list[tuple[int, ...]]:
     """Signature vectors of <u> for u in {-1} and the linear units t - a."""
-    samples = [sample_point(c, curve).x for c in components]
-    units = [UPoly.of(-1)] + [UPoly.of(-a, 1) for a in curve.punctures]
-    return [tuple(u.sign_at(x) for x in samples) for u in units]
+    return [(-1,) * len(components)] + _puncture_signs(curve, components)
 
 
 def gamma0_image(curve: PuncturedLine,
@@ -86,7 +112,7 @@ def knebusch_gamma(m: int) -> Lattice:
     if m < 1:
         raise NegativeInput("need at least one component")
     ambient = FgAbGroup.free(*(f"c{i}" for i in range(m)))
-    gens = [(1,) * m] + [tuple(2 * x for x in e) for e in identity_matrix(m)]
+    gens = [(1,) * m] + [(0,) * i + (2,) + (0,) * (m - 1 - i) for i in range(m)]
     return Lattice(ambient, tuple(gens))
 
 
@@ -102,9 +128,8 @@ def mod2_spans_everything(curve: PuncturedLine,
     """Do the half-signature vectors of the binary unit forms <1, u> span the
     full mod-2 cohomology of the components?"""
     comps = tuple(components) if components is not None else real_components(curve)
-    samples = [sample_point(c, curve).x for c in comps]
-    units = [UPoly.of(1)] + [UPoly.of(-a, 1) for a in curve.punctures]
-    rows = [[1 if u.sign_at(x) > 0 else 0 for x in samples] for u in units]
+    rows = [[1] * len(comps)] + [[int(s > 0) for s in row]
+                                 for row in _puncture_signs(curve, comps)]
     # the rows span F_2^m exactly when, with 2*Z^m, they span Z^m, whose
     # Hermite basis is the identity
     identity = identity_matrix(len(comps))
@@ -280,24 +305,28 @@ def _conic_obstruction(f: UPoly) -> Optional[int]:
 
 
 def _height_search(f: UPoly, lo: Fraction, hi: Fraction, budget: int,
-                   insoluble: bool = False):
-    """Walk x = p/q in lowest terms with lo < x < hi, q = 1..budget and then p
-    ascending, for the first x at which f is a nonzero rational square.
+                   insoluble: bool = False, first: int = 1,
+                   pair_x: Optional[Fraction] = None):
+    """Walk x = p/q in lowest terms with lo < x < hi, q = first..budget and
+    then p ascending, for the first x at which f is a nonzero rational square.
 
     Returns ((x, y), pair_x) with y = sqrt(f(x)) > 0 at the first such x, or
     (None, pair_x) when there is none; pair_x is the first x walked with
-    f(x) > 0 (None if there is none before the point).  ``insoluble`` says
-    that y^2 = f(x) is proved to have no rational point, so the walk returns
-    at pair_x with the same answer as a full walk.  The walk is integer
-    arithmetic: with 2k the least even number >= deg f, the integer
-    N(p) = den^2 q^(2k) f(p/q) = sum of den*nums[i]*q^(2k-i) * p^i has the sign
-    of f(p/q) and is a square exactly when f(p/q) is a rational square.
+    f(x) > 0 (None if there is none before the point).  A walk resumed at
+    height ``first`` passes in the pair_x of the heights below it.
+    ``insoluble`` says that y^2 = f(x) is proved to have no rational point,
+    so the walk returns at pair_x with the same answer as a full walk.  The
+    walk is integer arithmetic: with 2k the least even number >= deg f, the
+    integer N(p) = den^2 q^(2k) f(p/q) = sum of den*nums[i]*q^(2k-i) * p^i
+    has the sign of f(p/q) and is a square exactly when f(p/q) is a rational
+    square.
     """
+    if insoluble and pair_x is not None:
+        return None, pair_x
     k = (f.degree + 1) // 2
     a, b = lo.numerator, lo.denominator
     c, d = hi.numerator, hi.denominator
-    pair_x = None
-    for q in range(1, budget + 1):
+    for q in range(first, budget + 1):
         weights = [f.den * n * q ** (2 * k - i) for i, n in enumerate(f.nums)][::-1]
         # a/b < p/q < c/d, with b, d, q > 0
         for p in range(a * q // b + 1, (c * q - 1) // d + 1):
@@ -370,8 +399,13 @@ def _witness_for_circle(curve, comps, bits, comp, budget) -> WitnessCertificate:
             return WitnessCertificate(comp.id, STATUS_EXACT, cycle, gen_hit(1))
     sheet = -1 if comp.branch == BRANCH_MINUS else 1
     lo, hi = _interior_window(comp)
-    obstruction = _conic_obstruction(curve.f)
-    point, pair_x = _height_search(curve.f, lo, hi, budget, obstruction is not None)
+    # height 1 first: a point there needs no factoring for the conic test
+    point, pair_x = _height_search(curve.f, lo, hi, min(budget, 1))
+    obstruction = None
+    if point is None:
+        obstruction = _conic_obstruction(curve.f)
+        point, pair_x = _height_search(curve.f, lo, hi, budget, obstruction is not None,
+                                       2, pair_x)
     if point is not None:
         x, y = point
         cycle = ZeroCycle.single(RationalPoint(x, sheet * y))

@@ -1,7 +1,10 @@
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -322,6 +325,21 @@ class TestSuiteCommand:
         assert main(["curve", "--spec", "line"]) == 4
         err = capsys.readouterr().err
         assert err == "internal error: AssertionError: deliberately injected\n"
+
+    def test_closed_stdout_exits_141_quietly(self):
+        # the report on 100 punctures is larger than a pipe buffer, so the
+        # command is still writing it when the reader closes the pipe
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        spec = "line punctures=" + ",".join(map(str, range(100)))
+        proc = subprocess.Popen([sys.executable, "-m", "realcycle.cli", "curve", "--spec", spec],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
     def test_injected_failure_exits_1(self, monkeypatch):
         import realcycle.suite as suite_mod

@@ -26,6 +26,7 @@ from realcycle.cycleclass import (
 )
 from realcycle.errors import BadDimension, NegativeInput, PointOffCurve, UnsupportedTwist
 from realcycle.numeric import UPoly, isolate_real_roots, rational_root
+from realcycle.qform import hilbert_obstruction
 from realcycle.realcurve import (
     Hyperelliptic,
     ProjectiveLine,
@@ -260,6 +261,25 @@ class TestWitnessSearch:
                                          budget=1000)
         assert certs[0].witness.terms[0].point == RationalPoint(Fraction(-3, 17), Fraction(2, 17))
         assert certs[0].obstruction is None and len(calls) >= 50
+
+    def test_a_point_at_height_one_needs_no_factoring(self, monkeypatch):
+        # y^2 = 1 - N*x^2 with N = 999999999989 * 999983 has the point (0, 1):
+        # the walk finds it at height 1, before the conic test would factor
+        # N, whose prime 999983 costs half a million trial divisions
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return hilbert_obstruction(a, b)
+
+        monkeypatch.setattr(cycleclass, "hilbert_obstruction", counted)
+        f = UPoly.of(1, 0, -999999999989 * 999983)
+        certs = gamma_top_witness_search(Hyperelliptic(f), budget=1000)
+        assert certs[0].witness.terms[0].point == RationalPoint(Fraction(0), Fraction(1))
+        assert calls == []
+        # y^2 = 3 - x^2 has no point at height 1, so it is factored once
+        certs = gamma_top_witness_search(Hyperelliptic(UPoly.of(3, 0, -1)), budget=1000)
+        assert certs[0].obstruction == 2 and calls == [(-1, 12)]
 
     def test_obstruction_only_on_insoluble_conics(self):
         # 5 = 1 + 4 and 1/2 = 1/4 + 1/4 are sums of two squares, 3 and 7 not;

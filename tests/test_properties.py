@@ -43,7 +43,10 @@ from realcycle.cycleclass import (
     ZeroCycle,
     ZeroCycleTerm,
     class_of_zero_cycle,
+    gamma0_image,
     gamma_top_witness_search,
+    mod2_spans_everything,
+    unit_sign_vectors,
 )
 from realcycle.numeric import (
     ExtendedPoint,
@@ -84,8 +87,10 @@ from realcycle.realcurve import (
     BRANCH_BOTH,
     BRANCH_MINUS,
     Hyperelliptic,
+    PuncturedLine,
     component_containing,
     real_components,
+    sample_point,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -1131,3 +1136,78 @@ def test_squarefree_int_of_planted_factorisations(powers, big, e, sign):
     powers[big] = e
     n = sign * prod(p ** k for p, k in powers.items())
     assert squarefree_int(n) == sign * prod(p for p, k in powers.items() if k % 2)
+
+
+# --- punctured-line sign vectors ------------------------------------------------
+
+@st.composite
+def lines_on_components(draw):
+    """A punctured line and the components its units are signed on: its own,
+    or those of another line with some of their sample points among the
+    punctures (a sign 0); in either case possibly shuffled."""
+    points = st.lists(small_fractions, max_size=8, unique=True)
+    other = PuncturedLine.make(draw(points))
+    comps = real_components(other)
+    if draw(st.booleans()):
+        curve = other
+    else:
+        samples = [sample_point(c, other).x for c in comps]
+        hits = draw(st.lists(st.sampled_from(samples), unique=True))
+        curve = PuncturedLine.make(set(draw(points)) | set(hits))
+    return curve, tuple(draw(st.permutations(comps)))
+
+
+def evaluated_signs(curve, comps):
+    """The signs of -1 and of each t - a at the sample points, evaluated."""
+    samples = [sample_point(c, curve).x for c in comps]
+    units = [UPoly.of(-1)] + [UPoly.of(-a, 1) for a in curve.punctures]
+    return [tuple(u.sign_at(x) for x in samples) for u in units]
+
+
+def rank_mod2(rows):
+    """Rank over F_2 of 0/1 rows, by elimination on bit masks."""
+    pivots = {}
+    for row in rows:
+        v = sum(1 << i for i, b in enumerate(row) if b % 2)
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(lines_on_components())
+def test_unit_sign_vectors_are_the_evaluated_signs(case):
+    curve, comps = case
+    assert unit_sign_vectors(curve, comps) == evaluated_signs(curve, comps)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(lines_on_components())
+def test_mod2_span_agrees_with_the_evaluated_signs(case):
+    curve, comps = case
+    # <1, u> has half-signature 1 where u > 0 and 0 elsewhere; the row of
+    # <1, 1> is all ones, the negation of the row of <-1>
+    rows = [[int(s > 0) for s in row] for row in evaluated_signs(curve, comps)]
+    rows[0] = [1] * len(comps)
+    assert mod2_spans_everything(curve, comps) == (rank_mod2(rows) == len(comps))
+
+
+def test_gamma0_image_evaluates_no_polynomial(monkeypatch):
+    calls = []
+    sign_at = UPoly.sign_at
+
+    def counted(self, x):
+        calls.append(x)
+        return sign_at(self, x)
+
+    monkeypatch.setattr(UPoly, "sign_at", counted)
+    for n in (0, 1, 7, 40):
+        curve = PuncturedLine.make([Fraction(i * i - 30, i % 5 + 1) for i in range(n)])
+        comps = real_components(curve)
+        assert len(gamma0_image(curve, comps).generators) == n + 1
+        assert mod2_spans_everything(curve, comps)
+    assert calls == []
