@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedClosure,
     ZeroEntry,
 )
-from .numeric import UPoly, gap_samples, isolate_real_roots
+from .numeric import UPoly, coprime_basis, gap_samples, isolate_coprime_roots
 from .qform import RATFUNC, DiagForm, Ordering, RatFunc
 from .suite import run_suite
 
@@ -365,10 +365,10 @@ def cmd_bound(args) -> int:
 
 
 def _ordering_panel(entries):
-    product = UPoly.one()
-    for e in entries:
-        product = product * e.num * e.den
-    ivs = isolate_real_roots(product)
+    """One ordering in each gap between the real roots of every numerator and
+    denominator, and at both ends."""
+    basis = coprime_basis([p for e in entries for p in (e.num, e.den)])
+    ivs = isolate_coprime_roots(basis)
     return ([("-inf", Ordering.at_neg_inf())]
             + [(f"t={s}+", Ordering.above(s)) for s in gap_samples(ivs)]
             + [("+inf", Ordering.at_pos_inf())])
@@ -449,40 +449,65 @@ def _default_budget() -> int:
         return 50
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_curve(sub) -> None:
+    p = sub.add_parser("curve", help="analyse a curve")
+    p.add_argument("--spec", required=True,
+                   help='e.g. "line punctures=0,1" or "hyperelliptic f=1-x^2 projective"')
+    p.add_argument("--twist", help='divisor spec "points:(x0,+)[*mult],..."')
+    p.add_argument("--budget", type=_budget, default=_default_budget(),
+                   help=f"height budget for rational point search, 1..{MAX_BUDGET}")
+    p.set_defaults(func=cmd_curve)
+
+
+def _add_bound(sub) -> None:
+    p = sub.add_parser("bound", help="exponent bounds for (d, c)")
+    p.add_argument("--d", type=_dimension, required=True, help=f"dimension, 0..{MAX_DIMENSION}")
+    p.add_argument("--c", type=_dimension, required=True, help=f"codimension, 0..{MAX_DIMENSION}")
+    p.add_argument("--proper", action="store_true")
+    p.add_argument("--real-nonempty", dest="real_nonempty", action="store_true")
+    p.add_argument("--etale-vanishing", dest="etale_vanishing", action="store_true")
+    p.set_defaults(func=cmd_bound)
+
+
+def _add_form(sub) -> None:
+    p = sub.add_parser("form", help="invariants of a diagonal form over Q(t)")
+    p.add_argument("form", help='syntax "<e1,e2,...>" with entries polynomials in t')
+    p.set_defaults(func=cmd_form)
+
+
+def _add_suite(sub) -> None:
+    p = sub.add_parser("suite", help="run the verification corpus")
+    p.add_argument("--filter", help="only run checks whose id contains this substring")
+    p.set_defaults(func=cmd_suite)
+
+
+SUBCOMMANDS = {"curve": _add_curve, "bound": _add_bound, "form": _add_form, "suite": _add_suite}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with only ``command`` when it names one.
+
+    A lean parser prints the same bytes as the full one for every argv that
+    starts with its command.  Its only top-level message is an
+    unrecognised-argument error, whose usage line lists every command: the
+    metavar spells them out.  The full parser keeps argparse's own rendering,
+    which the required-command and invalid-choice messages depend on.
+    """
     parser = argparse.ArgumentParser(prog="realcycle",
                                      description="quadratic forms and real cycle classes of curves")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_curve = sub.add_parser("curve", help="analyse a curve")
-    p_curve.add_argument("--spec", required=True,
-                         help='e.g. "line punctures=0,1" or "hyperelliptic f=1-x^2 projective"')
-    p_curve.add_argument("--twist", help='divisor spec "points:(x0,+)[*mult],..."')
-    p_curve.add_argument("--budget", type=_budget, default=_default_budget(),
-                         help=f"height budget for rational point search, 1..{MAX_BUDGET}")
-    p_curve.set_defaults(func=cmd_curve)
-
-    p_bound = sub.add_parser("bound", help="exponent bounds for (d, c)")
-    p_bound.add_argument("--d", type=_dimension, required=True, help=f"dimension, 0..{MAX_DIMENSION}")
-    p_bound.add_argument("--c", type=_dimension, required=True, help=f"codimension, 0..{MAX_DIMENSION}")
-    p_bound.add_argument("--proper", action="store_true")
-    p_bound.add_argument("--real-nonempty", dest="real_nonempty", action="store_true")
-    p_bound.add_argument("--etale-vanishing", dest="etale_vanishing", action="store_true")
-    p_bound.set_defaults(func=cmd_bound)
-
-    p_form = sub.add_parser("form", help="invariants of a diagonal form over Q(t)")
-    p_form.add_argument("form", help='syntax "<e1,e2,...>" with entries polynomials in t')
-    p_form.set_defaults(func=cmd_form)
-
-    p_suite = sub.add_parser("suite", help="run the verification corpus")
-    p_suite.add_argument("--filter", help="only run checks whose id contains this substring")
-    p_suite.set_defaults(func=cmd_suite)
+    lean = command in SUBCOMMANDS
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog,
+                                metavar=f"{{{','.join(SUBCOMMANDS)}}}" if lean else None)
+    for name, add in SUBCOMMANDS.items():
+        if not lean or name == command:
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # one input per process: build only the subcommand that runs
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()

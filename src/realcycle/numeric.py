@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, isqrt, lcm
+from math import floor, gcd, isqrt, lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BadInterval, ZeroPolynomial
@@ -489,43 +489,107 @@ def gap_samples(ivs: Sequence[IsolatingInterval]) -> list[Fraction]:
             + [ivs[-1].hi])
 
 
+def coprime_basis(polys: Iterable[UPoly]) -> tuple[UPoly, ...]:
+    """Monic, square-free, pairwise coprime polynomials whose product has the
+    roots of the nonconstant polys, each of which is a constant times a
+    product of powers of them (factor refinement: Bach, Driscoll & Shallit,
+    J. Algorithms 15, 1993).
+
+    >>> [b.to_str() for b in coprime_basis([UPoly.of(0, 0, -1, 0, 1), UPoly.of(0, 2, 2)])]
+    ['t', 't + 1', 't - 1']
+    """
+    todo = list(dict.fromkeys(p.monic() for p in polys if p.degree > 0))
+    basis: list[UPoly] = []
+    while todo:
+        a = todo.pop()
+        if a.degree > 1:
+            # the repeated part is refined on its own, so that every factor
+            # of a basis element has the same multiplicity in a
+            g = a.gcd(a.deriv())
+            if g.degree > 0:
+                a = a // g
+                todo.append(g)
+        # a is square-free: what it shares with b is g, and a / g is coprime
+        # to g and to b / g, both of which are coprime to the rest of the basis
+        refined = []
+        for b in basis:
+            g = a.gcd(b)
+            if g.degree == 0:
+                refined.append(b)
+                continue
+            refined.append(g)
+            if g != b:
+                refined.append(b // g)
+            a = a // g
+        if a.degree > 0:
+            refined.append(a)
+        basis = refined
+    return tuple(basis)
+
+
 def isolate_real_roots(p: UPoly) -> tuple[IsolatingInterval, ...]:
     """One disjoint open rational interval per distinct real root, sorted."""
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    chain = sturm_sequence(p)
-    q = chain[0]
-    if q.degree <= 0:
+    return _bisect([sturm_sequence(p)])
+
+
+def isolate_coprime_roots(polys: Sequence[UPoly]) -> tuple[IsolatingInterval, ...]:
+    """The intervals ``isolate_real_roots`` gives for the product of pairwise
+    coprime polys, found with one Sturm chain per polynomial instead of one
+    chain of the product.  Each interval carries the square-free part of the
+    polynomial whose root it holds."""
+    return _bisect([sturm_sequence(p) for p in polys])
+
+
+def _bisect(chains: Sequence[tuple[UPoly, ...]]) -> tuple[IsolatingInterval, ...]:
+    """Bisection of [-bound, bound] over the Sturm chains of pairwise coprime
+    polynomials.
+
+    Root counts of coprime polynomials add, so a count sums the chains' sign
+    variations, and a point is a root of the product when one of them
+    vanishes there.  The bound is the product's, so the bisection tree, and
+    with it every interval, is the one a single chain of the product gives.
+    """
+    chains = [c for c in chains if c[0].degree > 0]
+    qs = [c[0] for c in chains]
+    if not qs:
         return ()
 
-    def var_at(point: ExtendedPoint) -> int:
-        return _variations([sign_at(g, point) for g in chain])
+    def var_at(x: Fraction) -> tuple[int, ...]:
+        return tuple(_variations([g.sign_at(x) for g in chain]) for chain in chains)
 
-    bound = root_bound(q)
+    def owner(vlo: tuple[int, ...], vhi: tuple[int, ...]) -> UPoly:
+        return next(q for q, a, b in zip(qs, vlo, vhi) if a != b)
+
+    bound = root_bound(prod(qs, start=UPoly.one()))
     out: list[IsolatingInterval] = []
-    work = [(-bound, bound, var_at(ExtendedPoint.at(-bound)), var_at(ExtendedPoint.at(bound)))]
+    work = [(-bound, bound, var_at(-bound), var_at(bound))]
     while work:
         lo, hi, vlo, vhi = work.pop()
-        n = vlo - vhi
+        n = sum(vlo) - sum(vhi)
         if n == 0:
             continue
         if n == 1:
-            out.append(IsolatingInterval(lo, hi, q))
+            out.append(IsolatingInterval(lo, hi, owner(vlo, vhi)))
             continue
         mid = (lo + hi) / 2
-        if q.sign_at(mid):
-            vmid = var_at(ExtendedPoint.at(mid))
+        if all(q.sign_at(mid) for q in qs):
+            vmid = var_at(mid)
             work.append((lo, mid, vlo, vmid))
             work.append((mid, hi, vmid, vhi))
             continue
         # the midpoint is itself a root: carve out a window around it
         w = (hi - lo) / 4
-        while (not q.sign_at(mid - w) or not q.sign_at(mid + w)
-               or var_at(ExtendedPoint.at(mid - w)) - var_at(ExtendedPoint.at(mid + w)) != 1):
+        while True:
+            left, right = mid - w, mid + w
+            if all(q.sign_at(left) and q.sign_at(right) for q in qs):
+                vl, vr = var_at(left), var_at(right)
+                if sum(vl) - sum(vr) == 1:
+                    break
             w /= 2
-        out.append(IsolatingInterval(mid - w, mid + w, q))
-        vl, vr = var_at(ExtendedPoint.at(mid - w)), var_at(ExtendedPoint.at(mid + w))
-        work.append((lo, mid - w, vlo, vl))
-        work.append((mid + w, hi, vr, vhi))
+        out.append(IsolatingInterval(left, right, owner(vl, vr)))
+        work.append((lo, left, vlo, vl))
+        work.append((right, hi, vr, vhi))
     out.sort(key=lambda iv: iv.lo)
     return tuple(out)

@@ -211,6 +211,73 @@ class TestCurveCommand:
         assert Fraction(c0["x_range"][0][1]) == Fraction(1, 3)
 
 
+PARITY_ARGVS = [
+    [], ["-h"], ["--help"], ["frob"],
+    ["curve", "-h"], ["curve"], ["curve", "--spec", "line", "--budget", "0"],
+    ["curve", "--spec", "line", "--budget", "x"], ["curve", "--spec", "line", "x"],
+    ["bound", "-h"], ["bound", "--d", "1"], ["bound", "--d", "x", "--c", "0"],
+    ["bound", "--d", "1", "--c", "1001"], ["bound", "--d", "1", "--c", "0", "zz"],
+    ["form", "-h"], ["form"], ["form", "--bogus", "<1>"],
+    ["suite", "-h"], ["suite", "--filter"], ["suite", "--bogus"],
+]
+
+
+class TestParser:
+    @staticmethod
+    def outcome(argv, capsys):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("columns", ["200", "40"])
+    @pytest.mark.parametrize("argv", PARITY_ARGVS, ids=shlex.join)
+    def test_lean_parser_prints_what_the_full_one_does(self, argv, columns, monkeypatch, capsys):
+        # 40 columns wraps the top-level usage line, which lists every command
+        import realcycle.cli as cli_mod
+
+        monkeypatch.setenv("COLUMNS", columns)
+        lean = self.outcome(argv, capsys)
+        full_parser = cli_mod.build_parser
+        monkeypatch.setattr(cli_mod, "build_parser", lambda command=None: full_parser())
+        assert self.outcome(argv, capsys) == lean
+        assert lean[0] in (0, 2)
+
+    @pytest.mark.parametrize("command", [None, "form"])
+    def test_usage_is_the_one_argparse_renders(self, command, monkeypatch):
+        import argparse
+
+        from realcycle.cli import build_parser
+
+        monkeypatch.setenv("COLUMNS", "40")
+        reference = argparse.ArgumentParser(prog="realcycle")
+        sub = reference.add_subparsers(dest="command", required=True)
+        for name in ("curve", "bound", "form", "suite"):
+            sub.add_parser(name)
+        assert build_parser(command).format_usage() == reference.format_usage()
+
+    def test_only_the_running_subcommand_is_built(self, monkeypatch):
+        import realcycle.cli as cli_mod
+
+        built = []
+        for name, add in cli_mod.SUBCOMMANDS.items():
+            monkeypatch.setitem(cli_mod.SUBCOMMANDS, name,
+                                lambda sub, name=name, add=add: built.append(name) or add(sub))
+        assert run_cli("bound", "--d", "1", "--c", "0")[0] == 0
+        assert built == ["bound"]
+        built.clear()
+        with pytest.raises(SystemExit):
+            run_cli("--help")
+        assert built == ["curve", "bound", "form", "suite"]
+
+    def test_no_argv_reads_the_command_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["realcycle", "bound", "--d", "1", "--c", "0"])
+        assert main() == 0
+        assert capsys.readouterr().out == run_cli("bound", "--d", "1", "--c", "0")[1]
+
+
 class TestBoundCommand:
     def test_examples(self):
         assert run_json("bound", "--d", "1", "--c", "0")["bounds"]["proven"] == 2
@@ -271,6 +338,27 @@ class TestFormCommand:
         report = run_json("form", "<t,2>")["form"]
         assert report["discriminant"] == "-2*t"
         assert calls == [-2]
+
+    def test_sixty_entry_panel_isolates_over_linear_chains(self, monkeypatch):
+        # the panel isolates each basis polynomial's chain, never one chain of
+        # the product: here every basis polynomial is linear
+        import realcycle.numeric as numeric
+
+        lengths = []
+        sturm = numeric.sturm_sequence
+
+        def counted(p):
+            chain = sturm(p)
+            lengths.append(len(chain))
+            return chain
+
+        monkeypatch.setattr(numeric, "sturm_sequence", counted)
+        code, out = run_cli("form", "<" + ",".join(f"t-{i}" for i in range(60)) + ">")
+        assert code == 0 and len(json.loads(out)["form"]["signatures"]) == 63
+        assert lengths and max(lengths) <= 2
+        # the bytes the product's isolation printed
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "cfa2520b0d3ded39900d58353058f546fc979ccac656316be24cc63bd3c7c8af")
 
     def test_zero_entry_exits_3(self):
         code, _ = run_cli("form", "<0>")

@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations, product as cartesian
 from math import floor, gcd, isqrt, lcm, prod
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -51,8 +52,10 @@ from realcycle.cycleclass import (
 from realcycle.numeric import (
     ExtendedPoint,
     UPoly,
+    coprime_basis,
     count_real_roots,
     is_rational_square,
+    isolate_coprime_roots,
     isolate_real_roots,
     odd_multiplicity_part,
     rational_root,
@@ -759,6 +762,100 @@ def test_odd_multiplicity_part_keeps_the_odd_planted_factors(mults, lead):
         if m % 2:
             odd = odd * factor
     assert odd_multiplicity_part(p) == odd
+
+
+# --- a coprime basis, and root isolation over it ---------------------------------
+
+# shared linear factors, quadratics with two real roots (t^2 - 2, t^2 - t - 1)
+# and with none (t^2 + 1, t^2 + t + 1)
+SHARED_FACTORS = ([UPoly.of(-r, 1) for r in (-3, -1, 0, Fraction(1, 3), 1, 2)]
+                  + [UPoly.of(-2, 0, 1), UPoly.of(-1, -1, 1), UPoly.of(1, 0, 1), UPoly.of(1, 1, 1)])
+random_factors = st.lists(small_fractions, min_size=2, max_size=3).filter(
+    lambda cs: cs[-1] != 0).map(lambda cs: UPoly.of(*cs))
+
+
+@st.composite
+def entry_polys(draw):
+    """Numerators and denominators of a few Q(t) entries: a scalar times
+    powers of shared factors and of random linear and quadratic ones."""
+    polys = []
+    for _ in range(draw(st.integers(0, 6))):
+        p = UPoly.of(draw(nonzero_fractions))
+        for _ in range(draw(st.integers(0, 3))):
+            factor = draw(st.sampled_from(SHARED_FACTORS) | random_factors)
+            for _ in range(draw(st.integers(1, 3))):
+                p = p * factor
+        polys.append(p)
+    return polys
+
+
+def multiplicity(b, p):
+    k = 0
+    while True:
+        q, r = p.divmod(b)
+        if not r.is_zero:
+            return k
+        p, k = q, k + 1
+
+
+@SETTINGS
+@given(entry_polys())
+def test_coprime_basis_is_a_gcd_free_basis_of_its_inputs(polys):
+    basis = coprime_basis(polys)
+    for i, b in enumerate(basis):
+        assert b.degree > 0 and b.lc == 1 and b.gcd(b.deriv()).degree == 0
+        assert all(b.gcd(c).degree == 0 for c in basis[i + 1:])
+        assert any(multiplicity(b, p) for p in polys)
+    for p in polys:
+        # p is a constant times a product of powers of the basis
+        rest = p
+        for b in basis:
+            for _ in range(multiplicity(b, p)):
+                rest = rest // b
+        assert rest.degree == 0
+
+
+def isolates_alike(polys):
+    """The coprime isolation against that of the product, interval by interval;
+    each interval carries the basis polynomial whose root it holds."""
+    basis = coprime_basis(polys)
+    got = isolate_coprime_roots(basis)
+    want = isolate_real_roots(prod(polys, start=UPoly.one()))
+    assert [(iv.lo, iv.hi) for iv in got] == [(iv.lo, iv.hi) for iv in want]
+    for iv in got:
+        assert iv.poly in basis and iv.poly.sign_at(iv.lo) * iv.poly.sign_at(iv.hi) == -1
+
+
+@SETTINGS
+@given(entry_polys())
+def test_coprime_isolation_is_the_products_interval_by_interval(polys):
+    isolates_alike(polys)
+
+
+@pytest.mark.parametrize("roots, at_midpoints", [
+    ((-1, 0, 1), (0,)),                   # bound 2: 0, and +-1 on the window around it
+    ((-2, -1), (-2, -1)),                 # bound 4: -bound/2, -bound/4
+    ((-1, Fraction(-2, 3)), (-1,)),       # bound 8/3: -3 bound/8
+    ((0, Fraction(1, 3), 4), (0, Fraction(1, 3))),  # bound 16/3: 0, bound/16
+])
+def test_roots_at_bisection_midpoints_isolate_alike(roots, at_midpoints, monkeypatch):
+    # one entry per root, so a midpoint root belongs to one basis element
+    # and the others do not vanish there
+    vanished = set()
+    sign_at = UPoly.sign_at
+
+    def recorded(p, x):
+        s = sign_at(p, x)
+        if not s:
+            vanished.add(x)
+        return s
+
+    polys = [UPoly.of(-r, 1) for r in roots]
+    monkeypatch.setattr(UPoly, "sign_at", recorded)
+    isolate_coprime_roots(coprime_basis(polys))
+    monkeypatch.undo()
+    assert vanished >= set(at_midpoints)
+    isolates_alike(polys)
 
 
 # --- field elements and forms ---------------------------------------------------
