@@ -182,14 +182,14 @@ class UPoly:
 
     def gcd(self, other: "UPoly") -> "UPoly":
         """Monic greatest common divisor; gcd(0, 0) is the zero polynomial."""
-        a, b = self, other
-        while not b.is_zero:
-            r = a.divmod(b)[1]
-            # the result is made monic, so each remainder is cut to its primitive part
-            a, b = b, UPoly._make(r.nums, gcd(*r.nums))
-        if a.is_zero:
-            return a
-        return a.monic()
+        # a positive denominator changes no remainder's primitive part
+        a, b = self.nums, other.nums
+        while len(b) > 1:
+            a, b = b, _primitive_remainder(a, b)
+        if b:
+            # a nonzero constant divides everything
+            return UPoly.one()
+        return UPoly._make(a, a[-1]) if a else UPoly.zero()
 
     def to_str(self, var: str = "t") -> str:
         if self.is_zero:
@@ -211,6 +211,38 @@ class UPoly:
 
     def __str__(self) -> str:
         return self.to_str()
+
+
+def _primitive_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The primitive part of the pseudo-remainder of a by b, for integer
+    coefficient lists lowest degree first with b's last entry nonzero; [] when
+    b divides a.
+
+    Each step multiplies by |lc(b)|/gcd, so the result is a positive multiple
+    of the remainder over Q and has its signs: the one remainder step of
+    ``UPoly.gcd`` and of the Sturm chains (Brown & Traub, J. ACM 18, 1971).
+
+    >>> _primitive_remainder([1, 0, 1], [0, 2])
+    [1]
+    """
+    rem, lead, dd = list(a), b[-1], len(b) - 1
+    size = abs(lead)
+    while len(rem) > dd:
+        c = rem.pop()
+        if not c:
+            continue
+        g = gcd(c, lead)
+        if g != size:
+            m = size // g
+            rem = [m * r for r in rem]
+        t = c // g if lead > 0 else -c // g
+        k = len(rem) - dd
+        for j in range(dd):
+            rem[k + j] -= t * b[j]
+    while rem and not rem[-1]:
+        rem.pop()
+    g = gcd(*rem)
+    return [r // g for r in rem] if g > 1 else rem
 
 
 # --- extended points -------------------------------------------------------
@@ -343,21 +375,29 @@ def squarefree_part(p: UPoly) -> UPoly:
     """
     if p.is_zero:
         raise ZeroPolynomial("square-free part of the zero polynomial")
-    q = p // p.gcd(p.deriv())
+    g = p.gcd(p.deriv())
+    q = p // g if g.degree > 0 else p
     return q.monic().scale(sign_of(p.nums[-1]))
 
 
 def odd_multiplicity_part(p: UPoly) -> UPoly:
     """Product of the monic irreducible factors of p occurring with odd
-    multiplicity (the square class of monic(p) in Q(t)).  With g = gcd(p, p'),
-    monic(p)/g is the product of all the factors and g has each multiplicity
-    lowered by one, so the odd part of p is monic(p)/g over that of g."""
-    if p.degree == 0:
-        return UPoly.one()
-    g = p.gcd(p.deriv())
-    if g.degree == 0:
-        return p.monic()
-    return p.monic() // g // odd_multiplicity_part(g)
+    multiplicity (the square class of monic(p) in Q(t)).
+
+    With p_0 = monic(p) and p_(i+1) = gcd(p_i, p_i'), s_i = p_i / p_(i+1) is
+    the product of the factors of multiplicity above i, so s_i / s_(i+1) is
+    that of the factors of multiplicity exactly i + 1, and the odd part is
+    the product of s_i / s_(i+1) over even i.  One loop step per multiplicity
+    level, however high the multiplicity.
+    """
+    p, levels = p.monic(), []
+    while p.degree > 0:
+        g = p.gcd(p.deriv())
+        levels.append(p // g if g.degree > 0 else p)
+        p = g
+    odd = [s if t is None else s // t
+           for s, t in itertools.zip_longest(levels[::2], levels[1::2])]
+    return prod(odd[1:], start=odd[0]) if odd else UPoly.one()
 
 
 def sturm_sequence(p: UPoly) -> tuple[UPoly, ...]:
@@ -370,16 +410,22 @@ def sturm_sequence(p: UPoly) -> tuple[UPoly, ...]:
     """
     if p.is_zero:
         raise ZeroPolynomial("Sturm chain of the zero polynomial")
-    if p.degree == 0:
-        return (p,)
-    q = squarefree_part(p)
+    return _sturm_chain(squarefree_part(p) if p.degree > 0 else p)
+
+
+def _sturm_chain(q: UPoly) -> tuple[UPoly, ...]:
+    """The Sturm chain of ``sturm_sequence`` for a square-free q."""
+    if q.degree <= 0:
+        return (q,)
     chain = [q, q.deriv()]
-    while chain[-1].degree > 0:
-        rem = chain[-2].divmod(chain[-1])[1]
-        if rem.is_zero:
+    a, b = q.nums, chain[-1].nums
+    while len(b) > 1:
+        rem = _primitive_remainder(a, b)
+        if not rem:
             # cannot happen for a square-free q, but guard anyway
             break
-        chain.append(-UPoly._make(rem.nums, gcd(*rem.nums)))
+        a, b = b, tuple(-r for r in rem)
+        chain.append(UPoly(b))
     return tuple(chain)
 
 
@@ -537,9 +583,12 @@ def isolate_real_roots(p: UPoly) -> tuple[IsolatingInterval, ...]:
 def isolate_coprime_roots(polys: Sequence[UPoly]) -> tuple[IsolatingInterval, ...]:
     """The intervals ``isolate_real_roots`` gives for the product of pairwise
     coprime polys, found with one Sturm chain per polynomial instead of one
-    chain of the product.  Each interval carries the square-free part of the
-    polynomial whose root it holds."""
-    return _bisect([sturm_sequence(p) for p in polys])
+    chain of the product.
+
+    The polys must be square-free, as ``coprime_basis`` makes them, so each
+    chain starts at its polynomial and no gcd(p, p') is computed; each
+    interval carries the polynomial whose root it holds."""
+    return _bisect([_sturm_chain(p) for p in polys])
 
 
 def _bisect(chains: Sequence[tuple[UPoly, ...]]) -> tuple[IsolatingInterval, ...]:
@@ -550,21 +599,52 @@ def _bisect(chains: Sequence[tuple[UPoly, ...]]) -> tuple[IsolatingInterval, ...
     variations, and a point is a root of the product when one of them
     vanishes there.  The bound is the product's, so the bisection tree, and
     with it every interval, is the one a single chain of the product gives.
+
+    A chain's variation changes only at its polynomial's roots.  So a point
+    of an interval is evaluated only on the chains whose variation differs at
+    the interval's ends, and of those only on the ones whose own Cauchy bound
+    it lies within; any other chain has the variation of the near end.
     """
     chains = [c for c in chains if c[0].degree > 0]
-    qs = [c[0] for c in chains]
-    if not qs:
+    if not chains:
         return ()
+    qs = [c[0] for c in chains]
+    bound = root_bound(prod(qs, start=UPoly.one()))
+    # every point lies within the product's bound, so only a chain's own
+    # smaller bound can put a point past its roots
+    reach = [r if r < bound else None for r in map(root_bound, qs)]
+    far = None if None in reach else max(reach)
 
-    def var_at(x: Fraction) -> tuple[int, ...]:
-        return tuple(_variations([g.sign_at(x) for g in chain]) for chain in chains)
+    def var_at(x: Fraction, vlo: tuple[int, ...], vhi: tuple[int, ...]):
+        """The variations at x, a point between two with variations vlo and
+        vhi, or None when x is a root."""
+        if far is not None and not -far < x < far:
+            return vhi if x > 0 else vlo
+        out = list(vlo)
+        for i, chain in enumerate(chains):
+            if vlo[i] == vhi[i]:
+                continue
+            r = reach[i]
+            if r is not None and not -r < x < r:
+                out[i] = vhi[i] if x > 0 else vlo[i]
+                continue
+            s = chain[0].sign_at(x)
+            if not s:
+                return None
+            out[i] = _variations([s] + [g.sign_at(x) for g in chain[1:]])
+        return tuple(out)
 
     def owner(vlo: tuple[int, ...], vhi: tuple[int, ...]) -> UPoly:
         return next(q for q, a, b in zip(qs, vlo, vhi) if a != b)
 
-    bound = root_bound(prod(qs, start=UPoly.one()))
+    def var_beyond(side: int) -> tuple[int, ...]:
+        """The variations past the bound on one side: as at infinity, from
+        the signs of the leading terms, since no root lies beyond it."""
+        return tuple(_variations([sign_of(g.nums[-1]) * side ** g.degree for g in c])
+                     for c in chains)
+
     out: list[IsolatingInterval] = []
-    work = [(-bound, bound, var_at(-bound), var_at(bound))]
+    work = [(-bound, bound, var_beyond(-1), var_beyond(1))]
     while work:
         lo, hi, vlo, vhi = work.pop()
         n = sum(vlo) - sum(vhi)
@@ -574,8 +654,8 @@ def _bisect(chains: Sequence[tuple[UPoly, ...]]) -> tuple[IsolatingInterval, ...
             out.append(IsolatingInterval(lo, hi, owner(vlo, vhi)))
             continue
         mid = (lo + hi) / 2
-        if all(q.sign_at(mid) for q in qs):
-            vmid = var_at(mid)
+        vmid = var_at(mid, vlo, vhi)
+        if vmid is not None:
             work.append((lo, mid, vlo, vmid))
             work.append((mid, hi, vmid, vhi))
             continue
@@ -583,10 +663,10 @@ def _bisect(chains: Sequence[tuple[UPoly, ...]]) -> tuple[IsolatingInterval, ...
         w = (hi - lo) / 4
         while True:
             left, right = mid - w, mid + w
-            if all(q.sign_at(left) and q.sign_at(right) for q in qs):
-                vl, vr = var_at(left), var_at(right)
-                if sum(vl) - sum(vr) == 1:
-                    break
+            vl = var_at(left, vlo, vhi)
+            vr = None if vl is None else var_at(right, vlo, vhi)
+            if vr is not None and sum(vl) - sum(vr) == 1:
+                break
             w /= 2
         out.append(IsolatingInterval(left, right, owner(vl, vr)))
         work.append((lo, left, vlo, vl))

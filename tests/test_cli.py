@@ -344,21 +344,35 @@ class TestFormCommand:
         # the product: here every basis polynomial is linear
         import realcycle.numeric as numeric
 
-        lengths = []
-        sturm = numeric.sturm_sequence
+        lengths, signs = [], [0]
+        bisect, sign_at = numeric._bisect, numeric.UPoly.sign_at
 
-        def counted(p):
-            chain = sturm(p)
-            lengths.append(len(chain))
-            return chain
+        def observed(chains):
+            lengths.extend(len(c) for c in chains)
+            return bisect(chains)
 
-        monkeypatch.setattr(numeric, "sturm_sequence", counted)
+        def counted(p, x):
+            signs[0] += 1
+            return sign_at(p, x)
+
+        monkeypatch.setattr(numeric, "_bisect", observed)
+        monkeypatch.setattr(numeric.UPoly, "sign_at", counted)
         code, out = run_cli("form", "<" + ",".join(f"t-{i}" for i in range(60)) + ">")
         assert code == 0 and len(json.loads(out)["form"]["signatures"]) == 63
-        assert lengths and max(lengths) <= 2
+        assert len(lengths) == 60 and max(lengths) <= 2
+        # the bisection evaluates a chain only where one of its roots is in
+        # reach; evaluating every chain at every point took 162,960 calls
+        assert signs[0] < 10_000
         # the bytes the product's isolation printed
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "cfa2520b0d3ded39900d58353058f546fc979ccac656316be24cc63bd3c7c8af")
+
+    @pytest.mark.parametrize("power, discriminant", [(1000, "1"), (999, "t + 1")])
+    def test_thousandth_power_entry(self, power, discriminant):
+        # the odd part takes one multiplicity level per power, past the
+        # default recursion limit
+        report = run_json("form", f"<(t+1)^{power}>")["form"]
+        assert report["discriminant"] == discriminant
 
     def test_zero_entry_exits_3(self):
         code, _ = run_cli("form", "<0>")

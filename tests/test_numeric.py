@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -230,3 +231,13 @@ class TestSquarefree:
     def test_decomposition(self):
         p = UPoly.from_roots([1, 1, -2])  # (t-1)^2 (t+2)
         assert odd_multiplicity_part(p) == UPoly.of(2, 1)
+
+    def test_odd_part_of_a_thousandth_power(self):
+        # one multiplicity level per power: more levels than the default
+        # recursion limit has frames
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert odd_multiplicity_part(UPoly.from_roots([-1] * 1000)) == UPoly.one()
+        finally:
+            sys.setrecursionlimit(old)

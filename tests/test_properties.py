@@ -32,7 +32,7 @@ from realcycle.abgrp import (
     smith_normal_form,
     solve_in_lattice,
 )
-from realcycle import cycleclass
+from realcycle import cycleclass, numeric
 from realcycle.cycleclass import (
     STATUS_DOUBLE,
     STATUS_EXACT,
@@ -59,6 +59,7 @@ from realcycle.numeric import (
     isolate_real_roots,
     odd_multiplicity_part,
     rational_root,
+    root_bound,
     sign_at,
     sign_of,
     split_root,
@@ -722,15 +723,40 @@ def sign_variations(signs):
 
 @SETTINGS
 @given(fraction_lists.filter(lambda cs: len(cs) >= 2), st.lists(small_fractions, max_size=6))
+# t^3 - 2 over 3t^2: one elimination step, so one multiplier decides the sign
+@example([Fraction(-2), Fraction(0), Fraction(0), Fraction(1)], [])
 def test_sturm_chain_signs_agree_with_fraction_remainders(coeffs, points):
     p = UPoly.of(*coeffs)
     chain, oracle = sturm_sequence(p), fraction_sturm_chain(p)
     assert len(chain) == len(oracle)
+    # each element is a positive multiple of the oracle's, so every sign agrees
+    for g, want in zip(chain, oracle):
+        scale = want[-1] / g.lc
+        assert scale > 0 and [c * scale for c in g.coeffs] == want
+    # the coprime isolation's chain of a square-free polynomial is the same
+    assert numeric._sturm_chain(chain[0]) == chain
     for x in points:
         signs = [sign_of(g.eval_at(x)) for g in chain]
         want = [sign_of(sum(c * x ** i for i, c in enumerate(g))) for g in oracle]
         assert signs == want
         assert sign_variations(signs) == sign_variations(want)
+
+
+def negative_lead(cs):
+    return cs[:-1] + [-abs(cs[-1])] if cs else cs
+
+
+@SETTINGS
+@given(st.just([]) | fraction_lists.map(negative_lead), st.just([]) | fraction_lists,
+       fraction_lists.filter(bool).map(negative_lead))
+@example([], [], [Fraction(-2), Fraction(-1)])
+def test_upoly_gcd_agrees_with_fraction_euclid_on_zeros_and_negative_leads(a, b, common):
+    # either input, or both, may be zero; a planted common factor makes the
+    # gcd nontrivial
+    a, b = list_mul(a, common), list_mul(b, common)
+    p, q = UPoly.of(*a), UPoly.of(*b)
+    assert list(p.gcd(q).coeffs) == list_gcd(a, b)
+    assert list(q.gcd(p).coeffs) == list_gcd(b, a)
 
 
 @SETTINGS
@@ -855,6 +881,51 @@ def test_roots_at_bisection_midpoints_isolate_alike(roots, at_midpoints, monkeyp
     isolate_coprime_roots(coprime_basis(polys))
     monkeypatch.undo()
     assert vanished >= set(at_midpoints)
+    isolates_alike(polys)
+
+
+@st.composite
+def spread_polys(draw):
+    """Entries whose factors' root bounds lie up to six orders of magnitude
+    apart: f(t / 10^k) has the roots of f scaled by 10^k."""
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        f = draw(st.sampled_from(SHARED_FACTORS) | random_factors)
+        k = draw(st.integers(0, 6))
+        polys.append(UPoly.of(*(c * 10 ** (k * (f.degree - i)) for i, c in enumerate(f.coeffs))))
+    return polys
+
+
+@SETTINGS
+@given(spread_polys())
+@example([UPoly.of(-10 ** 6, 1), UPoly.of(-2, 0, 1), UPoly.of(1, 3)])
+def test_coprime_isolation_with_spread_bounds_is_the_products(polys):
+    isolates_alike(polys)
+
+
+@pytest.mark.parametrize("roots", [
+    (0, 1),                      # bound 2: the window around 0 reaches 1, t's bound
+    (-2, -1),                    # bound 4: -2 and -3, the bounds of t + 1 and t + 2
+    (-7, -3, -1),                # bound 32: -2, -4 and -8
+    (-7, -5, Fraction(1, 3)),    # bound 32: -6 and -8
+])
+def test_points_on_a_chains_bound_isolate_alike(roots, monkeypatch):
+    # the product's one chain is evaluated at every point of the tree, so its
+    # evaluations list the points; some of them lie on a basis element's own
+    # bound, where that element's chain takes the near end's variation
+    polys = [UPoly.of(-r, 1) for r in roots]
+    points = set()
+    sign_at = UPoly.sign_at
+
+    def recorded(p, x):
+        points.add(abs(x))
+        return sign_at(p, x)
+
+    monkeypatch.setattr(UPoly, "sign_at", recorded)
+    isolate_real_roots(prod(polys, start=UPoly.one()))
+    monkeypatch.undo()
+    bound = root_bound(prod(polys, start=UPoly.one()))
+    assert any(root_bound(b) in points and root_bound(b) < bound for b in coprime_basis(polys))
     isolates_alike(polys)
 
 
