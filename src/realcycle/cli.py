@@ -147,8 +147,8 @@ def _parse_power(toks, var):
         if exp > MAX_POWER or base.degree * exp > MAX_POWER:
             raise SpecParseError(f"powers are capped at degree {MAX_POWER}")
         out = UPoly.one()
-        for _ in range(int(exp)):
-            out = out * base
+        for bit in bin(int(exp))[2:]:    # square-and-multiply, top bit first
+            out = out * out * base if bit == "1" else out * out
         return out
     return base
 
@@ -367,7 +367,7 @@ def cmd_bound(args) -> int:
 def _ordering_panel(entries):
     """One ordering in each gap between the real roots of every numerator and
     denominator, and at both ends."""
-    basis = coprime_basis([p for e in entries for p in (e.num, e.den)])
+    basis = coprime_basis([s for e in entries for s in e.rungs])
     ivs = isolate_coprime_roots(basis)
     return ([("-inf", Ordering.at_neg_inf())]
             + [(f"t={s}+", Ordering.above(s)) for s in gap_samples(ivs)]
@@ -386,13 +386,8 @@ def cmd_form(args) -> int:
     panel = _ordering_panel(form.entries)
     signatures = [{"at": label, "value": qform.signature(form, p)} for label, p in panel]
     disc = qform.discriminant(form)
-    membership = {
-        str(n): in_power.value
-        for n, in_power in (
-            (1, qform.in_fundamental_power(form, 1, [p for _, p in panel])),
-            (2, qform.in_fundamental_power(form, 2, [p for _, p in panel])),
-        )
-    }
+    # n <= 2 is decided by rank and discriminant, with no ordering sampled
+    membership = {str(n): qform.in_fundamental_power(form, n).value for n in (1, 2)}
     report = {
         "form": {
             "entries": [e.to_str() for e in form.entries],

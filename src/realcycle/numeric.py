@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm, prod
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import BadInterval, ZeroPolynomial
 
@@ -366,37 +366,44 @@ def is_rational_square(x: Fraction) -> bool:
 
 # --- core operations --------------------------------------------------------
 
+def squarefree_ladder(p: UPoly) -> Iterator[UPoly]:
+    """The rungs s_1, s_2, ... of p's square-free ladder, climbed lazily.
+
+    With p_0 = monic(p) and p_(i+1) = gcd(p_i, p_i'), the rung s_(i+1) =
+    p_i / p_(i+1) is the product of the monic irreducible factors of
+    multiplicity above i (Yun, SYMSAC 1976), so s_1 is the square-free part.
+    One gcd per rung, and none for a linear one, however high the
+    multiplicity; this is the one loop that takes gcd(p, p').
+
+    >>> [s.to_str() for s in squarefree_ladder(UPoly.from_roots([1, 1, -2]))]
+    ['t^2 + t - 2', 't - 1']
+    """
+    p = p.monic()
+    while p.degree > 0:
+        g = p.gcd(p.deriv()) if p.degree > 1 else UPoly.one()
+        yield p // g if g.degree > 0 else p
+        p = g
+
+
 def squarefree_part(p: UPoly) -> UPoly:
-    """p / gcd(p, p'), scaled monic and multiplied by the sign of lc(p).
+    """p / gcd(p, p'), the ladder's first rung, times the sign of lc(p).
 
     For square-free input this returns p/|lc(p)|, so the sign of the result on
     the real line agrees with the sign of p everywhere; that convention is what
     the curve-topology code relies on.
     """
-    if p.is_zero:
-        raise ZeroPolynomial("square-free part of the zero polynomial")
-    g = p.gcd(p.deriv())
-    q = p // g if g.degree > 0 else p
-    return q.monic().scale(sign_of(p.nums[-1]))
+    return next(squarefree_ladder(p), UPoly.one()).scale(sign_of(p.nums[-1]))
 
 
-def odd_multiplicity_part(p: UPoly) -> UPoly:
-    """Product of the monic irreducible factors of p occurring with odd
-    multiplicity (the square class of monic(p) in Q(t)).
-
-    With p_0 = monic(p) and p_(i+1) = gcd(p_i, p_i'), s_i = p_i / p_(i+1) is
-    the product of the factors of multiplicity above i, so s_i / s_(i+1) is
-    that of the factors of multiplicity exactly i + 1, and the odd part is
-    the product of s_i / s_(i+1) over even i.  One loop step per multiplicity
-    level, however high the multiplicity.
+def odd_multiplicity_part(rungs: Iterable[UPoly]) -> UPoly:
+    """Product of the monic irreducible factors of odd multiplicity (the
+    square class of monic(p) in Q(t)), from the rungs of p's square-free
+    ladder: s_i / s_(i+1) is the product of the factors of multiplicity
+    exactly i, so the odd part is the product of those quotients over odd i.
     """
-    p, levels = p.monic(), []
-    while p.degree > 0:
-        g = p.gcd(p.deriv())
-        levels.append(p // g if g.degree > 0 else p)
-        p = g
+    rungs = list(rungs)
     odd = [s if t is None else s // t
-           for s, t in itertools.zip_longest(levels[::2], levels[1::2])]
+           for s, t in itertools.zip_longest(rungs[::2], rungs[1::2])]
     return prod(odd[1:], start=odd[0]) if odd else UPoly.one()
 
 
@@ -538,23 +545,15 @@ def gap_samples(ivs: Sequence[IsolatingInterval]) -> list[Fraction]:
 def coprime_basis(polys: Iterable[UPoly]) -> tuple[UPoly, ...]:
     """Monic, square-free, pairwise coprime polynomials whose product has the
     roots of the nonconstant polys, each of which is a constant times a
-    product of powers of them (factor refinement: Bach, Driscoll & Shallit,
-    J. Algorithms 15, 1993).
+    product of powers of them: factor refinement of the polys' ladder rungs
+    (Bach, Driscoll & Shallit, J. Algorithms 15, 1993).
 
     >>> [b.to_str() for b in coprime_basis([UPoly.of(0, 0, -1, 0, 1), UPoly.of(0, 2, 2)])]
     ['t', 't + 1', 't - 1']
     """
-    todo = list(dict.fromkeys(p.monic() for p in polys if p.degree > 0))
+    inputs = dict.fromkeys(p.monic() for p in polys if p.degree > 0)
     basis: list[UPoly] = []
-    while todo:
-        a = todo.pop()
-        if a.degree > 1:
-            # the repeated part is refined on its own, so that every factor
-            # of a basis element has the same multiplicity in a
-            g = a.gcd(a.deriv())
-            if g.degree > 0:
-                a = a // g
-                todo.append(g)
+    for a in dict.fromkeys(s for p in inputs for s in squarefree_ladder(p)):
         # a is square-free: what it shares with b is g, and a / g is coprime
         # to g and to b / g, both of which are coprime to the rest of the basis
         refined = []

@@ -39,6 +39,7 @@ from .numeric import (
     sign_at,
     sign_of,
     split_root,
+    squarefree_ladder,
 )
 
 TAG_RATIONALS = "rationals"
@@ -144,16 +145,21 @@ class RatFunc:
         return self + (-other)
 
     def __neg__(self) -> "RatFunc":
+        # num*den changes only by its sign, so its ladder carries over
         out = RatFunc(-self.num, self.den)
-        if "odd_part" in self.__dict__:
-            out.__dict__["odd_part"] = self.odd_part
+        out.__dict__.update((k, v) for k, v in self.__dict__.items() if k in ("rungs", "odd_part"))
         return out
+
+    @cached_property
+    def rungs(self) -> tuple[UPoly, ...]:
+        """The square-free ladder of num*den, climbed once, on demand."""
+        return tuple(squarefree_ladder(self.num * self.den))
 
     @cached_property
     def odd_part(self) -> UPoly:
         """The monic odd-multiplicity part of num*den: with the sign of lc(num)
-        (den is monic), it fixes the square class.  Computed once, on demand."""
-        return odd_multiplicity_part(self.num * self.den)
+        (den is monic), it fixes the square class."""
+        return odd_multiplicity_part(self.rungs)
 
     def __bool__(self) -> bool:
         return not self.num.is_zero

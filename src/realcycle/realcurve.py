@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 from .abgrp import FgAbGroup, GroupMap
 from .errors import MarkerOffComponent, NotSquareFree, UnsupportedClosure
-from .numeric import IsolatingInterval, UPoly, gap_samples, isolate_real_roots, sign_of
+from .numeric import IsolatingInterval, UPoly, gap_samples, isolate_real_roots, sign_of, squarefree_part
 
 # --- curve models -------------------------------------------------------------
 
@@ -57,7 +57,7 @@ class Hyperelliptic:
     def __post_init__(self):
         if self.f.is_zero:
             raise NotSquareFree("f must be nonzero")
-        if self.f.degree >= 1 and self.f.gcd(self.f.deriv()).degree > 0:
+        if squarefree_part(self.f).degree < self.f.degree:
             raise NotSquareFree("f has a repeated root")
 
 
@@ -233,14 +233,12 @@ def _compare_to_end(x: Fraction, end: ArcEnd) -> int:
         return -1
     if end.kind == END_RATIONAL:
         return sign_of(x - end.value)
-    # refine the root's isolating interval until x falls outside, unless x is
-    # that root
     iv = end.interval
-    if iv.contains(x) and iv.poly.sign_at(x) == 0:
-        return 0
-    while iv.contains(x):
-        iv = iv.refined()
-    return -1 if x <= iv.lo else 1
+    if not iv.contains(x):
+        return -1 if x <= iv.lo else 1
+    # iv.poly changes sign once in iv, at the root
+    s = iv.poly.sign_at(x)
+    return 0 if s == 0 else -1 if s == iv.poly.sign_at(iv.lo) else 1
 
 
 def _x_on_arc(x: Fraction, arc: Arc) -> bool:

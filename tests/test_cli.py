@@ -367,6 +367,25 @@ class TestFormCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "cfa2520b0d3ded39900d58353058f546fc979ccac656316be24cc63bd3c7c8af")
 
+    @pytest.mark.parametrize("form, most", [
+        ("<(t+1)^1000>", 1001),
+        ("<" + ",".join(f"t-{i}" for i in range(60)) + ">", 1889),
+    ])
+    def test_gcd_calls_per_form(self, form, most, monkeypatch):
+        # each entry climbs its square-free ladder once, and the panel refines
+        # the cached rungs; climbing it for the odd part and again for the
+        # basis took 2,998 calls on the thousandth power
+        calls = [0]
+        gcd = UPoly.gcd
+
+        def counted(p, q):
+            calls[0] += 1
+            return gcd(p, q)
+
+        monkeypatch.setattr(UPoly, "gcd", counted)
+        assert run_cli("form", form)[0] == 0
+        assert calls[0] <= most
+
     @pytest.mark.parametrize("power, discriminant", [(1000, "1"), (999, "t + 1")])
     def test_thousandth_power_entry(self, power, discriminant):
         # the odd part takes one multiplicity level per power, past the

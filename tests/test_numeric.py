@@ -13,6 +13,7 @@ from realcycle.numeric import (
     odd_multiplicity_part,
     rational_root,
     sign_at,
+    squarefree_ladder,
     squarefree_part,
     sturm_sequence,
 )
@@ -228,9 +229,18 @@ class TestSquarefree:
             s = squarefree_part(p)
             assert squarefree_part(s) == s
 
+    def test_part_climbs_one_rung(self, monkeypatch):
+        # the first rung costs one gcd, and a linear one none
+        calls = []
+        gcd = UPoly.gcd
+        monkeypatch.setattr(UPoly, "gcd", lambda p, q: calls.append(p) or gcd(p, q))
+        assert squarefree_part(UPoly.from_roots([-1] * 50, -2)) == UPoly.of(-1, -1)
+        assert squarefree_part(UPoly.of(3, 2)) == UPoly.of(Fraction(3, 2), 1)
+        assert len(calls) == 1
+
     def test_decomposition(self):
         p = UPoly.from_roots([1, 1, -2])  # (t-1)^2 (t+2)
-        assert odd_multiplicity_part(p) == UPoly.of(2, 1)
+        assert odd_multiplicity_part(squarefree_ladder(p)) == UPoly.of(2, 1)
 
     def test_odd_part_of_a_thousandth_power(self):
         # one multiplicity level per power: more levels than the default
@@ -238,6 +248,7 @@ class TestSquarefree:
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            assert odd_multiplicity_part(UPoly.from_roots([-1] * 1000)) == UPoly.one()
+            rungs = squarefree_ladder(UPoly.from_roots([-1] * 1000))
+            assert odd_multiplicity_part(rungs) == UPoly.one()
         finally:
             sys.setrecursionlimit(old)

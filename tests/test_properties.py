@@ -7,7 +7,7 @@ run is reproducible.
 """
 
 from fractions import Fraction
-from itertools import combinations, product as cartesian
+from itertools import combinations, product as cartesian, zip_longest
 from math import floor, gcd, isqrt, lcm, prod
 
 import pytest
@@ -32,7 +32,7 @@ from realcycle.abgrp import (
     smith_normal_form,
     solve_in_lattice,
 )
-from realcycle import cycleclass, numeric
+from realcycle import cli, cycleclass, numeric
 from realcycle.cycleclass import (
     STATUS_DOUBLE,
     STATUS_EXACT,
@@ -54,6 +54,7 @@ from realcycle.numeric import (
     UPoly,
     coprime_basis,
     count_real_roots,
+    gap_samples,
     is_rational_square,
     isolate_coprime_roots,
     isolate_real_roots,
@@ -63,6 +64,7 @@ from realcycle.numeric import (
     sign_at,
     sign_of,
     split_root,
+    squarefree_ladder,
     squarefree_part,
     sturm_sequence,
 )
@@ -787,7 +789,7 @@ def test_odd_multiplicity_part_keeps_the_odd_planted_factors(mults, lead):
             p = p * factor
         if m % 2:
             odd = odd * factor
-    assert odd_multiplicity_part(p) == odd
+    assert odd_multiplicity_part(squarefree_ladder(p)) == odd
 
 
 # --- a coprime basis, and root isolation over it ---------------------------------
@@ -856,6 +858,19 @@ def isolates_alike(polys):
 @given(entry_polys())
 def test_coprime_isolation_is_the_products_interval_by_interval(polys):
     isolates_alike(polys)
+
+
+@SETTINGS
+@given(entry_polys(), entry_polys())
+def test_form_panel_samples_the_gaps_of_the_products_roots(nums, dens):
+    # the panel's basis comes from the entries' ladder rungs; its product is
+    # the radical of every numerator and denominator, so the gaps are those
+    # of the product's own isolation
+    entries = [RatFunc.make(n, d) for n, d in
+               zip_longest(nums, dens, fillvalue=UPoly.one())]
+    panel = cli._ordering_panel(entries)
+    whole = prod((e.num * e.den for e in entries), start=UPoly.one())
+    assert [o.point.base for _, o in panel[1:-1]] == gap_samples(isolate_real_roots(whole))
 
 
 @pytest.mark.parametrize("roots, at_midpoints", [
@@ -1164,7 +1179,8 @@ def forms_in_every_context(draw):
     if kind == "ratfunc":
         es = draw(st.lists(pairing_entries, min_size=n, max_size=n))
         d = signed_product(es)
-        square = is_rational_square(d.num.lc) and odd_multiplicity_part(d.num * d.den).degree == 0
+        odd = odd_multiplicity_part(squarefree_ladder(d.num * d.den))
+        square = is_rational_square(d.num.lc) and odd.degree == 0
         return DiagForm.make(RATFUNC, es), square
     if kind == "finite":
         p = draw(primes)
