@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedClosure,
     ZeroEntry,
 )
-from .numeric import UPoly, coprime_basis, gap_samples, isolate_coprime_roots
+from .numeric import UPoly, coprime_refinement, gap_samples, isolate_coprime_roots
 from .qform import RATFUNC, DiagForm, Ordering, RatFunc
 from .suite import run_suite
 
@@ -106,39 +106,70 @@ class _Tokens:
 def parse_poly(text: str, var: str) -> UPoly:
     """Recursive-descent parser for integer/rational polynomial expressions in
     one variable with + - * ^ and parentheses."""
+    return _parse(text, var)[0]
+
+
+def parse_entry(text: str) -> RatFunc:
+    """A form entry, a polynomial in t, with the factors it was typed with:
+    ``(t-1)^2*(t^2+3)`` has the bases t - 1 and t^2 + 3, and is not
+    decomposed again.  A sum is one base."""
+    poly, powers = _parse(text, "t")
+    return RatFunc.make(poly) if poly.is_zero else RatFunc.from_powers(poly, powers)
+
+
+# A parsed term is (p, powers): the polynomial p, and the pairs (b, e) of
+# monic bases with p = lc(p) * prod b^e, as the term was typed.
+
+def _parse(text: str, var: str):
     toks = _Tokens(text)
-    poly = _parse_sum(toks, var)
+    term = _parse_sum(toks, var)
     if toks.peek() is not None:
         raise SpecParseError(f"trailing input at position {toks.pos} of {text!r}")
+    return _printable(term[0]), term[1]
+
+
+def _printable(poly: UPoly) -> UPoly:
+    """poly, when the interpreter can print its numerators and denominator
+    (sys.get_int_max_str_digits, where 0 means no limit); else SpecParseError."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    # below 2^(3 * limit) a number has fewer than limit + 1 digits
+    if limit and any(abs(n).bit_length() > 3 * limit and abs(n) >= 10 ** limit
+                     for n in poly.nums + (poly.den,)):
+        raise SpecParseError(f"coefficients are capped at {limit} digits")
     return poly
 
 
 def _parse_sum(toks, var):
     out = _parse_product(toks, var)
+    if toks.peek() not in ("+", "-"):
+        return out
+    poly = out[0]
     while toks.peek() in ("+", "-"):
         op = toks.take()
-        rhs = _parse_product(toks, var)
-        out = out + rhs if op == "+" else out - rhs
-    return out
+        rhs = _parse_product(toks, var)[0]
+        poly = poly + rhs if op == "+" else poly - rhs
+    return poly, (((poly.monic(), 1),) if poly.degree > 0 else ())
 
 
 def _parse_product(toks, var):
-    out = _parse_unary(toks, var)
+    poly, powers = _parse_unary(toks, var)
     while toks.peek() == "*":
         toks.take()
-        out = out * _parse_unary(toks, var)
-    return out
+        rhs, more = _parse_unary(toks, var)
+        poly, powers = _printable(poly * rhs), powers + more
+    return poly, powers
 
 
 def _parse_unary(toks, var):
     if toks.peek() == "-":
         toks.take()
-        return -_parse_unary(toks, var)
+        poly, powers = _parse_unary(toks, var)
+        return -poly, powers
     return _parse_power(toks, var)
 
 
 def _parse_power(toks, var):
-    base = _parse_atom(toks, var)
+    base, powers = _parse_atom(toks, var)
     if toks.peek() == "^":
         toks.take()
         exp = toks.number()
@@ -148,9 +179,9 @@ def _parse_power(toks, var):
             raise SpecParseError(f"powers are capped at degree {MAX_POWER}")
         out = UPoly.one()
         for bit in bin(int(exp))[2:]:    # square-and-multiply, top bit first
-            out = out * out * base if bit == "1" else out * out
-        return out
-    return base
+            out = _printable(out * out * base if bit == "1" else out * out)
+        return out, tuple((b, e * int(exp)) for b, e in powers if exp)
+    return base, powers
 
 
 def _parse_atom(toks, var):
@@ -162,11 +193,11 @@ def _parse_atom(toks, var):
         return inner
     if ch == var:
         toks.take()
-        return UPoly.x()
+        return UPoly.x(), ((UPoly.x(), 1),)
     if ch is None:
         raise SpecParseError(f"unexpected end of polynomial {toks.text!r}")
     if ch.isdigit():
-        return UPoly.constant(toks.number())
+        return UPoly.constant(toks.number()), ()
     raise SpecParseError(f"unexpected {ch!r} in polynomial {toks.text!r}")
 
 
@@ -366,25 +397,56 @@ def cmd_bound(args) -> int:
 
 def _ordering_panel(entries):
     """One ordering in each gap between the real roots of every numerator and
-    denominator, and at both ends."""
-    basis = coprime_basis([s for e in entries for s in e.rungs])
+    denominator, and at both ends, each with the signature of the diagonal
+    form on the entries there: a list of (label, ordering, signature).
+
+    The entries' factors refine into a coprime basis B, and an entry's sign
+    is that of its leading coefficient times the signs of the elements of B
+    that divide it to an odd power.  A monic element of B is negative exactly
+    where an odd number of its roots lie above, so the signs of B in each gap
+    come from the order of B's isolating intervals, and at either end they
+    are those of the nearest gap: one sign table, and no evaluation."""
+    bases = list(dict.fromkeys(b for e in entries for b, _ in e.factors))
+    index = {b: i for i, b in enumerate(bases)}
+    refined = coprime_refinement(bases)
+    # bit j stands for the j-th element of B; an input base is the product
+    # of the elements whose bits it holds
+    bits = [0] * len(bases)
+    for j, (_, owners) in enumerate(refined):
+        for i in owners:
+            bits[i] |= 1 << j
+    odd = []
+    for e in entries:
+        mask = 0
+        for b, k in e.factors:
+            if k % 2:
+                mask ^= bits[index[b]]
+        odd.append((1 if e.num.nums[-1] > 0 else -1, mask))
+    basis = [c for c, _ in refined]
+    bit = {c: 1 << j for j, c in enumerate(basis)}
     ivs = isolate_coprime_roots(basis)
-    return ([("-inf", Ordering.at_neg_inf())]
-            + [(f"t={s}+", Ordering.above(s)) for s in gap_samples(ivs)]
-            + [("+inf", Ordering.at_pos_inf())])
+    # the elements of B negative in each gap, from the top gap down
+    negative = [0]
+    for iv in reversed(ivs):
+        negative.append(negative[-1] ^ bit[iv.poly])
+    negative.reverse()
+
+    def value(neg: int) -> int:
+        return sum(-s if (m & neg).bit_count() % 2 else s for s, m in odd)
+
+    return ([("-inf", Ordering.at_neg_inf(), value(negative[0]))]
+            + [(f"t={s}+", Ordering.above(s), value(n))
+               for s, n in zip(gap_samples(ivs), negative)]
+            + [("+inf", Ordering.at_pos_inf(), value(0))])
 
 
 def cmd_form(args) -> int:
     text = args.form.strip()
     if not (text.startswith("<") and text.endswith(">")):
         raise SpecParseError("form syntax is <e1,e2,...>")
-    entries = []
-    for chunk in text[1:-1].split(","):
-        poly = parse_poly(chunk, "t")
-        entries.append(RatFunc.coerce(poly))
-    form = DiagForm.make(RATFUNC, entries)
+    form = DiagForm(RATFUNC, tuple(parse_entry(chunk) for chunk in text[1:-1].split(",")))
     panel = _ordering_panel(form.entries)
-    signatures = [{"at": label, "value": qform.signature(form, p)} for label, p in panel]
+    signatures = [{"at": label, "value": value} for label, _, value in panel]
     disc = qform.discriminant(form)
     # n <= 2 is decided by rank and discriminant, with no ordering sampled
     membership = {str(n): qform.in_fundamental_power(form, n).value for n in (1, 2)}
@@ -444,65 +506,78 @@ def _default_budget() -> int:
         return 50
 
 
-def _add_curve(sub) -> None:
-    p = sub.add_parser("curve", help="analyse a curve")
+def _add_curve(make) -> argparse.ArgumentParser:
+    p = make("curve", help="analyse a curve")
     p.add_argument("--spec", required=True,
                    help='e.g. "line punctures=0,1" or "hyperelliptic f=1-x^2 projective"')
     p.add_argument("--twist", help='divisor spec "points:(x0,+)[*mult],..."')
     p.add_argument("--budget", type=_budget, default=_default_budget(),
                    help=f"height budget for rational point search, 1..{MAX_BUDGET}")
     p.set_defaults(func=cmd_curve)
+    return p
 
 
-def _add_bound(sub) -> None:
-    p = sub.add_parser("bound", help="exponent bounds for (d, c)")
+def _add_bound(make) -> argparse.ArgumentParser:
+    p = make("bound", help="exponent bounds for (d, c)")
     p.add_argument("--d", type=_dimension, required=True, help=f"dimension, 0..{MAX_DIMENSION}")
     p.add_argument("--c", type=_dimension, required=True, help=f"codimension, 0..{MAX_DIMENSION}")
     p.add_argument("--proper", action="store_true")
     p.add_argument("--real-nonempty", dest="real_nonempty", action="store_true")
     p.add_argument("--etale-vanishing", dest="etale_vanishing", action="store_true")
     p.set_defaults(func=cmd_bound)
+    return p
 
 
-def _add_form(sub) -> None:
-    p = sub.add_parser("form", help="invariants of a diagonal form over Q(t)")
+def _add_form(make) -> argparse.ArgumentParser:
+    p = make("form", help="invariants of a diagonal form over Q(t)")
     p.add_argument("form", help='syntax "<e1,e2,...>" with entries polynomials in t')
     p.set_defaults(func=cmd_form)
+    return p
 
 
-def _add_suite(sub) -> None:
-    p = sub.add_parser("suite", help="run the verification corpus")
+def _add_suite(make) -> argparse.ArgumentParser:
+    p = make("suite", help="run the verification corpus")
     p.add_argument("--filter", help="only run checks whose id contains this substring")
     p.set_defaults(func=cmd_suite)
+    return p
 
 
+# Each adder makes its subcommand's parser with make(name, help=...) and
+# returns it: make is the subparsers' add_parser in the full parser.
 SUBCOMMANDS = {"curve": _add_curve, "bound": _add_bound, "form": _add_form, "suite": _add_suite}
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or with only ``command`` when it names one.
-
-    A lean parser prints the same bytes as the full one for every argv that
-    starts with its command.  Its only top-level message is an
-    unrecognised-argument error, whose usage line lists every command: the
-    metavar spells them out.  The full parser keeps argparse's own rendering,
-    which the required-command and invalid-choice messages depend on.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand."""
     parser = argparse.ArgumentParser(prog="realcycle",
                                      description="quadratic forms and real cycle classes of curves")
-    lean = command in SUBCOMMANDS
-    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog,
-                                metavar=f"{{{','.join(SUBCOMMANDS)}}}" if lean else None)
-    for name, add in SUBCOMMANDS.items():
-        if not lean or name == command:
-            add(sub)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for add in SUBCOMMANDS.values():
+        add(sub.add_parser)
     return parser
+
+
+def command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand alone, which prints what the full
+    parser's subparser of that name does: the same program name, arguments
+    and messages."""
+    return SUBCOMMANDS[command](lambda name, help: argparse.ArgumentParser(prog=f"realcycle {name}"))
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """One input per process, so only the running subcommand's parser is
+    built.  The full parser is built only when argv names no subcommand or
+    leaves arguments over: it prints the top-level message, and exits."""
+    if argv and argv[0] in SUBCOMMANDS:
+        args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # one input per process: build only the subcommand that runs
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()

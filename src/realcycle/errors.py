@@ -51,10 +51,6 @@ class FactorizationLimit(RealCycleError):
     """A square class needs the factors of an integer beyond the trial-division bound."""
 
 
-class EntryVanishesAtOrdering(RealCycleError):
-    """An entry evaluated to zero at an ordering (cannot happen for side orderings)."""
-
-
 class CompatibilityError(RealCycleError):
     """The Milnor and Witt halves of an element disagree on their shared invariants."""
 

@@ -24,7 +24,6 @@ from .qform import (
     GWElem,
     Ordering,
     coerce,
-    discriminant,
     gw_add,
     gw_mul,
     gw_to_form,
@@ -33,7 +32,6 @@ from .qform import (
     ordering_pool,
     pfister,
     signature,
-    square_class,
 )
 
 Sym2 = tuple[tuple[int, tuple], ...]   # sum of coef * {a, b}
@@ -124,11 +122,6 @@ def _witt_rank_parity(w: GWElem) -> int:
     return (w.plus.dim + w.minus.dim) % 2
 
 
-def _e1_class(w: GWElem):
-    """Discriminant-type invariant of an even-rank Witt class."""
-    return discriminant(gw_to_form(w))
-
-
 def _check_compatibility(x: KmwElem) -> None:
     if x.degree == 0:
         if x.milnor.value % 2 != _witt_rank_parity(x.witt):
@@ -138,7 +131,11 @@ def _check_compatibility(x: KmwElem) -> None:
     if _witt_rank_parity(x.witt) != 0:
         raise CompatibilityError("Witt part of a positive-degree element must have even rank")
     if x.degree == 1:
-        if square_class(x.ctx, x.milnor.value) != _e1_class(x.witt):
+        # on a form of even rank, <a> multiplies the signed discriminant by a,
+        # so the symbol {a} and the Witt half share their class exactly when
+        # the Witt half with <a> added has a trivial one
+        with_unit = DiagForm(x.ctx, gw_to_form(x.witt).entries + (x.milnor.value,))
+        if not has_trivial_discriminant(with_unit):
             raise CompatibilityError("degree-1 symbol class disagrees with the Witt discriminant")
         return
     # degree 2: the Witt part must satisfy the computable I^2 necessities;
@@ -293,12 +290,14 @@ def compare(x: KmwElem, y: KmwElem, orderings: Sequence[Ordering] = ()) -> Compa
     if x.degree == 1 and x.milnor.value != y.milnor.value:
         return Comparison.DISTINCT
     milnor_known_equal = x.milnor == y.milnor
-    if x.degree == 1 and _e1_class(x.witt) != _e1_class(y.witt):
+    difference = gw_add(x.witt, GWElem(y.witt.minus, y.witt.plus))
+    # both Witt halves have even rank, so the difference's discriminant is
+    # the product of theirs
+    if x.degree == 1 and not has_trivial_discriminant(gw_to_form(difference)):
         return Comparison.DISTINCT
     for p in ordering_pool(x.ctx, orderings):
         if signature(x.witt, p) != signature(y.witt, p):
             return Comparison.DISTINCT
-    difference = gw_add(x.witt, GWElem(y.witt.minus, y.witt.plus))
     if milnor_known_equal and witt_class_is_zero(difference):
         return Comparison.EQUAL
     return Comparison.INDISTINGUISHABLE

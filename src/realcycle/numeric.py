@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm, prod
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BadInterval, ZeroPolynomial
 
@@ -366,45 +366,85 @@ def is_rational_square(x: Fraction) -> bool:
 
 # --- core operations --------------------------------------------------------
 
-def squarefree_ladder(p: UPoly) -> Iterator[UPoly]:
-    """The rungs s_1, s_2, ... of p's square-free ladder, climbed lazily.
+def squarefree_decomposition(p: UPoly) -> tuple[tuple[UPoly, int], ...]:
+    """The pairs (a_i, i), i ascending, with a_i the monic product of the
+    irreducible factors of p of multiplicity exactly i, for the a_i that are
+    not 1: so monic(p) is the product of the a_i^i, and the a_i are
+    square-free and pairwise coprime.
 
-    With p_0 = monic(p) and p_(i+1) = gcd(p_i, p_i'), the rung s_(i+1) =
-    p_i / p_(i+1) is the product of the monic irreducible factors of
-    multiplicity above i (Yun, SYMSAC 1976), so s_1 is the square-free part.
-    One gcd per rung, and none for a linear one, however high the
-    multiplicity; this is the one loop that takes gcd(p, p').
+    Yun's recurrence (Yun, SYMSAC 1976): with g = gcd(p, p'), b = p/g and
+    c = p'/g, each step takes a = gcd(b, c - b'), the factors of the next
+    multiplicity, and goes on with b/a and (c - b')/a.  Only the first gcd
+    has the degree of p; the others work on the square-free part.  A
+    quadratic is decided by its discriminant, so it takes no gcd at all.
 
-    >>> [s.to_str() for s in squarefree_ladder(UPoly.from_roots([1, 1, -2]))]
-    ['t^2 + t - 2', 't - 1']
+    >>> [(a.to_str(), i) for a, i in squarefree_decomposition(UPoly.from_roots([1, 1, -2]))]
+    [('t + 2', 1), ('t - 1', 2)]
     """
     p = p.monic()
-    while p.degree > 0:
-        g = p.gcd(p.deriv()) if p.degree > 1 else UPoly.one()
-        yield p // g if g.degree > 0 else p
-        p = g
+    if p.degree <= 0:
+        return ()
+    if p.degree == 2:
+        n0, n1, n2 = p.nums
+        if n1 * n1 != 4 * n0 * n2:
+            return ((p, 1),)
+        return ((UPoly._make((n1, 2 * n2), 2 * n2), 2),)
+    d = p.deriv()
+    g = p.gcd(d)
+    if g.degree == 0:
+        return ((p, 1),)
+    b, c = p // g, d // g
+    out, i = [], 1
+    while b.degree > 0:
+        d = c - b.deriv()
+        a = b.gcd(d)
+        if a.degree > 0:
+            out.append((a, i))
+            b, c = b // a, d // a
+        else:
+            c = d
+        i += 1
+    return tuple(out)
 
 
 def squarefree_part(p: UPoly) -> UPoly:
-    """p / gcd(p, p'), the ladder's first rung, times the sign of lc(p).
+    """p / gcd(p, p'), made monic, times the sign of lc(p).
 
     For square-free input this returns p/|lc(p)|, so the sign of the result on
     the real line agrees with the sign of p everywhere; that convention is what
     the curve-topology code relies on.
     """
-    return next(squarefree_ladder(p), UPoly.one()).scale(sign_of(p.nums[-1]))
+    q = p.monic()
+    if q.degree > 1:
+        g = q.gcd(q.deriv())
+        if g.degree > 0:
+            q = q // g
+    return q.scale(sign_of(p.nums[-1]))
 
 
-def odd_multiplicity_part(rungs: Iterable[UPoly]) -> UPoly:
-    """Product of the monic irreducible factors of odd multiplicity (the
-    square class of monic(p) in Q(t)), from the rungs of p's square-free
-    ladder: s_i / s_(i+1) is the product of the factors of multiplicity
-    exactly i, so the odd part is the product of those quotients over odd i.
-    """
-    rungs = list(rungs)
-    odd = [s if t is None else s // t
-           for s, t in itertools.zip_longest(rungs[::2], rungs[1::2])]
-    return prod(odd[1:], start=odd[0]) if odd else UPoly.one()
+def odd_multiplicity_part(factors: Iterable[tuple[UPoly, int]]) -> UPoly:
+    """The product of the bases b with an odd exponent e among the pairs
+    (b, e) of a factorisation over pairwise coprime square-free bases, such
+    as ``squarefree_decomposition`` gives: the square class of the
+    factorised polynomial, up to its leading coefficient."""
+    return prod((b for b, e in factors if e % 2), start=UPoly.one())
+
+
+def squarefree_sign_at(p: UPoly, x: ExtendedPoint) -> int:
+    """The sign of a square-free p at an extended point, with no division.
+
+    A square-free p has only simple roots, so at a side of a root a it has
+    the sign of (t - a) * p'(a): the sign of p'(a) just right of a and its
+    opposite just left."""
+    if x.kind == "+inf":
+        return sign_of(p.nums[-1])
+    if x.kind == "-inf":
+        return -sign_of(p.nums[-1]) if p.degree % 2 else sign_of(p.nums[-1])
+    s = p.sign_at(x.base)
+    if s or x.side == SIDE_EXACT:
+        return s
+    s = p.deriv().sign_at(x.base)
+    return s if x.side == SIDE_PLUS else -s
 
 
 def sturm_sequence(p: UPoly) -> tuple[UPoly, ...]:
@@ -545,31 +585,48 @@ def gap_samples(ivs: Sequence[IsolatingInterval]) -> list[Fraction]:
 def coprime_basis(polys: Iterable[UPoly]) -> tuple[UPoly, ...]:
     """Monic, square-free, pairwise coprime polynomials whose product has the
     roots of the nonconstant polys, each of which is a constant times a
-    product of powers of them: factor refinement of the polys' ladder rungs
-    (Bach, Driscoll & Shallit, J. Algorithms 15, 1993).
+    product of powers of them: the refinement of the polys' square-free
+    decompositions.
 
     >>> [b.to_str() for b in coprime_basis([UPoly.of(0, 0, -1, 0, 1), UPoly.of(0, 2, 2)])]
-    ['t', 't + 1', 't - 1']
+    ['t + 1', 't - 1', 't']
     """
-    inputs = dict.fromkeys(p.monic() for p in polys if p.degree > 0)
-    basis: list[UPoly] = []
-    for a in dict.fromkeys(s for p in inputs for s in squarefree_ladder(p)):
+    parts = dict.fromkeys(a for p in dict.fromkeys(p.monic() for p in polys if p.degree > 0)
+                          for a, _ in squarefree_decomposition(p))
+    return tuple(c for c, _ in coprime_refinement(list(parts)))
+
+
+def coprime_refinement(polys: Sequence[UPoly]) -> list[tuple[UPoly, frozenset[int]]]:
+    """Factor refinement of distinct monic square-free polys (Bach, Driscoll
+    & Shallit, J. Algorithms 15, 1993): monic, square-free, pairwise coprime
+    c, each with the set of the indices of the polys it divides, so that
+    polys[i] is the product of the c whose set holds i.
+
+    >>> [(c.to_str(), sorted(s)) for c, s in coprime_refinement([UPoly.of(-1, 0, 1), UPoly.of(1, 1)])]
+    [('t + 1', [0, 1]), ('t - 1', [0])]
+    """
+    basis: list[tuple[UPoly, frozenset[int]]] = []
+    for i, a in enumerate(polys):
         # a is square-free: what it shares with b is g, and a / g is coprime
         # to g and to b / g, both of which are coprime to the rest of the basis
         refined = []
-        for b in basis:
+        for b, owners in basis:
+            if a.degree == 0 or (a.degree == 1 == b.degree and a != b):
+                # distinct monic linear polynomials are coprime
+                refined.append((b, owners))
+                continue
             g = a.gcd(b)
             if g.degree == 0:
-                refined.append(b)
+                refined.append((b, owners))
                 continue
-            refined.append(g)
-            if g != b:
-                refined.append(b // g)
+            refined.append((g, owners | {i}))
+            if g.degree < b.degree:
+                refined.append((b // g, owners))
             a = a // g
         if a.degree > 0:
-            refined.append(a)
+            refined.append((a, frozenset((i,))))
         basis = refined
-    return tuple(basis)
+    return basis
 
 
 def isolate_real_roots(p: UPoly) -> tuple[IsolatingInterval, ...]:

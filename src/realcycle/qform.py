@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import isqrt, prod
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     ContextMismatch,
-    EntryVanishesAtOrdering,
     FactorizationLimit,
     UnorderedContext,
     UnsupportedContext,
@@ -34,12 +33,13 @@ from .errors import (
 from .numeric import (
     ExtendedPoint,
     UPoly,
+    coprime_refinement,
     is_rational_square,
     odd_multiplicity_part,
-    sign_at,
     sign_of,
     split_root,
-    squarefree_ladder,
+    squarefree_decomposition,
+    squarefree_sign_at,
 )
 
 TAG_RATIONALS = "rationals"
@@ -107,7 +107,14 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class RatFunc:
-    """Element of Q(t): a reduced fraction of polynomials with monic denominator."""
+    """Element of Q(t): a reduced fraction of polynomials with monic denominator.
+
+    It carries its factorisation ``factors``: pairs (b, e) of monic,
+    square-free, pairwise coprime b and nonzero exponents e, negative for the
+    denominator, with num/den = lc(num) * prod b^e.  Products and negation
+    combine their operands' factors; any other element takes them from one
+    square-free decomposition of num and one of den, on demand.
+    """
 
     num: UPoly
     den: UPoly
@@ -128,6 +135,17 @@ class RatFunc:
         return RatFunc(num.scale(1 / lead), den.scale(1 / lead))
 
     @staticmethod
+    def from_powers(num: UPoly, powers: Iterable[tuple[UPoly, int]]) -> "RatFunc":
+        """The nonzero polynomial num, given as a constant times the product
+        of the powers b^e (e >= 0) of monic bases b: its factors come from
+        the bases, which need be neither square-free nor coprime, and num is
+        not decomposed."""
+        out = RatFunc.make(num)
+        out.__dict__["factors"] = _combine((a, e * i) for b, e in powers
+                                           for a, i in squarefree_decomposition(b))
+        return out
+
+    @staticmethod
     def coerce(value) -> "RatFunc":
         if isinstance(value, RatFunc):
             return value
@@ -136,7 +154,13 @@ class RatFunc:
         return RatFunc.make(UPoly.of(Fraction(value)))
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.make(self.num * other.num, self.den * other.den)
+        out = RatFunc.make(self.num * other.num, self.den * other.den)
+        if out:
+            # a constant operand has no factors, and the other's are coprime
+            out.__dict__["factors"] = (_combine(self.factors + other.factors)
+                                       if self.factors and other.factors
+                                       else self.factors or other.factors)
+        return out
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc.make(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -145,21 +169,24 @@ class RatFunc:
         return self + (-other)
 
     def __neg__(self) -> "RatFunc":
-        # num*den changes only by its sign, so its ladder carries over
+        # only the sign of lc(num) changes, so the factors carry over
         out = RatFunc(-self.num, self.den)
-        out.__dict__.update((k, v) for k, v in self.__dict__.items() if k in ("rungs", "odd_part"))
+        if "factors" in self.__dict__:
+            out.__dict__["factors"] = self.factors
         return out
 
     @cached_property
-    def rungs(self) -> tuple[UPoly, ...]:
-        """The square-free ladder of num*den, climbed once, on demand."""
-        return tuple(squarefree_ladder(self.num * self.den))
+    def factors(self) -> tuple[tuple[UPoly, int], ...]:
+        """The pairs (b, e) of the factorisation; num and den are coprime, so
+        their square-free decompositions together are one."""
+        return (squarefree_decomposition(self.num)
+                + tuple((b, -e) for b, e in squarefree_decomposition(self.den)))
 
-    @cached_property
+    @property
     def odd_part(self) -> UPoly:
         """The monic odd-multiplicity part of num*den: with the sign of lc(num)
         (den is monic), it fixes the square class."""
-        return odd_multiplicity_part(self.rungs)
+        return odd_multiplicity_part(self.factors)
 
     def __bool__(self) -> bool:
         return not self.num.is_zero
@@ -170,6 +197,22 @@ class RatFunc:
         return f"({self.num.to_str()})/({self.den.to_str()})"
 
     __str__ = to_str
+
+
+def _combine(powers: Iterable[tuple[UPoly, int]]) -> tuple[tuple[UPoly, int], ...]:
+    """The factorisation of the product of the powers b^e of monic square-free
+    bases: equal bases add their exponents, the rest are refined into a
+    coprime basis, and bases whose exponents cancel are dropped."""
+    exps: dict[UPoly, int] = {}
+    for b, e in powers:
+        exps[b] = exps.get(b, 0) + e
+    bases = [b for b, e in exps.items() if e]
+    out = []
+    for c, owners in coprime_refinement(bases):
+        e = sum(exps[bases[i]] for i in owners)
+        if e:
+            out.append((c, e))
+    return tuple(out)
 
 
 class Fp(int):
@@ -358,8 +401,8 @@ def is_square(ctx: FieldCtx, x: Element) -> bool:
         return True
     if ctx.tag == TAG_FINITE:
         return pow(x, (ctx.p - 1) // 2, ctx.p) == 1
-    # Q(t): num*den must be a square polynomial
-    return is_rational_square(x.num.lc) and x.odd_part.degree == 0
+    # Q(t): lc(num) must be a square and every exponent even
+    return is_rational_square(x.num.lc) and not any(e % 2 for _, e in x.factors)
 
 
 def square_class(ctx: FieldCtx, x: Element):
@@ -381,16 +424,6 @@ def square_class(ctx: FieldCtx, x: Element):
     if ctx.tag == TAG_FINITE:
         return 1 if is_square(ctx, x) else _least_nonresidue(ctx.p)
     return x.odd_part.scale(_fraction_squarefree(x.num.lc))
-
-
-def _odd_product(a: UPoly, b: UPoly) -> UPoly:
-    """The odd part of a*b for monic square-free a and b: a*b/gcd(a, b)^2."""
-    if a.degree == 0:
-        return b
-    if b.degree == 0:
-        return a
-    g = a.gcd(b)
-    return a * b if g.degree == 0 else (a // g) * (b // g)
 
 
 # --- orderings and places ----------------------------------------------------
@@ -497,23 +530,34 @@ class DiagForm:
         return len(self.entries)
 
     @cached_property
-    def discriminant(self):
-        """The signed discriminant as a square class, computed once per form.
+    def _signed_product(self):
+        """(-1)^(n(n-1)/2) times the product of the entries, computed once per
+        form.
 
-        Over Q(t) no product entry is formed: the odd parts A, B of two square
-        classes combine to A*B/gcd(A, B)^2, and the scalar is the square-free
-        part of the signed product of the leading coefficients."""
+        Over Q(t) no product entry is formed: this is the pair (lead, odd) of
+        the signed product of the leading coefficients and the bases of odd
+        exponent in the product of the entries, whose factors combine with
+        their exponents taken mod 2."""
         n = self.dim
         sign = -1 if (n * (n - 1) // 2) % 2 else 1
         if self.ctx.tag == TAG_RATFUNC:
-            odd, lead = UPoly.one(), Fraction(sign)
+            lead = Fraction(sign)
             for e in self.entries:
-                odd, lead = _odd_product(odd, e.odd_part), lead * e.num.lc
-            return odd.scale(_fraction_squarefree(lead))
+                lead *= e.num.lc
+            odd = _combine((b, 1) for e in self.entries for b, k in e.factors if k % 2)
+            return lead, tuple(b for b, k in odd if k % 2)
         out = coerce(self.ctx, sign)
         for e in self.entries:
             out = out * e
-        return square_class(self.ctx, out)
+        return out
+
+    @cached_property
+    def discriminant(self):
+        """The signed discriminant as a square class, computed once per form."""
+        if self.ctx.tag == TAG_RATFUNC:
+            lead, odd = self._signed_product
+            return prod(odd, start=UPoly.one()).scale(_fraction_squarefree(lead))
+        return square_class(self.ctx, self._signed_product)
 
     def to_str(self) -> str:
         return "<" + ",".join(map(str, self.entries)) + ">"
@@ -596,24 +640,40 @@ def gw_to_form(a: GWElem) -> DiagForm:
 
 # --- invariants ---------------------------------------------------------------
 
-def _entry_sign(ctx: FieldCtx, e: Element, p: Ordering) -> int:
+def _entry_signs(ctx: FieldCtx, p: Ordering):
+    """The sign of an entry at the ordering p, as a function of the entry.
+
+    Over Q(t) an entry's sign is that of lc(num) times the signs of its
+    factors of odd exponent (a factor of even exponent is positive at every
+    ordering, for no ordering sits on a root).  Each distinct factor is
+    evaluated once per function, by ``squarefree_sign_at``."""
     if ctx.tag in (TAG_COMPLEXES, TAG_FINITE):
-        raise UnorderedContext(f"{ctx} admits no orderings")
+        def unordered(e):
+            raise UnorderedContext(f"{ctx} admits no orderings")
+        return unordered
     if ctx.tag in (TAG_RATIONALS, TAG_REAL_CLOSED):
-        return sign_of(e)
-    if p.point is None:
-        raise UnorderedContext("an ordering of Q(t) needs a point")
-    s = sign_at(e.num, p.point) * sign_at(e.den, p.point)
-    if s == 0:
-        raise EntryVanishesAtOrdering(str(e))
-    return s
+        return sign_of
+    point, known = p.point, {}
+
+    def sign(e: RatFunc) -> int:
+        if point is None:
+            raise UnorderedContext("an ordering of Q(t) needs a point")
+        s = 1 if e.num.nums[-1] > 0 else -1
+        for b, k in e.factors:
+            if k % 2:
+                if b not in known:
+                    known[b] = squarefree_sign_at(b, point)
+                s *= known[b]
+        return s
+    return sign
 
 
 def signature(phi, p: Ordering) -> int:
     """Sum of entry signs at the ordering; difference of sums for a GWElem."""
     if isinstance(phi, GWElem):
-        return signature(phi.plus, p) - signature(phi.minus, p)
-    return sum(_entry_sign(phi.ctx, e, p) for e in phi.entries)
+        sign = _entry_signs(phi.ctx, p)
+        return sum(map(sign, phi.plus.entries)) - sum(map(sign, phi.minus.entries))
+    return sum(map(_entry_signs(phi.ctx, p), phi.entries))
 
 
 def discriminant(phi: DiagForm):
@@ -622,7 +682,13 @@ def discriminant(phi: DiagForm):
 
 
 def has_trivial_discriminant(phi: DiagForm) -> bool:
-    return discriminant(phi) == (UPoly.one() if phi.ctx.tag == TAG_RATFUNC else 1)
+    """Is the signed product of the entries a square?  No square class is
+    formed: no integer is factored, and over Q(t) no factor is multiplied
+    out."""
+    if phi.ctx.tag == TAG_RATFUNC:
+        lead, odd = phi._signed_product
+        return not odd and is_rational_square(lead)
+    return is_square(phi.ctx, phi._signed_product)
 
 
 def form_value(phi: DiagForm, vector: Sequence) -> Element:
@@ -642,14 +708,6 @@ def is_isotropic_vector(phi: DiagForm, vector: Sequence) -> bool:
     return any(coerce(phi.ctx, v) for v in vector) and not value
 
 
-def _pairs_hyperbolically(ctx: FieldCtx, a: Element, b: Element) -> bool:
-    """Is -ab a square?  Over Q(t) that holds when a and b have the same odd
-    part and -lc(a)lc(b) is a rational square, so no product is formed."""
-    if ctx.tag == TAG_RATFUNC:
-        return a.odd_part == b.odd_part and is_rational_square(-a.num.lc * b.num.lc)
-    return is_square(ctx, -(a * b))
-
-
 def hyperbolic_pairing(phi: DiagForm) -> bool:
     """Greedy recognizer: can the entries be matched into hyperbolic pairs
     <a, b> with -ab a square?  True certifies Witt class zero."""
@@ -659,7 +717,7 @@ def hyperbolic_pairing(phi: DiagForm) -> bool:
     while entries:
         a = entries.pop()
         for i, b in enumerate(entries):
-            if _pairs_hyperbolically(phi.ctx, a, b):
+            if is_square(phi.ctx, -(a * b)):
                 entries.pop(i)
                 break
         else:

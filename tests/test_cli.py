@@ -155,6 +155,31 @@ class TestCurveCommand:
         assert code == 2
         assert "capped at 1000 digits" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("form", "<(10^1000)^5>"),
+        ("form", "<10^1000*10^1000*10^1000*10^1000*10^1000>"),
+        ("curve", "--spec", "hyperelliptic f=(10^1000)^5-x^2"),
+        ("form", "<(1/10^1000)^5*t>"),
+    ])
+    def test_coefficients_past_the_str_limit_exit_2(self, argv, capsys):
+        # the report could not print them: the interpreter caps int-to-string
+        # conversion at sys.get_int_max_str_digits() digits
+        code, out = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert f"coefficients are capped at {sys.get_int_max_str_digits()} digits" in (
+            capsys.readouterr().err)
+
+    def test_coefficients_below_the_str_limit_are_accepted(self):
+        report = run_json("form", "<(10*t+10)^1000>")["form"]
+        assert report["entries"][0].startswith("10" + "0" * 999 + "*t^1000 + ")
+        # 0 lifts the interpreter's limit, and with it the cap
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert parse_poly("(10^1000)^5", "x") == UPoly.of(10 ** 5000)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_thousand_digit_literal_is_accepted(self):
         big = "1" * 1000
         report = run_json("curve", "--spec", f"line punctures={big}")
@@ -217,7 +242,7 @@ PARITY_ARGVS = [
     ["curve", "--spec", "line", "--budget", "x"], ["curve", "--spec", "line", "x"],
     ["bound", "-h"], ["bound", "--d", "1"], ["bound", "--d", "x", "--c", "0"],
     ["bound", "--d", "1", "--c", "1001"], ["bound", "--d", "1", "--c", "0", "zz"],
-    ["form", "-h"], ["form"], ["form", "--bogus", "<1>"],
+    ["form", "-h"], ["form"], ["form", "--bogus", "<1>"], ["form", "--foo", "<t>"], ["fo", "<t>"],
     ["suite", "-h"], ["suite", "--filter"], ["suite", "--bogus"],
 ]
 
@@ -240,8 +265,7 @@ class TestParser:
 
         monkeypatch.setenv("COLUMNS", columns)
         lean = self.outcome(argv, capsys)
-        full_parser = cli_mod.build_parser
-        monkeypatch.setattr(cli_mod, "build_parser", lambda command=None: full_parser())
+        monkeypatch.setattr(cli_mod, "_parse_args", lambda argv: cli_mod.build_parser().parse_args(argv))
         assert self.outcome(argv, capsys) == lean
         assert lean[0] in (0, 2)
 
@@ -249,14 +273,18 @@ class TestParser:
     def test_usage_is_the_one_argparse_renders(self, command, monkeypatch):
         import argparse
 
-        from realcycle.cli import build_parser
+        from realcycle.cli import build_parser, command_parser
 
         monkeypatch.setenv("COLUMNS", "40")
         reference = argparse.ArgumentParser(prog="realcycle")
         sub = reference.add_subparsers(dest="command", required=True)
         for name in ("curve", "bound", "form", "suite"):
             sub.add_parser(name)
-        assert build_parser(command).format_usage() == reference.format_usage()
+        sub.choices["form"].add_argument("form")
+        if command is None:
+            assert build_parser().format_usage() == reference.format_usage()
+        else:
+            assert command_parser(command).format_usage() == sub.choices[command].format_usage()
 
     def test_only_the_running_subcommand_is_built(self, monkeypatch):
         import realcycle.cli as cli_mod
@@ -385,6 +413,39 @@ class TestFormCommand:
         monkeypatch.setattr(UPoly, "gcd", counted)
         assert run_cli("form", form)[0] == 0
         assert calls[0] <= most
+
+    def test_typed_powers_are_not_decomposed_again(self, monkeypatch):
+        # the entry's factors are the typed bases t + 1 and t + 2, so no gcd
+        # sees a polynomial above degree 1; the report is the bytes the
+        # expanded entry's square-free ladder gave
+        degrees = []
+        gcd = UPoly.gcd
+        monkeypatch.setattr(UPoly, "gcd", lambda p, q: degrees.append(max(p.degree, q.degree))
+                            or gcd(p, q))
+        code, out = run_cli("form", "<(t+1)^1000*(t+2)^1000>")
+        assert code == 0 and all(d <= 1 for d in degrees)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "cc8cea9f395999225a65d4a8251cac5f90f5275f2118b1358c174e8636c654a2")
+
+    def test_typed_quadratic_bases_take_no_gcd_with_a_derivative(self, monkeypatch):
+        # linear and quadratic bases, repeated, shared and not square-free
+        derivatives, with_derivative = [], []
+        deriv, gcd = UPoly.deriv, UPoly.gcd
+
+        def recorded(p):
+            derivatives.append(deriv(p))
+            return derivatives[-1]
+
+        def counted(p, q):
+            if p.degree > 1 and any(q is d for d in derivatives):
+                with_derivative.append(p)
+            return gcd(p, q)
+
+        monkeypatch.setattr(UPoly, "deriv", recorded)
+        monkeypatch.setattr(UPoly, "gcd", counted)
+        code, _ = run_cli("form", "<(t^2+1)^3*(t-1/3)^5,(t-2)*(t+5/7)^2*(t^2-2)^2,"
+                                  "-3*(t^2-2*t+1)^2*t*(t^2-1),(t^2+1)*-(t^2-2)>")
+        assert code == 0 and with_derivative == []
 
     @pytest.mark.parametrize("power, discriminant", [(1000, "1"), (999, "t + 1")])
     def test_thousandth_power_entry(self, power, discriminant):

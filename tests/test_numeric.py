@@ -13,7 +13,7 @@ from realcycle.numeric import (
     odd_multiplicity_part,
     rational_root,
     sign_at,
-    squarefree_ladder,
+    squarefree_decomposition,
     squarefree_part,
     sturm_sequence,
 )
@@ -240,7 +240,21 @@ class TestSquarefree:
 
     def test_decomposition(self):
         p = UPoly.from_roots([1, 1, -2])  # (t-1)^2 (t+2)
-        assert odd_multiplicity_part(squarefree_ladder(p)) == UPoly.of(2, 1)
+        assert odd_multiplicity_part(squarefree_decomposition(p)) == UPoly.of(2, 1)
+
+    def test_thousandth_power_takes_one_full_degree_gcd(self, monkeypatch):
+        # Yun's recurrence works on the square-free part t + 1 after the
+        # first gcd; the rung-by-rung ladder took 999 gcds above degree 1
+        degrees = []
+        gcd = UPoly.gcd
+        monkeypatch.setattr(UPoly, "gcd", lambda p, q: degrees.append(p.degree) or gcd(p, q))
+        assert squarefree_decomposition(UPoly.from_roots([-1] * 1000)) == ((UPoly.of(1, 1), 1000),)
+        assert [d for d in degrees if d > 1] == [1000]
+
+    def test_quadratics_take_no_gcd(self, monkeypatch):
+        monkeypatch.setattr(UPoly, "gcd", None)
+        assert squarefree_decomposition(UPoly.of(2, -4, 2)) == ((UPoly.of(-1, 1), 2),)
+        assert squarefree_decomposition(UPoly.of(-2, 0, 4)) == ((UPoly.of(Fraction(-1, 2), 0, 1), 1),)
 
     def test_odd_part_of_a_thousandth_power(self):
         # one multiplicity level per power: more levels than the default
@@ -248,7 +262,8 @@ class TestSquarefree:
         old = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            rungs = squarefree_ladder(UPoly.from_roots([-1] * 1000))
-            assert odd_multiplicity_part(rungs) == UPoly.one()
+            factors = squarefree_decomposition(UPoly.from_roots([-1] * 1000))
+            assert factors == ((UPoly.of(1, 1), 1000),)
+            assert odd_multiplicity_part(factors) == UPoly.one()
         finally:
             sys.setrecursionlimit(old)

@@ -6,6 +6,8 @@ whole module runs in a few seconds; the example order is derandomised, so a
 run is reproducible.
 """
 
+import io
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations, product as cartesian, zip_longest
 from math import floor, gcd, isqrt, lcm, prod
@@ -64,8 +66,9 @@ from realcycle.numeric import (
     sign_at,
     sign_of,
     split_root,
-    squarefree_ladder,
+    squarefree_decomposition,
     squarefree_part,
+    squarefree_sign_at,
     sturm_sequence,
 )
 from realcycle.qform import (
@@ -75,11 +78,14 @@ from realcycle.qform import (
     REAL_CLOSED,
     DiagForm,
     Fp,
+    GWElem,
     Membership,
     Ordering,
     RatFunc,
     discriminant,
     finite_field,
+    gw_mul,
+    gw_to_form,
     hilbert_symbol,
     hyperbolic_pairing,
     in_fundamental_power,
@@ -88,6 +94,7 @@ from realcycle.qform import (
     signature,
     square_class,
     squarefree_int,
+    tensor,
 )
 from realcycle.realcurve import (
     BRANCH_BOTH,
@@ -789,7 +796,7 @@ def test_odd_multiplicity_part_keeps_the_odd_planted_factors(mults, lead):
             p = p * factor
         if m % 2:
             odd = odd * factor
-    assert odd_multiplicity_part(squarefree_ladder(p)) == odd
+    assert odd_multiplicity_part(squarefree_decomposition(p)) == odd
 
 
 # --- a coprime basis, and root isolation over it ---------------------------------
@@ -863,14 +870,17 @@ def test_coprime_isolation_is_the_products_interval_by_interval(polys):
 @SETTINGS
 @given(entry_polys(), entry_polys())
 def test_form_panel_samples_the_gaps_of_the_products_roots(nums, dens):
-    # the panel's basis comes from the entries' ladder rungs; its product is
-    # the radical of every numerator and denominator, so the gaps are those
-    # of the product's own isolation
+    # the panel's basis refines the entries' factors; its product is the
+    # radical of every numerator and denominator, so the gaps are those of
+    # the product's own isolation, and the signatures read off its sign
+    # table are the entries' signs summed
     entries = [RatFunc.make(n, d) for n, d in
                zip_longest(nums, dens, fillvalue=UPoly.one())]
     panel = cli._ordering_panel(entries)
     whole = prod((e.num * e.den for e in entries), start=UPoly.one())
-    assert [o.point.base for _, o in panel[1:-1]] == gap_samples(isolate_real_roots(whole))
+    assert [o.point.base for _, o, _ in panel[1:-1]] == gap_samples(isolate_real_roots(whole))
+    for _, o, value in panel:
+        assert value == sum(sign_at(e.num, o.point) * sign_at(e.den, o.point) for e in entries)
 
 
 @pytest.mark.parametrize("roots, at_midpoints", [
@@ -1107,6 +1117,115 @@ def test_qt_discriminant_is_the_class_of_the_signed_product(planted):
     assert disc.monic() == odd
 
 
+@SETTINGS
+@given(st.lists(small_fractions, min_size=1, max_size=5, unique=True),
+       st.sets(st.sampled_from([UPoly.of(1, 0, 1), UPoly.of(-2, 0, 1), UPoly.of(1, 1, 1)])),
+       nonzero_fractions, st.lists(small_fractions, max_size=3))
+def test_derivative_sign_at_a_root_is_the_split_root_sign(roots, quadratics, lead, points):
+    # distinct rational roots and quadratics without rational roots: a
+    # square-free polynomial, whose one-sided signs at each root come from
+    # its derivative
+    p = prod(quadratics, start=UPoly.from_roots(roots, lead))
+    sides = [ExtendedPoint.neg_inf(), ExtendedPoint.pos_inf()] + [
+        point(x) for x in roots + points
+        for point in (ExtendedPoint.above, ExtendedPoint.below, ExtendedPoint.at)]
+    for x in sides:
+        assert squarefree_sign_at(p, x) == sign_at(p, x)
+
+
+def factor_groups(e):
+    """Signed multiplicity -> the monic product of the factors of e with it,
+    from the carried factors after checking that they are monic, square-free
+    and pairwise coprime."""
+    bases = [b for b, _ in e.factors]
+    out = {}
+    for i, (b, k) in enumerate(e.factors):
+        assert k and b.degree > 0 and b.lc == 1 and b.gcd(b.deriv()).degree == 0
+        assert all(b.gcd(c).degree == 0 for c in bases[i + 1:])
+        out[k] = out.get(k, UPoly.one()) * b
+    return out
+
+
+def yun_groups(e):
+    """The same grouping from Yun decompositions of the expanded num and den."""
+    out = dict((k, b) for b, k in squarefree_decomposition(e.num))
+    out.update((-k, b) for b, k in squarefree_decomposition(e.den))
+    return out
+
+
+@SETTINGS
+@given(st.lists(planted_ratfuncs(), min_size=1, max_size=3),
+       st.lists(planted_ratfuncs(), min_size=1, max_size=2))
+def test_products_carry_the_factors_of_their_expansion(left, right):
+    # every entry built by *, negation, tensor, pfister and gw_mul keeps its
+    # operands' factors; they are those of its expanded num and den, grouped
+    # by multiplicity, and give its odd part
+    a = [e for e, _ in left]
+    b = [e for e, _ in right]
+    phi, psi = DiagForm.make(RATFUNC, a), DiagForm.make(RATFUNC, b)
+    built = [x * y for x in a for y in b] + [-x for x in a]
+    built += list(tensor(phi, psi).entries) + list(pfister(RATFUNC, *a).entries)
+    built += list(gw_to_form(gw_mul(GWElem(phi, psi), GWElem(psi, phi))).entries)
+    for e in built:
+        assert "factors" in e.__dict__ or e.num.degree == e.den.degree == 0
+        assert factor_groups(e) == yun_groups(e)
+        fresh = RatFunc.make(e.num, e.den)
+        assert e.odd_part == fresh.odd_part == odd_multiplicity_part(squarefree_decomposition(
+            e.num * e.den))
+
+
+@SETTINGS
+@given(st.lists(planted_ratfuncs(), min_size=1, max_size=4),
+       st.lists(st.sampled_from(PLANTABLE[:4]), max_size=3), st.lists(orderings, max_size=3))
+def test_qt_signature_is_the_sum_of_the_entry_signs(planted, at_roots, sampled):
+    # orderings at the roots of the planted linear factors, and entries with
+    # denominators
+    es = [e for e, _ in planted]
+    pool = sampled + [side(-b.coeffs[0]) for b in at_roots for side in (Ordering.above, Ordering.below)]
+    for p in pool:
+        signs = [sign_at(e.num, p.point) * sign_at(e.den, p.point) for e in es]
+        assert signature(DiagForm.make(RATFUNC, es), p) == sum(signs)
+        half = DiagForm.make(RATFUNC, es[1:])
+        assert signature(GWElem(half, DiagForm.make(RATFUNC, es[:1])), p) == sum(signs[1:]) - signs[0]
+
+
+# typed bases, some neither square-free nor coprime to the others
+TYPED_BASES = ["t", "(t-1)", "(t+1)", "(2*t+3)", "(t^2-1)", "(t^2-2*t+1)", "(t^2+1)", "(t^2-2)",
+               "(t^3-t)", "(t^2+t)", "(-t+1/2)"]
+
+
+@st.composite
+def typed_entries(draw):
+    """An entry spelled as a product of powers, with scalars and unary minus
+    inside the product."""
+    parts = [draw(st.sampled_from(["", "2", "-3", "1/2", "-5/4"]))]
+    for _ in range(draw(st.integers(0, 4))):
+        base = draw(st.sampled_from(TYPED_BASES))
+        power = draw(st.integers(1, 5))
+        sign = draw(st.sampled_from(["", "", "-"]))
+        parts.append(f"{sign}{base}" + (f"^{power}" if power > 1 else ""))
+    parts = [p for p in parts if p] or ["1"]
+    return "*".join(parts)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(st.lists(typed_entries(), min_size=1, max_size=4))
+@example(["(t^2-1)*(t-1)^3", "2*-t"])
+@example(["(t^2-2*t+1)^2*(t^3-t)", "-(t^2+t)*(t+1)^2*-t"])
+def test_factored_and_expanded_spellings_report_alike(typed):
+    # the typed factors and those of one decomposition of the expanded
+    # entry give the same report, byte for byte
+    expanded = [cli.parse_poly(e, "t").to_str() for e in typed]
+    assert all("(" not in e for e in expanded)
+    outputs = []
+    for spelling in (typed, expanded):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            code = cli.main(["form", "<" + ",".join(spelling) + ">"])
+        outputs.append((code, buf.getvalue()))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 def greedy_pairing(es):
     """The hyperbolic pairing walk on the product of each candidate pair."""
     es = list(es)
@@ -1179,7 +1298,7 @@ def forms_in_every_context(draw):
     if kind == "ratfunc":
         es = draw(st.lists(pairing_entries, min_size=n, max_size=n))
         d = signed_product(es)
-        odd = odd_multiplicity_part(squarefree_ladder(d.num * d.den))
+        odd = odd_multiplicity_part(squarefree_decomposition(d.num * d.den))
         square = is_rational_square(d.num.lc) and odd.degree == 0
         return DiagForm.make(RATFUNC, es), square
     if kind == "finite":

@@ -211,12 +211,12 @@ class TestDiscriminant:
         assert discriminant(rf_form(UPoly.one(), -T)) == T
 
     def test_negation_inherits_the_ladder(self):
-        # num*den changes only by its sign, so -x climbs no ladder of its own
+        # num*den changes only by its sign, so -x decomposes nothing of its own
         x = RatFunc.make(UPoly.from_roots([1, 1, 1, -2]), UPoly.of(3, 1))
-        assert x.rungs == (UPoly.from_roots([1, -2, -3]), UPoly.of(-1, 1), UPoly.of(-1, 1))
+        assert x.factors == ((UPoly.of(2, 1), 1), (UPoly.of(-1, 1), 3), (UPoly.of(3, 1), -1))
         assert x.odd_part == UPoly.from_roots([1, -2, -3])
         y = -x
-        assert y.__dict__["rungs"] is x.rungs and y.__dict__["odd_part"] is x.odd_part
+        assert y.__dict__["factors"] is x.factors
 
 
 class TestFiniteFieldContext:
