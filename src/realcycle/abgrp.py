@@ -194,7 +194,7 @@ def preimage_lattice(images: Sequence[Sequence[int]], target_gens: Sequence[Sequ
 
 # --- presented groups ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FgAbGroup:
     """Z^g modulo the column span of ``relations`` (one row per generator).
 
@@ -300,7 +300,7 @@ def direct_sum(a: FgAbGroup, b: FgAbGroup) -> FgAbGroup:
                       [[0] * na + c for c in b.relation_columns])
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Lattice:
     """Subgroup of a free ambient group, given by generating integer vectors."""
 
@@ -357,7 +357,7 @@ def quotient(ambient: FgAbGroup, sub: Lattice) -> FgAbGroup:
     return _presented(ambient.labels, sub.hermite_basis)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class GroupMap:
     """Homomorphism between presented groups, as a matrix on chosen generators.
 

@@ -140,13 +140,13 @@ def mod2_spans_everything(curve: PuncturedLine,
 # --- zero cycles and their classes ----------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RationalPoint:
     x: Fraction
     y: Optional[Fraction] = None      # required on hyperelliptic models
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ConjugatePair:
     """The closed point over rational x with f(x) positive and not a square:
     its two real places sit at (x, +sqrt(f(x))) and (x, -sqrt(f(x)))."""
@@ -157,7 +157,7 @@ class ConjugatePair:
 CyclePoint = Union[RationalPoint, ConjugatePair]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class UnitCoefficient:
     """The unit g(x) * y^e attached to a zero-cycle term."""
 
@@ -169,13 +169,13 @@ class UnitCoefficient:
         return f"({head})*y" if self.y_exponent else head
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ZeroCycleTerm:
     point: CyclePoint
     unit: UnitCoefficient = field(default_factory=UnitCoefficient)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ZeroCycle:
     terms: tuple[ZeroCycleTerm, ...]
 
@@ -240,7 +240,7 @@ STATUS_VACUOUS = "vacuous"
 STATUS_FAILED = "failed"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class WitnessCertificate:
     """The witness found for one circle generator and the class it achieves.
 
@@ -433,7 +433,7 @@ SRC_LADDER_KERNEL = "signature-ladder-kernel-bound"
 SRC_CONJECTURE = "refined-prediction"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ExponentReport:
     d: int
     c: int
@@ -489,7 +489,7 @@ KNOWN_SHARP_CELLS: tuple[dict, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PuncturedAffineReport:
     """Punctured affine d-space: the real locus is a homotopy sphere, the
     relevant algebraic group vanishes, and the image in codimension d-1 is

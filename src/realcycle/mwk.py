@@ -37,7 +37,7 @@ from .qform import (
 Sym2 = tuple[tuple[int, tuple], ...]   # sum of coef * {a, b}
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class MilnorPart:
     """Milnor K-theory component: an integer in degree 0, a unit of the field
     in degree 1, a formal sum of 2-symbols in degree 2."""
@@ -93,7 +93,7 @@ def _milnor_zero(ctx: FieldCtx, degree: int) -> MilnorPart:
     return MilnorPart(ctx, 2, ())
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class KmwElem:
     """A compatible (Milnor, Witt) pair in degree 0, 1 or 2."""
 

@@ -21,7 +21,7 @@ from .errors import BadInterval, ZeroPolynomial
 Coeffable = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class UPoly:
     """Univariate polynomial over Q, lowest degree first: the integer
     numerators ``nums`` over one common denominator ``den``.
@@ -254,7 +254,7 @@ SIDE_MINUS = "minus"
 _SIDE_RANK = {SIDE_MINUS: -1, SIDE_EXACT: 0, SIDE_PLUS: 1}
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ExtendedPoint:
     """A point of the extended real line, optionally displaced to one side.
 
@@ -314,7 +314,7 @@ class ExtendedPoint:
         return f"{self.base}{'+' if self.side == SIDE_PLUS else '-'}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class IsolatingInterval:
     """Open rational interval containing exactly one real root of ``poly``.
 
@@ -375,8 +375,9 @@ def squarefree_decomposition(p: UPoly) -> tuple[tuple[UPoly, int], ...]:
     Yun's recurrence (Yun, SYMSAC 1976): with g = gcd(p, p'), b = p/g and
     c = p'/g, each step takes a = gcd(b, c - b'), the factors of the next
     multiplicity, and goes on with b/a and (c - b')/a.  Only the first gcd
-    has the degree of p; the others work on the square-free part.  A
-    quadratic is decided by its discriminant, so it takes no gcd at all.
+    has the degree of p; the others work on the square-free part.  A linear
+    p is its own factor, and a quadratic is decided by its discriminant, so
+    neither takes a gcd at all.
 
     >>> [(a.to_str(), i) for a, i in squarefree_decomposition(UPoly.from_roots([1, 1, -2]))]
     [('t + 2', 1), ('t - 1', 2)]
@@ -384,6 +385,8 @@ def squarefree_decomposition(p: UPoly) -> tuple[tuple[UPoly, int], ...]:
     p = p.monic()
     if p.degree <= 0:
         return ()
+    if p.degree == 1:
+        return ((p, 1),)
     if p.degree == 2:
         n0, n1, n2 = p.nums
         if n1 * n1 != 4 * n0 * n2:

@@ -49,7 +49,7 @@ TAG_FINITE = "finite-field"
 TAG_RATFUNC = "rational-functions"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class FieldCtx:
     tag: str
     p: Optional[int] = None
@@ -105,7 +105,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RatFunc:
     """Element of Q(t): a reduced fraction of polynomials with monic denominator.
 
@@ -267,12 +267,13 @@ def _trial_division(n: int) -> tuple[list[int], int]:
     Returns the primes found that divide n to an odd power, in increasing
     order, and the square-free part of the cofactor left.  Division stops at
     TRIAL_LIMIT, at the square root of what is left, or when what is left is
-    a square or a prime below TRIAL_LIMIT**3 (tested once the divisor passes
-    2^10, 2^11, ..., so a large prime or squared factor costs about as many
-    divisions as the next largest prime factor).  So the cofactor is 1, a
-    prime, or free of prime factors up to TRIAL_LIMIT; below TRIAL_LIMIT**3 it
-    is then a square, a prime or a product of two distinct primes, and a
-    larger one that is not a square raises FactorizationLimit.
+    a square or a prime below _MR_BOUND, where ``_is_prime`` is a proof
+    (tested once the divisor passes 2^10, 2^11, ..., so a large prime or
+    squared factor costs about as many divisions as the next largest prime
+    factor).  So the cofactor is 1, a prime, or free of prime factors up to
+    TRIAL_LIMIT; below TRIAL_LIMIT**3 it is then a square, a prime or a
+    product of two distinct primes, and a larger one that is neither a square
+    nor a proven prime raises FactorizationLimit.
     """
     primes = []
     d, step, test_at = 2, 1, 2 ** 10
@@ -285,13 +286,13 @@ def _trial_division(n: int) -> tuple[list[int], int]:
             if e % 2:
                 primes.append(d)
         if d > test_at:
-            if isqrt(n) ** 2 == n or (n < TRIAL_LIMIT ** 3 and _is_prime(n)):
+            if isqrt(n) ** 2 == n or (n < _MR_BOUND and _is_prime(n)):
                 break
             test_at *= 2
         d, step = d + step, 2
     if isqrt(n) ** 2 == n:
         n = 1
-    elif n >= TRIAL_LIMIT ** 3:
+    elif n >= TRIAL_LIMIT ** 3 and not (n < _MR_BOUND and _is_prime(n)):
         raise FactorizationLimit(
             f"a square class needs the factors of a {n.bit_length()}-bit integer "
             f"with no prime factor up to {TRIAL_LIMIT}")
@@ -428,7 +429,7 @@ def square_class(ctx: FieldCtx, x: Element):
 
 # --- orderings and places ----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Ordering:
     """An ordering of the context field.
 
@@ -478,7 +479,7 @@ def ordering_pool(ctx: FieldCtx, sample: Sequence[Ordering]) -> list[Ordering]:
     return pool
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Place:
     """A rational place of Q(t): the monic polynomial t - a, or infinity."""
 
@@ -499,7 +500,7 @@ class Place:
 PfisterTerms = tuple[tuple[int, tuple[Element, ...]], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class DiagForm:
     """Diagonal form <e1, ..., en> over a field context.
 
@@ -563,7 +564,7 @@ class DiagForm:
         return "<" + ",".join(map(str, self.entries)) + ">"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class GWElem:
     """Formal difference of diagonal forms: a Grothendieck-Witt style element."""
 

@@ -27,7 +27,7 @@ from .numeric import IsolatingInterval, UPoly, gap_samples, isolate_real_roots, 
 # --- curve models -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PuncturedLine:
     """The affine line minus a finite set of rational points."""
 
@@ -42,12 +42,12 @@ class PuncturedLine:
         return PuncturedLine(tuple(pts))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ProjectiveLine:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Hyperelliptic:
     """The curve y^2 = f(x), affine or with its smooth projective closure."""
 
@@ -79,7 +79,7 @@ BRANCH_PLUS = "plus"
 BRANCH_MINUS = "minus"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class ArcEnd:
     kind: str
     value: Optional[Fraction] = None                    # rational endpoint
@@ -113,7 +113,7 @@ class ArcEnd:
 Arc = tuple[ArcEnd, ArcEnd]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class RealComponent:
     """A connected component of the real locus of a curve.
 
@@ -272,7 +272,7 @@ def component_containing(curve: CurveModel, components: Sequence[RealComponent],
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SamplePoint:
     x: Fraction
     branch: int      # +1 / -1 sheet, 0 where y is not part of the model
@@ -300,7 +300,7 @@ def sample_point(component: RealComponent, curve: CurveModel) -> SamplePoint:
 
 # --- twists ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TwistMarker:
     component_id: str
     x: Fraction
@@ -308,7 +308,7 @@ class TwistMarker:
     multiplicity: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TwistDivisor:
     markers: tuple[TwistMarker, ...]
 
@@ -338,7 +338,7 @@ def twist_class(curve: CurveModel, components: Sequence[RealComponent],
 
 # --- twisted cohomology -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TwistedCohomology:
     h0: FgAbGroup
     h1: FgAbGroup

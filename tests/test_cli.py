@@ -459,12 +459,21 @@ class TestFormCommand:
         assert code == 3
 
     def test_factorisation_limit_exits_3(self, capsys):
-        # 2^61 - 1 is prime, above 10^18 and has no factor up to 10^6
+        # 6521908894648437971 = 3037000493 * 2147483647: above 10^18, not a
+        # prime and with no factor up to 10^6
         start = time.perf_counter()
-        code, out = run_cli("form", "<2305843009213693951,t>")
+        code, out = run_cli("form", "<6521908894648437971,t>")
         assert time.perf_counter() - start < 2
         assert code == 3 and out == ""
         assert "no prime factor up to 1000000" in capsys.readouterr().err
+
+    def test_proven_prime_above_the_trial_range_answers(self):
+        # 2^61 - 1 is prime, above 10^18 and below the bound where
+        # Miller-Rabin with 13 bases is a proof
+        start = time.perf_counter()
+        report = run_json("form", "<2305843009213693951*t,t>")["form"]
+        assert time.perf_counter() - start < 2
+        assert report["discriminant"] == "-2305843009213693951"
 
     def test_discriminant_factors_the_product_of_leading_coefficients(self):
         # 6521908894648437971 = 3037000493 * 2147483647: two primes above 10^6

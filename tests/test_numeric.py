@@ -253,6 +253,7 @@ class TestSquarefree:
 
     def test_quadratics_take_no_gcd(self, monkeypatch):
         monkeypatch.setattr(UPoly, "gcd", None)
+        assert squarefree_decomposition(UPoly.of(3, -6)) == ((UPoly.of(Fraction(-1, 2), 1), 1),)
         assert squarefree_decomposition(UPoly.of(2, -4, 2)) == ((UPoly.of(-1, 1), 2),)
         assert squarefree_decomposition(UPoly.of(-2, 0, 4)) == ((UPoly.of(Fraction(-1, 2), 0, 1), 1),)
 

@@ -1432,10 +1432,11 @@ def test_conic_certificates_equal_the_full_walk(case, budget):
 
 @settings(SETTINGS, max_examples=200)
 @given(st.dictionaries(st.sampled_from([2, 3, 5, 7919, 104729]), st.integers(1, 3), max_size=3),
-       st.sampled_from([1, 1000003, 999999999989]), st.integers(1, 2), st.sampled_from([1, -1]))
+       st.sampled_from([1, 1000003, 999999999989, 2305843009213693951]), st.integers(1, 2),
+       st.sampled_from([1, -1]))
 def test_squarefree_int_of_planted_factorisations(powers, big, e, sign):
     # one prime above 10^6, once or squared: trial division leaves it, or its
-    # square, as the cofactor
+    # square, as the cofactor; 2^61 - 1 is past 10^18 but proven prime
     powers[big] = e
     n = sign * prod(p ** k for p, k in powers.items())
     assert squarefree_int(n) == sign * prod(p for p, k in powers.items() if k % 2)
