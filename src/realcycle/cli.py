@@ -17,10 +17,10 @@ violation, 4 internal error, 141 stdout closed by its reader.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import abgrp, cycleclass, qform, realcurve
 from .errors import (
@@ -41,10 +41,13 @@ PRECONDITION_ERRORS = (
 )
 
 # Caps on a power in a spec (exponent and degree), whose cost grows with the
-# square of its degree, on the d and c of `bound`, so 2^(2(d+1)) prints, on the
-# digits of a literal, below Python's int-to-string limit, and on the height
-# budget of the rational-point search, whose cost grows with its square.
+# square of its degree, on the depth of parentheses and unary minus signs,
+# which the parser follows by recursion, on the d and c of `bound`, so
+# 2^(2(d+1)) prints, on the digits of a literal, below Python's int-to-string
+# limit, and on the height budget of the rational-point search, whose cost
+# grows with its square.
 MAX_POWER = 1000
+MAX_NESTING = 100
 MAX_DIMENSION = 1000
 MAX_DIGITS = 1000
 MAX_BUDGET = 1000
@@ -66,6 +69,15 @@ class _Tokens:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
+
+    def enter(self):
+        """One level deeper into parentheses or unary minus signs; the
+        caller leaves it with ``depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise SpecParseError(
+                f"parentheses and unary minus signs are nested at most {MAX_NESTING} deep")
 
     def peek(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -163,7 +175,9 @@ def _parse_product(toks, var):
 def _parse_unary(toks, var):
     if toks.peek() == "-":
         toks.take()
+        toks.enter()
         poly, powers = _parse_unary(toks, var)
+        toks.depth -= 1
         return -poly, powers
     return _parse_power(toks, var)
 
@@ -188,8 +202,10 @@ def _parse_atom(toks, var):
     ch = toks.peek()
     if ch == "(":
         toks.take()
+        toks.enter()
         inner = _parse_sum(toks, var)
         toks.expect(")")
+        toks.depth -= 1
         return inner
     if ch == var:
         toks.take()
@@ -281,6 +297,35 @@ def parse_twist_spec(text: str, curve, components) -> realcurve.TwistDivisor:
 
 
 # --- JSON rendering ----------------------------------------------------------------
+
+def render_json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) for dicts with str keys, lists, str, int,
+    bool and None, nested at the line break and spaces ``indent``; TypeError
+    on any other type.  Exact types, so a float or a Fraction never passes
+    for an int or a bool."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    inner = indent + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        return "[" + ",".join(inner + render_json(v, inner) for v in value) + indent + "]"
+    if kind is dict:    # encode_basestring_ascii raises TypeError on a key that is not a str
+        if not value:
+            return "{}"
+        return "{" + ",".join(inner + encode_basestring_ascii(k) + ": " + render_json(v, inner)
+                              for k, v in value.items()) + indent + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"cannot render {kind.__name__} as JSON")
+
 
 def jnum(value):
     if isinstance(value, Fraction):
@@ -383,7 +428,7 @@ def cmd_curve(args) -> int:
     oracle = cycleclass.exponent_oracle(1, 0, proper=proper,
                                         real_nonempty=bool(components))
     report["bounds"] = _bounds_json(oracle)
-    print(json.dumps(report, indent=2))
+    print(render_json(report))
     return 0
 
 
@@ -391,7 +436,7 @@ def cmd_bound(args) -> int:
     report = cycleclass.exponent_oracle(args.d, args.c, proper=args.proper,
                                         real_nonempty=args.real_nonempty,
                                         etale_vanishing=args.etale_vanishing)
-    print(json.dumps({"bounds": _bounds_json(report)}, indent=2))
+    print(render_json({"bounds": _bounds_json(report)}))
     return 0
 
 
@@ -459,7 +504,7 @@ def cmd_form(args) -> int:
             "fundamental_power": membership,
         }
     }
-    print(json.dumps(report, indent=2))
+    print(render_json(report))
     return 0
 
 
@@ -564,10 +609,39 @@ def command_parser(command: str) -> argparse.ArgumentParser:
     return SUBCOMMANDS[command](lambda name, help: argparse.ArgumentParser(prog=f"realcycle {name}"))
 
 
+CURVE_FLAGS = {"--spec", "--twist", "--budget"}
+
+
+def _read_direct(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace argparse returns for a well-formed ``form <form>`` or
+    ``curve`` with exact --spec/--twist/--budget pairs, each flag once and no
+    value starting with '-', read with no parser built; None for any other
+    argv, which argparse then reads."""
+    if len(argv) == 2 and argv[0] == "form" and not argv[1].startswith("-"):
+        return argparse.Namespace(form=argv[1], func=cmd_form)
+    if not argv or argv[0] != "curve" or len(argv) % 2 == 0:
+        return None
+    pairs = dict(zip(argv[1::2], argv[2::2]))
+    if (len(pairs) != len(argv) // 2 or "--spec" not in pairs or not pairs.keys() <= CURVE_FLAGS
+            or any(v.startswith("-") for v in pairs.values())):
+        return None
+    try:
+        budget = _budget(pairs["--budget"]) if "--budget" in pairs else _default_budget()
+    except argparse.ArgumentTypeError:
+        return None
+    return argparse.Namespace(spec=pairs["--spec"], twist=pairs.get("--twist"),
+                              budget=budget, func=cmd_curve)
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """One input per process, so only the running subcommand's parser is
-    built.  The full parser is built only when argv names no subcommand or
-    leaves arguments over: it prints the top-level message, and exits."""
+    """One input per process, so no parser is built for a well-formed
+    ``curve`` or ``form``, and only the running subcommand's parser for any
+    other argv that names one.  The full parser is built only when argv
+    names no subcommand or leaves arguments over: it prints the top-level
+    message, and exits."""
+    args = _read_direct(argv)
+    if args is not None:
+        return args
     if argv and argv[0] in SUBCOMMANDS:
         args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
         if not rest:

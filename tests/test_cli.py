@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from realcycle import abgrp, cycleclass, qform
-from realcycle.cli import main, parse_curve_spec, parse_poly, parse_twist_spec
+from realcycle.cli import (
+    MAX_NESTING, main, parse_curve_spec, parse_poly, parse_twist_spec, render_json,
+)
 from realcycle.errors import SpecParseError
 from realcycle.numeric import UPoly
 from realcycle.realcurve import Hyperelliptic, ProjectiveLine, PuncturedLine, real_components
@@ -139,6 +141,37 @@ class TestCurveCommand:
         assert code == 2
         assert "capped" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nest", [
+        lambda e, n: "(" * n + e + ")" * n,
+        lambda e, n: "-" * n + e,
+    ], ids=["parentheses", "unary-minus"])
+    @pytest.mark.parametrize("command", ["curve", "form"])
+    def test_nesting_cap(self, nest, command, capsys):
+        # each level is a recursion of the parser: the cap keeps it far from
+        # the interpreter's recursion limit
+        def argv(n):
+            if command == "form":
+                return "form", f"<{nest('t', n)}>"
+            return "curve", "--spec", f"hyperelliptic f=1-{nest('x^2', n)}"
+
+        at_cap, flat = run_json(*argv(MAX_NESTING)), run_json(*argv(0))
+        at_cap.pop("curve", None), flat.pop("curve", None)
+        assert at_cap == flat
+        # the depth is left at the end of each level, so siblings do not add up
+        def siblings(e):
+            return "+".join([nest(e, 1)] * (MAX_NESTING + 1))
+
+        if command == "form":
+            assert run_cli("form", f"<{siblings('t')}>")[0] == 0
+        else:
+            assert run_cli("curve", "--spec", f"hyperelliptic f=1-{siblings('x^2')}")[0] == 0
+        for n in (MAX_NESTING + 1, 3000):
+            code, out = run_cli(*argv(n))
+            assert code == 2 and out == ""
+            assert capsys.readouterr().err == (
+                f"parse error: parentheses and unary minus signs are nested at most "
+                f"{MAX_NESTING} deep\n")
+
     def test_zero_denominator_exits_2(self, capsys):
         code, _ = run_cli("curve", "--spec", "line punctures=1/0")
         assert code == 2
@@ -236,13 +269,26 @@ class TestCurveCommand:
         assert Fraction(c0["x_range"][0][1]) == Fraction(1, 3)
 
 
-PARITY_ARGVS = [
+# argv read with no parser built
+DIRECT_ARGVS = [
+    ["curve", "--spec", "line punctures=0,1"],
+    ["curve", "--budget", "7", "--twist", "points:(0,+)", "--spec", "hyperelliptic f=1-x^2"],
+    ["curve", "--twist", "", "--spec", " projective-line"],
+    ["form", "<t,t-1,-1>"], ["form", ""],
+]
+
+PARITY_ARGVS = DIRECT_ARGVS + [
     [], ["-h"], ["--help"], ["frob"],
     ["curve", "-h"], ["curve"], ["curve", "--spec", "line", "--budget", "0"],
     ["curve", "--spec", "line", "--budget", "x"], ["curve", "--spec", "line", "x"],
+    ["curve", "--spec=line"], ["curve", "--sp", "line"], ["curve", "--spec", "line", "--bud", "3"],
+    ["curve", "--spec", "line", "--spec", "projective-line"],
+    ["curve", "--spec", "line", "--budget", "-5"], ["curve", "--spec", "--twist"],
+    ["curve", "--twist", "points:(0,+)"],
     ["bound", "-h"], ["bound", "--d", "1"], ["bound", "--d", "x", "--c", "0"],
     ["bound", "--d", "1", "--c", "1001"], ["bound", "--d", "1", "--c", "0", "zz"],
     ["form", "-h"], ["form"], ["form", "--bogus", "<1>"], ["form", "--foo", "<t>"], ["fo", "<t>"],
+    ["form", "--", "<t>"], ["form", "<t>", "extra"], ["form", "-t"],
     ["suite", "-h"], ["suite", "--filter"], ["suite", "--bogus"],
 ]
 
@@ -268,6 +314,35 @@ class TestParser:
         monkeypatch.setattr(cli_mod, "_parse_args", lambda argv: cli_mod.build_parser().parse_args(argv))
         assert self.outcome(argv, capsys) == lean
         assert lean[0] in (0, 2)
+
+    @pytest.mark.parametrize("argv", PARITY_ARGVS, ids=shlex.join)
+    def test_direct_reading_returns_what_argparse_does(self, argv):
+        import realcycle.cli as cli_mod
+
+        direct = cli_mod._read_direct(argv)
+        assert (direct is not None) == (argv in DIRECT_ARGVS)
+        if direct is not None:
+            assert direct == cli_mod.command_parser(argv[0]).parse_args(argv[1:])
+
+    @pytest.mark.parametrize("argv, near_miss", [
+        (DIRECT_ARGVS[1], ["curve", "--spec=line"]),
+        (DIRECT_ARGVS[3], ["form", "--", "<t>"]),
+    ], ids=["curve", "form"])
+    def test_well_formed_curve_and_form_build_no_parser(self, argv, near_miss, monkeypatch):
+        import argparse
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run_cli(*argv)[0] == 0
+        assert built == []
+        assert run_cli(*near_miss)[0] == 0
+        assert built == [f"realcycle {argv[0]}"]
 
     @pytest.mark.parametrize("command", [None, "form"])
     def test_usage_is_the_one_argparse_renders(self, command, monkeypatch):
@@ -304,6 +379,15 @@ class TestParser:
         monkeypatch.setattr(sys, "argv", ["realcycle", "bound", "--d", "1", "--c", "0"])
         assert main() == 0
         assert capsys.readouterr().out == run_cli("bound", "--d", "1", "--c", "0")[1]
+
+
+class TestRenderJson:
+    # equality with json.dumps is a property test in test_properties.py
+    @pytest.mark.parametrize("value", [1.0, Fraction(1), (1,), {1: "a"}, ["a", Fraction(1, 2)],
+                                       {"k": (1,)}, [{"k": 1.0}]], ids=repr)
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            render_json(value)
 
 
 class TestBoundCommand:

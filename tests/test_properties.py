@@ -7,6 +7,7 @@ run is reproducible.
 """
 
 import io
+import json
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations, product as cartesian, zip_longest
@@ -1515,3 +1516,22 @@ def test_gamma0_image_evaluates_no_polynomial(monkeypatch):
         assert len(gamma0_image(curve, comps).generators) == n + 1
         assert mod2_spans_everything(curve, comps)
     assert calls == []
+
+
+# --- the report renderer -----------------------------------------------------------
+
+JSON_TEXT = st.text() | st.text(alphabet='"\\/\x00\x08\x1f\x7f\n\t aé€ \U0001f600')
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_TEXT
+    | st.integers() | st.integers(min_value=-10 ** 400, max_value=10 ** 400),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(JSON_VALUES)
+@example([])
+@example({})
+@example({"": [[], {}, [{}]], "a\"b\\c": {"\x01é": -(10 ** 300)}})
+def test_render_json_is_json_dumps_indent_2(value):
+    assert cli.render_json(value) == json.dumps(value, indent=2)
