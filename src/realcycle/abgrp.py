@@ -7,9 +7,10 @@ read as vectors (``relation_columns`` and ``images``), computed once.  Every
 lattice question (membership, bases, equality, solving, kernels, exactness of
 complexes) is one use of a row Hermite normal form, computed with
 arbitrary-precision integers; the Smith normal form behind invariant factors
-and exponents alternates row and column Hermite forms, and carries no
-transforms when only the invariants are wanted.  A group computes its
-invariants once, and a lattice its Hermite basis once.
+and exponents alternates row and column Hermite forms until a pass leaves the
+matrix diagonal, and carries no transforms when only the invariants are
+wanted.  A group computes its invariants and the Hermite basis of its
+relations once, and a lattice its Hermite basis once.
 
 >>> G = FgAbGroup.of_cyclics("a", "b", orders=(2, 4))
 >>> exponent(G)
@@ -101,9 +102,32 @@ def _with_identity(rows: Sequence[Sequence[int]]) -> Matrix:
 
 def _row_form(a: Matrix, t: Matrix, width: int) -> tuple[Matrix, Matrix]:
     """Hermite form of the rows of a, applying the same row operations to t."""
+    if t and not t[0]:
+        # nothing is carried: the rows go to hermite_form as they are
+        basis, rest = hermite_form(a, width)
+        return basis + rest, t
     basis, rest = hermite_form([x + y for x, y in zip(a, t)], width)
     out = basis + rest
     return [r[:width] for r in out], [r[width:] for r in out]
+
+
+def _is_diagonal(a: Matrix) -> bool:
+    return not any(any(row[:i]) or any(row[i + 1:]) for i, row in enumerate(a))
+
+
+def _first_stray(diag: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The first (i, j), i < j, in lexicographic order with d_i != 0 not
+    dividing d_j, or None.  The entries are non-negative; 0 and 1 divide all
+    they can, and a value seen to divide every later entry is not tried again."""
+    dividing: set[int] = set()
+    for i, d in enumerate(diag):
+        if d <= 1 or d in dividing:
+            continue
+        for j in range(i + 1, len(diag)):
+            if diag[j] % d:
+                return i, j
+        dividing.add(d)
+    return None
 
 
 def _smith_elimination(m: Sequence[Sequence[int]], u: Matrix,
@@ -117,19 +141,25 @@ def _smith_elimination(m: Sequence[Sequence[int]], u: Matrix,
     u (one row per row of m), column operations to vt (one row per column of
     m, so V transposed: a column operation on m is a row operation on vt).
     Either block may have width 0, when only the diagonal is wanted.
+
+    A column pass that leaves the matrix diagonal ends the passes: its pivots
+    are positive and come first, so a row pass would find one live row per
+    column, nothing to reduce above it and the rows already in order, and
+    would change nothing.
     """
     a = [list(row) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     while True:
         a, u = _row_form(a, u, cols)
-        if any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+        while not _is_diagonal(a):
             at, vt = _row_form(_transpose(a, cols), vt, rows)
             a = _transpose(at, rows)
-            continue
+            if _is_diagonal(a):
+                break
+            a, u = _row_form(a, u, cols)
         diag = [a[i][i] for i in range(min(rows, cols))]
-        stray = next(((i, j) for i in range(len(diag)) for j in range(i + 1, len(diag))
-                      if diag[i] and diag[j] % diag[i]), None)
+        stray = _first_stray(diag)
         if stray is None:
             return a, u, vt, tuple(diag)
         i, j = stray
@@ -165,6 +195,11 @@ def solve_in_lattice(gens: Sequence[Sequence[int]], v: Sequence[int]) -> Optiona
     return [-c for c in left[dim:]]
 
 
+def _spans(basis: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]) -> bool:
+    """Does the span of a Hermite basis contain every one of ``vectors``?"""
+    return not any(any(_reduce(basis, v)) for v in vectors)
+
+
 def lattice_spans(gens: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]],
                   dim: int) -> bool:
     """Does the integer span of ``gens`` contain every one of ``vectors``?
@@ -172,10 +207,7 @@ def lattice_spans(gens: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]
     All vectors have length ``dim``.  The generators are put in Hermite form
     once, and not at all when there is nothing to test.
     """
-    if not vectors:
-        return True
-    basis, _ = hermite_form(gens, dim)
-    return not any(any(_reduce(basis, v)) for v in vectors)
+    return not vectors or _spans(hermite_form(gens, dim)[0], vectors)
 
 
 def preimage_lattice(images: Sequence[Sequence[int]], target_gens: Sequence[Sequence[int]],
@@ -239,6 +271,11 @@ class FgAbGroup:
     def relation_columns(self) -> Matrix:
         """The relations as vectors, computed once."""
         return _transpose(self.relations, len(self.relations[0]) if self.relations else 0)
+
+    @cached_property
+    def relation_basis(self) -> Matrix:
+        """The Hermite basis of the relation lattice, computed once."""
+        return hermite_form(self.relation_columns, self.n_generators)[0]
 
     def is_free(self) -> bool:
         return all(x == 0 for row in self.relations for x in row)
@@ -328,7 +365,7 @@ def contains(sub: Lattice, v: Sequence[int]) -> bool:
     """Is v an integer combination of the lattice generators?"""
     if len(v) != sub.rank_of_ambient:
         raise RankMismatch("vector length differs from ambient rank")
-    return not any(_reduce(sub.hermite_basis, v))
+    return _spans(sub.hermite_basis, [v])
 
 
 def lattices_equal(a: Lattice, b: Lattice) -> bool:
@@ -364,7 +401,8 @@ class GroupMap:
     ``matrix`` has one row per target generator; its column j, ``images[j]``,
     is the image of the j-th source generator.  Construction checks
     that every source relation is carried into the relation lattice of the
-    target, so the matrix genuinely defines a map of quotients.
+    target, so the matrix genuinely defines a map of quotients; the target
+    eliminates its relations once for every map into it.
     """
 
     source: FgAbGroup
@@ -380,7 +418,7 @@ class GroupMap:
                 raise RankMismatch("matrix needs one column per source generator")
         relation_images = [[sum(c * x for c, x in zip(row, rel)) for row in self.matrix]
                            for rel in self.source.relation_columns]
-        if not lattice_spans(self.target.relation_columns, relation_images, rows):
+        if relation_images and not _spans(self.target.relation_basis, relation_images):
             raise IllDefinedMap("matrix does not respect the source relations")
 
     @cached_property

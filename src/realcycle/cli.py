@@ -34,7 +34,6 @@ from .errors import (
 )
 from .numeric import UPoly, coprime_refinement, gap_samples, isolate_coprime_roots
 from .qform import RATFUNC, DiagForm, Ordering, RatFunc
-from .suite import run_suite
 
 PRECONDITION_ERRORS = (
     NotSquareFree, UnsupportedClosure, MarkerOffComponent, PointOffCurve, ZeroEntry,
@@ -509,6 +508,8 @@ def cmd_form(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from .suite import run_suite   # only `realcycle suite` loads the corpus
+
     rows = run_suite(args.filter)
     if not rows:
         print(f"no check id contains {args.filter!r}", file=sys.stderr)

@@ -65,13 +65,16 @@ def _puncture_signs(curve: PuncturedLine,
     The sign of t - a at x is the sign of x - a.  With the samples sorted,
     each row is a run of -1s, the 0s of the samples equal to a, then +1s, and
     one merge walk against the sorted punctures finds every run.  Each row is
-    then read back in the components' order.
+    then read back in the components' order; a line's own components come
+    left to right, and then the run is the row.
     """
     samples = [sample_point(c, curve).x for c in components]
     m = len(samples)
     order = sorted(range(m), key=samples.__getitem__)
     ranked = [samples[i] for i in order]
-    position = sorted(range(m), key=order.__getitem__)     # sample i is ranked[position[i]]
+    position = None
+    if order != list(range(m)):
+        position = sorted(range(m), key=order.__getitem__)     # sample i is ranked[position[i]]
     rows = []
     below = 0
     for a in curve.punctures:
@@ -81,7 +84,7 @@ def _puncture_signs(curve: PuncturedLine,
         while upto < m and ranked[upto] == a:
             upto += 1
         run = (-1,) * below + (0,) * (upto - below) + (1,) * (m - upto)
-        rows.append(tuple(map(run.__getitem__, position)))
+        rows.append(run if position is None else tuple(map(run.__getitem__, position)))
     return rows
 
 
@@ -108,11 +111,15 @@ def gamma0_image(curve: PuncturedLine,
 
 
 def knebusch_gamma(m: int) -> Lattice:
-    """The same-parity lattice: Z*(1,...,1) + 2*Z^m."""
+    """The same-parity lattice: Z*(1,...,1) + 2*Z^m.
+
+    2*e_0 = 2*(1,...,1) - sum 2*e_i over i >= 1 is left out, and the
+    generators (1,...,1), 2*e_1, ..., 2*e_(m-1) are the Hermite basis.
+    """
     if m < 1:
         raise NegativeInput("need at least one component")
     ambient = FgAbGroup.free(*(f"c{i}" for i in range(m)))
-    gens = [(1,) * m] + [(0,) * i + (2,) + (0,) * (m - 1 - i) for i in range(m)]
+    gens = [(1,) * m] + [(0,) * i + (2,) + (0,) * (m - 1 - i) for i in range(1, m)]
     return Lattice(ambient, tuple(gens))
 
 

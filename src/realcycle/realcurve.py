@@ -278,19 +278,30 @@ class SamplePoint:
     branch: int      # +1 / -1 sheet, 0 where y is not part of the model
 
 
+def _midpoint(p: Fraction, q: Fraction) -> Fraction:
+    """(p + q) / 2, as one Fraction."""
+    return Fraction(p.numerator * q.denominator + q.numerator * p.denominator,
+                    2 * p.denominator * q.denominator)
+
+
+def _shifted(p: Fraction, step: int) -> Fraction:
+    """p + step, as one Fraction."""
+    return Fraction(p.numerator + step * p.denominator, p.denominator)
+
+
 def sample_point(component: RealComponent, curve: CurveModel) -> SamplePoint:
     """A rational-x point strictly inside the component, on the plus branch."""
     lo, hi = component.arcs[0]
     if lo.kind == END_NEG_INF and hi.kind == END_POS_INF:
         x = Fraction(0)
     elif lo.kind == END_NEG_INF:
-        x = (hi.value - 1) if hi.kind == END_RATIONAL else hi.interval.lo
+        x = _shifted(hi.value, -1) if hi.kind == END_RATIONAL else hi.interval.lo
     elif hi.kind == END_POS_INF:
-        x = (lo.value + 1) if lo.kind == END_RATIONAL else lo.interval.hi
+        x = _shifted(lo.value, 1) if lo.kind == END_RATIONAL else lo.interval.hi
     elif lo.kind == END_RATIONAL:
-        x = (lo.value + hi.value) / 2
+        x = _midpoint(lo.value, hi.value)
     else:
-        x = (lo.interval.hi + hi.interval.lo) / 2
+        x = _midpoint(lo.interval.hi, hi.interval.lo)
     branch = 0
     if isinstance(curve, Hyperelliptic):
         branch = -1 if component.branch == BRANCH_MINUS else 1

@@ -616,6 +616,19 @@ class TestSuiteCommand:
         assert proc.stderr.read() == b""
         proc.stderr.close()
 
+    def test_only_the_suite_command_loads_the_corpus(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = "import sys, realcycle.cli; print('realcycle.suite' in sys.modules)"
+        loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env=env, timeout=60, check=True).stdout
+        assert loaded == "False\n"
+        proc = subprocess.run([sys.executable, "-m", "realcycle.cli", "suite"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout.endswith("13/13 checks passed\n")
+
     def test_injected_failure_exits_1(self, monkeypatch):
         import realcycle.suite as suite_mod
 

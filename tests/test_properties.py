@@ -475,6 +475,38 @@ def test_component_containing_agrees_with_root_counts(case, points):
         assert component_containing(curve, comps, x) == locate_by_counting(curve, comps, x)
 
 
+def sample_by_fraction_operations(comp):
+    """A component's sample abscissa, by Fraction addition and division."""
+    lo, hi = comp.arcs[0]
+    if lo.kind == "-inf" and hi.kind == "+inf":
+        return Fraction(0)
+    if lo.kind == "-inf":
+        return hi.value - 1 if hi.kind == "rational" else hi.interval.lo
+    if hi.kind == "+inf":
+        return lo.value + 1 if lo.kind == "rational" else lo.interval.hi
+    if lo.kind == "rational":
+        return (lo.value + hi.value) / 2
+    return (lo.interval.hi + hi.interval.lo) / 2
+
+
+wide_fractions = st.builds(Fraction, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6))
+
+
+@SETTINGS
+@given(st.one_of(st.lists(st.one_of(small_fractions, wide_fractions), max_size=8,
+                          unique=True).map(PuncturedLine.make),
+                 square_free_curves().map(lambda case: case[0])))
+def test_sample_points_are_the_fraction_formula_inside_their_component(curve):
+    comps = real_components(curve)
+    for comp in comps:
+        pt = sample_point(comp, curve)
+        assert pt.x == sample_by_fraction_operations(comp)
+        lo, hi = comp.arcs[0]
+        assert lo.kind != "rational" or lo.value < pt.x
+        assert hi.kind != "rational" or pt.x < hi.value
+        assert component_containing(curve, comps, pt.x, pt.branch or None) == comp
+
+
 # --- the witness search against the plain Fraction walk -----------------------
 
 def heights_in_window(lo, hi, budget):
