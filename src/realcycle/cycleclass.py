@@ -243,7 +243,6 @@ def class_of_zero_cycle(curve: CurveModel, components: Sequence[RealComponent],
 
 STATUS_EXACT = "exact"
 STATUS_DOUBLE = "double_only"
-STATUS_VACUOUS = "vacuous"
 STATUS_FAILED = "failed"
 
 
@@ -384,9 +383,6 @@ def gamma_top_witness_search(curve: CurveModel,
 
 
 def _witness_for_circle(curve, comps, bits, comp, budget) -> WitnessCertificate:
-    def achieved_by(cycle):
-        return class_of_zero_cycle(curve, comps, bits, cycle)
-
     def gen_hit(value):
         target = {c.id: 0 for c in comps if c.is_circle}
         target[comp.id] = value
@@ -394,9 +390,10 @@ def _witness_for_circle(curve, comps, bits, comp, budget) -> WitnessCertificate:
             target[comp.id] = value % 2
         return target
 
-    if isinstance(curve, (ProjectiveLine, PuncturedLine)):
+    if isinstance(curve, ProjectiveLine):
+        # a punctured line has no circles; on P^1 any rational point is a witness
         cycle = ZeroCycle.single(RationalPoint(Fraction(0)))
-        return WitnessCertificate(comp.id, STATUS_EXACT, cycle, achieved_by(cycle))
+        return WitnessCertificate(comp.id, STATUS_EXACT, cycle, gen_hit(1))
 
     # the roots of f on the circle are its root ends, in increasing order
     root_intervals = [end.interval for arc in comp.arcs for end in arc if end.kind == END_ROOT]

@@ -58,7 +58,8 @@ class CompatibilityError(RealCycleError):
 # --- real curves ---
 
 class NotSquareFree(RealCycleError):
-    """A hyperelliptic model requires a square-free polynomial."""
+    """A polynomial that must be square-free has a repeated root: the f of a
+    hyperelliptic model, or an input of ``isolate_coprime_roots``."""
 
 
 class UnsupportedClosure(RealCycleError):

@@ -29,6 +29,7 @@ from .qform import (
     gw_to_form,
     has_trivial_discriminant,
     hyperbolic_pairing,
+    is_isotropic_vector,
     ordering_pool,
     pfister,
     signature,
@@ -271,7 +272,6 @@ def is_zero_certified(x: KmwElem, isotropy_vector: Sequence = None) -> bool:
     if witt_class_is_zero(x.witt):
         return True
     if isotropy_vector is not None:
-        from .qform import is_isotropic_vector
         for half in (x.witt.plus, x.witt.minus):
             other = x.witt.minus if half is x.witt.plus else x.witt.plus
             if (half.pfister_terms is not None and len(half.pfister_terms) == 1

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import floor, gcd, isqrt, lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import BadInterval, ZeroPolynomial
+from .errors import BadInterval, NotSquareFree, ZeroPolynomial
 
 Coeffable = Union[int, Fraction]
 
@@ -464,7 +464,11 @@ def sturm_sequence(p: UPoly) -> tuple[UPoly, ...]:
 
 
 def _sturm_chain(q: UPoly) -> tuple[UPoly, ...]:
-    """The Sturm chain of ``sturm_sequence`` for a square-free q."""
+    """The Sturm chain of ``sturm_sequence`` for a square-free q.
+
+    The chain is the remainder sequence of (q, q') and so ends at their gcd:
+    it is also the square-free test, and raises ``NotSquareFree`` when a
+    remainder vanishes above degree 0."""
     if q.degree <= 0:
         return (q,)
     chain = [q, q.deriv()]
@@ -472,8 +476,7 @@ def _sturm_chain(q: UPoly) -> tuple[UPoly, ...]:
     while len(b) > 1:
         rem = _primitive_remainder(a, b)
         if not rem:
-            # cannot happen for a square-free q, but guard anyway
-            break
+            raise NotSquareFree("the polynomial has a repeated root")
         a, b = b, tuple(-r for r in rem)
         chain.append(UPoly(b))
     return tuple(chain)
@@ -645,8 +648,9 @@ def isolate_coprime_roots(polys: Sequence[UPoly]) -> tuple[IsolatingInterval, ..
     chain of the product.
 
     The polys must be square-free, as ``coprime_basis`` makes them, so each
-    chain starts at its polynomial and no gcd(p, p') is computed; each
-    interval carries the polynomial whose root it holds."""
+    chain starts at its polynomial and no gcd(p, p') is computed; the chain
+    itself raises ``NotSquareFree`` on a repeated root.  Each interval
+    carries the polynomial whose root it holds."""
     return _bisect([_sturm_chain(p) for p in polys])
 
 

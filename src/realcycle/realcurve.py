@@ -17,12 +17,13 @@ between presented groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .abgrp import FgAbGroup, GroupMap
 from .errors import MarkerOffComponent, NotSquareFree, UnsupportedClosure
-from .numeric import IsolatingInterval, UPoly, gap_samples, isolate_real_roots, sign_of, squarefree_part
+from .numeric import IsolatingInterval, UPoly, gap_samples, isolate_coprime_roots, sign_of
 
 # --- curve models -------------------------------------------------------------
 
@@ -57,8 +58,13 @@ class Hyperelliptic:
     def __post_init__(self):
         if self.f.is_zero:
             raise NotSquareFree("f must be nonzero")
-        if squarefree_part(self.f).degree < self.f.degree:
-            raise NotSquareFree("f has a repeated root")
+        self.root_intervals     # f's Sturm chain raises NotSquareFree on a repeated root
+
+    @cached_property
+    def root_intervals(self) -> tuple[IsolatingInterval, ...]:
+        """The isolating intervals of the real roots of f, sorted, from the
+        one Sturm chain of f; a cache, not a field, so ignored by equality."""
+        return isolate_coprime_roots((self.f,))
 
 
 CurveModel = Union[PuncturedLine, ProjectiveLine, Hyperelliptic]
@@ -150,77 +156,36 @@ def real_components(curve: CurveModel) -> tuple[RealComponent, ...]:
 
 
 def _hyperelliptic_components(curve: Hyperelliptic) -> tuple[RealComponent, ...]:
-    f = curve.f
-    ivs = isolate_real_roots(f)
-    k = len(ivs)
+    """One left-to-right pass over the gaps between the roots of f.
+
+    A gap where f > 0 carries two branches glued at its root ends, so a
+    bounded one is an oval.  The affine model leaves the unbounded gaps open;
+    the projective model closes them through its real points at infinity,
+    where an even-degree f joins its two ends into one circle."""
+    f, ivs = curve.f, curve.root_intervals
     signs = [f.sign_at(x) for x in gap_samples(ivs)]
     assert all(s != 0 for s in signs)
     for a, b in zip(signs, signs[1:]):
         assert a != b, "simple roots must separate signs"
-
-    root_end = [ArcEnd.root(i, iv) for i, iv in enumerate(ivs)]
-    deg, lead = f.degree, f.lc
-    has_infinity = curve.projective and (deg % 2 == 1 or lead > 0)
-
-    # sort key: leftmost root index (-1 for unbounded left), then branch
-    pieces: list[tuple[int, int, RealComponent]] = []
-
-    def add(left_idx, branch_rank, comp):
-        pieces.append((left_idx, branch_rank, comp))
-
-    # bounded ovals
-    for g in range(1, k):
-        if signs[g] > 0:
-            arc = ((root_end[g - 1], root_end[g]),)
-            add(g - 1, 0, RealComponent("?", KIND_CIRCLE, True, arc))
-
-    if k == 0:
-        if signs[0] > 0:
-            whole: Arc = (ArcEnd.neg_inf(), ArcEnd.pos_inf())
-            if has_infinity:
-                # two branches over the whole line, closing up through the two
-                # (resp. one) real points at infinity
-                if deg % 2 == 1:
-                    raise AssertionError("odd degree forces a real root")
-                if (deg // 2) % 2 == 0:
-                    add(-1, 0, RealComponent("?", KIND_CIRCLE, True, (whole,),
-                                             branch=BRANCH_PLUS, through_infinity=True))
-                    add(-1, 1, RealComponent("?", KIND_CIRCLE, True, (whole,),
-                                             branch=BRANCH_MINUS, through_infinity=True))
-                else:
-                    add(-1, 0, RealComponent("?", KIND_CIRCLE, True, (whole,),
-                                             through_infinity=True))
-            else:
-                add(-1, 0, RealComponent("?", KIND_INTERVAL, False, (whole,),
-                                         branch=BRANCH_PLUS))
-                add(-1, 1, RealComponent("?", KIND_INTERVAL, False, (whole,),
-                                         branch=BRANCH_MINUS))
+    ends = [ArcEnd.neg_inf(), *(ArcEnd.root(i, iv) for i, iv in enumerate(ivs)), ArcEnd.pos_inf()]
+    gaps = [gap for gap, s in zip(zip(ends, ends[1:]), signs) if s > 0]
+    if gaps and not ivs:
+        # f > 0 on the whole line: the affine model keeps the two sheets
+        # apart; the points at infinity close each sheet on itself when
+        # deg f / 2 is even, and join the two sheets when it is odd
+        joined = curve.projective and f.degree // 2 % 2 == 1
+        sheets = (BRANCH_BOTH,) if joined else (BRANCH_PLUS, BRANCH_MINUS)
+        pieces = [(tuple(gaps), b, curve.projective) for b in sheets]
     else:
-        left_open = signs[0] > 0
-        right_open = signs[k] > 0
-        left_arc: Arc = (ArcEnd.neg_inf(), root_end[0])
-        right_arc: Arc = (root_end[k - 1], ArcEnd.pos_inf())
-        if has_infinity and deg % 2 == 0:
-            # both ends reach infinity and meet there: one circle through both
-            assert left_open and right_open
-            add(-1, 0, RealComponent("?", KIND_CIRCLE, True, (left_arc, right_arc),
-                                     through_infinity=True))
-        else:
-            if left_open:
-                closes = has_infinity and deg % 2 == 1 and lead < 0
-                add(-1, 0, RealComponent("?", KIND_CIRCLE if closes else KIND_INTERVAL,
-                                         closes, (left_arc,), through_infinity=closes))
-            if right_open:
-                closes = has_infinity and deg % 2 == 1 and lead > 0
-                add(k - 1, 0, RealComponent("?", KIND_CIRCLE if closes else KIND_INTERVAL,
-                                            closes, (right_arc,), through_infinity=closes))
-
-    pieces.sort(key=lambda t: (t[0], t[1]))
-    out = []
-    for i, (_, _, comp) in enumerate(pieces):
-        out.append(RealComponent(f"c{i}", comp.kind, comp.compact, comp.arcs,
-                                 comp.branch, comp.through_infinity))
-    return tuple(out)
+        pieces = []     # (arcs, branch, closed), left to right
+        if curve.projective and f.degree % 2 == 0 and signs[0] > 0:
+            pieces.append(((gaps.pop(0), gaps.pop()), BRANCH_BOTH, True))
+        pieces += [(((lo, hi),), BRANCH_BOTH, curve.projective or lo.kind == hi.kind == END_ROOT)
+                   for lo, hi in gaps]
+    return tuple(
+        RealComponent(f"c{i}", KIND_CIRCLE if closed else KIND_INTERVAL, closed, arcs, branch,
+                      closed and any(end.kind != END_ROOT for arc in arcs for end in arc))
+        for i, (arcs, branch, closed) in enumerate(pieces))
 
 
 # --- locating rational points ---------------------------------------------------

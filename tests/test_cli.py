@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from realcycle import abgrp, cycleclass, qform
+from realcycle import abgrp, cycleclass, numeric, qform
 from realcycle.cli import (
     MAX_NESTING, main, parse_curve_spec, parse_poly, parse_twist_spec, render_json,
 )
@@ -124,6 +124,28 @@ class TestCurveCommand:
     def test_square_free_violation_exits_3(self):
         code, _ = run_cli("curve", "--spec", "hyperelliptic f=x^2")
         assert code == 3
+        code, out = run_cli("curve", "--spec", "hyperelliptic f=x^2*(x-1)")
+        assert code == 3 and out == ""
+
+    def test_a_hyperelliptic_report_runs_one_remainder_sequence(self, monkeypatch):
+        """The Sturm chain of f is the square-free test and isolates the
+        roots: no gcd(f, f') is taken besides it."""
+        calls = {"gcd": 0, "chain": 0}
+        gcd, chain = UPoly.gcd, numeric._sturm_chain
+
+        def counting_gcd(self, other):
+            calls["gcd"] += 1
+            return gcd(self, other)
+
+        def counting_chain(q):
+            calls["chain"] += 1
+            return chain(q)
+
+        monkeypatch.setattr(UPoly, "gcd", counting_gcd)
+        monkeypatch.setattr(numeric, "_sturm_chain", counting_chain)
+        report = run_json("curve", "--spec", "hyperelliptic f=x^3-x projective")
+        assert len(report["components"]) == 2
+        assert calls == {"gcd": 0, "chain": 1}
 
     def test_parse_error_exits_2(self):
         code, _ = run_cli("curve", "--spec", "hyperelliptic f=x^^2")

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from realcycle.errors import BadInterval, ZeroPolynomial
+from realcycle.errors import BadInterval, NotSquareFree, ZeroPolynomial
 from realcycle.numeric import (
     ExtendedPoint,
     UPoly,
     count_real_roots,
+    isolate_coprime_roots,
     isolate_real_roots,
     odd_multiplicity_part,
     rational_root,
@@ -160,6 +161,15 @@ class TestIsolateRealRoots:
             # disjoint and sorted
             for left, right in zip(ivs, ivs[1:]):
                 assert left.hi <= right.lo
+
+
+class TestIsolateCoprimeRoots:
+    def test_a_repeated_root_is_refused(self):
+        # the chain of (t-1)^2 (t-2) ends at gcd(p, p') = t - 1, not at a
+        # constant; cut short there, it would isolate the double root in an
+        # interval that refines away from it
+        with pytest.raises(NotSquareFree):
+            isolate_coprime_roots([UPoly.from_roots([1, 1, 2])])
 
 
 class TestRationalRoot:

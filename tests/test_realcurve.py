@@ -112,6 +112,17 @@ class TestHyperelliptic:
     def test_double_root_rejected(self):
         with pytest.raises(NotSquareFree):
             hyper(UPoly.of(0, 0, 1))
+        with pytest.raises(NotSquareFree):
+            hyper(X * X * (X - UPoly.one()))
+
+    def test_root_intervals_are_a_cache_not_a_field(self):
+        f = UPoly.from_roots([-1, 0, 1])
+        a, b = hyper(f), hyper(f)
+        assert a.root_intervals is a.root_intervals
+        assert [(iv.lo, iv.hi, iv.poly) for iv in a.root_intervals] == [
+            (iv.lo, iv.hi, f) for iv in b.root_intervals]
+        assert a == b and hash(a) == hash(b)
+        assert a != hyper(f, projective=True)
 
     def test_component_count_matches_construction(self):
         rng = random.Random(2024)
