@@ -10,7 +10,8 @@ arbitrary-precision integers; the Smith normal form behind invariant factors
 and exponents alternates row and column Hermite forms until a pass leaves the
 matrix diagonal, and carries no transforms when only the invariants are
 wanted.  A group computes its invariants and the Hermite basis of its
-relations once, and a lattice its Hermite basis once.
+relations once, and a lattice its Hermite basis once, with no elimination at
+all when its generators already are that basis.
 
 >>> G = FgAbGroup.of_cyclics("a", "b", orders=(2, 4))
 >>> exponent(G)
@@ -81,6 +82,36 @@ def hermite_form(rows: Sequence[Sequence[int]], width: int) -> tuple[Matrix, Mat
                 basis[i] = [x - q * y for x, y in zip(b, p)]
         basis.append(p)
     return basis, pending
+
+
+def _is_hermite_basis(rows: Sequence[Sequence[int]]) -> bool:
+    """Are the rows their own row Hermite normal form, so that
+    ``hermite_form`` would return them unchanged with nothing left over?
+
+    One pass over the rows: each row's pivot (its first nonzero entry) is
+    positive and lies right of the pivot before it, and the entries above
+    each pivot lie in [0, pivot).  Only the rows with a nonzero entry past
+    their pivot can have one above a later pivot, so only they are read
+    there; a row with one nonzero entry is zero up to its pivot without a
+    look.
+    """
+    dense = []
+    col = -1
+    for row in rows:
+        col += 1
+        while col < len(row) and not row[col]:
+            col += 1
+        if col == len(row) or row[col] < 0:
+            return False
+        pivot = row[col]
+        for r in dense:
+            if not 0 <= r[col] < pivot:
+                return False
+        if len(row) - row.count(0) > 1:
+            if any(row[:col]):
+                return False
+            dense.append(row)
+    return True
 
 
 def _reduce(basis: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
@@ -357,8 +388,11 @@ class Lattice:
 
     @cached_property
     def hermite_basis(self) -> tuple[tuple[int, ...], ...]:
-        """The lattice's canonical basis, computed once."""
-        return tuple(map(tuple, hermite_form(self.generators, self.rank_of_ambient)[0]))
+        """The lattice's canonical basis, computed once.  Generators that
+        already are it (the Hermite form is unique) are taken as they are."""
+        gens = self.generators
+        basis = gens if _is_hermite_basis(gens) else hermite_form(gens, self.rank_of_ambient)[0]
+        return tuple(map(tuple, basis))
 
 
 def contains(sub: Lattice, v: Sequence[int]) -> bool:

@@ -229,7 +229,7 @@ def parse_curve_spec(text: str) -> realcurve.CurveModel:
         if not rest.startswith("punctures="):
             raise SpecParseError("line takes only punctures=a1,a2,...")
         values = rest[len("punctures="):]
-        punctures = [_parse_rational(v) for v in values.split(",") if v != ""]
+        punctures = [_parse_rational(v) for v in values.split(",")] if values else []
         return realcurve.PuncturedLine.make(punctures)
     if head == "projective-line":
         if rest:
@@ -401,10 +401,9 @@ def cmd_curve(args) -> int:
         # a punctured line has no circles, so its twist bits are all 0
         image = cycleclass.gamma0_image(curve, components)
         order, exp = cycleclass.coker_report(image)
-        basis = abgrp.lattice_basis(image)
         gamma = cycleclass.knebusch_gamma(len(components))
         report["gamma0"] = {
-            "image_basis": [[jnum(x) for x in row] for row in basis],
+            "image_basis": abgrp.lattice_basis(image),
             "coker": {"order": order if order is not None else "infinite",
                       "exponent": exp},
             "knebusch_match": abgrp.lattices_equal(image, gamma),

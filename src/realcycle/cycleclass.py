@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import sub
 from typing import Optional, Sequence, Union
 
 from .abgrp import FgAbGroup, Lattice, exponent, hermite_form, identity_matrix, order_of, quotient
@@ -98,16 +99,25 @@ def gamma0_image(curve: PuncturedLine,
                  components: Optional[Sequence[RealComponent]] = None) -> Lattice:
     """The image of the global signature map inside H^0, as a lattice.
 
-    The generators are the signature vectors of the unit forms; sums of unit
-    forms have the vector sums as signatures and <-u> realizes negation, so
-    the integer span is the full image of the signature map.  Twists live on
-    circles, and a punctured line has none, so the image is always untwisted.
+    The signature vectors of the unit forms span the image: sums of unit
+    forms have the vector sums as signatures and <-u> realizes negation.
+    Twists live on circles, and a punctured line has none, so the image is
+    always untwisted.
+
+    The generators are a unimodular change of those vectors with the same
+    span: (1,...,1), the negation of the row of <-1>, then the differences
+    r_i - r_(i+1) of adjacent rows along the chain r_0, ..., r_(k-1), <-1>
+    of the punctures' rows.  On a line's own components, left to right,
+    they are (1,...,1), 2*e_1, ..., 2*e_(m-1), already the Hermite basis,
+    so the lattice skips the elimination.
     """
     if not isinstance(curve, PuncturedLine):
         raise UnsupportedTwist("unit signature lattices are computed for punctured lines")
     comps = tuple(components) if components is not None else real_components(curve)
-    vectors = unit_sign_vectors(curve, comps)
-    return Lattice(_component_ambient(comps), tuple(vectors))
+    minus_one, *chain = unit_sign_vectors(curve, comps)
+    chain.append(minus_one)
+    steps = [tuple(map(sub, r, s)) for r, s in zip(chain, chain[1:])]
+    return Lattice(_component_ambient(comps), (tuple(-x for x in minus_one), *steps))
 
 
 def knebusch_gamma(m: int) -> Lattice:

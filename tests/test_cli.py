@@ -66,6 +66,23 @@ class TestCurveSpecParser:
         assert parse_curve_spec("line punctures=0,1") == PuncturedLine.make([0, 1])
         assert parse_curve_spec("line punctures=-1/2") == PuncturedLine.make([Fraction(-1, 2)])
 
+    def test_line_with_an_empty_puncture_list(self):
+        assert parse_curve_spec("line punctures=") == PuncturedLine.make()
+        empty, bare = run_json("curve", "--spec", "line punctures="), run_json("curve", "--spec", "line")
+        assert empty.pop("curve") == "line punctures=" and bare.pop("curve") == "line"
+        assert empty == bare
+
+    @pytest.mark.parametrize("spec", [
+        "line punctures=1,,2", "line punctures=1,", "line punctures=,1", "line punctures=,",
+        "line punctures=1, ,2",
+    ])
+    def test_empty_puncture_item_exits_2(self, spec, capsys):
+        with pytest.raises(SpecParseError):
+            parse_curve_spec(spec)
+        code, out = run_cli("curve", "--spec", spec)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("parse error: ")
+
     def test_projective_line(self):
         assert parse_curve_spec("projective-line") == ProjectiveLine()
 
@@ -254,7 +271,8 @@ class TestCurveCommand:
 
     def test_gamma_report_shares_one_hermite_form_and_carries_no_transforms(self, monkeypatch):
         # the cokernel, the reported basis and the Knebusch comparison all
-        # read the image's one cached Hermite basis, and the cokernel's
+        # read the image's one cached Hermite basis, which its generators
+        # already are, so no elimination runs on them; the cokernel's
         # invariants come from the Smith diagonal alone
         image = cycleclass.gamma0_image(PuncturedLine.make([0, 1, 2]))
         generators = [list(g) for g in image.generators]
@@ -277,7 +295,31 @@ class TestCurveCommand:
         assert report["gamma0"]["coker"] == {"order": 8, "exponent": 2}
         assert report["gamma0"]["knebusch_match"] is True
         assert snf_calls == []
-        assert sum(1 for rows in hermite_inputs if rows == generators) == 1
+        assert sum(1 for rows in hermite_inputs if rows == generators) == 0
+
+    def test_gamma_image_and_knebusch_lattices_run_no_hermite_form(self, monkeypatch):
+        # both lattices are generated by their Hermite bases, which the
+        # lattice recognises instead of eliminating
+        spec = "line punctures=" + ",".join(map(str, range(40)))
+        image = cycleclass.gamma0_image(parse_curve_spec(spec))
+        hermite_inputs = []
+        hermite = abgrp.hermite_form
+
+        def counted_hermite(rows, width):
+            rows = [tuple(r) for r in rows]
+            hermite_inputs.append(rows)
+            return hermite(rows, width)
+
+        monkeypatch.setattr(abgrp, "hermite_form", counted_hermite)
+        monkeypatch.setattr(cycleclass, "hermite_form", counted_hermite)
+        report = run_json("curve", "--spec", spec)
+        assert report["gamma0"]["image_basis"] == [list(g) for g in image.generators]
+        assert report["gamma0"]["knebusch_match"] is True
+        assert list(image.generators) not in hermite_inputs
+        for m in range(1, 42):
+            gamma = cycleclass.knebusch_gamma(m)
+            assert abgrp.lattice_basis(gamma) == [list(g) for g in gamma.generators]
+            assert list(gamma.generators) not in hermite_inputs
 
     def test_deterministic_output(self):
         a = run_cli("curve", "--spec", "hyperelliptic f=x^3-x projective")

@@ -21,9 +21,11 @@ from realcycle.abgrp import (
     FgAbGroup,
     GroupMap,
     Lattice,
+    _is_hermite_basis,
     cokernel_presentation,
     exponent,
     free_rank,
+    hermite_form,
     image_presentation,
     invariant_factors,
     kernel_presentation,
@@ -227,6 +229,49 @@ def test_lattice_basis_is_canonical(case):
     ambient = FgAbGroup.free(*(f"e{i}" for i in range(dim)))
     assert lattice_basis(Lattice(ambient, tuple(map(tuple, gens)))) == \
         lattice_basis(Lattice(ambient, tuple(map(tuple, mixed))))
+
+
+@st.composite
+def near_hermite_rows(draw):
+    """A small integer matrix: raw generators, or a Hermite basis left as it
+    is or spoiled in one place (a zero row, a negated pivot, an entry above a
+    pivot pushed out of [0, pivot), a repeated row, two rows swapped)."""
+    dim, gens = draw(generator_sets())
+    if draw(st.booleans()):
+        return dim, gens
+    rows = hermite_form(gens, dim)[0]
+    spoil = draw(st.sampled_from(["none", "zero", "negate", "above", "repeat", "swap"]))
+    if spoil == "zero":
+        rows.insert(draw(st.integers(0, len(rows))), [0] * dim)
+    elif rows and spoil in ("negate", "repeat"):
+        i = draw(st.integers(0, len(rows) - 1))
+        if spoil == "negate":
+            rows[i] = [-x for x in rows[i]]
+        else:
+            rows.insert(i, list(rows[i]))
+    elif len(rows) > 1 and spoil in ("above", "swap"):
+        i, j = sorted(draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        if spoil == "above":
+            c = draw(st.sampled_from([-2, -1, 1, 2]))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        else:
+            rows[i], rows[j] = rows[j], rows[i]
+    return dim, rows
+
+
+@settings(SETTINGS, max_examples=300)
+@given(near_hermite_rows())
+def test_hermite_basis_recognizer_accepts_exactly_the_fixed_points(case):
+    dim, rows = case
+    assert _is_hermite_basis(rows) == (hermite_form(rows, dim) == (rows, []))
+
+
+@SETTINGS
+@given(generator_sets())
+def test_hermite_basis_recognizer_accepts_every_hermite_basis(case):
+    dim, gens = case
+    assert _is_hermite_basis(hermite_form(gens, dim)[0])
 
 
 def det_bareiss(m):
@@ -1531,6 +1576,16 @@ def test_mod2_span_agrees_with_the_evaluated_signs(case):
     rows = [[int(s > 0) for s in row] for row in evaluated_signs(curve, comps)]
     rows[0] = [1] * len(comps)
     assert mod2_spans_everything(curve, comps) == (rank_mod2(rows) == len(comps))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(lines_on_components())
+def test_gamma0_generators_span_the_signature_vectors_lattice(case):
+    curve, comps = case
+    image = gamma0_image(curve, comps)
+    vectors = unit_sign_vectors(curve, comps)
+    assert len(image.generators) == len(vectors)
+    assert hermite_form(image.generators, len(comps))[0] == hermite_form(vectors, len(comps))[0]
 
 
 def test_gamma0_image_evaluates_no_polynomial(monkeypatch):
