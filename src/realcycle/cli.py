@@ -53,16 +53,16 @@ MAX_BUDGET = 1000
 
 
 def _digit_run(text: str, start: int) -> int:
-    """End of the run of digits that starts at ``start``."""
+    """End of the run of decimal digits (those int() reads) from ``start``."""
     end = start
-    while end < len(text) and text[end].isdigit():
+    while end < len(text) and text[end].isdecimal():
         end += 1
     if end - start > MAX_DIGITS:
         raise SpecParseError(f"numbers are capped at {MAX_DIGITS} digits")
     return end
 
 
-# --- polynomial expressions -------------------------------------------------------
+# --- literals and polynomial expressions ------------------------------------------
 
 class _Tokens:
     def __init__(self, text: str):
@@ -94,13 +94,16 @@ class _Tokens:
         if got != ch:
             raise SpecParseError(f"expected '{ch}' at position {self.pos} of {self.text!r}")
 
-    def number(self) -> Fraction:
+    def integer(self) -> int:
         self.peek()
         start = self.pos
         self.pos = _digit_run(self.text, start)
         if self.pos == start:
             raise SpecParseError(f"expected a number at position {start} of {self.text!r}")
-        value = int(self.text[start:self.pos])
+        return int(self.text[start:self.pos])
+
+    def number(self) -> Fraction:
+        value = self.integer()
         if self.peek() == "/":
             self.take()
             dstart = self.pos
@@ -112,6 +115,13 @@ class _Tokens:
                 raise SpecParseError(f"zero denominator at position {dstart} of {self.text!r}")
             return Fraction(value, denominator)
         return Fraction(value)
+
+    def rational(self) -> Fraction:
+        """A number with an optional leading '-'."""
+        if self.peek() == "-":
+            self.take()
+            return -self.number()
+        return self.number()
 
 
 def parse_poly(text: str, var: str) -> UPoly:
@@ -211,7 +221,7 @@ def _parse_atom(toks, var):
         return UPoly.x(), ((UPoly.x(), 1),)
     if ch is None:
         raise SpecParseError(f"unexpected end of polynomial {toks.text!r}")
-    if ch.isdigit():
+    if ch.isdecimal():
         return UPoly.constant(toks.number()), ()
     raise SpecParseError(f"unexpected {ch!r} in polynomial {toks.text!r}")
 
@@ -224,13 +234,10 @@ def parse_curve_spec(text: str) -> realcurve.CurveModel:
         raise SpecParseError("empty curve spec")
     head, rest = words[0], (words[1] if len(words) > 1 else "")
     if head == "line":
-        if not rest:
-            return realcurve.PuncturedLine.make()
-        if not rest.startswith("punctures="):
+        if rest and not rest.startswith("punctures="):
             raise SpecParseError("line takes only punctures=a1,a2,...")
-        values = rest[len("punctures="):]
-        punctures = [_parse_rational(v) for v in values.split(",")] if values else []
-        return realcurve.PuncturedLine.make(punctures)
+        toks = _Tokens(rest[len("punctures="):])
+        return realcurve.PuncturedLine.make(_separated(toks, _Tokens.rational))
     if head == "projective-line":
         if rest:
             raise SpecParseError("projective-line takes no arguments")
@@ -247,47 +254,43 @@ def parse_curve_spec(text: str) -> realcurve.CurveModel:
     raise SpecParseError(f"unknown curve kind {head!r}")
 
 
-def _parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    neg = text.startswith("-")
-    toks = _Tokens(text[1:] if neg else text)
-    value = toks.number()
-    if toks.peek() is not None:
-        raise SpecParseError(f"bad rational literal {text!r}")
-    return -value if neg else value
+def _separated(toks, read) -> list:
+    """read(toks) for each comma-separated element of the rest of ``toks``;
+    none when only whitespace is left."""
+    if toks.peek() is None:
+        return []
+    out = [read(toks)]
+    while (sep := toks.take()) == ",":
+        out.append(read(toks))
+    if sep is not None:
+        raise SpecParseError(f"expected ',' at position {toks.pos - 1} of {toks.text!r}")
+    return out
+
+
+def _twist_point(toks):
+    """(x, branch, multiplicity) of one marker ``(x,+)`` or ``(x,-)``, then ``[*mult]``."""
+    toks.expect("(")
+    x = toks.rational()
+    toks.expect(",")
+    sign = toks.peek()
+    if sign not in ("+", "-"):
+        raise SpecParseError(f"expected '+' or '-' at position {toks.pos} of {toks.text!r}")
+    toks.take()
+    toks.expect(")")
+    mult = 1
+    if toks.peek() == "*":
+        toks.take()
+        mult = toks.integer()
+    return x, (1 if sign == "+" else -1), mult
 
 
 def parse_twist_spec(text: str, curve, components) -> realcurve.TwistDivisor:
     """Grammar: points:(x0,branch)[*mult],(x1,branch),...  with branch + or -."""
     if not text.startswith("points:"):
         raise SpecParseError("twist spec must start with 'points:'")
-    body = text[len("points:"):]
+    toks = _Tokens(text[len("points:"):])
     markers = []
-    i = 0
-    while i < len(body):
-        if body[i] != "(":
-            raise SpecParseError(f"expected '(' at position {i} of twist spec")
-        close = body.find(")", i)
-        if close < 0:
-            raise SpecParseError("unbalanced parenthesis in twist spec")
-        inner = body[i + 1:close]
-        parts = inner.split(",")
-        if len(parts) != 2 or parts[1] not in ("+", "-"):
-            raise SpecParseError(f"bad twist point {inner!r}; want (x,+) or (x,-)")
-        x = _parse_rational(parts[0])
-        branch = 1 if parts[1] == "+" else -1
-        i = close + 1
-        mult = 1
-        if i < len(body) and body[i] == "*":
-            j = _digit_run(body, i + 1)
-            if j == i + 1:
-                raise SpecParseError("expected a multiplicity after '*'")
-            mult = int(body[i + 1:j])
-            i = j
-        if i < len(body):
-            if body[i] != ",":
-                raise SpecParseError(f"expected ',' at position {i} of twist spec")
-            i += 1
+    for x, branch, mult in _separated(toks, _twist_point):
         comp = realcurve.component_containing(curve, components, x, branch)
         if comp is None:
             raise MarkerOffComponent(f"twist point x={x} is not on the real locus")
@@ -551,74 +554,44 @@ def _default_budget() -> int:
         return 50
 
 
-def _add_curve(make) -> argparse.ArgumentParser:
-    p = make("curve", help="analyse a curve")
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand."""
+    parser = argparse.ArgumentParser(prog="realcycle",
+                                     description="quadratic forms and real cycle classes of curves")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("curve", help="analyse a curve")
     p.add_argument("--spec", required=True,
                    help='e.g. "line punctures=0,1" or "hyperelliptic f=1-x^2 projective"')
     p.add_argument("--twist", help='divisor spec "points:(x0,+)[*mult],..."')
     p.add_argument("--budget", type=_budget, default=_default_budget(),
                    help=f"height budget for rational point search, 1..{MAX_BUDGET}")
     p.set_defaults(func=cmd_curve)
-    return p
-
-
-def _add_bound(make) -> argparse.ArgumentParser:
-    p = make("bound", help="exponent bounds for (d, c)")
+    p = sub.add_parser("bound", help="exponent bounds for (d, c)")
     p.add_argument("--d", type=_dimension, required=True, help=f"dimension, 0..{MAX_DIMENSION}")
     p.add_argument("--c", type=_dimension, required=True, help=f"codimension, 0..{MAX_DIMENSION}")
     p.add_argument("--proper", action="store_true")
     p.add_argument("--real-nonempty", dest="real_nonempty", action="store_true")
     p.add_argument("--etale-vanishing", dest="etale_vanishing", action="store_true")
     p.set_defaults(func=cmd_bound)
-    return p
-
-
-def _add_form(make) -> argparse.ArgumentParser:
-    p = make("form", help="invariants of a diagonal form over Q(t)")
+    p = sub.add_parser("form", help="invariants of a diagonal form over Q(t)")
     p.add_argument("form", help='syntax "<e1,e2,...>" with entries polynomials in t')
     p.set_defaults(func=cmd_form)
-    return p
-
-
-def _add_suite(make) -> argparse.ArgumentParser:
-    p = make("suite", help="run the verification corpus")
+    p = sub.add_parser("suite", help="run the verification corpus")
     p.add_argument("--filter", help="only run checks whose id contains this substring")
     p.set_defaults(func=cmd_suite)
-    return p
-
-
-# Each adder makes its subcommand's parser with make(name, help=...) and
-# returns it: make is the subparsers' add_parser in the full parser.
-SUBCOMMANDS = {"curve": _add_curve, "bound": _add_bound, "form": _add_form, "suite": _add_suite}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The parser with every subcommand."""
-    parser = argparse.ArgumentParser(prog="realcycle",
-                                     description="quadratic forms and real cycle classes of curves")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for add in SUBCOMMANDS.values():
-        add(sub.add_parser)
     return parser
-
-
-def command_parser(command: str) -> argparse.ArgumentParser:
-    """The parser of one subcommand alone, which prints what the full
-    parser's subparser of that name does: the same program name, arguments
-    and messages."""
-    return SUBCOMMANDS[command](lambda name, help: argparse.ArgumentParser(prog=f"realcycle {name}"))
 
 
 CURVE_FLAGS = {"--spec", "--twist", "--budget"}
 
 
 def _read_direct(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace argparse returns for a well-formed ``form <form>`` or
-    ``curve`` with exact --spec/--twist/--budget pairs, each flag once and no
-    value starting with '-', read with no parser built; None for any other
+    """The Namespace build_parser() returns for a well-formed ``form <form>``
+    or ``curve`` with exact --spec/--twist/--budget pairs, each flag once and
+    no value starting with '-', read with no parser built; None for any other
     argv, which argparse then reads."""
     if len(argv) == 2 and argv[0] == "form" and not argv[1].startswith("-"):
-        return argparse.Namespace(form=argv[1], func=cmd_form)
+        return argparse.Namespace(command="form", form=argv[1], func=cmd_form)
     if not argv or argv[0] != "curve" or len(argv) % 2 == 0:
         return None
     pairs = dict(zip(argv[1::2], argv[2::2]))
@@ -629,29 +602,15 @@ def _read_direct(argv: list[str]) -> argparse.Namespace | None:
         budget = _budget(pairs["--budget"]) if "--budget" in pairs else _default_budget()
     except argparse.ArgumentTypeError:
         return None
-    return argparse.Namespace(spec=pairs["--spec"], twist=pairs.get("--twist"),
+    return argparse.Namespace(command="curve", spec=pairs["--spec"], twist=pairs.get("--twist"),
                               budget=budget, func=cmd_curve)
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """One input per process, so no parser is built for a well-formed
-    ``curve`` or ``form``, and only the running subcommand's parser for any
-    other argv that names one.  The full parser is built only when argv
-    names no subcommand or leaves arguments over: it prints the top-level
-    message, and exits."""
-    args = _read_direct(argv)
-    if args is not None:
-        return args
-    if argv and argv[0] in SUBCOMMANDS:
-        args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_args(argv)
+    args = _read_direct(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()

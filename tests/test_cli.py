@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realcycle import abgrp, cycleclass, numeric, qform
 from realcycle.cli import (
@@ -65,6 +67,7 @@ class TestCurveSpecParser:
         assert parse_curve_spec("line") == PuncturedLine.make()
         assert parse_curve_spec("line punctures=0,1") == PuncturedLine.make([0, 1])
         assert parse_curve_spec("line punctures=-1/2") == PuncturedLine.make([Fraction(-1, 2)])
+        assert parse_curve_spec("line punctures= 1 , -2/3") == PuncturedLine.make([1, Fraction(-2, 3)])
 
     def test_line_with_an_empty_puncture_list(self):
         assert parse_curve_spec("line punctures=") == PuncturedLine.make()
@@ -104,12 +107,39 @@ class TestTwistParser:
         assert len(div.markers) == 1 and div.markers[0].multiplicity == 1
         div = parse_twist_spec("points:(0,+)*3,(1/2,-)", curve, comps)
         assert [m.multiplicity for m in div.markers] == [3, 1]
+        assert parse_twist_spec("points:(0,+)*0", curve, comps).markers[0].multiplicity == 0
+        assert parse_twist_spec("points:", curve, comps).markers == ()
 
     def test_bad_branch(self):
         curve = Hyperelliptic(UPoly.of(1, 0, -1))
         comps = real_components(curve)
         with pytest.raises(SpecParseError):
             parse_twist_spec("points:(0,up)", curve, comps)
+
+    @pytest.mark.parametrize("spec", [
+        "points:(0,+),", "points:(0,+)(1,+)", "points:(0,+)*3/2", "points:(0,+)*",
+    ])
+    def test_malformed_marker_list_exits_2(self, spec, capsys):
+        code, out = run_cli("curve", "--spec", "hyperelliptic f=1-x^2", "--twist", spec)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("parse error: ")
+
+    def test_whitespace_between_tokens(self):
+        curve = Hyperelliptic(UPoly.of(1, 0, -1))
+        comps = real_components(curve)
+        assert (parse_twist_spec("points:(0, +)", curve, comps)
+                == parse_twist_spec("points:(0,+)", curve, comps))
+        assert parse_twist_spec("points: ( -1/2 ,- ) * 2 , (0,+)", curve, comps) == (
+            parse_twist_spec("points:(-1/2,-)*2,(0,+)", curve, comps))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.text("0123456789²٣-/,()+*^tx ", max_size=12))
+def test_no_spec_ends_in_an_internal_error(text):
+    for argv in (("curve", "--spec", f"line punctures={text}"),
+                 ("curve", "--spec", "hyperelliptic f=1-x^2", "--twist", f"points:{text}"),
+                 ("form", f"<{text}>")):
+        assert run_cli(*argv)[0] in (0, 2, 3), argv
 
 
 class TestCurveCommand:
@@ -210,6 +240,20 @@ class TestCurveCommand:
             assert capsys.readouterr().err == (
                 f"parse error: parentheses and unary minus signs are nested at most "
                 f"{MAX_NESTING} deep\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("form", "<²>"), ("form", "<t^²>"), ("form", "<t,1/²>"),
+        ("curve", "--spec", "line punctures=²"),
+        ("curve", "--spec", "hyperelliptic f=1-x^2", "--twist", "points:(0,+)*²"),
+    ])
+    def test_superscript_digits_exit_2(self, argv, capsys):
+        # str.isdigit holds for superscripts, which int() does not read
+        code, out = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("parse error: ")
+
+    def test_other_decimal_digits_are_read(self):
+        assert run_json("form", "<٣*t>")["form"]["entries"] == ["3*t"]
 
     def test_zero_denominator_exits_2(self, capsys):
         code, _ = run_cli("curve", "--spec", "line punctures=1/0")
@@ -374,10 +418,10 @@ class TestParser:
         import realcycle.cli as cli_mod
 
         monkeypatch.setenv("COLUMNS", columns)
-        lean = self.outcome(argv, capsys)
-        monkeypatch.setattr(cli_mod, "_parse_args", lambda argv: cli_mod.build_parser().parse_args(argv))
-        assert self.outcome(argv, capsys) == lean
-        assert lean[0] in (0, 2)
+        direct = self.outcome(argv, capsys)
+        monkeypatch.setattr(cli_mod, "_read_direct", lambda argv: None)
+        assert self.outcome(argv, capsys) == direct
+        assert direct[0] in (0, 2)
 
     @pytest.mark.parametrize("argv", PARITY_ARGVS, ids=shlex.join)
     def test_direct_reading_returns_what_argparse_does(self, argv):
@@ -386,7 +430,7 @@ class TestParser:
         direct = cli_mod._read_direct(argv)
         assert (direct is not None) == (argv in DIRECT_ARGVS)
         if direct is not None:
-            assert direct == cli_mod.command_parser(argv[0]).parse_args(argv[1:])
+            assert direct == cli_mod.build_parser().parse_args(argv)
 
     @pytest.mark.parametrize("argv, near_miss", [
         (DIRECT_ARGVS[1], ["curve", "--spec=line"]),
@@ -406,13 +450,14 @@ class TestParser:
         assert run_cli(*argv)[0] == 0
         assert built == []
         assert run_cli(*near_miss)[0] == 0
-        assert built == [f"realcycle {argv[0]}"]
+        assert built == ["realcycle", "realcycle curve", "realcycle bound", "realcycle form",
+                         "realcycle suite"]
 
     @pytest.mark.parametrize("command", [None, "form"])
     def test_usage_is_the_one_argparse_renders(self, command, monkeypatch):
         import argparse
 
-        from realcycle.cli import build_parser, command_parser
+        from realcycle.cli import build_parser
 
         monkeypatch.setenv("COLUMNS", "40")
         reference = argparse.ArgumentParser(prog="realcycle")
@@ -420,24 +465,12 @@ class TestParser:
         for name in ("curve", "bound", "form", "suite"):
             sub.add_parser(name)
         sub.choices["form"].add_argument("form")
+        parser = build_parser()
         if command is None:
-            assert build_parser().format_usage() == reference.format_usage()
+            assert parser.format_usage() == reference.format_usage()
         else:
-            assert command_parser(command).format_usage() == sub.choices[command].format_usage()
-
-    def test_only_the_running_subcommand_is_built(self, monkeypatch):
-        import realcycle.cli as cli_mod
-
-        built = []
-        for name, add in cli_mod.SUBCOMMANDS.items():
-            monkeypatch.setitem(cli_mod.SUBCOMMANDS, name,
-                                lambda sub, name=name, add=add: built.append(name) or add(sub))
-        assert run_cli("bound", "--d", "1", "--c", "0")[0] == 0
-        assert built == ["bound"]
-        built.clear()
-        with pytest.raises(SystemExit):
-            run_cli("--help")
-        assert built == ["curve", "bound", "form", "suite"]
+            [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            assert subparsers.choices[command].format_usage() == sub.choices[command].format_usage()
 
     def test_no_argv_reads_the_command_line(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["realcycle", "bound", "--d", "1", "--c", "0"])
