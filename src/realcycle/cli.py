@@ -90,9 +90,9 @@ class _Tokens:
         return ch
 
     def expect(self, ch):
-        got = self.take()
-        if got != ch:
+        if self.peek() != ch:
             raise SpecParseError(f"expected '{ch}' at position {self.pos} of {self.text!r}")
+        self.pos += 1
 
     def integer(self) -> int:
         self.peek()
@@ -106,10 +106,11 @@ class _Tokens:
         value = self.integer()
         if self.peek() == "/":
             self.take()
+            self.peek()
             dstart = self.pos
             self.pos = _digit_run(self.text, dstart)
             if self.pos == dstart:
-                raise SpecParseError(f"expected a denominator at position {dstart}")
+                raise SpecParseError(f"expected a denominator at position {dstart} of {self.text!r}")
             denominator = int(self.text[dstart:self.pos])
             if denominator == 0:
                 raise SpecParseError(f"zero denominator at position {dstart} of {self.text!r}")
@@ -195,15 +196,13 @@ def _parse_power(toks, var):
     base, powers = _parse_atom(toks, var)
     if toks.peek() == "^":
         toks.take()
-        exp = toks.number()
-        if exp.denominator != 1 or exp < 0:
-            raise SpecParseError("exponents must be non-negative integers")
+        exp = toks.integer()
         if exp > MAX_POWER or base.degree * exp > MAX_POWER:
             raise SpecParseError(f"powers are capped at degree {MAX_POWER}")
         out = UPoly.one()
-        for bit in bin(int(exp))[2:]:    # square-and-multiply, top bit first
+        for bit in bin(exp)[2:]:    # square-and-multiply, top bit first
             out = _printable(out * out * base if bit == "1" else out * out)
-        return out, tuple((b, e * int(exp)) for b, e in powers if exp)
+        return out, tuple((b, e * exp) for b, e in powers if exp)
     return base, powers
 
 

@@ -11,10 +11,6 @@ class ZeroPolynomial(RealCycleError):
     """An operation that needs a nonzero polynomial received the zero polynomial."""
 
 
-class BadInterval(RealCycleError):
-    """Interval endpoints are not in increasing extended order."""
-
-
 # --- abelian groups / lattices ---
 
 class RankMismatch(RealCycleError):

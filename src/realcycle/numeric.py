@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import floor, gcd, isqrt, lcm, prod
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import BadInterval, NotSquareFree, ZeroPolynomial
+from .errors import NotSquareFree, ZeroPolynomial
 
 Coeffable = Union[int, Fraction]
 
@@ -251,8 +251,6 @@ SIDE_EXACT = "exact"
 SIDE_PLUS = "plus"
 SIDE_MINUS = "minus"
 
-_SIDE_RANK = {SIDE_MINUS: -1, SIDE_EXACT: 0, SIDE_PLUS: 1}
-
 
 @dataclass(unsafe_hash=True)
 class ExtendedPoint:
@@ -293,19 +291,6 @@ class ExtendedPoint:
     def is_finite(self) -> bool:
         return self.kind == "finite"
 
-    def _key(self):
-        if self.kind == "-inf":
-            return (0, Fraction(0), 0)
-        if self.kind == "+inf":
-            return (2, Fraction(0), 0)
-        return (1, self.base, _SIDE_RANK[self.side])
-
-    def __lt__(self, other: "ExtendedPoint") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "ExtendedPoint") -> bool:
-        return self._key() <= other._key()
-
     def describe(self) -> str:
         if self.kind != "finite":
             return self.kind
@@ -318,9 +303,9 @@ class ExtendedPoint:
 class IsolatingInterval:
     """Open rational interval containing exactly one real root of ``poly``.
 
-    ``poly`` is the square-free part of the polynomial whose roots were
-    isolated, so it changes sign exactly once across the interval and does not
-    vanish at either endpoint.
+    ``poly`` is the square-free basis polynomial whose root it holds, so it
+    changes sign exactly once across the interval and does not vanish at
+    either endpoint.
     """
 
     lo: Fraction
@@ -410,21 +395,6 @@ def squarefree_decomposition(p: UPoly) -> tuple[tuple[UPoly, int], ...]:
     return tuple(out)
 
 
-def squarefree_part(p: UPoly) -> UPoly:
-    """p / gcd(p, p'), made monic, times the sign of lc(p).
-
-    For square-free input this returns p/|lc(p)|, so the sign of the result on
-    the real line agrees with the sign of p everywhere; that convention is what
-    the curve-topology code relies on.
-    """
-    q = p.monic()
-    if q.degree > 1:
-        g = q.gcd(q.deriv())
-        if g.degree > 0:
-            q = q // g
-    return q.scale(sign_of(p.nums[-1]))
-
-
 def odd_multiplicity_part(factors: Iterable[tuple[UPoly, int]]) -> UPoly:
     """The product of the bases b with an odd exponent e among the pairs
     (b, e) of a factorisation over pairwise coprime square-free bases, such
@@ -450,25 +420,14 @@ def squarefree_sign_at(p: UPoly, x: ExtendedPoint) -> int:
     return s if x.side == SIDE_PLUS else -s
 
 
-def sturm_sequence(p: UPoly) -> tuple[UPoly, ...]:
-    """Sturm chain of the square-free part of p.
+def _sturm_chain(q: UPoly) -> tuple[UPoly, ...]:
+    """The Sturm chain of a square-free q; a constant q is its own chain.
 
     Each remainder is kept as its negated primitive part: a positive scale
     changes no sign, so the chain counts the same roots with integer
-    coefficients that stay small.  Degree-zero polynomials are returned as a
-    one-element chain unchanged.
-    """
-    if p.is_zero:
-        raise ZeroPolynomial("Sturm chain of the zero polynomial")
-    return _sturm_chain(squarefree_part(p) if p.degree > 0 else p)
-
-
-def _sturm_chain(q: UPoly) -> tuple[UPoly, ...]:
-    """The Sturm chain of ``sturm_sequence`` for a square-free q.
-
-    The chain is the remainder sequence of (q, q') and so ends at their gcd:
-    it is also the square-free test, and raises ``NotSquareFree`` when a
-    remainder vanishes above degree 0."""
+    coefficients that stay small.  The chain is the remainder sequence of
+    (q, q') and so ends at their gcd: it is also the square-free test, and
+    raises ``NotSquareFree`` when a remainder vanishes above degree 0."""
     if q.degree <= 0:
         return (q,)
     chain = [q, q.deriv()]
@@ -480,42 +439,6 @@ def _sturm_chain(q: UPoly) -> tuple[UPoly, ...]:
         a, b = b, tuple(-r for r in rem)
         chain.append(UPoly(b))
     return tuple(chain)
-
-
-def sign_at(p: UPoly, x: ExtendedPoint) -> int:
-    """Certified sign of p at an extended point.
-
-    At a side point the factor (t - base)^k is divided out exactly before
-    evaluating, so the answer is the true one-sided sign, never a sample.
-    """
-    if p.is_zero:
-        return 0
-    if x.kind == "+inf":
-        return sign_of(p.nums[-1])
-    if x.kind == "-inf":
-        return sign_of(p.nums[-1]) * (-1) ** p.degree
-    s = p.sign_at(x.base)
-    if s or x.side == SIDE_EXACT:
-        return s
-    u, k = split_root(p, x.base)
-    base_sign = u.sign_at(x.base)
-    if x.side == SIDE_PLUS:
-        return base_sign
-    return base_sign * (-1) ** k
-
-
-def split_root(p: UPoly, a: Coeffable) -> tuple[UPoly, int]:
-    """(u, k) with p = (t - a)^k * u and u(a) != 0: k is the multiplicity of
-    a as a root of p."""
-    if p.is_zero:
-        raise ZeroPolynomial("every point is a root of the zero polynomial")
-    linear = UPoly.of(-a, 1)
-    k = 0
-    while True:
-        q, r = p.divmod(linear)
-        if not r.is_zero:
-            return p, k
-        p, k = q, k + 1
 
 
 def rational_root(iv: IsolatingInterval) -> Optional[Fraction]:
@@ -536,38 +459,6 @@ def rational_root(iv: IsolatingInterval) -> Optional[Fraction]:
 def _variations(signs: Sequence[int]) -> int:
     nonzero = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
-
-
-def _lower_cut(a: ExtendedPoint) -> ExtendedPoint:
-    """Where to evaluate the chain so that the count starts just inside the
-    open interval at a."""
-    if not a.is_finite:
-        return a
-    if a.side == SIDE_MINUS:
-        return a
-    return ExtendedPoint.above(a.base)
-
-
-def _upper_cut(b: ExtendedPoint) -> ExtendedPoint:
-    if not b.is_finite:
-        return b
-    if b.side == SIDE_PLUS:
-        return b
-    return ExtendedPoint.below(b.base)
-
-
-def count_real_roots(p: UPoly, a: ExtendedPoint, b: ExtendedPoint) -> int:
-    """Number of distinct real roots of p in the open interval (a, b)."""
-    if p.is_zero:
-        raise ZeroPolynomial("root count of the zero polynomial")
-    if not a < b:
-        raise BadInterval(f"{a.describe()} is not below {b.describe()}")
-    chain = sturm_sequence(p)
-    lo = _lower_cut(a)
-    hi = _upper_cut(b)
-    va = _variations([sign_at(q, lo) for q in chain])
-    vb = _variations([sign_at(q, hi) for q in chain])
-    return va - vb
 
 
 def root_bound(p: UPoly) -> Fraction:
@@ -636,16 +527,20 @@ def coprime_refinement(polys: Sequence[UPoly]) -> list[tuple[UPoly, frozenset[in
 
 
 def isolate_real_roots(p: UPoly) -> tuple[IsolatingInterval, ...]:
-    """One disjoint open rational interval per distinct real root, sorted."""
+    """One disjoint open rational interval per distinct real root, sorted.
+
+    The roots are isolated over the coprime basis of p, whose product is the
+    monic square-free part of p: it has p's Cauchy bound, so the intervals
+    are those of one Sturm chain of that part."""
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    return _bisect([sturm_sequence(p)])
+    return isolate_coprime_roots(coprime_basis((p,)))
 
 
 def isolate_coprime_roots(polys: Sequence[UPoly]) -> tuple[IsolatingInterval, ...]:
-    """The intervals ``isolate_real_roots`` gives for the product of pairwise
-    coprime polys, found with one Sturm chain per polynomial instead of one
-    chain of the product.
+    """One disjoint open rational interval per real root of the product of
+    pairwise coprime polys, sorted, found with one Sturm chain per polynomial
+    instead of one chain of the product.
 
     The polys must be square-free, as ``coprime_basis`` makes them, so each
     chain starts at its polynomial and no gcd(p, p') is computed; the chain

@@ -37,7 +37,6 @@ from .numeric import (
     is_rational_square,
     odd_multiplicity_part,
     sign_of,
-    split_root,
     squarefree_decomposition,
     squarefree_sign_at,
 )
@@ -801,18 +800,26 @@ def in_fundamental_power(phi: DiagForm, n: int,
 
 def second_residue(phi: DiagForm, v: Place) -> DiagForm:
     """Second residue form at a rational place: entries u*pi^k with odd k
-    contribute <u(v)> over the residue field (the rationals)."""
+    contribute <u(v)> over the residue field (the rationals).
+
+    At a finite place a the entry's factors give both: at most one basis b
+    has b(a) = 0, and as b is square-free its exponent is k and b/(t - a)
+    is b'(a) at a; every other basis c contributes c(a)^e."""
     if phi.ctx.tag != TAG_RATFUNC:
         raise UnsupportedContext("residues are taken over Q(t)")
     out = []
     for e in phi.entries:
         if v.kind == "finite":
             a = v.center
-            num_u, knum = split_root(e.num, a)
-            den_u, kden = split_root(e.den, a)
-            k = knum - kden
+            k, unit = 0, e.num.lc
+            for b, m in e.factors:
+                value = b.eval_at(a)
+                if value:
+                    unit *= value ** m
+                else:
+                    k, unit = m, unit * b.deriv().eval_at(a) ** m
             if k % 2:
-                out.append(num_u.eval_at(a) / den_u.eval_at(a))
+                out.append(unit)
         else:
             k = e.den.degree - e.num.degree
             if k % 2:

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from . import abgrp, cycleclass, mwk, numeric, qform, realcurve
 from .abgrp import FgAbGroup, GroupMap, Lattice
-from .numeric import ExtendedPoint, UPoly
+from .numeric import UPoly
 from .qform import RATFUNC, RATIONALS, Ordering, RatFunc
 
 
@@ -412,20 +412,21 @@ def check_root_isolation():
         roots = set()
         while len(roots) < n:
             roots.add(Fraction(rng.randint(-12, 12), rng.randint(1, 8)))
-        p = UPoly.from_roots(sorted(roots), rng.choice([-3, -1, 1, 2]))
-        count = numeric.count_real_roots(p, ExtendedPoint.neg_inf(), ExtendedPoint.pos_inf())
-        if count != n:
-            return False, f"trial {trial}: counted {count}, built {n}"
+        roots = sorted(roots)
+        p = UPoly.from_roots(roots, rng.choice([-3, -1, 1, 2]))
         intervals = numeric.isolate_real_roots(p)
         if len(intervals) != n:
             return False, f"trial {trial}: isolated {len(intervals)} of {n}"
+        for left, right in zip(intervals, intervals[1:]):
+            if left.hi > right.lo:
+                return False, f"trial {trial}: {left.lo}..{left.hi} overlaps {right.lo}..{right.hi}"
         for iv in intervals:
-            signs = [numeric.sign_of(iv.poly.eval_at(x))
-                     for x in (iv.lo, iv.midpoint(), iv.hi)]
-            nonzero = [s for s in signs if s]
-            if sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b) != 1:
+            held = [r for r in roots if iv.contains(r)]
+            if len(held) != 1:
+                return False, f"trial {trial}: {iv.lo}..{iv.hi} holds the roots {held}"
+            if iv.poly.sign_at(iv.lo) * iv.poly.sign_at(iv.hi) != -1:
                 return False, f"trial {trial}: interval {iv.lo}..{iv.hi} not a sign change"
-    return True, "100 constructed polynomials: counts and isolating intervals agree"
+    return True, "100 constructed polynomials: one sorted isolating interval per planted root"
 
 
 CHECKS: list[tuple[str, str, Callable, float]] = [
@@ -466,7 +467,7 @@ CHECKS: list[tuple[str, str, Callable, float]] = [
      "exponent laws on 1000 random presentations; quotients vs coset enumeration",
      check_group_laws, 20.0),
     ("root-isolation-suite",
-     "Sturm counts and isolating intervals on 100 constructed polynomials",
+     "isolating intervals, sorted, one per planted root, on 100 constructed polynomials",
      check_root_isolation, 10.0),
 ]
 

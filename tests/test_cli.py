@@ -669,6 +669,32 @@ class TestFormCommand:
         assert code == 2
         assert "zero denominator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["t^4/2", "t^4/1"])
+    def test_exponents_are_integers(self, text, capsys):
+        # an exponent read as a rational made <t^4/2> the entry t^2
+        code, out = run_cli("form", f"<{text}>")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"parse error: trailing input at position 3 of {text!r}\n"
+
+    @pytest.mark.parametrize("argv, want", [
+        (("form", "<(t;1)>"), "expected ')' at position 2 of '(t;1)'"),
+        (("curve", "--spec", "hyperelliptic f=1-x^2", "--twist", "points:(0;+)"),
+         "expected ',' at position 2 of '(0;+)'"),
+    ])
+    def test_a_missing_delimiter_is_reported_where_it_is(self, argv, want, capsys):
+        # the ';' is at position 2
+        code, out = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"parse error: {want}\n"
+
+    def test_whitespace_around_a_fraction_bar(self, capsys):
+        want = run_json("form", "<1/2*t>")
+        assert run_json("form", "<1 /2*t>") == run_json("form", "<1/ 2*t>") == want
+        code, out = run_cli("form", "<1/ *t>")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == (
+            "parse error: expected a denominator at position 3 of '1/ *t'\n")
+
 
 class TestSuiteCommand:
     def test_filter_runs_subset(self):

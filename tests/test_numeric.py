@@ -1,22 +1,24 @@
 import random
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 
-from realcycle.errors import BadInterval, NotSquareFree, ZeroPolynomial
+from realcycle.errors import NotSquareFree, ZeroPolynomial
 from realcycle.numeric import (
     ExtendedPoint,
     UPoly,
-    count_real_roots,
+    _sturm_chain,
+    _variations,
+    coprime_basis,
     isolate_coprime_roots,
     isolate_real_roots,
     odd_multiplicity_part,
     rational_root,
-    sign_at,
+    sign_of,
     squarefree_decomposition,
-    squarefree_part,
-    sturm_sequence,
+    squarefree_sign_at,
 )
 
 NEG_INF = ExtendedPoint.neg_inf()
@@ -65,53 +67,51 @@ class TestArithmetic:
         assert p.gcd(q) == UPoly.of(-1, 1)
 
 
-class TestSturmSequence:
+def sturm_count(q, lo=None, hi=None):
+    """Distinct roots of a square-free q in (lo, hi), neither end a root, by
+    the sign variations of its Sturm chain; None stands for infinity."""
+    chain = _sturm_chain(q)
+
+    def variations(x, side):
+        if x is None:
+            return _variations([sign_of(g.nums[-1]) * side ** g.degree for g in chain])
+        return _variations([g.sign_at(x) for g in chain])
+
+    return variations(lo, -1) - variations(hi, 1)
+
+
+class TestSturmChain:
     def test_t2_minus_2(self):
-        chain = sturm_sequence(UPoly.of(-2, 0, 1))
+        chain = _sturm_chain(UPoly.of(-2, 0, 1))
         assert chain == (UPoly.of(-2, 0, 1), UPoly.of(0, 2), UPoly.of(1))
 
     def test_remainders_stay_small(self):
         # twenty roots with denominators 1..7: Q-remainders reach 15332 bits
         p = UPoly.from_roots([Fraction(i, (i % 7) + 1) for i in range(1, 21)])
-        chain = sturm_sequence(p)
+        chain = _sturm_chain(p)
         assert all(g.den == 1 for g in chain[2:])
         assert max(max(abs(n).bit_length() for n in g.nums) + g.den.bit_length()
                    for g in chain) < 1000
-        assert count_real_roots(p, NEG_INF, POS_INF) == 20
+        assert sturm_count(p) == 20
 
     def test_constant(self):
-        assert sturm_sequence(UPoly.of(5)) == (UPoly.of(5),)
+        assert _sturm_chain(UPoly.of(5)) == (UPoly.of(5),)
 
-    def test_square_reduces(self):
-        chain = sturm_sequence(UPoly.of(0, 0, 1))  # t^2
-        assert chain == (UPoly.of(0, 1), UPoly.of(1))
+    def test_square_is_refused(self):
+        # the chain of t^2 ends at gcd(t^2, 2t) = t
+        with pytest.raises(NotSquareFree):
+            _sturm_chain(UPoly.of(0, 0, 1))
 
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroPolynomial):
-            sturm_sequence(UPoly.zero())
-
-
-class TestCountRealRoots:
     def test_sqrt2_in_0_2(self):
         p = UPoly.of(-2, 0, 1)
-        assert count_real_roots(p, ExtendedPoint.at(0), ExtendedPoint.at(2)) == 1
+        assert sturm_count(p, Fraction(0), Fraction(2)) == 1
         assert brute_sign_scan_roots(p, Fraction(0), Fraction(2)) == 1
 
     def test_positive_definite(self):
-        assert count_real_roots(UPoly.of(1, 0, 1), NEG_INF, POS_INF) == 0
+        assert sturm_count(UPoly.of(1, 0, 1)) == 0
 
     def test_t3_minus_t(self):
-        assert count_real_roots(UPoly.of(0, -1, 0, 1), NEG_INF, POS_INF) == 3
-
-    def test_root_at_endpoint_excluded(self):
-        p = UPoly.of(0, 1)  # t
-        assert count_real_roots(p, ExtendedPoint.at(0), ExtendedPoint.at(1)) == 0
-        assert count_real_roots(p, ExtendedPoint.at(-1), ExtendedPoint.at(0)) == 0
-        assert count_real_roots(p, ExtendedPoint.below(0), ExtendedPoint.at(1)) == 1
-
-    def test_bad_interval(self):
-        with pytest.raises(BadInterval):
-            count_real_roots(UPoly.of(0, 1), ExtendedPoint.at(2), ExtendedPoint.at(1))
+        assert sturm_count(UPoly.of(0, -1, 0, 1)) == 3
 
     def test_random_products_of_linear_factors(self):
         rng = random.Random(20240)
@@ -122,7 +122,8 @@ class TestCountRealRoots:
                 roots.add(Fraction(rng.randint(-12, 12), rng.randint(1, 8)))
             lead = rng.choice([-3, -1, 1, 2])
             p = UPoly.from_roots(sorted(roots), lead)
-            assert count_real_roots(p, NEG_INF, POS_INF) == n
+            assert sturm_count(p) == n
+            assert len(isolate_real_roots(p)) == n
 
 
 class TestIsolateRealRoots:
@@ -139,6 +140,12 @@ class TestIsolateRealRoots:
         ivs = isolate_real_roots(UPoly.of(1, -2, 1))  # (t-1)^2
         assert len(ivs) == 1
         assert ivs[0].lo < 1 < ivs[0].hi
+        # the interval carries the basis polynomial t - 1
+        assert ivs[0].poly == UPoly.of(-1, 1)
+
+    def test_zero_rejected(self):
+        with pytest.raises(ZeroPolynomial):
+            isolate_real_roots(UPoly.zero())
 
     def test_one_sign_change_per_interval(self):
         rng = random.Random(77)
@@ -184,51 +191,47 @@ class TestRationalRoot:
         assert [rational_root(iv) for iv in isolate_real_roots(p)] == [Fraction(-2, 3), 0, 4]
 
 
-class TestSignAt:
+class TestSquarefreeSignAt:
     def test_side_plus_after_root(self):
-        assert sign_at(UPoly.of(0, -1, 0, 1), ExtendedPoint.above(0)) == -1
+        assert squarefree_sign_at(UPoly.of(0, -1, 0, 1), ExtendedPoint.above(0)) == -1
 
     def test_leading_behavior(self):
-        assert sign_at(UPoly.x(), POS_INF) == 1
-        assert sign_at(UPoly.x(), NEG_INF) == -1
-        assert sign_at(UPoly.of(0, 0, -1), NEG_INF) == -1
+        assert squarefree_sign_at(UPoly.x(), POS_INF) == 1
+        assert squarefree_sign_at(UPoly.x(), NEG_INF) == -1
+        assert squarefree_sign_at(UPoly.of(1, 0, -1), NEG_INF) == -1
 
     def test_exact_root(self):
-        assert sign_at(UPoly.of(-1, 1), ExtendedPoint.at(1)) == 0
+        assert squarefree_sign_at(UPoly.of(-1, 1), ExtendedPoint.at(1)) == 0
 
-    def test_zero_polynomial(self):
-        assert sign_at(UPoly.zero(), ExtendedPoint.above(0)) == 0
-
-    def test_double_root_sides(self):
-        p = UPoly.of(0, 0, 1)  # t^2
-        assert sign_at(p, ExtendedPoint.above(0)) == 1
-        assert sign_at(p, ExtendedPoint.below(0)) == 1
-        p3 = UPoly.of(0, 0, 0, 1)  # t^3
-        assert sign_at(p3, ExtendedPoint.below(0)) == -1
+    def test_sides_of_a_root(self):
+        t = UPoly.x()
+        assert squarefree_sign_at(t, ExtendedPoint.below(0)) == -1
+        assert squarefree_sign_at(t, ExtendedPoint.at(0)) == 0
+        assert squarefree_sign_at(t, ExtendedPoint.above(0)) == 1
 
     def test_multiplicative_on_sides(self):
+        # p and q have distinct rational roots, none shared, so p*q is
+        # square-free; the points include both sides of some of the roots
         rng = random.Random(5)
         pts = [ExtendedPoint.above(0), ExtendedPoint.below(1), NEG_INF, POS_INF,
-               ExtendedPoint.above(Fraction(-1, 2))]
+               ExtendedPoint.above(Fraction(-1, 2)), ExtendedPoint.below(Fraction(-1, 2))]
         for _ in range(60):
-            p = UPoly.of(*(rng.randint(-4, 4) for _ in range(rng.randint(1, 5))))
-            q = UPoly.of(*(rng.randint(-4, 4) for _ in range(rng.randint(1, 5))))
-            if p.is_zero or q.is_zero:
-                continue
+            roots = list({Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(5)})
+            k = rng.randint(1, len(roots) - 1) if len(roots) > 1 else 1
+            p = UPoly.from_roots(roots[:k], rng.choice([-3, -1, 2]))
+            q = UPoly.from_roots(roots[k:], rng.choice([-1, 1, Fraction(1, 2)]))
             for x in pts:
-                assert sign_at(p * q, x) == sign_at(p, x) * sign_at(q, x)
+                assert squarefree_sign_at(p * q, x) == (
+                    squarefree_sign_at(p, x) * squarefree_sign_at(q, x))
 
 
 class TestSquarefree:
-    def test_examples(self):
-        assert squarefree_part(UPoly.of(0, 0, 1)) == UPoly.x()
+    def test_basis_of_one_polynomial_is_its_squarefree_part(self):
+        assert coprime_basis([UPoly.of(0, 0, 1)]) == (UPoly.x(),)
         shape = UPoly.of(-1, 1) * UPoly.of(-1, 1) * UPoly.of(2, 1)
-        assert squarefree_part(shape) == UPoly.of(-1, 1) * UPoly.of(2, 1)
-        assert squarefree_part(UPoly.of(-2, 0, 1)) == UPoly.of(-2, 0, 1)
-
-    def test_sign_convention(self):
-        p = UPoly.of(0, 0, -2)  # -2t^2
-        assert squarefree_part(p) == UPoly.of(0, -1)
+        assert prod(coprime_basis([shape]), start=UPoly.one()) == UPoly.of(-1, 1) * UPoly.of(2, 1)
+        assert coprime_basis([UPoly.of(-2, 0, 1)]) == (UPoly.of(-2, 0, 1),)
+        assert coprime_basis([UPoly.of(0, 0, -2)]) == (UPoly.x(),)
 
     def test_idempotent(self):
         rng = random.Random(11)
@@ -236,17 +239,8 @@ class TestSquarefree:
             p = UPoly.of(*(rng.randint(-5, 5) for _ in range(rng.randint(1, 6))))
             if p.is_zero:
                 continue
-            s = squarefree_part(p)
-            assert squarefree_part(s) == s
-
-    def test_part_climbs_one_rung(self, monkeypatch):
-        # the first rung costs one gcd, and a linear one none
-        calls = []
-        gcd = UPoly.gcd
-        monkeypatch.setattr(UPoly, "gcd", lambda p, q: calls.append(p) or gcd(p, q))
-        assert squarefree_part(UPoly.from_roots([-1] * 50, -2)) == UPoly.of(-1, -1)
-        assert squarefree_part(UPoly.of(3, 2)) == UPoly.of(Fraction(3, 2), 1)
-        assert len(calls) == 1
+            s = prod(coprime_basis([p]), start=UPoly.one())
+            assert prod(coprime_basis([s]), start=UPoly.one()) == s
 
     def test_decomposition(self):
         p = UPoly.from_roots([1, 1, -2])  # (t-1)^2 (t+2)

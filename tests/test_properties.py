@@ -58,7 +58,6 @@ from realcycle.numeric import (
     ExtendedPoint,
     UPoly,
     coprime_basis,
-    count_real_roots,
     gap_samples,
     is_rational_square,
     isolate_coprime_roots,
@@ -66,13 +65,9 @@ from realcycle.numeric import (
     odd_multiplicity_part,
     rational_root,
     root_bound,
-    sign_at,
     sign_of,
-    split_root,
     squarefree_decomposition,
-    squarefree_part,
     squarefree_sign_at,
-    sturm_sequence,
 )
 from realcycle.qform import (
     COMPLEXES,
@@ -84,6 +79,7 @@ from realcycle.qform import (
     GWElem,
     Membership,
     Ordering,
+    Place,
     RatFunc,
     discriminant,
     finite_field,
@@ -94,6 +90,7 @@ from realcycle.qform import (
     in_fundamental_power,
     is_square,
     pfister,
+    second_residue,
     signature,
     square_class,
     squarefree_int,
@@ -451,23 +448,6 @@ def test_kernel_image_and_cokernel_agree_with_enumeration(case):
 
 
 @SETTINGS
-@given(st.lists(small_fractions, min_size=1, max_size=5).filter(lambda cs: cs[-1] != 0),
-       small_fractions, st.integers(0, 3))
-def test_split_root_reconstructs(coeffs, a, k):
-    p = UPoly.of(*coeffs)
-    linear = UPoly.of(-a, 1)
-    for _ in range(k):
-        p = p * linear
-    u, m = split_root(p, a)
-    assert m >= k
-    assert u.eval_at(a) != 0
-    power = UPoly.one()
-    for _ in range(m):
-        power = power * linear
-    assert power * u == p
-
-
-@SETTINGS
 @given(small_fractions, st.booleans(), st.sampled_from([1, -1]))
 def test_is_rational_square_agrees_with_isqrt(r, square_it, sign):
     x = sign * (r * r if square_it else r)
@@ -486,13 +466,23 @@ def square_free_curves(draw):
     return Hyperelliptic(f, draw(st.booleans())), roots
 
 
+def sturm_count_below(f, x):
+    """The distinct roots of a square-free f below x, by the sign variations
+    of its Sturm chain at -inf and at x: their difference counts the roots
+    up to and including x."""
+    chain = numeric._sturm_chain(f)
+    at_minus_inf = sign_variations([sign_of(g.nums[-1]) * (-1) ** g.degree for g in chain])
+    at_x = sign_variations([g.sign_at(x) for g in chain])
+    return at_minus_inf - at_x - (f.sign_at(x) == 0)
+
+
 def locate_by_counting(curve, components, x):
     """The component holding abscissa x, found by Sturm root counts below x
     instead of by the isolating intervals of the components."""
     f = curve.f
     if f.eval_at(x) < 0:
         return None
-    below = count_real_roots(f, ExtendedPoint.neg_inf(), ExtendedPoint.at(x))
+    below = sturm_count_below(f, x)
     on_root = f.eval_at(x) == 0
 
     def compare(end):           # sign of x minus the end
@@ -794,9 +784,38 @@ def test_upoly_divmod_and_gcd_agree_with_fraction_lists(a, b, common):
     assert list(g.coeffs) == list_gcd(list(p.coeffs), list(q.coeffs))
 
 
+def squarefree(p):
+    """p over the monic gcd(p, p'): its square-free part, with p's leading
+    coefficient."""
+    return p // p.gcd(p.deriv())
+
+
+def single_chain_isolation(p):
+    """The bisection over one Sturm chain of the square-free part of p."""
+    return numeric._bisect([numeric._sturm_chain(squarefree(p))])
+
+
+def one_sided_sign(p, x):
+    """The sign of p at an extended point by a Fraction Taylor shift: p(a + s)
+    has the sign of its lowest nonzero coefficient c_k just right of a, and
+    that of c_k (-1)^k just left of it."""
+    cs = list(p.coeffs)
+    if not cs:
+        return 0
+    if not x.is_finite:
+        return sign_of(cs[-1]) * (-1 if x.kind == "-inf" and len(cs) % 2 == 0 else 1)
+    for i in range(len(cs)):              # repeated synthetic division by t - a
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += x.base * cs[j + 1]
+    if x.side == "exact":
+        return sign_of(cs[0])
+    k = next(k for k, c in enumerate(cs) if c)
+    return sign_of(cs[k]) * (-1 if x.side == "minus" and k % 2 else 1)
+
+
 def fraction_sturm_chain(p):
     """Sturm chain of p's square-free part with remainders kept over Q."""
-    q = list(squarefree_part(p).coeffs)
+    q = list(squarefree(p).coeffs)
     chain = [q, trimmed(i * c for i, c in enumerate(q) if i)]
     while len(chain[-1]) > 1:
         chain.append([-c for c in list_divmod(chain[-2], chain[-1])[1]])
@@ -814,14 +833,12 @@ def sign_variations(signs):
 @example([Fraction(-2), Fraction(0), Fraction(0), Fraction(1)], [])
 def test_sturm_chain_signs_agree_with_fraction_remainders(coeffs, points):
     p = UPoly.of(*coeffs)
-    chain, oracle = sturm_sequence(p), fraction_sturm_chain(p)
+    chain, oracle = numeric._sturm_chain(squarefree(p)), fraction_sturm_chain(p)
     assert len(chain) == len(oracle)
     # each element is a positive multiple of the oracle's, so every sign agrees
     for g, want in zip(chain, oracle):
         scale = want[-1] / g.lc
         assert scale > 0 and [c * scale for c in g.coeffs] == want
-    # the coprime isolation's chain of a square-free polynomial is the same
-    assert numeric._sturm_chain(chain[0]) == chain
     for x in points:
         signs = [sign_of(g.eval_at(x)) for g in chain]
         want = [sign_of(sum(c * x ** i for i, c in enumerate(g))) for g in oracle]
@@ -929,11 +946,11 @@ def test_coprime_basis_is_a_gcd_free_basis_of_its_inputs(polys):
 
 
 def isolates_alike(polys):
-    """The coprime isolation against that of the product, interval by interval;
-    each interval carries the basis polynomial whose root it holds."""
+    """The coprime isolation against one chain of the product, interval by
+    interval; each interval carries the basis polynomial whose root it holds."""
     basis = coprime_basis(polys)
     got = isolate_coprime_roots(basis)
-    want = isolate_real_roots(prod(polys, start=UPoly.one()))
+    want = single_chain_isolation(prod(polys, start=UPoly.one()))
     assert [(iv.lo, iv.hi) for iv in got] == [(iv.lo, iv.hi) for iv in want]
     for iv in got:
         assert iv.poly in basis and iv.poly.sign_at(iv.lo) * iv.poly.sign_at(iv.hi) == -1
@@ -956,9 +973,10 @@ def test_form_panel_samples_the_gaps_of_the_products_roots(nums, dens):
                zip_longest(nums, dens, fillvalue=UPoly.one())]
     panel = cli._ordering_panel(entries)
     whole = prod((e.num * e.den for e in entries), start=UPoly.one())
-    assert [o.point.base for _, o, _ in panel[1:-1]] == gap_samples(isolate_real_roots(whole))
+    assert [o.point.base for _, o, _ in panel[1:-1]] == gap_samples(single_chain_isolation(whole))
     for _, o, value in panel:
-        assert value == sum(sign_at(e.num, o.point) * sign_at(e.den, o.point) for e in entries)
+        assert value == sum(one_sided_sign(e.num, o.point) * one_sided_sign(e.den, o.point)
+                            for e in entries)
 
 
 @pytest.mark.parametrize("roots, at_midpoints", [
@@ -1006,6 +1024,19 @@ def test_coprime_isolation_with_spread_bounds_is_the_products(polys):
     isolates_alike(polys)
 
 
+@SETTINGS
+@given(entry_polys())
+def test_isolation_is_the_single_chain_bisection_of_the_squarefree_part(polys):
+    # the entries' product has repeated roots, irrational factors and a
+    # fractional lead of either sign
+    p = prod(polys, start=UPoly.one())
+    got, want = isolate_real_roots(p), single_chain_isolation(p)
+    assert [(iv.lo, iv.hi) for iv in got] == [(iv.lo, iv.hi) for iv in want]
+    assert list(map(rational_root, got)) == list(map(rational_root, want))
+    basis = coprime_basis((p,))
+    assert all(iv.poly in basis for iv in got)
+
+
 @pytest.mark.parametrize("roots", [
     (0, 1),                      # bound 2: the window around 0 reaches 1, t's bound
     (-2, -1),                    # bound 4: -2 and -3, the bounds of t + 1 and t + 2
@@ -1025,7 +1056,7 @@ def test_points_on_a_chains_bound_isolate_alike(roots, monkeypatch):
         return sign_at(p, x)
 
     monkeypatch.setattr(UPoly, "sign_at", recorded)
-    isolate_real_roots(prod(polys, start=UPoly.one()))
+    single_chain_isolation(prod(polys, start=UPoly.one()))
     monkeypatch.undo()
     bound = root_bound(prod(polys, start=UPoly.one()))
     assert any(root_bound(b) in points and root_bound(b) < bound for b in coprime_basis(polys))
@@ -1128,7 +1159,7 @@ orderings = st.one_of(
 @given(st.lists(ratfuncs(), min_size=1, max_size=4), orderings)
 def test_qt_signature_is_the_sign_of_num_times_den(entries, ordering):
     form = DiagForm.make(RATFUNC, [f for _, _, f in entries])
-    want = sum(sign_at(e.num * e.den, ordering.point) for e in form.entries)
+    want = sum(one_sided_sign(e.num * e.den, ordering.point) for e in form.entries)
     assert signature(form, ordering) == want
 
 
@@ -1199,7 +1230,7 @@ def test_qt_discriminant_is_the_class_of_the_signed_product(planted):
 @given(st.lists(small_fractions, min_size=1, max_size=5, unique=True),
        st.sets(st.sampled_from([UPoly.of(1, 0, 1), UPoly.of(-2, 0, 1), UPoly.of(1, 1, 1)])),
        nonzero_fractions, st.lists(small_fractions, max_size=3))
-def test_derivative_sign_at_a_root_is_the_split_root_sign(roots, quadratics, lead, points):
+def test_derivative_sign_at_a_root_is_the_one_sided_sign(roots, quadratics, lead, points):
     # distinct rational roots and quadratics without rational roots: a
     # square-free polynomial, whose one-sided signs at each root come from
     # its derivative
@@ -1208,7 +1239,36 @@ def test_derivative_sign_at_a_root_is_the_split_root_sign(roots, quadratics, lea
         point(x) for x in roots + points
         for point in (ExtendedPoint.above, ExtendedPoint.below, ExtendedPoint.at)]
     for x in sides:
-        assert squarefree_sign_at(p, x) == sign_at(p, x)
+        assert squarefree_sign_at(p, x) == one_sided_sign(p, x)
+
+
+def residue_by_division(phi, a):
+    """The second residue at t = a, found by dividing t - a out of each
+    entry's num and den as often as it goes."""
+    linear, out = UPoly.of(-a, 1), []
+    for e in phi.entries:
+        k, units = 0, []
+        for p, step in ((e.num, 1), (e.den, -1)):
+            while p.divmod(linear)[1].is_zero:
+                p, k = p // linear, k + step
+            units.append(p)
+        if k % 2:
+            out.append(units[0].eval_at(a) / units[1].eval_at(a))
+    return DiagForm.make(RATIONALS, out)
+
+
+@SETTINGS
+@given(st.lists(planted_ratfuncs(), min_size=1, max_size=4),
+       st.lists(st.sampled_from([-3, 0, Fraction(1, 2), 2]) | small_fractions, max_size=4))
+# t(t - 2)/3 is one basis of degree 2, whose derivative is -2 at 0 and 2 at 2
+@example([(RatFunc.make(UPoly.from_roots([0, 2], Fraction(1, 3))), {})], [0, 2])
+def test_second_residue_is_the_split_root_residue(planted, places):
+    # the places include the roots of the planted linear factors; a product
+    # carries the factors of its operands
+    es = [e for e, _ in planted]
+    phi = DiagForm.make(RATFUNC, es + [es[0] * es[-1]])
+    for a in places:
+        assert second_residue(phi, Place.finite(a)) == residue_by_division(phi, a)
 
 
 def factor_groups(e):
@@ -1261,7 +1321,7 @@ def test_qt_signature_is_the_sum_of_the_entry_signs(planted, at_roots, sampled):
     es = [e for e, _ in planted]
     pool = sampled + [side(-b.coeffs[0]) for b in at_roots for side in (Ordering.above, Ordering.below)]
     for p in pool:
-        signs = [sign_at(e.num, p.point) * sign_at(e.den, p.point) for e in es]
+        signs = [one_sided_sign(e.num, p.point) * one_sided_sign(e.den, p.point) for e in es]
         assert signature(DiagForm.make(RATFUNC, es), p) == sum(signs)
         half = DiagForm.make(RATFUNC, es[1:])
         assert signature(GWElem(half, DiagForm.make(RATFUNC, es[:1])), p) == sum(signs[1:]) - signs[0]
