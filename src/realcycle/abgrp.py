@@ -6,12 +6,15 @@ one row per generator, so each column is a relation; column j of a
 read as vectors (``relation_columns`` and ``images``), computed once.  Every
 lattice question (membership, bases, equality, solving, kernels, exactness of
 complexes) is one use of a row Hermite normal form, computed with
-arbitrary-precision integers; the Smith normal form behind invariant factors
-and exponents alternates row and column Hermite forms until a pass leaves the
-matrix diagonal, and carries no transforms when only the invariants are
-wanted.  A group computes its invariants and the Hermite basis of its
-relations once, and a lattice its Hermite basis once, with no elimination at
-all when its generators already are that basis.
+arbitrary-precision integers.  The Smith normal form alternates row and
+column Hermite forms until a pass leaves the matrix diagonal.  A group's
+invariant factors and exponent need no transforms, and most need no Smith
+elimination either: rows with a single +-1 split off as invariant factors 1,
+a rest that is diagonal up to order and sign only has its entries made a
+divisibility chain by gcd and lcm, and only any other rest is eliminated.  A
+group computes its invariants and the Hermite basis of its relations once,
+and a lattice its Hermite basis once, with no elimination at all when its
+generators already are that basis.
 
 >>> G = FgAbGroup.of_cyclics("a", "b", orders=(2, 4))
 >>> exponent(G)
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import IllDefinedMap, NotComposable, RankMismatch
@@ -161,6 +165,58 @@ def _first_stray(diag: Sequence[int]) -> Optional[tuple[int, int]]:
     return None
 
 
+def _split_unit_rows(rows: Sequence[Sequence[int]]) -> tuple[int, Matrix]:
+    """Split off the invariant factors 1 that need no arithmetic.
+
+    A row whose one nonzero entry is +-1, in column j, clears the rest of
+    column j by row operations that change nothing else, so the matrix is
+    (1) plus the matrix without that row and column.  A split can leave a
+    row with a single unit; the rows after it are read after the split, and
+    the rows already kept are scanned again only if it touched one of them.
+    Nothing is eliminated, so nothing fills in.  Returns (how many rows were
+    split off, the other rows), with every split column set to zero in
+    them: a zero column adds only a zero to the Smith diagonal.
+    """
+    left = [list(r) for r in rows]
+    split = 0
+    rescan = True
+    while rescan:
+        rescan = False
+        keep = []
+        for row in left:
+            if len(row) - row.count(0) == 1 and sum(row) in (1, -1):
+                j = row.index(sum(row))
+                rescan = rescan or any(r[j] for r in keep)
+                for r in left:
+                    r[j] = 0
+                split += 1
+            else:
+                keep.append(row)
+        left = keep
+    return split, left
+
+
+def _diagonal_entries(rows: Sequence[Sequence[int]]) -> Optional[list[int]]:
+    """|x| for each nonzero entry x, when no row and no column holds two, or
+    None.  Such a matrix is diagonal up to the order and signs of its rows
+    and columns.  A row's one nonzero entry is its sum, and its column is
+    where that sum stands."""
+    entries = []
+    seen: set[int] = set()
+    for row in rows:
+        nonzero = len(row) - row.count(0)
+        if nonzero > 1:
+            return None
+        if nonzero:
+            x = sum(row)
+            j = row.index(x)
+            if j in seen:
+                return None
+            seen.add(j)
+            entries.append(abs(x))
+    return entries
+
+
 def _smith_elimination(m: Sequence[Sequence[int]], u: Matrix,
                        vt: Matrix) -> tuple[Matrix, Matrix, Matrix, tuple[int, ...]]:
     """Bring m to Smith form D; returns (D, u, vt, diagonal of D), the blocks
@@ -204,8 +260,9 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SNF:
 
     Returns (D, U, V) with U*M*V = D, the diagonal non-negative with each entry
     dividing the next, and det(U), det(V) = +-1.  U and V are carried through
-    the elimination as identity blocks; a caller that wants only the
-    invariants (``FgAbGroup.normal_form``) runs it with no blocks at all.
+    the elimination as identity blocks; ``FgAbGroup.normal_form``, which
+    wants only the invariants, runs it with no blocks, on what is left after
+    its unit rows split off, and not at all on a diagonal rest.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -313,13 +370,30 @@ class FgAbGroup:
 
     @cached_property
     def normal_form(self) -> tuple[int, tuple[int, ...]]:
-        """(free rank, torsion invariant factors), computed once."""
+        """(free rank, torsion invariant factors), computed once, with no
+        transforms.
+
+        Rows with a single +-1 split off first, as invariant factors 1
+        (``_split_unit_rows``).  A rest that is diagonal up to order and sign
+        goes straight to the fix-up that replaces each pair d_i, d_j that
+        ``_first_stray`` finds by their gcd and lcm; only any other rest runs
+        the alternating Hermite passes of ``_smith_elimination``.  The split
+        does no arithmetic on purpose: eliminating every +-1 pivot by a Schur
+        complement fills dense matrices in and is slower on them.
+        """
         if not self.relations or not self.relations[0]:
             return self.n_generators, ()
-        rels = self.relations
-        diagonal = _smith_elimination(rels, [[] for _ in rels], [[] for _ in rels[0]])[3]
+        units, rest = _split_unit_rows(self.relations)
+        diagonal = _diagonal_entries(rest)
+        if diagonal is None:
+            diagonal = _smith_elimination(rest, [[] for _ in rest], [[] for _ in rest[0]])[3]
+        else:
+            while (stray := _first_stray(diagonal)) is not None:
+                i, j = stray
+                g = gcd(diagonal[i], diagonal[j])
+                diagonal[i], diagonal[j] = g, diagonal[i] // g * diagonal[j]
         torsion = tuple(d for d in diagonal if d not in (0, 1))
-        return self.n_generators - sum(1 for d in diagonal if d != 0), torsion
+        return self.n_generators - units - sum(1 for d in diagonal if d != 0), torsion
 
 
 def free_rank(g: FgAbGroup) -> int:
@@ -418,8 +492,12 @@ def quotient(ambient: FgAbGroup, sub: Lattice) -> FgAbGroup:
 
     The relations are the lattice's Hermite basis, computed once per lattice
     and shared with ``lattice_basis``, ``lattices_equal`` and ``contains``, so
-    the quotient's Smith form starts from an echelon matrix with at most
-    rank-of-sub columns rather than from the raw generators.
+    the quotient's invariants start from an echelon matrix with at most
+    rank-of-sub columns rather than from the raw generators.  Transposed, the
+    basis has a single nonzero entry, a pivot, in the row of the first pivot
+    column, and again in the next pivot column's row once a pivot 1 has split
+    off: the parity basis (1, ..., 1), 2*e_1, ..., 2*e_(m-1) leaves
+    diag(2, ..., 2), and its quotient runs no elimination.
     """
     if not ambient.is_free():
         raise RankMismatch("quotient ambient must be free")

@@ -303,7 +303,7 @@ def render_json(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2) for dicts with str keys, lists, str, int,
     bool and None, nested at the line break and spaces ``indent``; TypeError
     on any other type.  Exact types, so a float or a Fraction never passes
-    for an int or a bool."""
+    for an int or a bool.  A list of ints alone is rendered in one join."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -313,6 +313,8 @@ def render_json(value, indent: str = "\n") -> str:
     if kind is list:
         if not value:
             return "[]"
+        if type(value[0]) is int and set(map(type, value)) == {int}:    # a gamma0 basis row
+            return "[" + inner + ("," + inner).join(map(int.__repr__, value)) + indent + "]"
         return "[" + ",".join(inner + render_json(v, inner) for v in value) + indent + "]"
     if kind is dict:    # encode_basestring_ascii raises TypeError on a key that is not a str
         if not value:

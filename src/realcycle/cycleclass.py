@@ -40,6 +40,7 @@ from .realcurve import (
     BRANCH_MINUS,
     END_NEG_INF,
     END_POS_INF,
+    END_RATIONAL,
     END_ROOT,
     CurveModel,
     Hyperelliptic,
@@ -58,35 +59,57 @@ def _component_ambient(components: Sequence[RealComponent]) -> FgAbGroup:
     return FgAbGroup.free(*(c.id for c in components))
 
 
+def _rank(nums: Sequence[int], dens: Sequence[int], value: Fraction, start: int,
+          closed: bool) -> int:
+    """How many of the sorted punctures n/d lie left of ``value``, or left of
+    or at it when ``closed``.  The count is stepped to from ``start``, so a
+    value near the last one costs a comparison or two of integer cross
+    products, and no Fraction is built."""
+    p, q = value.numerator, value.denominator
+    k = len(nums)
+    i = start
+    # n/d is counted when n*q - p*d < 0, or <= 0 when closed (both denominators
+    # are positive), that is when the difference is below int(closed)
+    while i < k and nums[i] * q - p * dens[i] < closed:
+        i += 1
+    if i == start:
+        while i and nums[i - 1] * q - p * dens[i - 1] >= closed:
+            i -= 1
+    return i
+
+
 def _puncture_signs(curve: PuncturedLine,
                     components: Sequence[RealComponent]) -> list[tuple[int, ...]]:
     """The sign vector of t - a at the components' sample points, for each
     puncture a in increasing order.
 
-    The sign of t - a at x is the sign of x - a.  With the samples sorted,
-    each row is a run of -1s, the 0s of the samples equal to a, then +1s, and
-    one merge walk against the sorted punctures finds every run.  Each row is
-    then read back in the components' order; a line's own components come
-    left to right, and then the run is the row.
+    Each column is read from the component's arc ends: t - a is +1 on a
+    component whose lower end is a rational at or right of a, and -1 on one
+    whose upper end is a rational at or left of a.  A puncture strictly
+    inside the component is compared with its sample point; only another
+    line's components hold one, so a line's own components build no sample
+    point.  A column is thus a run of +1s, the signs at the punctures
+    inside, then -1s, and the rows are the columns transposed.
     """
-    samples = [sample_point(c, curve).x for c in components]
-    m = len(samples)
-    order = sorted(range(m), key=samples.__getitem__)
-    ranked = [samples[i] for i in order]
-    position = None
-    if order != list(range(m)):
-        position = sorted(range(m), key=order.__getitem__)     # sample i is ranked[position[i]]
-    rows = []
-    below = 0
-    for a in curve.punctures:
-        while below < m and ranked[below] < a:
-            below += 1
-        upto = below
-        while upto < m and ranked[upto] == a:
-            upto += 1
-        run = (-1,) * below + (0,) * (upto - below) + (1,) * (m - upto)
-        rows.append(run if position is None else tuple(map(run.__getitem__, position)))
-    return rows
+    punctures = curve.punctures
+    nums = [a.numerator for a in punctures]
+    dens = [a.denominator for a in punctures]
+    k = len(punctures)
+    at = 0      # where the last search stopped: components in order step from there
+    columns = []
+    for comp in components:
+        lo, hi = comp.arcs[0]
+        left, right = 0, k
+        if lo.kind == END_RATIONAL:
+            left = at = _rank(nums, dens, lo.value, at, True)
+        if hi.kind == END_RATIONAL:
+            right = at = _rank(nums, dens, hi.value, at, False)
+        inside = ()
+        if left < right:
+            x = sample_point(comp, curve).x
+            inside = tuple((x > a) - (x < a) for a in punctures[left:right])
+        columns.append((1,) * left + inside + (-1,) * (k - right))
+    return list(zip(*columns)) if columns else [()] * k
 
 
 def unit_sign_vectors(curve: PuncturedLine,

@@ -481,7 +481,8 @@ class TestParser:
 class TestRenderJson:
     # equality with json.dumps is a property test in test_properties.py
     @pytest.mark.parametrize("value", [1.0, Fraction(1), (1,), {1: "a"}, ["a", Fraction(1, 2)],
-                                       {"k": (1,)}, [{"k": 1.0}]], ids=repr)
+                                       {"k": (1,)}, [{"k": 1.0}], [1, Fraction(2)], [1, 2.0]],
+                             ids=repr)
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):
             render_json(value)

@@ -1,9 +1,9 @@
 """Property tests on generated inputs, each against an independent oracle.
 
 Sizes are kept small (dimension <= 5, entries <= 9, degree <= 8 and 24 for
-planted factorisations; Smith forms up to 12 x 12; primes up to 31) so that the
-whole module runs in a few seconds; the example order is derandomised, so a
-run is reproducible.
+planted factorisations; Smith forms up to 12 x 12, and up to 41 x 41 when
+sparse; primes up to 31) so that the whole module runs in a few seconds; the
+example order is derandomised, so a run is reproducible.
 """
 
 import io
@@ -12,6 +12,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations, product as cartesian, zip_longest
 from math import floor, gcd, isqrt, lcm, prod
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -37,7 +38,7 @@ from realcycle.abgrp import (
     smith_normal_form,
     solve_in_lattice,
 )
-from realcycle import cli, cycleclass, numeric
+from realcycle import abgrp, cli, cycleclass, numeric, realcurve
 from realcycle.cycleclass import (
     STATUS_DOUBLE,
     STATUS_EXACT,
@@ -49,8 +50,10 @@ from realcycle.cycleclass import (
     ZeroCycle,
     ZeroCycleTerm,
     class_of_zero_cycle,
+    coker_report,
     gamma0_image,
     gamma_top_witness_search,
+    knebusch_gamma,
     mod2_spans_everything,
     unit_sign_vectors,
 )
@@ -336,9 +339,45 @@ def determinantal_invariants(m):
 
 
 @st.composite
+def unit_rich_matrices(draw, dense=True):
+    """Up to 41 x 41, with rows and columns shuffled: rows with a single +-1
+    (a lower-triangular block with a +-1 diagonal, so that splitting one off
+    can leave another, and any other row may hold entries in its columns),
+    a diagonal block with 0s, a dense block of up to 3 x 3 unless ``dense``
+    is false, and zero rows and columns."""
+    units = draw(st.integers(0, 16))
+    diagonal = draw(st.lists(st.integers(-12, 12), max_size=17))
+    dense_rows, dense_cols = (draw(st.integers(0, 3)), draw(st.integers(0, 3))) if dense else (0, 0)
+    zero_rows, zero_cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = units + len(diagonal) + dense_rows + zero_rows
+    cols = units + len(diagonal) + dense_cols + zero_cols
+    m = [[0] * cols for _ in range(rows)]
+    sparse = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    for i in range(units):
+        m[i][i] = draw(st.sampled_from([1, -1]))
+        for j in range(i):
+            m[i][j] = draw(sparse)
+    for i in range(units, rows - zero_rows):
+        for j in range(units):
+            m[i][j] = draw(sparse)
+    for k, d in enumerate(diagonal):
+        m[units + k][units + k] = d
+    corner = units + len(diagonal)
+    for i in range(dense_rows):
+        for j in range(dense_cols):
+            m[corner + i][corner + j] = draw(entries)
+    m = draw(st.permutations(m))
+    order = draw(st.permutations(range(cols)))
+    return [[row[j] for j in order] for row in m]
+
+
+@st.composite
 def relation_matrices(draw):
     """0-12 rows by 0-12 columns, half of them at most 4 x 4; some all zero,
-    and some with every entry a multiple of 2 or 3, so that torsion shows."""
+    and some with every entry a multiple of 2 or 3, so that torsion shows.
+    A third are the unit-rich matrices above."""
+    if draw(st.integers(0, 2)) == 0:
+        return draw(unit_rich_matrices())
     limit = draw(st.sampled_from([4, 12]))
     rows, cols = draw(st.integers(0, limit)), draw(st.integers(0, limit))
     scale = draw(st.sampled_from([0, 1, 1, 2, 3]))
@@ -347,12 +386,24 @@ def relation_matrices(draw):
                          min_size=rows, max_size=rows))
 
 
+# The relations of the gamma0 quotient of a line with 40 punctures: the
+# transposed Hermite basis (1, ..., 1), 2*e_1, ..., 2*e_40.
+GAMMA0_RELATIONS = [[1] + [0] * 40] + [[1] + [2 * (j == i) for j in range(1, 41)]
+                                       for i in range(1, 41)]
+
+
 @SETTINGS
 @given(relation_matrices())
 @example([])
 @example([[], [], []])
 @example([[0, 0, 0], [0, 0, 0]])
 @example([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+@example(GAMMA0_RELATIONS)
+@example([[2, 0, 0], [0, 0, 0], [0, 0, 3]])
+@example([[4, 0], [0, 6]])
+@example([[1, 2, 0], [0, 0, 6], [0, -1, 0]])
+@example([[0, 1], [1, 0]])
+@example([[2], [3]])
 def test_group_invariants_are_the_smith_diagonal(m):
     group = FgAbGroup(tuple(f"g{i}" for i in range(len(m))), tuple(map(tuple, m)))
     diagonal = smith_normal_form(m).diagonal
@@ -363,6 +414,32 @@ def test_group_invariants_are_the_smith_diagonal(m):
         oracle_rank, oracle_factors = determinantal_invariants(m)
         assert free_rank(group) == len(m) - oracle_rank
         assert invariant_factors(group) == oracle_factors
+
+
+def refused(*args):
+    raise AssertionError("called")
+
+
+@SETTINGS
+@given(unit_rich_matrices(dense=False))
+@example(GAMMA0_RELATIONS)
+@example([[1, 2, 0], [0, 1, 0], [1, 0, 5]])
+def test_unit_rows_over_a_diagonal_run_no_elimination(m):
+    # every unit row splits off, in any order, and leaves the diagonal block
+    group = FgAbGroup(tuple(f"g{i}" for i in range(len(m))), tuple(map(tuple, m)))
+    with mock.patch.object(abgrp, "_smith_elimination", refused):
+        group.normal_form
+
+
+def test_a_diagonal_rest_is_fixed_up_to_a_divisibility_chain():
+    def group(m):
+        return FgAbGroup(tuple(f"g{i}" for i in range(len(m))), tuple(map(tuple, m)))
+
+    assert invariant_factors(group([[4, 0], [0, 6]])) == (2, 12)
+    assert invariant_factors(group([[0, -6], [4, 0]])) == (2, 12)
+    assert (free_rank(group([[2, 0, 0], [0, 0, 0], [0, 0, 3]])),
+            invariant_factors(group([[2, 0, 0], [0, 0, 0], [0, 0, 3]]))) == (1, (6,))
+    assert invariant_factors(group([[1, 0, 0], [5, 4, 0], [7, 0, 6]])) == (2, 12)
 
 
 @st.composite
@@ -1665,6 +1742,68 @@ def test_gamma0_image_evaluates_no_polynomial(monkeypatch):
     assert calls == []
 
 
+def test_gamma0_cokernel_runs_no_elimination(monkeypatch):
+    for module, name in ((abgrp, "hermite_form"), (abgrp, "_smith_elimination"),
+                         (cycleclass, "hermite_form")):
+        monkeypatch.setattr(module, name, refused)
+    curve = PuncturedLine.make(range(400))
+    assert coker_report(gamma0_image(curve)) == (2 ** 400, 2)
+
+
+def test_own_components_build_no_sample_point(monkeypatch):
+    monkeypatch.setattr(realcurve, "sample_point", refused)
+    monkeypatch.setattr(cycleclass, "sample_point", refused)
+    for punctures in ([], [0], [Fraction(-7, 3), 0, Fraction(1, 6), 5],
+                      [Fraction(i * i - 30, i % 5 + 1) for i in range(40)]):
+        curve = PuncturedLine.make(punctures)
+        comps = real_components(curve)
+        rows = unit_sign_vectors(curve, comps)
+        k = len(curve.punctures)
+        assert rows == [(-1,) * (k + 1)] + [(-1,) * (i + 1) + (1,) * (k - i) for i in range(k)]
+
+
+@st.composite
+def square_sublattices(draw):
+    """n generators in Z^n, n <= 7: dense ones, ones with rows that are a
+    signed unit vector, a diagonal scaled and permuted, and the parity
+    shape (1, ..., 1), d_1*e_1, ...; any of them may be made rank-deficient
+    by replacing a row with a combination of the others."""
+    n = draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(["dense", "units", "diagonal", "parity"]))
+    if shape == "dense":
+        rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    elif shape == "units":
+        rows = draw(st.lists(st.lists(st.sampled_from([0, 0, 1, -1, 2]), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+        for i in draw(st.sets(st.integers(0, n - 1))):
+            rows[i] = [0] * n
+            rows[i][draw(st.integers(0, n - 1))] = draw(st.sampled_from([1, -1]))
+    else:
+        scales = draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n))
+        rows = [[d * (i == j) for j in range(n)] for i, d in enumerate(scales)]
+        if shape == "parity":
+            rows[0] = [1] * n
+        rows = draw(st.permutations(rows))
+    if n > 1 and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+    return Lattice(FgAbGroup.free(*(f"e{i}" for i in range(n))), tuple(map(tuple, rows)))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(square_sublattices())
+@example(knebusch_gamma(41))
+@example(Lattice(FgAbGroup.free("a", "b"), ((0, 0), (0, 3))))
+def test_coker_report_is_the_determinant_and_the_last_smith_entry(image):
+    gens = [list(g) for g in image.generators]
+    det = det_bareiss(gens)
+    if det == 0:
+        assert coker_report(image) == (None, 0)
+    else:
+        assert coker_report(image) == (abs(det), smith_normal_form(gens).diagonal[-1])
+
+
 # --- the report renderer -----------------------------------------------------------
 
 JSON_TEXT = st.text() | st.text(alphabet='"\\/\x00\x08\x1f\x7f\n\t aé€ \U0001f600')
@@ -1680,5 +1819,6 @@ JSON_VALUES = st.recursive(
 @example([])
 @example({})
 @example({"": [[], {}, [{}]], "a\"b\\c": {"\x01é": -(10 ** 300)}})
+@example([[1, -2, 10 ** 400], [0, True], [False, 1], [None, 3], [2, "2"]])
 def test_render_json_is_json_dumps_indent_2(value):
     assert cli.render_json(value) == json.dumps(value, indent=2)
