@@ -4,7 +4,7 @@ A group is Z^g modulo the span of its relations.  ``FgAbGroup.relations`` has
 one row per generator, so each column is a relation; column j of a
 ``GroupMap``'s matrix is the image of source generator j.  Internally both are
 read as vectors (``relation_columns`` and ``images``), computed once.  Every
-lattice question (membership, bases, equality, solving, kernels, exactness of
+lattice question (membership, bases, equality, kernels, exactness of
 complexes) is one use of a row Hermite normal form, computed with
 arbitrary-precision integers.  The Smith normal form alternates row and
 column Hermite forms until a pass leaves the matrix diagonal.  A group's
@@ -270,32 +270,9 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SNF:
     return SNF(d, u, _transpose(vt, cols), diagonal)
 
 
-def solve_in_lattice(gens: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[list[int]]:
-    """Integer coefficients c with sum c_i * gens_i = v, or None.
-
-    ``gens`` is a list of vectors, all of the same length.
-    """
-    dim = len(v)
-    basis, _ = hermite_form(_with_identity(gens), dim)
-    left = _reduce(basis, list(v) + [0] * len(gens))
-    if any(left[:dim]):
-        return None
-    return [-c for c in left[dim:]]
-
-
 def _spans(basis: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]) -> bool:
     """Does the span of a Hermite basis contain every one of ``vectors``?"""
     return not any(any(_reduce(basis, v)) for v in vectors)
-
-
-def lattice_spans(gens: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]],
-                  dim: int) -> bool:
-    """Does the integer span of ``gens`` contain every one of ``vectors``?
-
-    All vectors have length ``dim``.  The generators are put in Hermite form
-    once, and not at all when there is nothing to test.
-    """
-    return not vectors or _spans(hermite_form(gens, dim)[0], vectors)
 
 
 def preimage_lattice(images: Sequence[Sequence[int]], target_gens: Sequence[Sequence[int]],

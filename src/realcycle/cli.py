@@ -221,7 +221,7 @@ def _parse_atom(toks, var):
     if ch is None:
         raise SpecParseError(f"unexpected end of polynomial {toks.text!r}")
     if ch.isdecimal():
-        return UPoly.constant(toks.number()), ()
+        return UPoly.of(toks.number()), ()
     raise SpecParseError(f"unexpected {ch!r} in polynomial {toks.text!r}")
 
 

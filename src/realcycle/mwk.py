@@ -228,14 +228,6 @@ def product(x: KmwElem, y: KmwElem) -> KmwElem:
     return KmwElem(x.ctx, 2, milnor, gw_mul(x.witt, y.witt))
 
 
-def times_gw_unit(x: KmwElem, a) -> KmwElem:
-    """Multiply by the degree-0 unit <a>: the Milnor half is unchanged, the
-    Witt half is scaled by <a>."""
-    a = coerce(x.ctx, a)
-    unit = GWElem(DiagForm(x.ctx, (a,)), DiagForm.empty(x.ctx))
-    return KmwElem(x.ctx, x.degree, x.milnor, gw_mul(x.witt, unit))
-
-
 def gw_identity_check(ctx: FieldCtx, a, orderings: Sequence[Ordering] = ()) -> bool:
     """Does 1 + eta*[a] have the rank and the sampled signatures of <a>?"""
     a = coerce(ctx, a)

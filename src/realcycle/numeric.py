@@ -3,9 +3,7 @@
 Polynomials are integer numerators over one common denominator, lowest degree
 first, and their arithmetic is integer arithmetic: no floating point is used
 anywhere, so root counts, signs and isolating intervals are certificates, not
-estimates.  Points of the extended real line carry an optional side (just left
-/ just right of a rational), which is how orderings of the rational function
-field are represented downstream.
+estimates.
 """
 
 from __future__ import annotations
@@ -68,10 +66,6 @@ class UPoly:
     @staticmethod
     def x() -> "UPoly":
         return UPoly((0, 1))
-
-    @staticmethod
-    def constant(c: Coeffable) -> "UPoly":
-        return UPoly.of(c)
 
     @staticmethod
     def from_roots(roots: Iterable[Coeffable], lead: Coeffable = 1) -> "UPoly":
@@ -245,60 +239,6 @@ def _primitive_remainder(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [r // g for r in rem] if g > 1 else rem
 
 
-# --- extended points -------------------------------------------------------
-
-SIDE_EXACT = "exact"
-SIDE_PLUS = "plus"
-SIDE_MINUS = "minus"
-
-
-@dataclass(unsafe_hash=True)
-class ExtendedPoint:
-    """A point of the extended real line, optionally displaced to one side.
-
-    ``kind`` is one of ``"-inf"``, ``"+inf"`` or ``"finite"``; finite points
-    carry a rational base and a side.  Side ``plus`` (resp. ``minus``) means
-    "immediately to the right (resp. left) of the base"; such points never
-    coincide with a root of any nonzero polynomial, which is what makes them
-    usable as orderings.
-    """
-
-    kind: str
-    base: Fraction | None = None
-    side: str = SIDE_EXACT
-
-    @staticmethod
-    def at(x: Coeffable) -> "ExtendedPoint":
-        return ExtendedPoint("finite", Fraction(x), SIDE_EXACT)
-
-    @staticmethod
-    def above(x: Coeffable) -> "ExtendedPoint":
-        return ExtendedPoint("finite", Fraction(x), SIDE_PLUS)
-
-    @staticmethod
-    def below(x: Coeffable) -> "ExtendedPoint":
-        return ExtendedPoint("finite", Fraction(x), SIDE_MINUS)
-
-    @staticmethod
-    def neg_inf() -> "ExtendedPoint":
-        return ExtendedPoint("-inf")
-
-    @staticmethod
-    def pos_inf() -> "ExtendedPoint":
-        return ExtendedPoint("+inf")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-    def describe(self) -> str:
-        if self.kind != "finite":
-            return self.kind
-        if self.side == SIDE_EXACT:
-            return str(self.base)
-        return f"{self.base}{'+' if self.side == SIDE_PLUS else '-'}"
-
-
 @dataclass(unsafe_hash=True)
 class IsolatingInterval:
     """Open rational interval containing exactly one real root of ``poly``.
@@ -403,21 +343,18 @@ def odd_multiplicity_part(factors: Iterable[tuple[UPoly, int]]) -> UPoly:
     return prod((b for b, e in factors if e % 2), start=UPoly.one())
 
 
-def squarefree_sign_at(p: UPoly, x: ExtendedPoint) -> int:
-    """The sign of a square-free p at an extended point, with no division.
+def squarefree_sign_at(p: UPoly, base: Optional[Fraction], side: int) -> int:
+    """The sign of a square-free p just to one side of a point, with no
+    division: just right (``side`` +1) or left (-1) of the rational ``base``,
+    or with no base, at +inf or -inf.
 
     A square-free p has only simple roots, so at a side of a root a it has
     the sign of (t - a) * p'(a): the sign of p'(a) just right of a and its
     opposite just left."""
-    if x.kind == "+inf":
-        return sign_of(p.nums[-1])
-    if x.kind == "-inf":
-        return -sign_of(p.nums[-1]) if p.degree % 2 else sign_of(p.nums[-1])
-    s = p.sign_at(x.base)
-    if s or x.side == SIDE_EXACT:
-        return s
-    s = p.deriv().sign_at(x.base)
-    return s if x.side == SIDE_PLUS else -s
+    if base is None:
+        lead = sign_of(p.nums[-1])
+        return -lead if side < 0 and p.degree % 2 else lead
+    return p.sign_at(base) or p.deriv().sign_at(base) * side
 
 
 def _sturm_chain(q: UPoly) -> tuple[UPoly, ...]:

@@ -31,7 +31,6 @@ from .errors import (
     ZeroEntry,
 )
 from .numeric import (
-    ExtendedPoint,
     UPoly,
     coprime_refinement,
     is_rational_square,
@@ -432,39 +431,46 @@ def square_class(ctx: FieldCtx, x: Element):
 class Ordering:
     """An ordering of the context field.
 
-    For the rationals and the real-closed context this is the unique ordering
-    (``point`` is None).  For Q(t) it is a side of a rational point, or one of
-    the two infinite ends; exact points are not orderings.
+    For the rationals and the real-closed context this is the unique,
+    archimedean ordering: ``side`` 0 and no ``base``.  For Q(t) it is a side
+    of a rational point or one of the two infinite ends: ``side`` +1 (resp.
+    -1) means just right (resp. left) of ``base``, or with no base, +inf
+    (resp. -inf).  Such a point never coincides with a root of a nonzero
+    polynomial, which is what makes it an ordering; an exact point is not one.
     """
 
-    point: Optional[ExtendedPoint] = None
+    base: Optional[Fraction] = None
+    side: int = 0
 
     def __post_init__(self):
-        if self.point is not None and self.point.is_finite and self.point.side == "exact":
+        if self.base is not None and not self.side:
             raise UnorderedContext("an exact point is not an ordering of Q(t)")
 
     @staticmethod
     def archimedean() -> "Ordering":
-        return Ordering(None)
+        return Ordering()
 
     @staticmethod
     def above(x) -> "Ordering":
-        return Ordering(ExtendedPoint.above(x))
+        return Ordering(Fraction(x), 1)
 
     @staticmethod
     def below(x) -> "Ordering":
-        return Ordering(ExtendedPoint.below(x))
+        return Ordering(Fraction(x), -1)
 
     @staticmethod
     def at_pos_inf() -> "Ordering":
-        return Ordering(ExtendedPoint.pos_inf())
+        return Ordering(None, 1)
 
     @staticmethod
     def at_neg_inf() -> "Ordering":
-        return Ordering(ExtendedPoint.neg_inf())
+        return Ordering(None, -1)
 
     def describe(self) -> str:
-        return "archimedean" if self.point is None else self.point.describe()
+        if not self.side:
+            return "archimedean"
+        mark = "+" if self.side > 0 else "-"
+        return f"{mark}inf" if self.base is None else f"{self.base}{mark}"
 
 
 def ordering_pool(ctx: FieldCtx, sample: Sequence[Ordering]) -> list[Ordering]:
@@ -653,16 +659,16 @@ def _entry_signs(ctx: FieldCtx, p: Ordering):
         return unordered
     if ctx.tag in (TAG_RATIONALS, TAG_REAL_CLOSED):
         return sign_of
-    point, known = p.point, {}
+    base, side, known = p.base, p.side, {}
 
     def sign(e: RatFunc) -> int:
-        if point is None:
+        if not side:
             raise UnorderedContext("an ordering of Q(t) needs a point")
         s = 1 if e.num.nums[-1] > 0 else -1
         for b, k in e.factors:
             if k % 2:
                 if b not in known:
-                    known[b] = squarefree_sign_at(b, point)
+                    known[b] = squarefree_sign_at(b, base, side)
                 s *= known[b]
         return s
     return sign
@@ -723,29 +729,6 @@ def hyperbolic_pairing(phi: DiagForm) -> bool:
         else:
             return False
     return True
-
-
-def witt_decompose(phi: DiagForm) -> tuple[int, int]:
-    """(anisotropic dimension, Witt index) over the decidable contexts."""
-    ctx = phi.ctx
-    n = phi.dim
-    if ctx.tag == TAG_REAL_CLOSED:
-        pos = sum(1 for e in phi.entries if e > 0)
-        neg = n - pos
-        return abs(pos - neg), min(pos, neg)
-    if ctx.tag == TAG_COMPLEXES:
-        return n % 2, n // 2
-    if ctx.tag == TAG_FINITE:
-        if n == 0:
-            return 0, 0
-        if n == 1:
-            return 1, 0
-        if n % 2 == 0:
-            aniso = 0 if has_trivial_discriminant(phi) else 2
-        else:
-            aniso = 1
-        return aniso, (n - aniso) // 2
-    raise UnsupportedContext(f"Witt decomposition is not decided over {ctx}")
 
 
 class Membership(enum.Enum):

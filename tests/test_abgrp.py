@@ -24,7 +24,6 @@ from realcycle.abgrp import (
     order_of,
     quotient,
     smith_normal_form,
-    solve_in_lattice,
 )
 from realcycle.errors import IllDefinedMap, NotComposable, RankMismatch
 
@@ -207,13 +206,6 @@ class TestGroups:
         basis = lattice_basis(lat)
         assert lattices_equal(lat, Lattice(z3, tuple(tuple(b) for b in basis)))
         assert len(basis) == 3
-
-    def test_solve_in_lattice_returns_witness(self):
-        gens = [[1, 1], [2, 0]]
-        coeffs = solve_in_lattice(gens, [3, 1])
-        assert coeffs is not None
-        got = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(2)]
-        assert got == [3, 1]
 
 
 class TestGroupMap:

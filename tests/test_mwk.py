@@ -17,7 +17,6 @@ from realcycle.mwk import (
     one,
     product,
     symbol,
-    times_gw_unit,
     zero,
 )
 from realcycle.numeric import UPoly
@@ -28,6 +27,7 @@ from realcycle.qform import (
     Ordering,
     RatFunc,
     finite_field,
+    gw_mul,
     signature,
 )
 
@@ -76,7 +76,10 @@ class TestEta:
     def test_eta_on_hyperbolic_lift_is_zero(self):
         # h = 1 + <-1> lifts to degree 1 as [a] + <-1>[a]; eta kills it
         for a in (Fraction(3), Fraction(-2)):
-            lift = add(symbol(RATIONALS, a), times_gw_unit(symbol(RATIONALS, a), -1))
+            x = symbol(RATIONALS, a)
+            # <-1>[a]: the Milnor half of [a], its Witt half scaled by <-1>
+            minus_x = KmwElem(RATIONALS, 1, x.milnor, gw_mul(x.witt, gw_unit(RATIONALS, -1).witt))
+            lift = add(x, minus_x)
             out = eta_mul(lift)
             assert out.milnor.value == 0
             assert is_zero_certified(out)

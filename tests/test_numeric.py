@@ -7,7 +7,6 @@ import pytest
 
 from realcycle.errors import NotSquareFree, ZeroPolynomial
 from realcycle.numeric import (
-    ExtendedPoint,
     UPoly,
     _sturm_chain,
     _variations,
@@ -21,8 +20,8 @@ from realcycle.numeric import (
     squarefree_sign_at,
 )
 
-NEG_INF = ExtendedPoint.neg_inf()
-POS_INF = ExtendedPoint.pos_inf()
+NEG_INF = (None, -1)
+POS_INF = (None, 1)
 
 
 def brute_sign_scan_roots(p, lo, hi, steps=2000):
@@ -193,36 +192,31 @@ class TestRationalRoot:
 
 class TestSquarefreeSignAt:
     def test_side_plus_after_root(self):
-        assert squarefree_sign_at(UPoly.of(0, -1, 0, 1), ExtendedPoint.above(0)) == -1
+        assert squarefree_sign_at(UPoly.of(0, -1, 0, 1), 0, 1) == -1
 
     def test_leading_behavior(self):
-        assert squarefree_sign_at(UPoly.x(), POS_INF) == 1
-        assert squarefree_sign_at(UPoly.x(), NEG_INF) == -1
-        assert squarefree_sign_at(UPoly.of(1, 0, -1), NEG_INF) == -1
-
-    def test_exact_root(self):
-        assert squarefree_sign_at(UPoly.of(-1, 1), ExtendedPoint.at(1)) == 0
+        assert squarefree_sign_at(UPoly.x(), *POS_INF) == 1
+        assert squarefree_sign_at(UPoly.x(), *NEG_INF) == -1
+        assert squarefree_sign_at(UPoly.of(1, 0, -1), *NEG_INF) == -1
 
     def test_sides_of_a_root(self):
         t = UPoly.x()
-        assert squarefree_sign_at(t, ExtendedPoint.below(0)) == -1
-        assert squarefree_sign_at(t, ExtendedPoint.at(0)) == 0
-        assert squarefree_sign_at(t, ExtendedPoint.above(0)) == 1
+        assert squarefree_sign_at(t, 0, -1) == -1
+        assert squarefree_sign_at(t, 0, 1) == 1
 
     def test_multiplicative_on_sides(self):
         # p and q have distinct rational roots, none shared, so p*q is
         # square-free; the points include both sides of some of the roots
         rng = random.Random(5)
-        pts = [ExtendedPoint.above(0), ExtendedPoint.below(1), NEG_INF, POS_INF,
-               ExtendedPoint.above(Fraction(-1, 2)), ExtendedPoint.below(Fraction(-1, 2))]
+        pts = [(0, 1), (1, -1), NEG_INF, POS_INF, (Fraction(-1, 2), 1), (Fraction(-1, 2), -1)]
         for _ in range(60):
             roots = list({Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(5)})
             k = rng.randint(1, len(roots) - 1) if len(roots) > 1 else 1
             p = UPoly.from_roots(roots[:k], rng.choice([-3, -1, 2]))
             q = UPoly.from_roots(roots[k:], rng.choice([-1, 1, Fraction(1, 2)]))
             for x in pts:
-                assert squarefree_sign_at(p * q, x) == (
-                    squarefree_sign_at(p, x) * squarefree_sign_at(q, x))
+                assert squarefree_sign_at(p * q, *x) == (
+                    squarefree_sign_at(p, *x) * squarefree_sign_at(q, *x))
 
 
 class TestSquarefree:

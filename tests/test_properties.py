@@ -24,6 +24,7 @@ from realcycle.abgrp import (
     Lattice,
     _is_hermite_basis,
     cokernel_presentation,
+    contains,
     exponent,
     free_rank,
     hermite_form,
@@ -31,12 +32,10 @@ from realcycle.abgrp import (
     invariant_factors,
     kernel_presentation,
     lattice_basis,
-    lattice_spans,
     lattices_equal,
     order_of,
     quotient,
     smith_normal_form,
-    solve_in_lattice,
 )
 from realcycle import abgrp, cli, cycleclass, numeric, realcurve
 from realcycle.cycleclass import (
@@ -58,7 +57,6 @@ from realcycle.cycleclass import (
     unit_sign_vectors,
 )
 from realcycle.numeric import (
-    ExtendedPoint,
     UPoly,
     coprime_basis,
     gap_samples,
@@ -180,14 +178,12 @@ def spans_cases(draw):
 
 @SETTINGS
 @given(spans_cases())
-def test_lattice_spans_agrees_with_solve_per_vector(case):
+def test_contains_agrees_with_the_reference_hermite_form(case):
+    # v lies in the span of gens iff adding it leaves the Hermite form as is
     dim, gens, vectors = case
-    expected = all(solve_in_lattice(gens, v) is not None for v in vectors)
-    assert lattice_spans(gens, vectors, dim) == expected
+    lat = Lattice(FgAbGroup.free(*(f"e{i}" for i in range(dim))), tuple(map(tuple, gens)))
     for v in vectors:
-        coeffs = solve_in_lattice(gens, v)
-        if coeffs is not None:
-            assert [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(dim)] == list(v)
+        assert contains(lat, v) == (hermite_rows(gens + [v], dim) == hermite_rows(gens, dim))
 
 
 @SETTINGS
@@ -202,7 +198,6 @@ def test_lattice_basis_has_rank_many_vectors_with_the_same_span(case):
     assert hermite_rows(basis, dim) == hermite_rows(gens, dim)
     # the basis is the Hermite form itself, and feeding it back terminates
     assert basis == hermite_rows(gens, dim)
-    assert lattice_spans(basis, gens, dim)
     assert lattices_equal(lat, Lattice(lat.ambient, tuple(map(tuple, basis))))
 
 
@@ -841,6 +836,7 @@ def test_upoly_arithmetic_agrees_with_fraction_lists(a, b, x):
     assert list(p.scale(x).coeffs) == trimmed(c * x for c in a)
     assert list(p.deriv().coeffs) == trimmed(i * c for i, c in enumerate(a) if i)
     assert p.eval_at(x) == sum(c * x ** i for i, c in enumerate(a))
+    assert p.sign_at(x) == sign_of(p.eval_at(x))
     if a:
         assert list(p.monic().coeffs) == [c / a[-1] for c in a]
 
@@ -872,22 +868,21 @@ def single_chain_isolation(p):
     return numeric._bisect([numeric._sturm_chain(squarefree(p))])
 
 
-def one_sided_sign(p, x):
-    """The sign of p at an extended point by a Fraction Taylor shift: p(a + s)
-    has the sign of its lowest nonzero coefficient c_k just right of a, and
-    that of c_k (-1)^k just left of it."""
+def one_sided_sign(p, base, side):
+    """The sign of p just right (``side`` +1) or left (-1) of a rational
+    ``base`` by a Fraction Taylor shift: p(a + s) has the sign of its lowest
+    nonzero coefficient c_k just right of a, and that of c_k (-1)^k just left
+    of it.  With no base, the sign at +inf or -inf."""
     cs = list(p.coeffs)
     if not cs:
         return 0
-    if not x.is_finite:
-        return sign_of(cs[-1]) * (-1 if x.kind == "-inf" and len(cs) % 2 == 0 else 1)
+    if base is None:
+        return sign_of(cs[-1]) * (-1 if side < 0 and len(cs) % 2 == 0 else 1)
     for i in range(len(cs)):              # repeated synthetic division by t - a
         for j in range(len(cs) - 2, i - 1, -1):
-            cs[j] += x.base * cs[j + 1]
-    if x.side == "exact":
-        return sign_of(cs[0])
+            cs[j] += base * cs[j + 1]
     k = next(k for k, c in enumerate(cs) if c)
-    return sign_of(cs[k]) * (-1 if x.side == "minus" and k % 2 else 1)
+    return sign_of(cs[k]) * (-1 if side < 0 and k % 2 else 1)
 
 
 def fraction_sturm_chain(p):
@@ -1050,10 +1045,10 @@ def test_form_panel_samples_the_gaps_of_the_products_roots(nums, dens):
                zip_longest(nums, dens, fillvalue=UPoly.one())]
     panel = cli._ordering_panel(entries)
     whole = prod((e.num * e.den for e in entries), start=UPoly.one())
-    assert [o.point.base for _, o, _ in panel[1:-1]] == gap_samples(single_chain_isolation(whole))
+    assert [o.base for _, o, _ in panel[1:-1]] == gap_samples(single_chain_isolation(whole))
     for _, o, value in panel:
-        assert value == sum(one_sided_sign(e.num, o.point) * one_sided_sign(e.den, o.point)
-                            for e in entries)
+        assert value == sum(one_sided_sign(e.num, o.base, o.side)
+                            * one_sided_sign(e.den, o.base, o.side) for e in entries)
 
 
 @pytest.mark.parametrize("roots, at_midpoints", [
@@ -1236,7 +1231,7 @@ orderings = st.one_of(
 @given(st.lists(ratfuncs(), min_size=1, max_size=4), orderings)
 def test_qt_signature_is_the_sign_of_num_times_den(entries, ordering):
     form = DiagForm.make(RATFUNC, [f for _, _, f in entries])
-    want = sum(one_sided_sign(e.num * e.den, ordering.point) for e in form.entries)
+    want = sum(one_sided_sign(e.num * e.den, ordering.base, ordering.side) for e in form.entries)
     assert signature(form, ordering) == want
 
 
@@ -1312,11 +1307,10 @@ def test_derivative_sign_at_a_root_is_the_one_sided_sign(roots, quadratics, lead
     # square-free polynomial, whose one-sided signs at each root come from
     # its derivative
     p = prod(quadratics, start=UPoly.from_roots(roots, lead))
-    sides = [ExtendedPoint.neg_inf(), ExtendedPoint.pos_inf()] + [
-        point(x) for x in roots + points
-        for point in (ExtendedPoint.above, ExtendedPoint.below, ExtendedPoint.at)]
-    for x in sides:
-        assert squarefree_sign_at(p, x) == one_sided_sign(p, x)
+    sides = [(None, -1), (None, 1)] + [(x, side) for x in roots + points for side in (1, -1)]
+    for base, side in sides:
+        assert squarefree_sign_at(p, base, side) == one_sided_sign(p, base, side)
+    assert not any(p.sign_at(x) for x in roots)
 
 
 def residue_by_division(phi, a):
@@ -1398,7 +1392,8 @@ def test_qt_signature_is_the_sum_of_the_entry_signs(planted, at_roots, sampled):
     es = [e for e, _ in planted]
     pool = sampled + [side(-b.coeffs[0]) for b in at_roots for side in (Ordering.above, Ordering.below)]
     for p in pool:
-        signs = [one_sided_sign(e.num, p.point) * one_sided_sign(e.den, p.point) for e in es]
+        signs = [one_sided_sign(e.num, p.base, p.side) * one_sided_sign(e.den, p.base, p.side)
+                 for e in es]
         assert signature(DiagForm.make(RATFUNC, es), p) == sum(signs)
         half = DiagForm.make(RATFUNC, es[1:])
         assert signature(GWElem(half, DiagForm.make(RATFUNC, es[:1])), p) == sum(signs[1:]) - signs[0]

@@ -40,7 +40,6 @@ from realcycle.qform import (
     square_class,
     squarefree_int,
     tensor,
-    witt_decompose,
 )
 
 T = UPoly.x()
@@ -119,6 +118,18 @@ class TestPfister:
             assert form_value(phi, (1, 1, 1, 0)) == 0
 
 
+class TestOrdering:
+    def test_describe(self):
+        got = [o.describe() for o in (Ordering.archimedean(), Ordering.at_neg_inf(),
+                                      Ordering.at_pos_inf(), Ordering.above(Fraction(1, 2)),
+                                      Ordering.below(3))]
+        assert got == ["archimedean", "-inf", "+inf", "1/2+", "3-"]
+
+    def test_exact_point_is_not_an_ordering(self):
+        with pytest.raises(UnorderedContext, match="exact point"):
+            Ordering(Fraction(1, 2))
+
+
 class TestSignature:
     def test_hyperbolic_is_zero(self):
         phi = DiagForm.make(RATIONALS, [1, -1])
@@ -140,6 +151,11 @@ class TestSignature:
             signature(DiagForm.make(COMPLEXES, [1]), Ordering.archimedean())
         with pytest.raises(UnorderedContext):
             signature(DiagForm.make(finite_field(5), [1]), Ordering.archimedean())
+
+    def test_ratfunc_needs_a_point(self):
+        # the archimedean ordering has no side, so it orders no entry of Q(t)
+        with pytest.raises(UnorderedContext, match="needs a point"):
+            signature(rf_form(T), Ordering.archimedean())
 
     def test_gw_difference(self):
         x = GWElem(DiagForm.make(RATIONALS, [1, 1]), DiagForm.make(RATIONALS, [1]))
@@ -247,33 +263,18 @@ class TestFiniteFieldContext:
         with pytest.raises(UnsupportedContext, match="not certified"):
             finite_field(3_317_044_064_679_887_385_961_981)
 
-
-class TestWittDecompose:
-    def test_real(self):
-        assert witt_decompose(DiagForm.make(REAL_CLOSED, [1, -1, 1])) == (1, 1)
-
-    def test_complex(self):
-        assert witt_decompose(DiagForm.make(COMPLEXES, [1, 1])) == (0, 1)
-
-    def test_finite_field_binary(self):
+    def test_binary_isotropy_matches_is_square(self):
+        # <1, n> with n a non-square is isotropic iff -n is a square and iff
+        # its entries pair hyperbolically; isotropy by brute-force search
         for p in (3, 5, 7, 11, 13, 97):
             fp = finite_field(p)
-            nonsquares = [n for n in range(1, p) if pow(n, (p - 1) // 2, p) != 1]
-            n = nonsquares[0]
-            phi = DiagForm.make(fp, [1, n])
-            aniso, index = witt_decompose(phi)
-            # brute force isotropy search over F_p
+            n = next(n for n in range(1, p) if pow(n, (p - 1) // 2, p) != 1)
             isotropic = any(
                 (x * x + n * y * y) % p == 0
                 for x in range(p) for y in range(p) if (x, y) != (0, 0)
             )
-            assert (aniso == 0) == isotropic
-            expected_isotropic = is_square(fp, (-n) % p)
-            assert isotropic == expected_isotropic
-
-    def test_unsupported(self):
-        with pytest.raises(UnsupportedContext):
-            witt_decompose(DiagForm.make(RATIONALS, [1]))
+            assert is_square(fp, (-n) % p) == isotropic
+            assert hyperbolic_pairing(DiagForm.make(fp, [1, n])) == isotropic
 
 
 class TestFundamentalPower:
