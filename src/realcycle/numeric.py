@@ -252,26 +252,38 @@ class IsolatingInterval:
     hi: Fraction
     poly: UPoly
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def refined(self) -> "IsolatingInterval":
         """Halve the interval, keeping the unique root inside."""
-        m = self.midpoint()
-        sm = self.poly.sign_at(m)
-        if sm == 0:
-            w = (self.hi - self.lo) / 4
-            return IsolatingInterval(m - w, m + w, self.poly)
-        if self.poly.sign_at(self.lo) == sm:
-            return IsolatingInterval(m, self.hi, self.poly)
-        return IsolatingInterval(self.lo, m, self.poly)
+        return self.refined_to((self.hi - self.lo) / 2)
 
     def refined_to(self, width: Fraction) -> "IsolatingInterval":
-        """Halve the interval until it is at most width wide."""
-        iv = self
-        while iv.hi - iv.lo > width:
-            iv = iv.refined()
-        return iv
+        """Halve the interval until it is at most width wide.
+
+        The ends are carried as a/(den 2^k) and b/(den 2^k) over the common
+        denominator of lo and hi, so a midpoint is (a + b, k + 1) and the
+        integer kernel ``_dyadic_sign`` reads the sign there; only the result
+        is made of Fractions.  The sign at lo is read once: a step that keeps
+        lo keeps its sign, and a midpoint that is the root becomes the centre
+        of a window a quarter of the interval to each side, and so the
+        midpoint of every later window, which needs no sign at all."""
+        lo, hi = self.lo, self.hi
+        den = lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+        wide, k = width.numerator * den, 0
+        if (b - a) * width.denominator <= wide:
+            return self
+        cs = _scaled(self.poly.nums, 1, den)
+        slo, centred = _dyadic_sign(cs, a, 0), False
+        while (b - a) * width.denominator > wide << k:
+            m = a + b
+            sm = 0 if centred else _dyadic_sign(cs, m, k + 1)
+            if sm == 0:
+                a, b, k, centred = 3 * a + b, a + 3 * b, k + 2, True
+            elif sm == slo:
+                a, b, k = m, 2 * b, k + 1
+            else:
+                a, b, k = 2 * a, m, k + 1
+        return IsolatingInterval(Fraction(a, den << k), Fraction(b, den << k), self.poly)
 
     def contains(self, x: Coeffable) -> bool:
         return self.lo < x < self.hi
@@ -486,6 +498,47 @@ def isolate_coprime_roots(polys: Sequence[UPoly]) -> tuple[IsolatingInterval, ..
     return _bisect([_sturm_chain(p) for p in polys])
 
 
+def _scaled(nums: Sequence[int], num: int, den: int) -> list[int]:
+    """The integers nums[i] num^i den^(d-i), d = len(nums) - 1: for den > 0,
+    the polynomial with numerators nums has at num*m / (den 2^e) the sign
+    that ``_dyadic_sign`` reads from them at (m, e)."""
+    out, power = [], 1
+    for n in nums:
+        out.append(n * power)
+        power *= num
+    power = 1
+    for i in range(len(out) - 1, -1, -1):
+        out[i] *= power
+        power *= den
+    return out
+
+
+def _dyadic_sign(cs: Sequence[int], m: int, e: int) -> int:
+    """The sign of the sum of cs[i] m^i 2^(e(d-i)), by Horner with shifts:
+    the sign at m/2^e of the polynomial with integer coefficients cs, the one
+    sign kernel of the bisection and of interval refinement."""
+    acc, shift = 0, 0
+    for c in reversed(cs):
+        acc = acc * m + (c << shift)
+        shift += e
+    return (acc > 0) - (acc < 0)
+
+
+def _skip_exponent(nums: Sequence[int]) -> int:
+    """A k with every real root of the polynomial with numerators nums
+    strictly inside (-2^k, 2^k), for a degree of at least 1.
+
+    Fujiwara's bound (Tôhoku Math. J. 10, 1916) puts every root at most
+    2 max_i |a_(n-i)/a_n|^(1/i) from 0, the term i = n taken over 2.  Each
+    term is below 2^(k-1) once 2^((k-1) i) |a_n| > |a_(n-i)|, with 2 |a_n|
+    for i = n, which holds when (k-1) i reaches the bit length of a_(n-i)
+    less that of a_n (of 2 a_n), plus 1: so k comes from bit lengths alone.
+    A monomial's root 0 is inside (-1, 1)."""
+    n, lead = len(nums) - 1, abs(nums[-1]).bit_length()
+    return 1 + max((-((lead + (i == n) - abs(c).bit_length() - 1) // i)
+                    for i, c in enumerate(reversed(nums[:-1]), 1) if c), default=-1)
+
+
 def _bisect(chains: Sequence[tuple[UPoly, ...]]) -> tuple[IsolatingInterval, ...]:
     """Bisection of [-bound, bound] over the Sturm chains of pairwise coprime
     polynomials.
@@ -495,42 +548,55 @@ def _bisect(chains: Sequence[tuple[UPoly, ...]]) -> tuple[IsolatingInterval, ...
     vanishes there.  The bound is the product's, so the bisection tree, and
     with it every interval, is the one a single chain of the product gives.
 
+    With the bound num/den, a point is the pair (m, e) standing for
+    num*m / (den 2^e): a midpoint is the sum of its ends' numerators one
+    level down, and a chain element is read there by ``_dyadic_sign`` on its
+    coefficients scaled by ``_scaled``, once, on the element's first
+    evaluation.  Only the ends of the leaves become Fractions.
+
     A chain's variation changes only at its polynomial's roots.  So a point
     of an interval is evaluated only on the chains whose variation differs at
-    the interval's ends, and of those only on the ones whose own Cauchy bound
-    it lies within; any other chain has the variation of the near end.
+    the interval's ends, and of those only on the ones whose skip bound 2^k
+    (``_skip_exponent``) lies above the point's absolute value; any other
+    chain has the variation of the near end.
     """
     chains = [c for c in chains if c[0].degree > 0]
     if not chains:
         return ()
     qs = [c[0] for c in chains]
     bound = root_bound(prod(qs, start=UPoly.one()))
-    # every point lies within the product's bound, so only a chain's own
-    # smaller bound can put a point past its roots
-    reach = [r if r < bound else None for r in map(root_bound, qs)]
-    far = None if None in reach else max(reach)
+    num, den = bound.numerator, bound.denominator
+    skip = [_skip_exponent(q.nums) for q in qs]
+    scaled: list[list[Optional[list[int]]]] = [[None] * len(c) for c in chains]
 
-    def var_at(x: Fraction, vlo: tuple[int, ...], vhi: tuple[int, ...]):
-        """The variations at x, a point between two with variations vlo and
-        vhi, or None when x is a root."""
-        if far is not None and not -far < x < far:
-            return vhi if x > 0 else vlo
+    def sign(i: int, j: int, m: int, e: int) -> int:
+        cs = scaled[i][j]
+        if cs is None:
+            cs = scaled[i][j] = _scaled(chains[i][j].nums, num, den)
+        return _dyadic_sign(cs, m, e)
+
+    def var_at(m: int, e: int, vlo: tuple[int, ...], vhi: tuple[int, ...]):
+        """The variations at the point (m, e), between two with variations
+        vlo and vhi, or None when it is a root."""
+        x = abs(num * m)
         out = list(vlo)
         for i, chain in enumerate(chains):
             if vlo[i] == vhi[i]:
                 continue
-            r = reach[i]
-            if r is not None and not -r < x < r:
-                out[i] = vhi[i] if x > 0 else vlo[i]
+            # is |x| < 2^k, that is x < den 2^(k+e)?
+            k = skip[i] + e
+            if not (x < den << k if k >= 0 else x << -k < den):
+                out[i] = vhi[i] if m > 0 else vlo[i]
                 continue
-            s = chain[0].sign_at(x)
+            s = sign(i, 0, m, e)
             if not s:
                 return None
-            out[i] = _variations([s] + [g.sign_at(x) for g in chain[1:]])
+            out[i] = _variations([s] + [sign(i, j, m, e) for j in range(1, len(chain))])
         return tuple(out)
 
-    def owner(vlo: tuple[int, ...], vhi: tuple[int, ...]) -> UPoly:
-        return next(q for q, a, b in zip(qs, vlo, vhi) if a != b)
+    def leaf(a: int, b: int, e: int, vlo: tuple[int, ...], vhi: tuple[int, ...]):
+        q = next(q for q, x, y in zip(qs, vlo, vhi) if x != y)
+        return IsolatingInterval(Fraction(num * a, den << e), Fraction(num * b, den << e), q)
 
     def var_beyond(side: int) -> tuple[int, ...]:
         """The variations past the bound on one side: as at infinity, from
@@ -539,32 +605,34 @@ def _bisect(chains: Sequence[tuple[UPoly, ...]]) -> tuple[IsolatingInterval, ...
                      for c in chains)
 
     out: list[IsolatingInterval] = []
-    work = [(-bound, bound, var_beyond(-1), var_beyond(1))]
+    # (a, b, e, vlo, vhi): the interval from (a, e) to (b, e)
+    work = [(-1, 1, 0, var_beyond(-1), var_beyond(1))]
     while work:
-        lo, hi, vlo, vhi = work.pop()
+        a, b, e, vlo, vhi = work.pop()
         n = sum(vlo) - sum(vhi)
         if n == 0:
             continue
         if n == 1:
-            out.append(IsolatingInterval(lo, hi, owner(vlo, vhi)))
+            out.append(leaf(a, b, e, vlo, vhi))
             continue
-        mid = (lo + hi) / 2
-        vmid = var_at(mid, vlo, vhi)
+        mid = a + b
+        vmid = var_at(mid, e + 1, vlo, vhi)
         if vmid is not None:
-            work.append((lo, mid, vlo, vmid))
-            work.append((mid, hi, vmid, vhi))
+            work.append((2 * a, mid, e + 1, vlo, vmid))
+            work.append((mid, 2 * b, e + 1, vmid, vhi))
             continue
-        # the midpoint is itself a root: carve out a window around it
-        w = (hi - lo) / 4
+        # the midpoint is itself a root: carve out a window around it, a
+        # quarter of the interval to each side, halved until it isolates the
+        # root; at level t the window is (c - w, c + w)
+        c, w, t = 2 * mid, b - a, e + 2
         while True:
-            left, right = mid - w, mid + w
-            vl = var_at(left, vlo, vhi)
-            vr = None if vl is None else var_at(right, vlo, vhi)
+            vl = var_at(c - w, t, vlo, vhi)
+            vr = None if vl is None else var_at(c + w, t, vlo, vhi)
             if vr is not None and sum(vl) - sum(vr) == 1:
                 break
-            w /= 2
-        out.append(IsolatingInterval(left, right, owner(vl, vr)))
-        work.append((lo, left, vlo, vl))
-        work.append((right, hi, vr, vhi))
+            c, t = 2 * c, t + 1
+        out.append(leaf(c - w, c + w, t, vl, vr))
+        work.append((a << t - e, c - w, t, vlo, vl))
+        work.append((c + w, b << t - e, t, vr, vhi))
     out.sort(key=lambda iv: iv.lo)
     return tuple(out)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isolation_oracle import kernel_reads
 from realcycle import abgrp, cycleclass, numeric, qform
 from realcycle.cli import (
     MAX_NESTING, main, parse_curve_spec, parse_poly, parse_twist_spec, render_json,
@@ -554,28 +555,52 @@ class TestFormCommand:
         # the product: here every basis polynomial is linear
         import realcycle.numeric as numeric
 
-        lengths, signs = [], [0]
-        bisect, sign_at = numeric._bisect, numeric.UPoly.sign_at
+        lengths = []
+        bisect = numeric._bisect
 
         def observed(chains):
             lengths.extend(len(c) for c in chains)
             return bisect(chains)
 
-        def counted(p, x):
-            signs[0] += 1
-            return sign_at(p, x)
-
         monkeypatch.setattr(numeric, "_bisect", observed)
-        monkeypatch.setattr(numeric.UPoly, "sign_at", counted)
+        reads = kernel_reads(monkeypatch)
         code, out = run_cli("form", "<" + ",".join(f"t-{i}" for i in range(60)) + ">")
         assert code == 0 and len(json.loads(out)["form"]["signatures"]) == 63
         assert len(lengths) == 60 and max(lengths) <= 2
-        # the bisection evaluates a chain only where one of its roots is in
-        # reach; evaluating every chain at every point took 162,960 calls
-        assert signs[0] < 10_000
+        # the bisection reads a chain only where one of its roots is within
+        # its skip bound; reading every chain at every point took 162,960
+        # evaluations
+        assert 0 < len(reads) < 10_000
         # the bytes the product's isolation printed
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "cfa2520b0d3ded39900d58353058f546fc979ccac656316be24cc63bd3c7c8af")
+
+    def test_slow_form_reads_no_chain_past_its_skip_bound(self, monkeypatch):
+        # chains of degree up to 37 with coefficients of up to 1,000 bits,
+        # whose product's Cauchy bound lies far above their roots: with the
+        # chains' own Cauchy bounds as skip bounds, the bisection made 11,909
+        # Fraction evaluations and took 10 s
+        form = ("<(t)^13,(-2*(t)^36)^1,"
+                "86589072405572518*(t--6)*(t)^19+((t-875449474)*t)^30>")
+        firsts, spans = {}, []
+        bisect = numeric._bisect
+
+        def observed(chains):
+            firsts.update((c[0].nums, Fraction(2) ** numeric._skip_exponent(c[0].nums))
+                          for c in chains)
+            start = len(reads)
+            out = bisect(chains)
+            spans.append((start, len(reads)))
+            return out
+
+        reads = kernel_reads(monkeypatch)
+        monkeypatch.setattr(numeric, "_bisect", observed)
+        code, out = run_cli("form", form)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+            "f8fa62e328e2fad83807cdcb615d675ddf6d8f581054033e2c6180088073d614")
+        read = [(nums, x) for start, end in spans for nums, x, _ in reads[start:end]]
+        assert 0 < len(read) < 2_500
+        assert all(abs(x) < firsts[nums] for nums, x in read if nums in firsts)
 
     @pytest.mark.parametrize("form, most", [
         ("<(t+1)^1000>", 1001),

@@ -4,10 +4,11 @@ earlier builder.
 ``reference_components`` is ``realcurve._hyperelliptic_components`` as it was
 before the one pass over the gaps of f: placeholder ids, a sort key of the
 left root index and the branch rank, and a renumbering pass, run on the
-intervals of one Sturm chain of f/|lc f|.  Every field of every component
-must come out the same.  The isolating intervals must have the same ends;
-their polynomial is now f itself, where the reference carries f/|lc f|, so
-the two agree up to a positive scale.
+intervals of the Fraction bisection (``isolation_oracle``) over one Sturm
+chain of f/|lc f|.  Every field of every component must come out the same.
+The isolating intervals must have the same ends; their polynomial is now f
+itself, where the reference carries f/|lc f|, so the two agree up to a
+positive scale.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isolation_oracle import fraction_bisect
 from realcycle import numeric
 from realcycle.numeric import UPoly, gap_samples
 from realcycle.realcurve import (
@@ -40,7 +42,7 @@ SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
 def reference_components(curve: Hyperelliptic) -> tuple[RealComponent, ...]:
     f = curve.f
-    ivs = numeric._bisect([numeric._sturm_chain(f.scale(1 / abs(f.lc)))])
+    ivs = fraction_bisect([numeric._sturm_chain(f.scale(1 / abs(f.lc)))])
     k = len(ivs)
     signs = [f.sign_at(x) for x in gap_samples(ivs)]
     assert all(s != 0 for s in signs)

@@ -5,6 +5,7 @@ from math import prod
 
 import pytest
 
+from realcycle import numeric
 from realcycle.errors import NotSquareFree, ZeroPolynomial
 from realcycle.numeric import (
     UPoly,
@@ -15,6 +16,7 @@ from realcycle.numeric import (
     isolate_real_roots,
     odd_multiplicity_part,
     rational_root,
+    root_bound,
     sign_of,
     squarefree_decomposition,
     squarefree_sign_at,
@@ -159,7 +161,7 @@ class TestIsolateRealRoots:
             for iv in ivs:
                 signs = [
                     (v > 0) - (v < 0)
-                    for v in (iv.poly.eval_at(iv.lo), iv.poly.eval_at(iv.midpoint()), iv.poly.eval_at(iv.hi))
+                    for v in (iv.poly.eval_at(iv.lo), iv.poly.eval_at((iv.lo + iv.hi) / 2), iv.poly.eval_at(iv.hi))
                 ]
                 nonzero = [s for s in signs if s]
                 changes = sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
@@ -167,6 +169,20 @@ class TestIsolateRealRoots:
             # disjoint and sorted
             for left, right in zip(ivs, ivs[1:]):
                 assert left.hi <= right.lo
+
+
+    def test_one_root_scales_and_reads_no_chain(self, monkeypatch):
+        # f = t^30 + (t - c)^36 t - t, the shape of the slow-gcd curve's f
+        # with a smaller c, has one real root: [-bound, bound] is its
+        # interval, so no chain element is scaled, let alone read
+        def refused(*args):
+            raise AssertionError("a chain element was scaled or read")
+
+        f = UPoly.of(*[0] * 30, 1) + UPoly.from_roots([1000] * 36) * UPoly.x() - UPoly.x()
+        monkeypatch.setattr(numeric, "_scaled", refused)
+        monkeypatch.setattr(numeric, "_dyadic_sign", refused)
+        ivs = isolate_real_roots(f)
+        assert [(iv.lo, iv.hi) for iv in ivs] == [(-root_bound(f.monic()), root_bound(f.monic()))]
 
 
 class TestIsolateCoprimeRoots:

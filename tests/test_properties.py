@@ -18,6 +18,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from isolation_oracle import (
+    fraction_bisect,
+    fraction_refined,
+    fraction_refined_to,
+    kernel_reads,
+    skip_bound,
+)
 from realcycle.abgrp import (
     FgAbGroup,
     GroupMap,
@@ -57,6 +64,7 @@ from realcycle.cycleclass import (
     unit_sign_vectors,
 )
 from realcycle.numeric import (
+    IsolatingInterval,
     UPoly,
     coprime_basis,
     gap_samples,
@@ -864,8 +872,9 @@ def squarefree(p):
 
 
 def single_chain_isolation(p):
-    """The bisection over one Sturm chain of the square-free part of p."""
-    return numeric._bisect([numeric._sturm_chain(squarefree(p))])
+    """The Fraction bisection over one Sturm chain of the square-free part
+    of p."""
+    return fraction_bisect([numeric._sturm_chain(squarefree(p))])
 
 
 def one_sided_sign(p, base, side):
@@ -1059,21 +1068,12 @@ def test_form_panel_samples_the_gaps_of_the_products_roots(nums, dens):
 ])
 def test_roots_at_bisection_midpoints_isolate_alike(roots, at_midpoints, monkeypatch):
     # one entry per root, so a midpoint root belongs to one basis element
-    # and the others do not vanish there
-    vanished = set()
-    sign_at = UPoly.sign_at
-
-    def recorded(p, x):
-        s = sign_at(p, x)
-        if not s:
-            vanished.add(x)
-        return s
-
+    # and the others do not vanish there; the kernel reads 0 at it
     polys = [UPoly.of(-r, 1) for r in roots]
-    monkeypatch.setattr(UPoly, "sign_at", recorded)
+    reads = kernel_reads(monkeypatch)
     isolate_coprime_roots(coprime_basis(polys))
     monkeypatch.undo()
-    assert vanished >= set(at_midpoints)
+    assert {x for _, x, s in reads if s == 0} >= set(at_midpoints)
     isolates_alike(polys)
 
 
@@ -1109,17 +1109,68 @@ def test_isolation_is_the_single_chain_bisection_of_the_squarefree_part(polys):
     assert all(iv.poly in basis for iv in got)
 
 
+@st.composite
+def isolation_entries(draw):
+    """Entries whose coprime basis has several chains: linear factors at
+    dyadic points, which the bisection can meet as midpoints; factors spread
+    over up to six orders of magnitude; and factors with 64-bit numerators
+    over denominators up to 10^9, whose product's bound N/D has a large N
+    and D."""
+    polys = [UPoly.of(-r, 1) for r in draw(st.lists(
+        st.builds(Fraction, st.integers(-32, 32), st.sampled_from([1, 2, 4, 8])), max_size=4))]
+    if draw(st.booleans()):
+        polys += draw(spread_polys())
+    for _ in range(draw(st.integers(0, 2))):
+        cs = draw(st.lists(st.builds(Fraction, st.integers(-2 ** 64, 2 ** 64),
+                                     st.integers(1, 10 ** 9)), min_size=2, max_size=4))
+        if cs[-1]:
+            polys.append(UPoly.of(*cs))
+    return polys
+
+
+@SETTINGS
+@given(isolation_entries())
+@example([UPoly.of(-r, 1) for r in (-1, 0, 1, Fraction(1, 2))])
+@example([UPoly.of(-10 ** 6, 1), UPoly.of(Fraction(-2 ** 64 + 1, 10 ** 9 - 7), 3, 0, -1)])
+def test_coprime_isolation_is_the_fraction_bisection(polys):
+    # interval by interval against the Fraction oracle over the same
+    # chains, each interval with its basis polynomial; and each interval
+    # refined as rational_root and the interior windows refine it
+    basis = coprime_basis(polys)
+    got = isolate_coprime_roots(basis)
+    assert got == fraction_bisect([numeric._sturm_chain(b) for b in basis])
+    for iv in got:
+        nums = iv.poly.nums
+        assert iv.refined() == fraction_refined(iv)
+        for width in (Fraction(1, 8), Fraction(gcd(*nums), abs(nums[-1]))):
+            assert iv.refined_to(width) == fraction_refined_to(iv, width)
+
+
+def test_refinement_reads_no_sign_once_a_midpoint_is_the_root(monkeypatch):
+    # the root 1 is the midpoint of (0, 2), and so of every later window:
+    # the sign is read at lo and at 1, and then no more
+    iv = IsolatingInterval(Fraction(0), Fraction(2), UPoly.of(-1, 1))
+    reads = kernel_reads(monkeypatch)
+    got = iv.refined_to(Fraction(1, 2 ** 20))
+    assert [(x, s) for _, x, s in reads] == [(0, -1), (1, 0)]
+    assert (got.lo, got.hi) == (1 - Fraction(1, 2 ** 21), 1 + Fraction(1, 2 ** 21))
+    assert got == fraction_refined_to(iv, Fraction(1, 2 ** 20))
+
+
 @pytest.mark.parametrize("roots", [
-    (0, 1),                      # bound 2: the window around 0 reaches 1, t's bound
-    (-2, -1),                    # bound 4: -2 and -3, the bounds of t + 1 and t + 2
-    (-7, -3, -1),                # bound 32: -2, -4 and -8
-    (-7, -5, Fraction(1, 3)),    # bound 32: -6 and -8
+    (0, 1),                      # bound 2: the window around 0 reaches +-1, t's skip bound
+    (-5, -3),                    # bound 16: -8 and -4, the skip bounds of t + 5 and t + 3
+    (-7, -3, -1),                # bound 32: -8, -4 and -2
+    (-7, -5, Fraction(1, 3)),    # bound 32: -8, the skip bound of t + 7 and of t + 5
+    (6, Fraction(5, 2)),         # bound 16: 8 and 4
 ])
 def test_points_on_a_chains_bound_isolate_alike(roots, monkeypatch):
-    # the product's one chain is evaluated at every point of the tree, so its
-    # evaluations list the points; some of them lie on a basis element's own
-    # bound, where that element's chain takes the near end's variation
+    # a point of the tree lies on a basis element's skip bound, in an
+    # interval that holds the element's root: there the element's chain
+    # takes the near end's variation, unread.  The oracle reads every point
+    # of the tree, so its reads list the points
     polys = [UPoly.of(-r, 1) for r in roots]
+    basis = coprime_basis(polys)
     points = set()
     sign_at = UPoly.sign_at
 
@@ -1131,8 +1182,36 @@ def test_points_on_a_chains_bound_isolate_alike(roots, monkeypatch):
     single_chain_isolation(prod(polys, start=UPoly.one()))
     monkeypatch.undo()
     bound = root_bound(prod(polys, start=UPoly.one()))
-    assert any(root_bound(b) in points and root_bound(b) < bound for b in coprime_basis(polys))
+    assert any(skip_bound(b) in points and skip_bound(b) < bound for b in basis)
+    reads = kernel_reads(monkeypatch)
+    isolate_coprime_roots(basis)
+    monkeypatch.undo()
+    for b in basis:
+        assert all(abs(x) < skip_bound(b) for nums, x, _ in reads if nums == b.nums)
     isolates_alike(polys)
+
+
+@SETTINGS
+@given(st.lists(small_fractions | st.builds(lambda s, k: s * Fraction(2) ** k,
+                                            st.sampled_from([-1, 1]), st.integers(-8, 40)),
+                min_size=1, max_size=6),
+       nonzero_fractions, st.lists(st.integers(-9, 9), max_size=2))
+@example([Fraction(2 ** 20)], Fraction(1), [])          # t - 2^20: Fujiwara's bound is its root
+@example([Fraction(-1, 2 ** 8)], Fraction(3, 7), [])
+@example([Fraction(2 ** 40), Fraction(-2 ** 40)], Fraction(-1, 8), [])
+def test_skip_bound_is_strict_on_planted_roots(roots, lead, quadratics):
+    # planted rational roots, some at +-2^k, under a fractional lead, and
+    # the real roots +-sqrt(c) of quadratic factors t^2 - c
+    p = UPoly.from_roots(roots, lead)
+    for c in quadratics:
+        p = p * UPoly.of(-c, 0, 1)
+    bound = skip_bound(p)
+    assert all(abs(r) < bound for r in roots)
+    assert all(c < bound ** 2 for c in quadratics)
+    if any(roots) and not quadratics:
+        # Fujiwara's bound is at most 2 deg(p) times the largest root, and
+        # its power of two at most 8 times Fujiwara's bound
+        assert bound < 16 * p.degree * max(map(abs, roots))
 
 
 # --- field elements and forms ---------------------------------------------------
