@@ -2,7 +2,7 @@
 refinement of ``realcycle.numeric``, and a recorder of that integer code's
 sign reads.
 
-``fraction_bisect`` is the bisection as it ran on Fraction points: it halves
+``fraction_bisect`` is the bisection on Fraction points: it halves
 [-B, B], B the Cauchy bound of the chains' product, and reads every chain at
 every point with ``UPoly.sign_at``, with no skip bound.  ``fraction_refined_to``
 halves a Fraction interval and reads the sign at lo at every step.  Neither

@@ -1159,6 +1159,7 @@ def test_refinement_reads_no_sign_once_a_midpoint_is_the_root(monkeypatch):
 
 @pytest.mark.parametrize("roots", [
     (0, 1),                      # bound 2: the window around 0 reaches +-1, t's skip bound
+    (-2, -1),                    # bound 4: -2, t + 1's skip bound, is the midpoint root of t + 2
     (-5, -3),                    # bound 16: -8 and -4, the skip bounds of t + 5 and t + 3
     (-7, -3, -1),                # bound 32: -8, -4 and -2
     (-7, -5, Fraction(1, 3)),    # bound 32: -8, the skip bound of t + 7 and of t + 5
