@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import sub
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .abgrp import FgAbGroup, Lattice, exponent, hermite_form, identity_matrix, order_of, quotient
 from .errors import (
@@ -321,6 +321,86 @@ def _interior_window(comp: RealComponent) -> tuple[Fraction, Fraction]:
 _SQUARES_64, _SQUARES_63, _SQUARES_65, _SQUARES_11 = (
     frozenset(r * r % m for r in range(m)) for m in (64, 63, 65, 11))
 
+# The sieve of the height walk: its primes l, the block of candidates one bit
+# mask stands for, and for each l the mask of the residues mod l that are
+# squares or 0 and the repunit sum of 2^(l j) that tiles an l-bit mask over a
+# block and the l bits a shift takes off.
+_SIEVE_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+_SIEVE_BITS = 512
+_SQUARE_BITS = {ell: sum(1 << r for r in {t * t % ell for t in range(ell)})
+                for ell in _SIEVE_PRIMES}
+_REPUNITS = {ell: sum(1 << ell * j for j in range(_SIEVE_BITS // ell + 2))
+             for ell in _SIEVE_PRIMES}
+
+
+class _Sieve:
+    """The p of a row of the height walk at which N(p, q) is a square or 0
+    modulo every prime l of ``_SIEVE_PRIMES``.  A square is one modulo every
+    l, so the sieve drops no square.
+
+    N is homogeneous of degree 2k, so N(p, q) = q^(2k) N(p/q, 1) mod l, and
+    q^(2k) is a nonzero square for q not 0 mod l: the good p are then q*t
+    for the t in G_l, the residues at which N(t, 1) is a square or 0.  For
+    q = 0 mod l, N(p, q) = w p^(2k) with w the coefficient of p^(2k) (0 when
+    deg f is odd): every p is good when w is a square or 0 mod l, and only
+    p = 0 otherwise.
+
+    A row is sieved in blocks of ``_SIEVE_BITS`` candidates, one bit mask
+    each, so the memory does not grow with the window.  A block takes the
+    primes in increasing order until at most one candidate is left, and G_l
+    and the mask of a residue of q mod l are made the first time a block
+    asks for them, so a short row costs a few small primes.  The masks
+    depend on f alone, so every walk for f can share one sieve.
+    """
+
+    def __init__(self, f: UPoly):
+        # the coefficients of N(t, 1), lowest degree first, 2k + 1 of them
+        coeffs = [f.den * n for n in f.nums]
+        self.coeffs = coeffs + [0] * (f.degree % 2)
+        self.values: list[int] = []     # N(t, 1) for t = 0, 1, ...
+        # per prime: G_l, then the tiled masks by q mod l, -1 for every p
+        self.good: list[Optional[list[int]]] = [None] * len(_SIEVE_PRIMES)
+        self.tiles: list[list[Optional[int]]] = [[None] * ell for ell in _SIEVE_PRIMES]
+
+    def _tile(self, i: int, r: int) -> int:
+        """The mask of the good p mod the i-th prime for q = r, tiled over a
+        block and the bits a shift takes off; -1 when every p is good."""
+        ell = _SIEVE_PRIMES[i]
+        squares = _SQUARE_BITS[ell]
+        if not r:
+            return -1 if squares >> self.coeffs[-1] % ell & 1 else _REPUNITS[ell]
+        good = self.good[i]
+        if good is None:
+            values, coeffs = self.values, self.coeffs
+            while len(values) < ell:
+                acc, t = 0, len(values)
+                for c in reversed(coeffs):
+                    acc = acc * t + c
+                values.append(acc)
+            good = self.good[i] = [t for t in range(ell) if squares >> values[t] % ell & 1]
+        if len(good) == ell:
+            return -1
+        return sum(1 << r * t % ell for t in good) * _REPUNITS[ell]
+
+    def survivors(self, q: int, start: int, stop: int) -> Iterator[int]:
+        """The p in range(start, stop) that pass every prime, ascending."""
+        for p0 in range(start, stop, _SIEVE_BITS):
+            live = (1 << min(_SIEVE_BITS, stop - p0)) - 1
+            # bit j of live stands for p0 + j, and bit j + (p0 mod l) of a
+            # tile for the residue of p0 + j
+            for i, ell in enumerate(_SIEVE_PRIMES):
+                if not live & (live - 1):
+                    break       # one candidate left is cheaper to test than a mask
+                tiles, r = self.tiles[i], q % ell
+                tile = tiles[r]
+                if tile is None:
+                    tile = tiles[r] = self._tile(i, r)
+                live &= tile >> p0 % ell
+            while live:
+                low = live & -live
+                yield p0 + low.bit_length() - 1
+                live ^= low
+
 
 def _conic_obstruction(f: UPoly) -> Optional[int]:
     """A place proving that y^2 = f(x) has no rational point, for deg f = 2.
@@ -345,7 +425,7 @@ def _conic_obstruction(f: UPoly) -> Optional[int]:
 
 def _height_search(f: UPoly, lo: Fraction, hi: Fraction, budget: int,
                    insoluble: bool = False, first: int = 1,
-                   pair_x: Optional[Fraction] = None):
+                   pair_x: Optional[Fraction] = None, sieve: Optional[_Sieve] = None):
     """Walk x = p/q in lowest terms with lo < x < hi, q = first..budget and
     then p ascending, for the first x at which f is a nonzero rational square.
 
@@ -359,16 +439,31 @@ def _height_search(f: UPoly, lo: Fraction, hi: Fraction, budget: int,
     integer N(p) = den^2 q^(2k) f(p/q) = sum of den*nums[i]*q^(2k-i) * p^i
     has the sign of f(p/q) and is a square exactly when f(p/q) is a rational
     square.
+
+    Every candidate is evaluated until pair_x is known; after it only the
+    survivors of ``sieve``, a ``_Sieve`` of f, are.  It drops no square, so
+    the point and pair_x are those of the full walk.
     """
     if insoluble and pair_x is not None:
         return None, pair_x
     k = (f.degree + 1) // 2
     a, b = lo.numerator, lo.denominator
     c, d = hi.numerator, hi.denominator
+    if sieve is None:
+        sieve = _Sieve(f)
+
+    def candidates(q: int, p: int, stop: int) -> Iterator[int]:
+        # pair_x is read as the loop below sets it: the row is sieved from
+        # the candidate after the one that set it
+        while pair_x is None and p < stop:
+            yield p
+            p += 1
+        yield from sieve.survivors(q, p, stop)
+
     for q in range(first, budget + 1):
         weights = [f.den * n * q ** (2 * k - i) for i, n in enumerate(f.nums)][::-1]
         # a/b < p/q < c/d, with b, d, q > 0
-        for p in range(a * q // b + 1, (c * q - 1) // d + 1):
+        for p in candidates(q, a * q // b + 1, (c * q - 1) // d + 1):
             if gcd(p, q) != 1:
                 continue
             value = 0
@@ -405,9 +500,11 @@ def gamma_top_witness_search(curve: CurveModel,
     comps = tuple(components) if components is not None else real_components(curve)
     bits = twist_bits if twist_bits is not None else {c.id: 0 for c in comps}
     circles = [c for c in comps if c.is_circle]
+    # one sieve for every walk: its residue masks depend on f alone
+    sieve = _Sieve(curve.f) if isinstance(curve, Hyperelliptic) else None
     out = []
     for comp in circles:
-        cert = _witness_for_circle(curve, comps, bits, comp, budget)
+        cert = _witness_for_circle(curve, comps, bits, comp, budget, sieve)
         if cert.witness is not None:
             expected = class_of_zero_cycle(curve, comps, bits, cert.witness)
             assert expected == cert.achieved, "witness certificate must be sound"
@@ -415,7 +512,7 @@ def gamma_top_witness_search(curve: CurveModel,
     return out
 
 
-def _witness_for_circle(curve, comps, bits, comp, budget) -> WitnessCertificate:
+def _witness_for_circle(curve, comps, bits, comp, budget, sieve) -> WitnessCertificate:
     def gen_hit(value):
         target = {c.id: 0 for c in comps if c.is_circle}
         target[comp.id] = value
@@ -437,12 +534,12 @@ def _witness_for_circle(curve, comps, bits, comp, budget) -> WitnessCertificate:
     sheet = -1 if comp.branch == BRANCH_MINUS else 1
     lo, hi = _interior_window(comp)
     # height 1 first: a point there needs no factoring for the conic test
-    point, pair_x = _height_search(curve.f, lo, hi, min(budget, 1))
+    point, pair_x = _height_search(curve.f, lo, hi, min(budget, 1), sieve=sieve)
     obstruction = None
     if point is None:
         obstruction = _conic_obstruction(curve.f)
         point, pair_x = _height_search(curve.f, lo, hi, budget, obstruction is not None,
-                                       2, pair_x)
+                                       2, pair_x, sieve)
     if point is not None:
         x, y = point
         cycle = ZeroCycle.single(RationalPoint(x, sheet * y))

@@ -480,10 +480,16 @@ def isolate_real_roots(p: UPoly) -> tuple[IsolatingInterval, ...]:
 
     The roots are isolated over the coprime basis of p, whose product is the
     monic square-free part of p: it has p's Cauchy bound, so the intervals
-    are those of one Sturm chain of that part."""
+    are those of one Sturm chain of that part.  A square-free p is its own
+    basis, and its Sturm chain is the square-free test, so the chain of
+    monic(p) is tried first, and the basis is made only on
+    ``NotSquareFree``: the remainder sequence of (p, p') then runs once."""
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    return isolate_coprime_roots(coprime_basis((p,)))
+    try:
+        return _bisect([_sturm_chain(p.monic())])
+    except NotSquareFree:
+        return isolate_coprime_roots(coprime_basis((p,)))
 
 
 def isolate_coprime_roots(polys: Sequence[UPoly]) -> tuple[IsolatingInterval, ...]:

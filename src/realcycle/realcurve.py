@@ -16,6 +16,7 @@ between presented groups.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -23,7 +24,7 @@ from typing import Optional, Sequence, Union
 
 from .abgrp import FgAbGroup, GroupMap
 from .errors import MarkerOffComponent, NotSquareFree, UnsupportedClosure
-from .numeric import IsolatingInterval, UPoly, gap_samples, isolate_coprime_roots, sign_of
+from .numeric import IsolatingInterval, UPoly, gap_samples, isolate_coprime_roots
 
 # --- curve models -------------------------------------------------------------
 
@@ -190,49 +191,84 @@ def _hyperelliptic_components(curve: Hyperelliptic) -> tuple[RealComponent, ...]
 
 # --- locating rational points ---------------------------------------------------
 
-def _compare_to_end(x: Fraction, end: ArcEnd) -> int:
-    """-1, 0, +1 for x left of / at / right of the arc end."""
-    if end.kind == END_NEG_INF:
-        return 1
-    if end.kind == END_POS_INF:
-        return -1
-    if end.kind == END_RATIONAL:
-        return sign_of(x - end.value)
-    iv = end.interval
-    if not iv.contains(x):
-        return -1 if x <= iv.lo else 1
-    # iv.poly changes sign once in iv, at the root
-    s = iv.poly.sign_at(x)
-    return 0 if s == 0 else -1 if s == iv.poly.sign_at(iv.lo) else 1
+class _Locator:
+    """Where a rational x lies on the real line of a curve, and the
+    components there.
 
+    The cuts are the punctures of a line or the isolating intervals of the
+    roots of f, in increasing order; a projective line has none.  Slot 2i is
+    the open gap left of cut i (slot 2n the gap right of the last of n cuts)
+    and slot 2i + 1 the cut itself.  ``owners`` lists, slot by slot, the
+    components holding it, in their order: an arc covers the gap right of
+    its lower end, and holds its root ends, but no rational end.
+    """
 
-def _x_on_arc(x: Fraction, arc: Arc) -> bool:
-    """Root endpoints belong to the arc; rational and infinite ends do not."""
-    lo, hi = arc
-    cl = _compare_to_end(x, lo)
-    ch = _compare_to_end(x, hi)
-    if cl == 0:
-        return lo.kind == END_ROOT
-    if ch == 0:
-        return hi.kind == END_ROOT
-    return cl > 0 and ch < 0
+    def __init__(self, curve: CurveModel, components: Sequence[RealComponent]):
+        self.components = components
+        self.punctures: Sequence[Fraction] = ()
+        self.intervals: Sequence[IsolatingInterval] = ()
+        if isinstance(curve, PuncturedLine):
+            self.punctures = curve.punctures
+            n = len(self.punctures)
+            index = {a: i for i, a in enumerate(self.punctures)}
+        elif isinstance(curve, Hyperelliptic):
+            self.intervals = curve.root_intervals
+            n = len(self.intervals)
+        else:
+            n = 0
+        self.his = [iv.hi for iv in self.intervals]
+        self.lo_signs: list[Optional[int]] = [None] * n    # read on first use
+        self.owners: list[list[RealComponent]] = [[] for _ in range(2 * n + 1)]
+        for comp in components:
+            for lo, hi in comp.arcs:
+                if lo.kind == END_NEG_INF:
+                    gap = 0
+                elif lo.kind == END_ROOT:
+                    gap = 2 * lo.root_index + 2
+                    self.owners[gap - 1].append(comp)
+                else:
+                    gap = 2 * index[lo.value] + 2
+                self.owners[gap].append(comp)
+                if hi.kind == END_ROOT:
+                    self.owners[2 * hi.root_index + 1].append(comp)
+
+    def slot(self, x: Fraction) -> int:
+        """The slot of x: by bisection over the punctures, or over the upper
+        ends of the root intervals and then, inside an interval, by the sign
+        of its polynomial at x against the one at its lower end."""
+        if self.punctures:
+            i = bisect_left(self.punctures, x)
+            return 2 * i + 1 if i < len(self.punctures) and self.punctures[i] == x else 2 * i
+        i = bisect_left(self.his, x)
+        if i == len(self.his):
+            return 2 * i
+        iv = self.intervals[i]
+        if x <= iv.lo:
+            return 2 * i
+        # lo < x <= hi, and iv.poly changes sign once in the interval, at the root
+        s = iv.poly.sign_at(x)
+        if s == 0:
+            return 2 * i + 1
+        slo = self.lo_signs[i]
+        if slo is None:
+            slo = self.lo_signs[i] = iv.poly.sign_at(iv.lo)
+        return 2 * i if s == slo else 2 * i + 2
 
 
 def component_containing(curve: CurveModel, components: Sequence[RealComponent],
                          x, y_sign: Optional[int] = None) -> Optional[RealComponent]:
     """The component holding the real point with abscissa x (branch sign used
     only where the two sheets are separate components).  None when the point
-    is not on the real locus."""
-    x = Fraction(x)
-    if isinstance(curve, PuncturedLine) and x in curve.punctures:
-        return None
-    if isinstance(curve, Hyperelliptic) and curve.f.sign_at(x) < 0:
-        return None
-    for comp in components:
-        if comp.branch != BRANCH_BOTH and y_sign is not None:
-            if (comp.branch == BRANCH_PLUS) != (y_sign > 0):
-                continue
-        if any(_x_on_arc(x, arc) for arc in comp.arcs):
+    is not on the real locus.
+
+    The point is found by bisection over the cuts of the curve (see
+    ``_Locator``), which is built on the first call for these components and
+    kept on the curve, so a call costs a logarithm of their number."""
+    locator = curve.__dict__.get("_locator")
+    if locator is None or locator.components is not components:
+        locator = curve.__dict__["_locator"] = _Locator(curve, components)
+    for comp in locator.owners[locator.slot(Fraction(x))]:
+        if comp.branch == BRANCH_BOTH or y_sign is None or (comp.branch == BRANCH_PLUS) == (y_sign > 0):
             return comp
     return None
 

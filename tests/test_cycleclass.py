@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -255,12 +256,48 @@ class TestWitnessSearch:
         assert certs[0].witness.terms[0].point == ConjugatePair(Fraction(-1))
         assert len(calls) <= 3
         # a soluble conic still walks to its first point, (-3/17, 2/17) on
-        # x^2 + y^2 = 13/289
+        # x^2 + y^2 = 13/289: up to height 17, and no further
         calls.clear()
         certs = gamma_top_witness_search(Hyperelliptic(UPoly.of(Fraction(13, 289), 0, -1)),
                                          budget=1000)
         assert certs[0].witness.terms[0].point == RationalPoint(Fraction(-3, 17), Fraction(2, 17))
-        assert certs[0].obstruction is None and len(calls) >= 50
+        assert certs[0].obstruction is None and max(q for _, q in calls) == 17
+
+    def test_sieve_keeps_most_candidates_from_the_gcd(self, monkeypatch):
+        # a quartic whose two ovals hold no point up to height 50: the walk
+        # evaluates its first candidate, where f > 0, and after it only the
+        # survivors of the sieve reach the gcd, which is called once each
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(cycleclass, "gcd", counted)
+        curve = Hyperelliptic(UPoly.of(11, 8, 1) * UPoly.of(10, 8, 1), True)   # (x+4)^2 - 5, - 6
+        comps = real_components(curve)
+        certs = gamma_top_witness_search(curve, comps, budget=50)
+        assert [c.status for c in certs] == [STATUS_DOUBLE] * 2
+        candidates = 0
+        for comp in comps:
+            lo, hi = cycleclass._interior_window(comp)
+            candidates += sum((hi.numerator * q - 1) // hi.denominator
+                              - lo.numerator * q // lo.denominator for q in range(1, 51))
+        assert candidates > 8000 and len(calls) <= candidates // 10
+
+    def test_sieve_memory_does_not_grow_with_the_window(self):
+        # at height 1 the window of y^2 = 3*10^12 - x^2 holds 3.46 million
+        # candidates; sieved in blocks, the walk holds a few kilobytes, where
+        # one bit mask over the row would take 433 kB
+        tracemalloc.start()
+        try:
+            certs = gamma_top_witness_search(Hyperelliptic(UPoly.of(3 * 10 ** 12, 0, -1)),
+                                             budget=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert certs[0].witness.terms[0].point == ConjugatePair(Fraction(-1732050))
+        assert peak < 64 * 1024
 
     def test_a_point_at_height_one_needs_no_factoring(self, monkeypatch):
         # y^2 = 1 - N*x^2 with N = 999999999989 * 999983 has the point (0, 1):

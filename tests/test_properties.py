@@ -556,9 +556,10 @@ def sturm_count_below(f, x):
     return at_minus_inf - at_x - (f.sign_at(x) == 0)
 
 
-def locate_by_counting(curve, components, x):
+def locate_by_counting(curve, components, x, y_sign=None):
     """The component holding abscissa x, found by Sturm root counts below x
-    instead of by the isolating intervals of the components."""
+    instead of by the isolating intervals of the components; y_sign picks a
+    sheet where the two sheets are separate components."""
     f = curve.f
     if f.eval_at(x) < 0:
         return None
@@ -573,6 +574,9 @@ def locate_by_counting(curve, components, x):
         return -1 if below + on_root <= end.root_index else 1
 
     for comp in components:
+        if comp.branch != BRANCH_BOTH and y_sign is not None \
+                and (comp.branch == "plus") != (y_sign > 0):
+            continue
         for lo, hi in comp.arcs:
             cl, ch = compare(lo), compare(hi)
             if (cl == 0 and lo.kind == "root") or (ch == 0 and hi.kind == "root") \
@@ -581,13 +585,32 @@ def locate_by_counting(curve, components, x):
     return None
 
 
+def located_points(curve):
+    """Abscissae where location is delicate: the ends of the root intervals
+    of f, and points inside them on both sides of the root and at their
+    midpoints."""
+    xs = []
+    for iv in curve.root_intervals:
+        finer = iv.refined_to((iv.hi - iv.lo) / 64)
+        xs += [iv.lo, iv.hi, (iv.lo + iv.hi) / 2, finer.lo, finer.hi]
+    return xs
+
+
 @SETTINGS
-@given(square_free_curves(), st.lists(small_fractions, max_size=4))
-def test_component_containing_agrees_with_root_counts(case, points):
+@given(square_free_curves(), st.lists(small_fractions, max_size=4),
+       st.sampled_from([None, 1, -1]))
+@example((Hyperelliptic(UPoly.of(1, 0, 0, 0, 1)), []), [Fraction(0), Fraction(-5, 2)], 1)
+@example((Hyperelliptic(UPoly.of(1, 0, 1), True), []), [Fraction(3, 4)], -1)
+@example((Hyperelliptic(UPoly.from_roots([-2, Fraction(1, 3), 1], -1)),
+          [-2, Fraction(1, 3), 1]), [], None)
+def test_component_containing_agrees_with_root_counts(case, points, y_sign):
+    # at the rational roots, at the ends of and inside the root intervals,
+    # and on either sheet where the two sheets are separate components
     curve, roots = case
     comps = real_components(curve)
-    for x in roots + points:
-        assert component_containing(curve, comps, x) == locate_by_counting(curve, comps, x)
+    for x in roots + located_points(curve) + points:
+        assert (component_containing(curve, comps, x, y_sign)
+                == locate_by_counting(curve, comps, x, y_sign)), x
 
 
 def sample_by_fraction_operations(comp):
@@ -697,8 +720,21 @@ def search_curves(draw):
     return Hyperelliptic(f, draw(st.booleans()))
 
 
+# the quartic ovals of the benchmark's budget-50 slots, whose walks run to
+# the budget: ((x - c)^2 - s)((x - c)^2 - t) and its negative
+BENCH_OVALS = [
+    UPoly.of(11, 8, 1) * UPoly.of(10, 8, 1),                       # c = -4, s, t = 5, 6
+    (UPoly.of(Fraction(-5, 9), Fraction(-14, 3), 1)
+     * UPoly.of(Fraction(-50, 9), Fraction(-14, 3), 1)).scale(-1),  # c = 7/3, s, t = 6, 11
+    UPoly.of(79, 18, 1) * UPoly.of(74, 18, 1),                     # c = -9, s, t = 2, 7
+]
+
+
 @SETTINGS
 @given(search_curves(), st.integers(1, 40))
+@example(Hyperelliptic(BENCH_OVALS[0], True), 40)
+@example(Hyperelliptic(BENCH_OVALS[1], False), 40)
+@example(Hyperelliptic(BENCH_OVALS[2], True), 33)
 def test_witness_search_agrees_with_the_fraction_walk(curve, budget):
     comps = real_components(curve)
     bits = {c.id: 0 for c in comps}
@@ -731,6 +767,84 @@ def test_search_finds_a_planted_point_first(coeffs, x0, heights):
         for h, lo, hi in ((f, x0 - delta, x0), (f, x0, x0 + delta), (root, x0 - delta, x0 + delta)):
             point, pair_x = cycleclass._height_search(h, lo, hi, budget)
             assert pair_x != x0 and (point is None or point[0] != x0)
+
+
+def locate_on_line(components, x):
+    """The component of a punctured line holding x, by comparing x with the
+    ends of every arc."""
+    for comp in components:
+        for lo, hi in comp.arcs:
+            if (lo.kind == "-inf" or lo.value < x) and (hi.kind == "+inf" or x < hi.value):
+                return comp
+    return None
+
+
+@SETTINGS
+@given(st.lists(st.one_of(small_fractions, wide_fractions), max_size=8, unique=True),
+       st.lists(small_fractions, max_size=4), st.sampled_from([None, 1, -1]))
+@example([Fraction(0)], [], None)
+@example([Fraction(-1), Fraction(1, 3), Fraction(2)], [Fraction(1, 3), Fraction(0)], 1)
+def test_location_on_lines_agrees_with_end_comparisons(punctures, points, y_sign):
+    curve = PuncturedLine.make(punctures)
+    comps = real_components(curve)
+    near = [a + d for a in punctures for d in (Fraction(-1, 10 ** 6), Fraction(1, 10 ** 6))]
+    for x in punctures + near + points:
+        assert component_containing(curve, comps, x, y_sign) == locate_on_line(comps, x), x
+
+
+def height_search_by_fractions(f, lo, hi, budget):
+    """``_height_search`` from f evaluated as a Fraction at every candidate
+    of the walk: the first x with f(x) a nonzero rational square, with its
+    square root, and the first x with f(x) > 0."""
+    pair_x = None
+    for x in heights_in_window(lo, hi, budget):
+        fx = f.eval_at(x)
+        if pair_x is None and fx > 0:
+            pair_x = x
+        if is_rational_square(fx):
+            return (x, Fraction(isqrt(fx.numerator), isqrt(fx.denominator))), pair_x
+    return None, pair_x
+
+
+@st.composite
+def sieved_walks(draw):
+    """(f, lo, hi, budget) with windows wide enough for many candidates a
+    row, so the walk reaches the sieve: f of degree 1..6, odd or even, with
+    a leading coefficient of either sign, and half the time a point planted
+    at a height q0 that is a multiple of a sieve prime, so that a row with
+    q = 0 mod l holds a square."""
+    f = UPoly.of(*draw(st.lists(small_fractions, min_size=2, max_size=7)
+                       .filter(lambda cs: cs[-1] != 0)))
+    centre = draw(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 4)))
+    half = draw(st.builds(Fraction, st.integers(1, 12), st.integers(1, 3)))
+    budget = draw(st.integers(1, 16))
+    if draw(st.booleans()):
+        q0 = draw(st.sampled_from([3, 5, 6, 7, 9, 10, 11, 13, 14, 15]))
+        p0 = draw(st.integers(floor((centre - half) * q0) + 1, floor((centre + half) * q0)))
+        assume(centre - half < Fraction(p0, q0) < centre + half and gcd(p0, q0) == 1)
+        y0 = draw(nonzero_fractions)
+        f = f - UPoly.of(f.eval_at(Fraction(p0, q0)) - y0 * y0)
+        budget = max(budget, q0)
+    return f, centre - half, centre + half, budget
+
+
+@settings(SETTINGS, max_examples=150)
+@given(sieved_walks())
+# odd degree, negative leading coefficient, a point at height 3: 3 - 2x^3 is
+# 79/27 at x = 1/3, so f = 3 - 2x^3 - 79/27 + 25/9 has the point (1/3, 5/3)
+@example((UPoly.of(3, 0, 0, -2) - UPoly.of(Fraction(79, 27) - Fraction(25, 9)),
+          Fraction(-7), Fraction(9), 8))
+# the points (-2/5, 3/5) and (2/5, 3/5) of x^2 + y^2 = 13/25, in the row q = 5
+@example((UPoly.of(Fraction(13, 25), 0, -1), Fraction(-1, 2), Fraction(1, 2), 12))
+# the point (5/7, 144/49) of y^2 = c + x - x^4, a quartic with lc < 0
+@example((UPoly.of(Fraction(20736, 2401) + Fraction(625, 2401) - Fraction(5, 7),
+                   1, 0, 0, -1), Fraction(-5), Fraction(5), 14))
+@example((BENCH_OVALS[0], Fraction(-6), Fraction(-2), 16))
+@example((BENCH_OVALS[1], Fraction(-1), Fraction(6), 16))
+def test_height_search_agrees_with_the_fraction_walk(walk):
+    f, lo, hi, budget = walk
+    assert cycleclass._height_search(f, lo, hi, budget) == height_search_by_fractions(f, lo, hi,
+                                                                                      budget)
 
 
 def divisors(n):
@@ -1098,15 +1212,32 @@ def test_coprime_isolation_with_spread_bounds_is_the_products(polys):
 
 @SETTINGS
 @given(entry_polys())
+@example([UPoly.of(-2, 0, 1), UPoly.of(1, 3), UPoly.of(Fraction(-1, 2), 0, 0, 1)])
+@example([UPoly.of(-2, 0, 1), UPoly.of(-2, 0, 1), UPoly.of(1, 3)])
 def test_isolation_is_the_single_chain_bisection_of_the_squarefree_part(polys):
     # the entries' product has repeated roots, irrational factors and a
     # fractional lead of either sign
     p = prod(polys, start=UPoly.one())
-    got, want = isolate_real_roots(p), single_chain_isolation(p)
+    remainder = numeric._primitive_remainder
+    calls = []
+
+    def counted(a, b):
+        calls.append(len(b))
+        return remainder(a, b)
+
+    with mock.patch.object(numeric, "_primitive_remainder", counted):
+        got = isolate_real_roots(p)
+        isolating = len(calls)
+        if p.degree <= 0 or p.gcd(p.deriv()).degree == 0:
+            # a square-free p pays for one remainder sequence of (p, p'):
+            # its Sturm chain, which is also the square-free test
+            calls.clear()
+            numeric._sturm_chain(p.monic())
+            assert isolating == len(calls)
+    want = single_chain_isolation(p)
     assert [(iv.lo, iv.hi) for iv in got] == [(iv.lo, iv.hi) for iv in want]
     assert list(map(rational_root, got)) == list(map(rational_root, want))
-    basis = coprime_basis((p,))
-    assert all(iv.poly in basis for iv in got)
+    assert got == isolate_coprime_roots(coprime_basis((p,)))
 
 
 @st.composite
