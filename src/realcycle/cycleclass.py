@@ -380,7 +380,10 @@ class _Sieve:
             good = self.good[i] = [t for t in range(ell) if squares >> values[t] % ell & 1]
         if len(good) == ell:
             return -1
-        return sum(1 << r * t % ell for t in good) * _REPUNITS[ell]
+        mask = 0
+        for t in good:
+            mask |= 1 << r * t % ell
+        return mask * _REPUNITS[ell]
 
     def survivors(self, q: int, start: int, stop: int) -> Iterator[int]:
         """The p in range(start, stop) that pass every prime, ascending."""
