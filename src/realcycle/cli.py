@@ -283,17 +283,13 @@ def _twist_point(toks):
     return x, (1 if sign == "+" else -1), mult
 
 
-def parse_twist_spec(text: str, curve, components) -> realcurve.TwistDivisor:
+def parse_twist_spec(text: str) -> realcurve.TwistDivisor:
     """Grammar: points:(x0,branch)[*mult],(x1,branch),...  with branch + or -."""
     if not text.startswith("points:"):
         raise SpecParseError("twist spec must start with 'points:'")
     toks = _Tokens(text[len("points:"):])
-    markers = []
-    for x, branch, mult in _separated(toks, _twist_point):
-        comp = realcurve.component_containing(curve, components, x, branch)
-        if comp is None:
-            raise MarkerOffComponent(f"twist point x={x} is not on the real locus")
-        markers.append(realcurve.TwistMarker(comp.id, x, branch, mult))
+    markers = [realcurve.TwistMarker(x, branch, mult)
+               for x, branch, mult in _separated(toks, _twist_point)]
     return realcurve.TwistDivisor(tuple(markers))
 
 
@@ -390,7 +386,7 @@ def cmd_curve(args) -> int:
     components = realcurve.real_components(curve)
     divisor = realcurve.TwistDivisor.empty()
     if args.twist:
-        divisor = parse_twist_spec(args.twist, curve, components)
+        divisor = parse_twist_spec(args.twist)
     bits = realcurve.twist_class(curve, components, divisor)
     coh = realcurve.twisted_cohomology(components, bits)
 

@@ -426,47 +426,28 @@ def _conic_obstruction(f: UPoly) -> Optional[int]:
         return None
 
 
-def _height_search(f: UPoly, lo: Fraction, hi: Fraction, budget: int,
-                   insoluble: bool = False, first: int = 1,
-                   pair_x: Optional[Fraction] = None, sieve: Optional[_Sieve] = None):
-    """Walk x = p/q in lowest terms with lo < x < hi, q = first..budget and
+def _height_search(f: UPoly, lo: Fraction, hi: Fraction, heights: range,
+                   sieve: Optional[_Sieve] = None) -> Optional[tuple[Fraction, Fraction]]:
+    """Walk x = p/q in lowest terms with lo < x < hi, q in ``heights`` and
     then p ascending, for the first x at which f is a nonzero rational square.
 
-    Returns ((x, y), pair_x) with y = sqrt(f(x)) > 0 at the first such x, or
-    (None, pair_x) when there is none; pair_x is the first x walked with
-    f(x) > 0 (None if there is none before the point).  A walk resumed at
-    height ``first`` passes in the pair_x of the heights below it.
-    ``insoluble`` says that y^2 = f(x) is proved to have no rational point,
-    so the walk returns at pair_x with the same answer as a full walk.  The
-    walk is integer arithmetic: with 2k the least even number >= deg f, the
-    integer N(p) = den^2 q^(2k) f(p/q) = sum of den*nums[i]*q^(2k-i) * p^i
-    has the sign of f(p/q) and is a square exactly when f(p/q) is a rational
-    square.
-
-    Every candidate is evaluated until pair_x is known; after it only the
-    survivors of ``sieve``, a ``_Sieve`` of f, are.  It drops no square, so
-    the point and pair_x are those of the full walk.
+    Returns (x, y) with y = sqrt(f(x)) > 0 at the first such x, or None when
+    there is none.  The walk is integer arithmetic: with 2k the least even
+    number >= deg f, the integer N(p) = den^2 q^(2k) f(p/q) = sum of
+    den*nums[i]*q^(2k-i) * p^i has the sign of f(p/q) and is a square exactly
+    when f(p/q) is a rational square.  Only the survivors of ``sieve``, a
+    ``_Sieve`` of f, are evaluated; it drops no square, so the point is that
+    of the full walk.
     """
-    if insoluble and pair_x is not None:
-        return None, pair_x
     k = (f.degree + 1) // 2
     a, b = lo.numerator, lo.denominator
     c, d = hi.numerator, hi.denominator
     if sieve is None:
         sieve = _Sieve(f)
-
-    def candidates(q: int, p: int, stop: int) -> Iterator[int]:
-        # pair_x is read as the loop below sets it: the row is sieved from
-        # the candidate after the one that set it
-        while pair_x is None and p < stop:
-            yield p
-            p += 1
-        yield from sieve.survivors(q, p, stop)
-
-    for q in range(first, budget + 1):
+    for q in heights:
         weights = [f.den * n * q ** (2 * k - i) for i, n in enumerate(f.nums)][::-1]
         # a/b < p/q < c/d, with b, d, q > 0
-        for p in candidates(q, a * q // b + 1, (c * q - 1) // d + 1):
+        for p in sieve.survivors(q, a * q // b + 1, (c * q - 1) // d + 1):
             if gcd(p, q) != 1:
                 continue
             value = 0
@@ -474,16 +455,25 @@ def _height_search(f: UPoly, lo: Fraction, hi: Fraction, budget: int,
                 value = value * p + w
             if value <= 0:
                 continue
-            if pair_x is None:
-                pair_x = Fraction(p, q)
-                if insoluble:
-                    return None, pair_x
             if (value % 64 in _SQUARES_64 and value % 63 in _SQUARES_63
                     and value % 65 in _SQUARES_65 and value % 11 in _SQUARES_11):
                 root = isqrt(value)
                 if root * root == value:
-                    return (Fraction(p, q), Fraction(root, f.den * q ** k)), pair_x
-    return None, pair_x
+                    return Fraction(p, q), Fraction(root, f.den * q ** k)
+    return None
+
+
+def _first_rational(lo: Fraction, hi: Fraction, budget: int) -> Optional[Fraction]:
+    """The first x = p/q of the height walk with lo < x < hi and q <= budget:
+    the least such q, then the least p.  No f is evaluated.  p/q is in lowest
+    terms, since its reduced form would lie in the window at a lower height."""
+    a, b = lo.numerator, lo.denominator
+    c, d = hi.numerator, hi.denominator
+    for q in range(1, budget + 1):
+        p = a * q // b + 1
+        if p * d < c * q:
+            return Fraction(p, q)
+    return None
 
 
 def gamma_top_witness_search(curve: CurveModel,
@@ -494,8 +484,9 @@ def gamma_top_witness_search(curve: CurveModel,
 
     Strategy per circle: a rational branch point (root of f) on it gives the
     generator exactly; otherwise a rational point found within the height
-    budget does; otherwise a conjugate pair certifies twice the generator.  A
-    conic proved insoluble by Hilbert symbols skips the search for a point.
+    budget does; otherwise a conjugate pair over the first rational x of the
+    search window, where f > 0, certifies twice the generator.  A conic
+    proved insoluble by Hilbert symbols skips the search beyond height 1.
     Where the two sheets are separate circles, points take the circle's sign
     of y, and the pair carries the unit 1 + (sign)*y, which counts twice on
     this circle and zero on the other.
@@ -536,17 +527,20 @@ def _witness_for_circle(curve, comps, bits, comp, budget, sieve) -> WitnessCerti
             return WitnessCertificate(comp.id, STATUS_EXACT, cycle, gen_hit(1))
     sheet = -1 if comp.branch == BRANCH_MINUS else 1
     lo, hi = _interior_window(comp)
+    heights = range(1, budget + 1)
     # height 1 first: a point there needs no factoring for the conic test
-    point, pair_x = _height_search(curve.f, lo, hi, min(budget, 1), sieve=sieve)
+    point = _height_search(curve.f, lo, hi, heights[:1], sieve)
     obstruction = None
     if point is None:
         obstruction = _conic_obstruction(curve.f)
-        point, pair_x = _height_search(curve.f, lo, hi, budget, obstruction is not None,
-                                       2, pair_x, sieve)
+        if obstruction is None:
+            point = _height_search(curve.f, lo, hi, heights[1:], sieve)
     if point is not None:
         x, y = point
         cycle = ZeroCycle.single(RationalPoint(x, sheet * y))
         return WitnessCertificate(comp.id, STATUS_EXACT, cycle, gen_hit(1))
+    # f > 0 on the window, and no x of the walk is a point
+    pair_x = _first_rational(lo, hi, budget)
     if pair_x is not None:
         pair = ConjugatePair(pair_x)
         terms = (ZeroCycleTerm(pair),)

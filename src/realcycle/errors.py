@@ -63,7 +63,7 @@ class UnsupportedClosure(RealCycleError):
 
 
 class MarkerOffComponent(RealCycleError):
-    """A twist marker names a point that is not on the named component."""
+    """A twist marker names a point that is not on the real locus."""
 
 
 # --- cycle classes ---

@@ -314,7 +314,6 @@ def sample_point(component: RealComponent, curve: CurveModel) -> SamplePoint:
 
 @dataclass(unsafe_hash=True)
 class TwistMarker:
-    component_id: str
     x: Fraction
     branch: int = 1
     multiplicity: int = 1
@@ -332,17 +331,14 @@ class TwistDivisor:
 def twist_class(curve: CurveModel, components: Sequence[RealComponent],
                 divisor: TwistDivisor) -> dict[str, int]:
     """Per-component twist bit: total marker multiplicity mod 2 on circles,
-    always 0 on intervals (every line bundle on an interval is trivial)."""
+    always 0 on intervals (every line bundle on an interval is trivial).
+    Each marker is located once, on the sheet its branch picks; one off the
+    real locus raises MarkerOffComponent."""
     bits = {comp.id: 0 for comp in components}
-    by_id = {comp.id: comp for comp in components}
     for marker in divisor.markers:
-        comp = by_id.get(marker.component_id)
+        comp = component_containing(curve, components, marker.x, marker.branch)
         if comp is None:
-            raise MarkerOffComponent(f"no component {marker.component_id}")
-        located = component_containing(curve, components, marker.x, marker.branch)
-        if located is None or located.id != comp.id:
-            raise MarkerOffComponent(
-                f"point x={marker.x} is not on component {marker.component_id}")
+            raise MarkerOffComponent(f"twist point x={marker.x} is not on the real locus")
         if comp.is_circle:
             bits[comp.id] = (bits[comp.id] + marker.multiplicity) % 2
     return bits

@@ -112,7 +112,7 @@ def check_twisted_circle():
     curve = realcurve.Hyperelliptic(UPoly.of(1, 0, -1))
     comps = realcurve.real_components(curve)
     cid = comps[0].id
-    div = realcurve.TwistDivisor((realcurve.TwistMarker(cid, Fraction(0), 1, 1),))
+    div = realcurve.TwistDivisor((realcurve.TwistMarker(Fraction(0), 1, 1),))
     bits = realcurve.twist_class(curve, comps, div)
     coh = realcurve.twisted_cohomology(comps, bits)
     h0_trivial = abgrp.order_of(coh.h0) == 1

@@ -15,13 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isolation_oracle import kernel_reads
-from realcycle import abgrp, cycleclass, numeric, qform
+from realcycle import abgrp, cycleclass, numeric, qform, realcurve
 from realcycle.cli import (
     MAX_NESTING, main, parse_curve_spec, parse_poly, parse_twist_spec, render_json,
 )
 from realcycle.errors import SpecParseError
 from realcycle.numeric import UPoly
-from realcycle.realcurve import Hyperelliptic, ProjectiveLine, PuncturedLine, real_components
+from realcycle.realcurve import (
+    Hyperelliptic, ProjectiveLine, PuncturedLine, component_containing, real_components,
+)
 
 
 def run_cli(*argv):
@@ -102,20 +104,16 @@ class TestCurveSpecParser:
 
 class TestTwistParser:
     def test_single_and_multiplicity(self):
-        curve = Hyperelliptic(UPoly.of(1, 0, -1))
-        comps = real_components(curve)
-        div = parse_twist_spec("points:(0,+)", curve, comps)
+        div = parse_twist_spec("points:(0,+)")
         assert len(div.markers) == 1 and div.markers[0].multiplicity == 1
-        div = parse_twist_spec("points:(0,+)*3,(1/2,-)", curve, comps)
+        div = parse_twist_spec("points:(0,+)*3,(1/2,-)")
         assert [m.multiplicity for m in div.markers] == [3, 1]
-        assert parse_twist_spec("points:(0,+)*0", curve, comps).markers[0].multiplicity == 0
-        assert parse_twist_spec("points:", curve, comps).markers == ()
+        assert parse_twist_spec("points:(0,+)*0").markers[0].multiplicity == 0
+        assert parse_twist_spec("points:").markers == ()
 
     def test_bad_branch(self):
-        curve = Hyperelliptic(UPoly.of(1, 0, -1))
-        comps = real_components(curve)
         with pytest.raises(SpecParseError):
-            parse_twist_spec("points:(0,up)", curve, comps)
+            parse_twist_spec("points:(0,up)")
 
     @pytest.mark.parametrize("spec", [
         "points:(0,+),", "points:(0,+)(1,+)", "points:(0,+)*3/2", "points:(0,+)*",
@@ -126,12 +124,25 @@ class TestTwistParser:
         assert capsys.readouterr().err.startswith("parse error: ")
 
     def test_whitespace_between_tokens(self):
+        assert parse_twist_spec("points:(0, +)") == parse_twist_spec("points:(0,+)")
+        assert (parse_twist_spec("points: ( -1/2 ,- ) * 2 , (0,+)")
+                == parse_twist_spec("points:(-1/2,-)*2,(0,+)"))
+
+    def test_each_marker_is_located_once(self, monkeypatch):
+        # the parser locates nothing; twist_class locates each marker once
+        calls = []
+
+        def counted(curve, components, x, y_sign):
+            calls.append(x)
+            return component_containing(curve, components, x, y_sign)
+
+        monkeypatch.setattr(realcurve, "component_containing", counted)
         curve = Hyperelliptic(UPoly.of(1, 0, -1))
         comps = real_components(curve)
-        assert (parse_twist_spec("points:(0, +)", curve, comps)
-                == parse_twist_spec("points:(0,+)", curve, comps))
-        assert parse_twist_spec("points: ( -1/2 ,- ) * 2 , (0,+)", curve, comps) == (
-            parse_twist_spec("points:(-1/2,-)*2,(0,+)", curve, comps))
+        div = parse_twist_spec("points:(0,+)*3,(1/2,-),(-1/3,+)")
+        assert calls == []
+        assert realcurve.twist_class(curve, comps, div) == {comps[0].id: 1}
+        assert calls == [0, Fraction(1, 2), Fraction(-1, 3)]
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True)

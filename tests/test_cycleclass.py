@@ -240,10 +240,12 @@ class TestWitnessSearch:
         # the proof: (-1, 3)_2 = -1, so x^2 + y^2 = 3 has no point over Q_2
         assert certs[0].obstruction == 2
 
-    def test_insoluble_conic_walks_to_its_first_positive_candidate(self, monkeypatch):
-        # the walk calls gcd once per candidate; y^2 = 3 - x^2 is positive at
-        # the first candidate, x = -1, of the window (-13/8, 13/8), where a
-        # full walk to height 1000 calls it 1,626,500 times
+    def test_insoluble_conic_stops_after_height_one(self, monkeypatch):
+        # the walk calls gcd once per sieve survivor; y^2 = 3 - x^2 is proved
+        # insoluble after height 1, whose three candidates of the window
+        # (-13/8, 13/8) are the only ones walked, and the pair is over the
+        # window's first rational, x = -1; a walk to height 1000 would have
+        # 1,626,500 candidates
         calls = []
 
         def counted(a, b):
@@ -264,9 +266,9 @@ class TestWitnessSearch:
         assert certs[0].obstruction is None and max(q for _, q in calls) == 17
 
     def test_sieve_keeps_most_candidates_from_the_gcd(self, monkeypatch):
-        # a quartic whose two ovals hold no point up to height 50: the walk
-        # evaluates its first candidate, where f > 0, and after it only the
+        # a quartic whose two ovals hold no point up to height 50: only the
         # survivors of the sieve reach the gcd, which is called once each
+        # (43 of the 8,127 candidates)
         calls = []
 
         def counted(a, b):
@@ -278,11 +280,16 @@ class TestWitnessSearch:
         comps = real_components(curve)
         certs = gamma_top_witness_search(curve, comps, budget=50)
         assert [c.status for c in certs] == [STATUS_DOUBLE] * 2
-        candidates = 0
+        sieve = cycleclass._Sieve(curve.f)
+        candidates, survivors = 0, set()
         for comp in comps:
             lo, hi = cycleclass._interior_window(comp)
-            candidates += sum((hi.numerator * q - 1) // hi.denominator
-                              - lo.numerator * q // lo.denominator for q in range(1, 51))
+            for q in range(1, 51):
+                start = lo.numerator * q // lo.denominator + 1
+                stop = (hi.numerator * q - 1) // hi.denominator + 1
+                candidates += stop - start
+                survivors.update((p, q) for p in sieve.survivors(q, start, stop))
+        assert len(set(calls)) == len(calls) and set(calls) <= survivors
         assert candidates > 8000 and len(calls) <= candidates // 10
 
     def test_sieve_memory_does_not_grow_with_the_window(self):

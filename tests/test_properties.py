@@ -759,14 +759,18 @@ def test_search_finds_a_planted_point_first(coeffs, x0, heights):
     g = UPoly.of(*coeffs, 1)
     q0 = x0.denominator
     delta, budget = Fraction(1, 2 * q0 * q0), q0 + 2
+    rows = range(1, budget + 1)
+    assert cycleclass._first_rational(x0 - delta, x0 + delta, budget) == x0
     for y0 in heights:
         f = g - UPoly.of(g.eval_at(x0) - y0 * y0)
-        assert cycleclass._height_search(f, x0 - delta, x0 + delta, budget) == ((x0, y0), x0)
+        assert cycleclass._height_search(f, x0 - delta, x0 + delta, rows) == (x0, y0)
         # but never as an end of the open window, nor where f has a root
         root = g - UPoly.of(g.eval_at(x0))
         for h, lo, hi in ((f, x0 - delta, x0), (f, x0, x0 + delta), (root, x0 - delta, x0 + delta)):
-            point, pair_x = cycleclass._height_search(h, lo, hi, budget)
-            assert pair_x != x0 and (point is None or point[0] != x0)
+            point = cycleclass._height_search(h, lo, hi, rows)
+            assert point is None or point[0] != x0
+    assert x0 not in (cycleclass._first_rational(x0 - delta, x0, budget),
+                      cycleclass._first_rational(x0, x0 + delta, budget))
 
 
 def locate_on_line(components, x):
@@ -795,15 +799,12 @@ def test_location_on_lines_agrees_with_end_comparisons(punctures, points, y_sign
 def height_search_by_fractions(f, lo, hi, budget):
     """``_height_search`` from f evaluated as a Fraction at every candidate
     of the walk: the first x with f(x) a nonzero rational square, with its
-    square root, and the first x with f(x) > 0."""
-    pair_x = None
+    square root."""
     for x in heights_in_window(lo, hi, budget):
         fx = f.eval_at(x)
-        if pair_x is None and fx > 0:
-            pair_x = x
         if is_rational_square(fx):
-            return (x, Fraction(isqrt(fx.numerator), isqrt(fx.denominator))), pair_x
-    return None, pair_x
+            return x, Fraction(isqrt(fx.numerator), isqrt(fx.denominator))
+    return None
 
 
 @st.composite
@@ -843,8 +844,29 @@ def sieved_walks(draw):
 @example((BENCH_OVALS[1], Fraction(-1), Fraction(6), 16))
 def test_height_search_agrees_with_the_fraction_walk(walk):
     f, lo, hi, budget = walk
-    assert cycleclass._height_search(f, lo, hi, budget) == height_search_by_fractions(f, lo, hi,
-                                                                                      budget)
+    assert (cycleclass._height_search(f, lo, hi, range(1, budget + 1))
+            == height_search_by_fractions(f, lo, hi, budget))
+
+
+# window ends: integers, fractions of either sign, and a width down to far
+# below 1/budget^2, where the window holds at most one x of height <= budget
+window_ends = st.one_of(st.integers(-30, 30).map(Fraction),
+                        st.builds(Fraction, st.integers(-10 ** 4, 10 ** 4), st.integers(1, 60)))
+window_widths = st.one_of(st.builds(Fraction, st.integers(1, 12), st.integers(1, 3)),
+                          st.builds(Fraction, st.just(1), st.integers(1, 10 ** 7)))
+
+
+@settings(SETTINGS, max_examples=300)
+@given(window_ends, window_widths, st.integers(1, 40))
+@example(Fraction(0), Fraction(1), 1)                  # no integer strictly inside
+@example(Fraction(0), Fraction(1), 2)                  # 1/2
+@example(Fraction(-3), Fraction(1), 5)                 # -5/2, between two integer ends
+@example(Fraction(-1, 3) - Fraction(1, 10 ** 6), Fraction(2, 10 ** 6), 2)
+@example(Fraction(-1, 3) - Fraction(1, 10 ** 6), Fraction(2, 10 ** 6), 3)
+def test_first_rational_is_the_first_x_of_the_walk(lo, width, budget):
+    hi = lo + width
+    assert (cycleclass._first_rational(lo, hi, budget)
+            == next(heights_in_window(lo, hi, budget), None))
 
 
 def divisors(n):

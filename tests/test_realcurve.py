@@ -211,14 +211,14 @@ class TestTwist:
 
     def test_single_marker_twists(self):
         curve, comps = self.unit_circle()
-        div = TwistDivisor((TwistMarker(comps[0].id, Fraction(0), 1, 1),))
+        div = TwistDivisor((TwistMarker(Fraction(0), 1, 1),))
         assert twist_class(curve, comps, div) == {comps[0].id: 1}
 
     def test_two_markers_cancel(self):
         curve, comps = self.unit_circle()
         div = TwistDivisor((
-            TwistMarker(comps[0].id, Fraction(0), 1, 1),
-            TwistMarker(comps[0].id, Fraction(1, 2), 1, 1),
+            TwistMarker(Fraction(0), 1, 1),
+            TwistMarker(Fraction(1, 2), 1, 1),
         ))
         assert twist_class(curve, comps, div) == {comps[0].id: 0}
 
@@ -228,13 +228,13 @@ class TestTwist:
 
     def test_marker_off_component(self):
         curve, comps = self.unit_circle()
-        with pytest.raises(MarkerOffComponent):
-            twist_class(curve, comps, TwistDivisor((TwistMarker(comps[0].id, Fraction(5), 1, 1),)))
+        with pytest.raises(MarkerOffComponent, match="x=5 is not on the real locus"):
+            twist_class(curve, comps, TwistDivisor((TwistMarker(Fraction(5), 1, 1),)))
 
     def test_interval_markers_stay_trivial(self):
         curve = PuncturedLine.make([0])
         comps = real_components(curve)
-        div = TwistDivisor((TwistMarker("c1", Fraction(2), 1, 1),))
+        div = TwistDivisor((TwistMarker(Fraction(2), 1, 1),))
         assert twist_class(curve, comps, div) == {"c0": 0, "c1": 0}
 
 
