@@ -74,16 +74,11 @@ def _canonical_sym2(ctx: FieldCtx, terms: Sequence[tuple[int, tuple]]) -> Sym2:
         s = a + b
         if s == one or not s:       # Steinberg, and {a, -a} = 0
             continue
-        key = (repr(a), repr(b))
-        if key in merged:
-            merged[key] = (merged[key][0] + c, (a, b))
-        else:
-            merged[key] = (c, (a, b))
-    out = tuple(sorted(
-        ((c, ab) for c, ab in merged.values() if c != 0),
-        key=lambda t: (repr(t[1][0]), repr(t[1][1])),
-    ))
-    return out
+        merged[a, b] = merged.get((a, b), 0) + c
+    out = tuple((c, ab) for ab, c in merged.items() if c != 0)
+    if len(out) < 2:
+        return out
+    return tuple(sorted(out, key=lambda t: (repr(t[1][0]), repr(t[1][1]))))
 
 
 def _milnor_zero(ctx: FieldCtx, degree: int) -> MilnorPart:
@@ -287,8 +282,9 @@ def compare(x: KmwElem, y: KmwElem, orderings: Sequence[Ordering] = ()) -> Compa
     # the product of theirs
     if x.degree == 1 and not has_trivial_discriminant(gw_to_form(difference)):
         return Comparison.DISTINCT
+    # the signature of the difference is signature(x.witt) - signature(y.witt)
     for p in ordering_pool(x.ctx, orderings):
-        if signature(x.witt, p) != signature(y.witt, p):
+        if signature(difference, p):
             return Comparison.DISTINCT
     if milnor_known_equal and witt_class_is_zero(difference):
         return Comparison.EQUAL

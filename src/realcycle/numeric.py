@@ -186,21 +186,27 @@ class UPoly:
         return UPoly._make(a, a[-1]) if a else UPoly.zero()
 
     def to_str(self, var: str = "t") -> str:
+        """Highest degree first, each |coefficient| in lowest terms as p or
+        p/q, with 1 left out before a power of ``var``."""
         if self.is_zero:
             return "0"
-        parts = []
-        for i, c in reversed(list(enumerate(self.coeffs))):
-            if c == 0:
+        den, parts = self.den, []
+        for i in range(len(self.nums) - 1, -1, -1):
+            n = self.nums[i]
+            if not n:
                 continue
+            a = abs(n)
+            g = gcd(a, den)
+            c = str(a // g) if g == den else f"{a // g}/{den // g}"
             if i == 0:
-                mono = str(abs(c))
+                mono = c
             else:
-                head = "" if abs(c) == 1 else f"{abs(c)}*"
+                head = "" if a == den else f"{c}*"
                 mono = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
             if not parts:
-                parts.append(mono if c > 0 else f"-{mono}")
+                parts.append(mono if n > 0 else f"-{mono}")
             else:
-                parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
+                parts.append(f"+ {mono}" if n > 0 else f"- {mono}")
         return " ".join(parts)
 
     def __str__(self) -> str:

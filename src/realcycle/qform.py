@@ -164,13 +164,12 @@ class RatFunc:
         return RatFunc.make(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + (-other)
+        return RatFunc.make(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "RatFunc":
         # only the sign of lc(num) changes, so the factors carry over
         out = RatFunc(-self.num, self.den)
-        if "factors" in self.__dict__:
-            out.__dict__["factors"] = self.factors
+        out.__dict__["factors"] = self.factors
         return out
 
     @cached_property
@@ -542,16 +541,24 @@ class DiagForm:
 
         Over Q(t) no product entry is formed: this is the pair (lead, odd) of
         the signed product of the leading coefficients and the bases of odd
-        exponent in the product of the entries, whose factors combine with
-        their exponents taken mod 2."""
+        exponent in the product of the entries.  Only parities count: a base
+        of odd exponent that occurs in an even number of entries is a square
+        factor and is dropped, and the rest are refined into a coprime basis
+        only when two or more remain."""
         n = self.dim
         sign = -1 if (n * (n - 1) // 2) % 2 else 1
         if self.ctx.tag == TAG_RATFUNC:
-            lead = Fraction(sign)
+            top, bottom = sign, 1
+            odd: dict[UPoly, bool] = {}
             for e in self.entries:
-                lead *= e.num.lc
-            odd = _combine((b, 1) for e in self.entries for b, k in e.factors if k % 2)
-            return lead, tuple(b for b, k in odd if k % 2)
+                top, bottom = top * e.num.nums[-1], bottom * e.num.den
+                for b, k in e.factors:
+                    if k % 2:
+                        odd[b] = not odd.get(b)
+            bases = [b for b, keep in odd.items() if keep]
+            if len(bases) > 1:
+                bases = [c for c, owners in coprime_refinement(bases) if len(owners) % 2]
+            return Fraction(top, bottom), tuple(bases)
         out = coerce(self.ctx, sign)
         for e in self.entries:
             out = out * e
@@ -616,8 +623,9 @@ def pfister(ctx: FieldCtx, *slots) -> DiagForm:
     coerced = tuple(coerce(ctx, a) for a in slots)
     if not all(coerced):
         raise ZeroEntry("Pfister slots must be nonzero")
-    entries = (coerce(ctx, 1),)
-    for a in coerced:
+    one = coerce(ctx, 1)
+    entries = (one, -coerced[0]) if coerced else (one,)
+    for a in coerced[1:]:
         entries = tuple(y for x in entries for y in (x, x * -a))
     return DiagForm(ctx, entries, ((1, coerced),))
 
@@ -716,14 +724,27 @@ def is_isotropic_vector(phi: DiagForm, vector: Sequence) -> bool:
 
 def hyperbolic_pairing(phi: DiagForm) -> bool:
     """Greedy recognizer: can the entries be matched into hyperbolic pairs
-    <a, b> with -ab a square?  True certifies Witt class zero."""
-    entries = list(phi.entries)
-    if len(entries) % 2:
+    <a, b> with -ab a square?  True certifies Witt class zero.
+
+    Over Q(t) no product is formed: -ab is a square exactly when a and b
+    have the same odd part and -lc(a)*lc(b) is a rational square, and each
+    entry's (lc, odd part) is computed once."""
+    if phi.dim % 2:
         return False
+    if phi.ctx.tag == TAG_RATFUNC:
+        entries = [(e.num.lc, e.odd_part) for e in phi.entries]
+
+        def pairs(a, b) -> bool:
+            return a[1] == b[1] and is_rational_square(-a[0] * b[0])
+    else:
+        entries = list(phi.entries)
+
+        def pairs(a, b) -> bool:
+            return is_square(phi.ctx, -(a * b))
     while entries:
         a = entries.pop()
         for i, b in enumerate(entries):
-            if is_square(phi.ctx, -(a * b)):
+            if pairs(a, b):
                 entries.pop(i)
                 break
         else:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from realcycle import mwk, qform
 from realcycle.errors import ZeroEntry
 from realcycle.mwk import (
     Comparison,
@@ -181,6 +182,43 @@ class TestCompare:
         x = add(gw_unit(RATIONALS, 2), gw_unit(RATIONALS, 3))
         y = add(gw_unit(RATIONALS, 1), gw_unit(RATIONALS, 6))
         assert compare(x, y) is Comparison.INDISTINGUISHABLE
+
+    def test_product_compare_forms_no_product_to_test_squares(self, monkeypatch):
+        # over Q(t) with coprime a and b, hyperbolic pairing compares the
+        # entries' odd parts, and in the compatibility checks of symbol and
+        # product every base occurs an even number of times
+        a = RatFunc.make(UPoly.of(0, 4, 0, 2))
+        b = RatFunc.make(UPoly.of(Fraction(-1, 3), 1), UPoly.of(1, 0, 1))
+        scope, entered, calls = [], {}, {}
+
+        def enter(func, name):
+            def wrapped(*args):
+                entered[name] = entered.get(name, 0) + 1
+                scope.append(name)
+                try:
+                    return func(*args)
+                finally:
+                    scope.pop()
+            return wrapped
+
+        def count(func, name):
+            def wrapped(*args):
+                if name in scope:
+                    calls[name] = calls.get(name, 0) + 1
+                return func(*args)
+            return wrapped
+
+        monkeypatch.setattr(mwk, "hyperbolic_pairing", enter(mwk.hyperbolic_pairing, "pairing"))
+        monkeypatch.setattr(mwk, "_check_compatibility",
+                            enter(mwk._check_compatibility, "compatibility"))
+        monkeypatch.setattr(RatFunc, "__mul__", count(RatFunc.__mul__, "pairing"))
+        monkeypatch.setattr(qform, "coprime_refinement",
+                            count(qform.coprime_refinement, "compatibility"))
+        x = product(symbol(RATFUNC, a), symbol(RATFUNC, b))
+        y = product(symbol(RATFUNC, a), symbol(RATFUNC, b))
+        assert compare(x, y, ratfunc_orderings()) is Comparison.EQUAL
+        assert entered == {"compatibility": 6, "pairing": 1}
+        assert calls == {}
 
 
 class TestFibreCompatibility:

@@ -94,6 +94,7 @@ from realcycle.qform import (
     finite_field,
     gw_mul,
     gw_to_form,
+    has_trivial_discriminant,
     hilbert_symbol,
     hyperbolic_pairing,
     in_fundamental_power,
@@ -1093,6 +1094,39 @@ def test_upoly_form_is_canonical(a, b, x):
         assert (same.nums, same.den) == (p.nums, p.den)
 
 
+def fraction_to_str(p, var):
+    """The polynomial formatted from its Fraction coefficients."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for i, c in reversed(list(enumerate(p.coeffs))):
+        if c == 0:
+            continue
+        if i == 0:
+            mono = str(abs(c))
+        else:
+            head = "" if abs(c) == 1 else f"{abs(c)}*"
+            mono = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
+        if not parts:
+            parts.append(mono if c > 0 else f"-{mono}")
+        else:
+            parts.append(f"+ {mono}" if c > 0 else f"- {mono}")
+    return " ".join(parts)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.lists(st.one_of(st.sampled_from([0, 1, -1]).map(Fraction), small_fractions), max_size=6),
+       st.sampled_from(["t", "x"]))
+@example([], "t")
+@example([Fraction(-1), 0, Fraction(1)], "x")
+@example([Fraction(3, 4), Fraction(-1), 0, Fraction(-5, 2)], "t")
+@example([Fraction(6), Fraction(-2, 6), Fraction(1)], "x")
+def test_upoly_to_str_agrees_with_the_fraction_formatter(coeffs, var):
+    p = UPoly.of(*coeffs)
+    assert p.to_str(var) == fraction_to_str(p, var)
+    assert str(p) == fraction_to_str(p, "t")
+
+
 # pairwise coprime monic irreducibles over Q
 PLANTABLE = ([UPoly.of(-r, 1) for r in (Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(2))]
              + [UPoly.of(k, 0, 1) for k in (1, 2, 5)])
@@ -1531,6 +1565,72 @@ def test_qt_discriminant_is_the_class_of_the_signed_product(planted):
     assert disc.monic() == odd
 
 
+# bases that share factors: t^2 - t is t*(t - 1), and t^3 - t is t^2 - t times t + 1
+SHARED_BASES = [UPoly.x(), UPoly.of(-1, 1), UPoly.of(0, -1, 1), UPoly.of(0, -1, 0, 1),
+                UPoly.of(1, 0, 1)]
+
+
+def typed_powers(lead, powers):
+    """lead times the powers b^e, with the bases b as its factors."""
+    num = UPoly.of(lead)
+    for b, e in powers:
+        for _ in range(e):
+            num = num * b
+    return RatFunc.from_powers(num, powers)
+
+
+@st.composite
+def shared_base_ratfuncs(draw):
+    """An element of Q(t) typed as a product of powers of SHARED_BASES, over
+    a denominator made of them too: entries of one form then carry a common
+    factor in different bases (t^2 - t in one, t and t - 1 in another)."""
+    powers = draw(st.lists(st.tuples(st.sampled_from(SHARED_BASES), st.integers(1, 3)),
+                           max_size=3))
+    out = typed_powers(draw(nonzero_fractions), powers)
+    den = prod(draw(st.lists(st.sampled_from(SHARED_BASES), max_size=2)), start=UPoly.one())
+    return out * RatFunc.make(UPoly.one(), den)
+
+
+@st.composite
+def shared_base_forms(draw):
+    """Shuffled entries of shared_base_ratfuncs, some of them repeated."""
+    es = draw(st.lists(shared_base_ratfuncs(), max_size=5))
+    if es:
+        es += draw(st.lists(st.sampled_from(es), max_size=2))
+    return draw(st.permutations(es))
+
+
+def discriminant_by_expansion(es):
+    """(square class, is it 1) of the signed product of the entries,
+    multiplied out: the odd-multiplicity part of num*den from one square-free
+    decomposition, scaled by the square-free part of the leading
+    coefficient."""
+    n = len(es)
+    p = UPoly.of((-1) ** (n * (n - 1) // 2))
+    for e in es:
+        p = p * e.num * e.den
+    odd = prod((a for a, i in squarefree_decomposition(p) if i % 2), start=UPoly.one())
+    lead = p.lc
+    return (odd.scale(squarefree_int(lead.numerator * lead.denominator)),
+            odd == UPoly.one() and is_rational_square(lead))
+
+
+# <1, -a, -b, ab> with coprime a and b, and with a and b sharing the factor t
+_A, _B = typed_powers(2, [(UPoly.of(1, 0, 1), 1)]), typed_powers(-1, [(UPoly.of(0, -1, 1), 3)])
+_C = typed_powers(Fraction(1, 3), [(UPoly.x(), 1), (UPoly.of(1, 0, 1), 2)])
+
+
+@settings(SETTINGS, max_examples=200)
+@given(shared_base_forms())
+@example([RatFunc.coerce(1), -_A, -_B, _A * _B])
+@example([RatFunc.coerce(1), -_B, -_C, _B * _C])
+def test_qt_parity_discriminant_is_the_class_of_the_expanded_product(es):
+    phi = DiagForm.make(RATFUNC, es)
+    disc, trivial = discriminant_by_expansion(es)
+    assert discriminant(phi) == disc
+    assert has_trivial_discriminant(phi) == trivial
+
+
 @SETTINGS
 @given(st.lists(small_fractions, min_size=1, max_size=5, unique=True),
        st.sets(st.sampled_from([UPoly.of(1, 0, 1), UPoly.of(-2, 0, 1), UPoly.of(1, 1, 1)])),
@@ -1711,8 +1811,15 @@ def pairing_forms(draw):
     return draw(st.permutations(es))
 
 
+# one entry with the single base t^2 - t, the other with the bases t and t - 1
+_SPLIT = typed_powers(1, [(UPoly.x(), 1), (UPoly.of(-1, 1), 1)])
+_WHOLE = typed_powers(1, [(UPoly.of(0, -1, 1), 1)])
+
+
 @settings(SETTINGS, max_examples=200)
 @given(pairing_forms())
+@example([_WHOLE, -_SPLIT])
+@example([_WHOLE, _SPLIT * RatFunc.coerce(4)])
 def test_qt_hyperbolic_pairing_agrees_with_the_product_walk(es):
     assert hyperbolic_pairing(DiagForm.make(RATFUNC, es)) == greedy_pairing(es)
 
