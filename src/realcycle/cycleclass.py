@@ -33,7 +33,7 @@ from .errors import (
     PointOffCurve,
     UnsupportedTwist,
 )
-from .numeric import UPoly, is_rational_square, rational_root, sign_of
+from .numeric import UPoly, eval_homogeneous, is_rational_square, rational_root, sign_of
 from .qform import hilbert_obstruction
 from .realcurve import (
     BRANCH_BOTH,
@@ -371,12 +371,8 @@ class _Sieve:
             return -1 if squares >> self.coeffs[-1] % ell & 1 else _REPUNITS[ell]
         good = self.good[i]
         if good is None:
-            values, coeffs = self.values, self.coeffs
-            while len(values) < ell:
-                acc, t = 0, len(values)
-                for c in reversed(coeffs):
-                    acc = acc * t + c
-                values.append(acc)
+            values = self.values
+            values += (eval_homogeneous(self.coeffs, t, 1) for t in range(len(values), ell))
             good = self.good[i] = [t for t in range(ell) if squares >> values[t] % ell & 1]
         if len(good) == ell:
             return -1
@@ -385,9 +381,11 @@ class _Sieve:
             mask |= 1 << r * t % ell
         return mask * _REPUNITS[ell]
 
-    def survivors(self, q: int, start: int, stop: int) -> Iterator[int]:
-        """The p in range(start, stop) that pass every prime, ascending."""
-        for p0 in range(start, stop, _SIEVE_BITS):
+    def survivors(self, q: int, row: range) -> Iterator[int]:
+        """The p in ``row``, the candidates of height q from ``_row``, that
+        pass every prime, ascending."""
+        stop = row.stop
+        for p0 in range(row.start, stop, _SIEVE_BITS):
             live = (1 << min(_SIEVE_BITS, stop - p0)) - 1
             # bit j of live stands for p0 + j, and bit j + (p0 mod l) of a
             # tile for the residue of p0 + j
@@ -426,33 +424,33 @@ def _conic_obstruction(f: UPoly) -> Optional[int]:
         return None
 
 
+def _row(lo: Fraction, hi: Fraction, q: int) -> range:
+    """The p with lo < p/q < hi, for q > 0."""
+    return range(lo.numerator * q // lo.denominator + 1,
+                 (hi.numerator * q - 1) // hi.denominator + 1)
+
+
 def _height_search(f: UPoly, lo: Fraction, hi: Fraction, heights: range,
-                   sieve: Optional[_Sieve] = None) -> Optional[tuple[Fraction, Fraction]]:
+                   sieve: _Sieve) -> Optional[tuple[Fraction, Fraction]]:
     """Walk x = p/q in lowest terms with lo < x < hi, q in ``heights`` and
     then p ascending, for the first x at which f is a nonzero rational square.
 
     Returns (x, y) with y = sqrt(f(x)) > 0 at the first such x, or None when
     there is none.  The walk is integer arithmetic: with 2k the least even
     number >= deg f, the integer N(p) = den^2 q^(2k) f(p/q) = sum of
-    den*nums[i]*q^(2k-i) * p^i has the sign of f(p/q) and is a square exactly
+    den*nums[i]*q^(2k-i) * p^i, the homogeneous value of the sieve's
+    coefficients at (p, q), has the sign of f(p/q) and is a square exactly
     when f(p/q) is a rational square.  Only the survivors of ``sieve``, a
     ``_Sieve`` of f, are evaluated; it drops no square, so the point is that
     of the full walk.
     """
     k = (f.degree + 1) // 2
-    a, b = lo.numerator, lo.denominator
-    c, d = hi.numerator, hi.denominator
-    if sieve is None:
-        sieve = _Sieve(f)
+    coeffs = sieve.coeffs
     for q in heights:
-        weights = [f.den * n * q ** (2 * k - i) for i, n in enumerate(f.nums)][::-1]
-        # a/b < p/q < c/d, with b, d, q > 0
-        for p in sieve.survivors(q, a * q // b + 1, (c * q - 1) // d + 1):
+        for p in sieve.survivors(q, _row(lo, hi, q)):
             if gcd(p, q) != 1:
                 continue
-            value = 0
-            for w in weights:
-                value = value * p + w
+            value = eval_homogeneous(coeffs, p, q)
             if value <= 0:
                 continue
             if (value % 64 in _SQUARES_64 and value % 63 in _SQUARES_63
@@ -467,12 +465,10 @@ def _first_rational(lo: Fraction, hi: Fraction, budget: int) -> Optional[Fractio
     """The first x = p/q of the height walk with lo < x < hi and q <= budget:
     the least such q, then the least p.  No f is evaluated.  p/q is in lowest
     terms, since its reduced form would lie in the window at a lower height."""
-    a, b = lo.numerator, lo.denominator
-    c, d = hi.numerator, hi.denominator
     for q in range(1, budget + 1):
-        p = a * q // b + 1
-        if p * d < c * q:
-            return Fraction(p, q)
+        row = _row(lo, hi, q)
+        if row:
+            return Fraction(row.start, q)
     return None
 
 

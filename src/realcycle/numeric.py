@@ -149,24 +149,16 @@ class UPoly:
     def deriv(self) -> "UPoly":
         return UPoly._make([i * n for i, n in enumerate(self.nums)][1:], self.den)
 
-    def _horner(self, p: int, q: int) -> tuple[int, int]:
-        """(sum of nums[i] p^i q^(d-i), q^(d+1)) by homogeneous Horner."""
-        acc, qpow = 0, 1
-        for n in reversed(self.nums):
-            acc = acc * p + n * qpow
-            qpow *= q
-        return acc, qpow
-
     def eval_at(self, x: Coeffable) -> Fraction:
-        """f(p/q): the homogeneous Horner numerator over den q^d."""
+        """f(p/q): the homogeneous numerator over den q^d."""
         q = x.denominator
-        acc, qpow = self._horner(x.numerator, q)
-        return Fraction(acc * q, self.den * qpow)
+        return Fraction(eval_homogeneous(self.nums, x.numerator, q) * q,
+                        self.den * q ** len(self.nums))
 
     def sign_at(self, x: Coeffable) -> int:
         """The sign of f(x) for a rational x, exactly: den > 0 and q > 0, so it
-        is the sign of the integer Horner numerator."""
-        acc = self._horner(x.numerator, x.denominator)[0]
+        is the sign of the integer homogeneous numerator."""
+        acc = eval_homogeneous(self.nums, x.numerator, x.denominator)
         return (acc > 0) - (acc < 0)
 
     def monic(self) -> "UPoly":
@@ -508,6 +500,17 @@ def isolate_coprime_roots(polys: Sequence[UPoly]) -> tuple[IsolatingInterval, ..
     itself raises ``NotSquareFree`` on a repeated root.  Each interval
     carries the polynomial whose root it holds."""
     return _bisect([_sturm_chain(p) for p in polys])
+
+
+def eval_homogeneous(cs: Sequence[int], p: int, q: int) -> int:
+    """The sum of cs[i] p^i q^(d-i), d = len(cs) - 1, by homogeneous Horner:
+    q^d times the polynomial with coefficients cs at p/q.  The top
+    coefficient may be 0, which reads the polynomial as one of degree d."""
+    acc, qpow = 0, 1
+    for c in reversed(cs):
+        acc = acc * p + c * qpow
+        qpow *= q
+    return acc
 
 
 def _scaled(nums: Sequence[int], num: int, den: int) -> list[int]:

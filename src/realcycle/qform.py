@@ -163,9 +163,6 @@ class RatFunc:
     def __add__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc.make(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.make(self.num * other.den - other.num * self.den, self.den * other.den)
-
     def __neg__(self) -> "RatFunc":
         # only the sign of lc(num) changes, so the factors carry over
         out = RatFunc(-self.num, self.den)
@@ -571,9 +568,6 @@ class DiagForm:
             lead, odd = self._signed_product
             return prod(odd, start=UPoly.one()).scale(_fraction_squarefree(lead))
         return square_class(self.ctx, self._signed_product)
-
-    def to_str(self) -> str:
-        return "<" + ",".join(map(str, self.entries)) + ">"
 
 
 @dataclass(unsafe_hash=True)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 
 from .abgrp import FgAbGroup, GroupMap
 from .errors import MarkerOffComponent, NotSquareFree, UnsupportedClosure
-from .numeric import IsolatingInterval, UPoly, gap_samples, isolate_coprime_roots
+from .numeric import IsolatingInterval, UPoly, gap_samples, isolate_coprime_roots, sign_of
 
 # --- curve models -------------------------------------------------------------
 
@@ -135,7 +135,6 @@ class RealComponent:
     compact: bool
     arcs: tuple[Arc, ...]
     branch: str = BRANCH_BOTH
-    through_infinity: bool = False
 
     @property
     def is_circle(self) -> bool:
@@ -150,9 +149,7 @@ def real_components(curve: CurveModel) -> tuple[RealComponent, ...]:
             for i, (lo, hi) in enumerate(zip(ends, ends[1:]))
         )
     if isinstance(curve, ProjectiveLine):
-        return (RealComponent("c0", KIND_CIRCLE, True,
-                              ((ArcEnd.neg_inf(), ArcEnd.pos_inf()),),
-                              through_infinity=True),)
+        return (RealComponent("c0", KIND_CIRCLE, True, ((ArcEnd.neg_inf(), ArcEnd.pos_inf()),)),)
     return _hyperelliptic_components(curve)
 
 
@@ -184,8 +181,7 @@ def _hyperelliptic_components(curve: Hyperelliptic) -> tuple[RealComponent, ...]
         pieces += [(((lo, hi),), BRANCH_BOTH, curve.projective or lo.kind == hi.kind == END_ROOT)
                    for lo, hi in gaps]
     return tuple(
-        RealComponent(f"c{i}", KIND_CIRCLE if closed else KIND_INTERVAL, closed, arcs, branch,
-                      closed and any(end.kind != END_ROOT for arc in arcs for end in arc))
+        RealComponent(f"c{i}", KIND_CIRCLE if closed else KIND_INTERVAL, closed, arcs, branch)
         for i, (arcs, branch, closed) in enumerate(pieces))
 
 
@@ -207,6 +203,7 @@ class _Locator:
         self.components = components
         self.punctures: Sequence[Fraction] = ()
         self.intervals: Sequence[IsolatingInterval] = ()
+        self.left_signs: list[int] = []     # the sign of f just left of each root
         if isinstance(curve, PuncturedLine):
             self.punctures = curve.punctures
             n = len(self.punctures)
@@ -214,10 +211,13 @@ class _Locator:
         elif isinstance(curve, Hyperelliptic):
             self.intervals = curve.root_intervals
             n = len(self.intervals)
+            # f has the sign of lc f right of its last root and changes sign
+            # at each of its simple roots
+            lead = sign_of(curve.f.lc)
+            self.left_signs = [lead * (-1) ** (n - i) for i in range(n)]
         else:
             n = 0
         self.his = [iv.hi for iv in self.intervals]
-        self.lo_signs: list[Optional[int]] = [None] * n    # read on first use
         self.owners: list[list[RealComponent]] = [[] for _ in range(2 * n + 1)]
         for comp in components:
             for lo, hi in comp.arcs:
@@ -235,7 +235,7 @@ class _Locator:
     def slot(self, x: Fraction) -> int:
         """The slot of x: by bisection over the punctures, or over the upper
         ends of the root intervals and then, inside an interval, by the sign
-        of its polynomial at x against the one at its lower end."""
+        of f at x against the one just left of its root."""
         if self.punctures:
             i = bisect_left(self.punctures, x)
             return 2 * i + 1 if i < len(self.punctures) and self.punctures[i] == x else 2 * i
@@ -245,14 +245,11 @@ class _Locator:
         iv = self.intervals[i]
         if x <= iv.lo:
             return 2 * i
-        # lo < x <= hi, and iv.poly changes sign once in the interval, at the root
+        # lo < x <= hi, and iv.poly = f changes sign once in the interval, at the root
         s = iv.poly.sign_at(x)
         if s == 0:
             return 2 * i + 1
-        slo = self.lo_signs[i]
-        if slo is None:
-            slo = self.lo_signs[i] = iv.poly.sign_at(iv.lo)
-        return 2 * i if s == slo else 2 * i + 2
+        return 2 * i if s == self.left_signs[i] else 2 * i + 2
 
 
 def component_containing(curve: CurveModel, components: Sequence[RealComponent],

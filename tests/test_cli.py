@@ -890,6 +890,28 @@ README_PINS = {
 }
 
 
+# SHA-256 of the stdout of the reports that the CI smoke step pins too: two
+# forms, and two height walks, one over three ovals at budget 1000 and one
+# over the wide window of 3*10^12 - x^2 at budget 50.
+SMOKE_PINS = {
+    'realcycle form "<t*(t-1),-(t^2-t),(t^2+1)*(t-1)^2,-(t^2+1)>"':
+        "7551ab8faadca691151a9b60299367a99ce4bf974d76cbd77775656b7899da78",
+    'realcycle form "<t*(t-1),-(t^2-t),(t^2+1)*(t-1)^2,-3*(t^2+1),1/2*t^3>"':
+        "a0cdefd6115a109ce038e027752eeaa654eac33bd2b8378c9f01a6b1c6f38f55",
+    'realcycle curve --spec "hyperelliptic f=-(x^2-2)*(x^2-11)*(x^2-23)" --budget 1000':
+        "7c2eb07c3cbb1adb06aa32b08be12db4cba57ec13c63d22e6ee101e9a73dc9bb",
+    'realcycle curve --spec "hyperelliptic f=3000000000000-x^2" --budget 50':
+        "4f00afdd4ec9886fce383ec585cd19a710a4a132f09747128ceb27bd2d893f98",
+}
+
+
+@pytest.mark.parametrize("line", list(SMOKE_PINS))
+def test_smoke_pinned_output_is_unchanged(line):
+    code, out = run_cli(*shlex.split(line)[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SMOKE_PINS[line]
+
+
 def readme_examples():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

@@ -75,12 +75,11 @@ def reference_components(curve: Hyperelliptic) -> tuple[RealComponent, ...]:
                     raise AssertionError("odd degree forces a real root")
                 if (deg // 2) % 2 == 0:
                     add(-1, 0, RealComponent("?", KIND_CIRCLE, True, (whole,),
-                                             branch=BRANCH_PLUS, through_infinity=True))
+                                             branch=BRANCH_PLUS))
                     add(-1, 1, RealComponent("?", KIND_CIRCLE, True, (whole,),
-                                             branch=BRANCH_MINUS, through_infinity=True))
+                                             branch=BRANCH_MINUS))
                 else:
-                    add(-1, 0, RealComponent("?", KIND_CIRCLE, True, (whole,),
-                                             through_infinity=True))
+                    add(-1, 0, RealComponent("?", KIND_CIRCLE, True, (whole,)))
             else:
                 add(-1, 0, RealComponent("?", KIND_INTERVAL, False, (whole,),
                                          branch=BRANCH_PLUS))
@@ -94,23 +93,21 @@ def reference_components(curve: Hyperelliptic) -> tuple[RealComponent, ...]:
         if has_infinity and deg % 2 == 0:
             # both ends reach infinity and meet there: one circle through both
             assert left_open and right_open
-            add(-1, 0, RealComponent("?", KIND_CIRCLE, True, (left_arc, right_arc),
-                                     through_infinity=True))
+            add(-1, 0, RealComponent("?", KIND_CIRCLE, True, (left_arc, right_arc)))
         else:
             if left_open:
                 closes = has_infinity and deg % 2 == 1 and lead < 0
                 add(-1, 0, RealComponent("?", KIND_CIRCLE if closes else KIND_INTERVAL,
-                                         closes, (left_arc,), through_infinity=closes))
+                                         closes, (left_arc,)))
             if right_open:
                 closes = has_infinity and deg % 2 == 1 and lead > 0
                 add(k - 1, 0, RealComponent("?", KIND_CIRCLE if closes else KIND_INTERVAL,
-                                            closes, (right_arc,), through_infinity=closes))
+                                            closes, (right_arc,)))
 
     pieces.sort(key=lambda t: (t[0], t[1]))
     out = []
     for i, (_, _, comp) in enumerate(pieces):
-        out.append(RealComponent(f"c{i}", comp.kind, comp.compact, comp.arcs,
-                                 comp.branch, comp.through_infinity))
+        out.append(RealComponent(f"c{i}", comp.kind, comp.compact, comp.arcs, comp.branch))
     return tuple(out)
 
 
@@ -141,8 +138,8 @@ def _curve(roots, cs, lead, projective) -> Hyperelliptic:
 # --- the properties ---------------------------------------------------------------
 
 def _assert_same_component(got: RealComponent, want: RealComponent):
-    assert (got.id, got.kind, got.compact, got.branch, got.through_infinity) == (
-        want.id, want.kind, want.compact, want.branch, want.through_infinity)
+    assert (got.id, got.kind, got.compact, got.branch) == (
+        want.id, want.kind, want.compact, want.branch)
     assert len(got.arcs) == len(want.arcs)
     for got_arc, want_arc in zip(got.arcs, want.arcs):
         for g, w in zip(got_arc, want_arc):
@@ -201,4 +198,3 @@ def test_planted_roots_follow_the_gap_parity_rule(roots, cs, lead, projective):
             assert gaps == [0, k] and projective and deg % 2 == 0
         assert comp.branch == BRANCH_BOTH
         assert comp.is_circle == comp.compact == (projective or not unbounded)
-        assert comp.through_infinity == (comp.is_circle and bool(unbounded))

@@ -285,10 +285,9 @@ class TestWitnessSearch:
         for comp in comps:
             lo, hi = cycleclass._interior_window(comp)
             for q in range(1, 51):
-                start = lo.numerator * q // lo.denominator + 1
-                stop = (hi.numerator * q - 1) // hi.denominator + 1
-                candidates += stop - start
-                survivors.update((p, q) for p in sieve.survivors(q, start, stop))
+                row = cycleclass._row(lo, hi, q)
+                candidates += len(row)
+                survivors.update((p, q) for p in sieve.survivors(q, row))
         assert len(set(calls)) == len(calls) and set(calls) <= survivors
         assert candidates > 8000 and len(calls) <= candidates // 10
 

@@ -538,6 +538,18 @@ def test_is_rational_square_agrees_with_isqrt(r, square_it, sign):
     assert is_rational_square(x) == expected
 
 
+@SETTINGS
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=8), st.integers(-10 ** 4, 10 ** 4),
+       st.integers(1, 10 ** 4))
+@example([], 3, 2)                  # the empty sum
+@example([5, -1, 0], 7, 3)          # a zero top coefficient still counts in d
+@example([2, 0, -3, 1], -7, 1)      # q = 1 and a negative p
+def test_eval_homogeneous_is_the_direct_sum(cs, p, q):
+    d = len(cs) - 1
+    assert (numeric.eval_homogeneous(cs, p, q)
+            == sum(c * p ** i * q ** (d - i) for i, c in enumerate(cs)))
+
+
 @st.composite
 def square_free_curves(draw):
     roots = draw(st.lists(small_fractions, max_size=4, unique=True))
@@ -612,6 +624,19 @@ def test_component_containing_agrees_with_root_counts(case, points, y_sign):
     for x in roots + located_points(curve) + points:
         assert (component_containing(curve, comps, x, y_sign)
                 == locate_by_counting(curve, comps, x, y_sign)), x
+
+
+@SETTINGS
+@given(square_free_curves())
+@example((Hyperelliptic(UPoly.from_roots([-1, 1])), [-1, 1]))
+@example((Hyperelliptic(UPoly.from_roots([-2, -1, 1, 2], -1)), [-2, -1, 1, 2]))
+@example((Hyperelliptic(UPoly.from_roots([-1, 0, 1])), [-1, 0, 1]))
+@example((Hyperelliptic(UPoly.from_roots([-2, Fraction(1, 3), 1], -1)), [-2, Fraction(1, 3), 1]))
+def test_locator_signs_left_of_the_roots_are_the_signs_at_the_interval_ends(case):
+    # the examples take both signs of lc f and both parities of deg f
+    curve, _ = case
+    locator = realcurve._Locator(curve, real_components(curve))
+    assert locator.left_signs == [curve.f.sign_at(iv.lo) for iv in curve.root_intervals]
 
 
 def sample_by_fraction_operations(comp):
@@ -764,11 +789,12 @@ def test_search_finds_a_planted_point_first(coeffs, x0, heights):
     assert cycleclass._first_rational(x0 - delta, x0 + delta, budget) == x0
     for y0 in heights:
         f = g - UPoly.of(g.eval_at(x0) - y0 * y0)
-        assert cycleclass._height_search(f, x0 - delta, x0 + delta, rows) == (x0, y0)
+        assert (cycleclass._height_search(f, x0 - delta, x0 + delta, rows, cycleclass._Sieve(f))
+                == (x0, y0))
         # but never as an end of the open window, nor where f has a root
         root = g - UPoly.of(g.eval_at(x0))
         for h, lo, hi in ((f, x0 - delta, x0), (f, x0, x0 + delta), (root, x0 - delta, x0 + delta)):
-            point = cycleclass._height_search(h, lo, hi, rows)
+            point = cycleclass._height_search(h, lo, hi, rows, cycleclass._Sieve(h))
             assert point is None or point[0] != x0
     assert x0 not in (cycleclass._first_rational(x0 - delta, x0, budget),
                       cycleclass._first_rational(x0, x0 + delta, budget))
@@ -845,7 +871,7 @@ def sieved_walks(draw):
 @example((BENCH_OVALS[1], Fraction(-1), Fraction(6), 16))
 def test_height_search_agrees_with_the_fraction_walk(walk):
     f, lo, hi, budget = walk
-    assert (cycleclass._height_search(f, lo, hi, range(1, budget + 1))
+    assert (cycleclass._height_search(f, lo, hi, range(1, budget + 1), cycleclass._Sieve(f))
             == height_search_by_fractions(f, lo, hi, budget))
 
 
