@@ -40,7 +40,6 @@ from .realcurve import (
     BRANCH_MINUS,
     END_NEG_INF,
     END_POS_INF,
-    END_RATIONAL,
     END_ROOT,
     CurveModel,
     Hyperelliptic,
@@ -48,8 +47,8 @@ from .realcurve import (
     PuncturedLine,
     RealComponent,
     component_containing,
+    line_gap,
     real_components,
-    sample_point,
 )
 
 # --- codimension zero: unit signature lattices ---------------------------------
@@ -59,56 +58,19 @@ def _component_ambient(components: Sequence[RealComponent]) -> FgAbGroup:
     return FgAbGroup.free(*(c.id for c in components))
 
 
-def _rank(nums: Sequence[int], dens: Sequence[int], value: Fraction, start: int,
-          closed: bool) -> int:
-    """How many of the sorted punctures n/d lie left of ``value``, or left of
-    or at it when ``closed``.  The count is stepped to from ``start``, so a
-    value near the last one costs a comparison or two of integer cross
-    products, and no Fraction is built."""
-    p, q = value.numerator, value.denominator
-    k = len(nums)
-    i = start
-    # n/d is counted when n*q - p*d < 0, or <= 0 when closed (both denominators
-    # are positive), that is when the difference is below int(closed)
-    while i < k and nums[i] * q - p * dens[i] < closed:
-        i += 1
-    if i == start:
-        while i and nums[i - 1] * q - p * dens[i - 1] >= closed:
-            i -= 1
-    return i
-
-
 def _puncture_signs(curve: PuncturedLine,
                     components: Sequence[RealComponent]) -> list[tuple[int, ...]]:
-    """The sign vector of t - a at the components' sample points, for each
-    puncture a in increasing order.
+    """The sign vector of t - a on the components, for each puncture a in
+    increasing order.
 
-    Each column is read from the component's arc ends: t - a is +1 on a
-    component whose lower end is a rational at or right of a, and -1 on one
-    whose upper end is a rational at or left of a.  A puncture strictly
-    inside the component is compared with its sample point; only another
-    line's components hold one, so a line's own components build no sample
-    point.  A column is thus a run of +1s, the signs at the punctures
-    inside, then -1s, and the rows are the columns transposed.
+    Each column is read from the component's gap (``line_gap``), with no
+    polynomial evaluated: gap g lies right of the first g punctures and left
+    of the others, so its column is g +1s then -1s, and the rows are the
+    columns transposed.  A component that is not a gap of the line raises
+    UnsupportedClosure.
     """
-    punctures = curve.punctures
-    nums = [a.numerator for a in punctures]
-    dens = [a.denominator for a in punctures]
-    k = len(punctures)
-    at = 0      # where the last search stopped: components in order step from there
-    columns = []
-    for comp in components:
-        lo, hi = comp.arcs[0]
-        left, right = 0, k
-        if lo.kind == END_RATIONAL:
-            left = at = _rank(nums, dens, lo.value, at, True)
-        if hi.kind == END_RATIONAL:
-            right = at = _rank(nums, dens, hi.value, at, False)
-        inside = ()
-        if left < right:
-            x = sample_point(comp, curve).x
-            inside = tuple((x > a) - (x < a) for a in punctures[left:right])
-        columns.append((1,) * left + inside + (-1,) * (k - right))
+    k = len(curve.punctures)
+    columns = [(1,) * g + (-1,) * (k - g) for g in (line_gap(curve, c) for c in components)]
     return list(zip(*columns)) if columns else [()] * k
 
 

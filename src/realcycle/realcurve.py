@@ -90,7 +90,7 @@ BRANCH_MINUS = "minus"
 class ArcEnd:
     kind: str
     value: Optional[Fraction] = None                    # rational endpoint
-    root_index: Optional[int] = None                    # index into sorted roots of f
+    index: Optional[int] = None                         # its cut: puncture or root of f, in order
     interval: Optional[IsolatingInterval] = None        # isolates that root
 
     @staticmethod
@@ -102,12 +102,12 @@ class ArcEnd:
         return ArcEnd(END_POS_INF)
 
     @staticmethod
-    def rational(x: Fraction) -> "ArcEnd":
-        return ArcEnd(END_RATIONAL, value=x)
+    def rational(i: int, x: Fraction) -> "ArcEnd":
+        return ArcEnd(END_RATIONAL, x, i)
 
     @staticmethod
     def root(i: int, iv: IsolatingInterval) -> "ArcEnd":
-        return ArcEnd(END_ROOT, root_index=i, interval=iv)
+        return ArcEnd(END_ROOT, index=i, interval=iv)
 
     def describe(self):
         if self.kind in (END_NEG_INF, END_POS_INF):
@@ -143,7 +143,8 @@ class RealComponent:
 
 def real_components(curve: CurveModel) -> tuple[RealComponent, ...]:
     if isinstance(curve, PuncturedLine):
-        ends = [ArcEnd.neg_inf()] + [ArcEnd.rational(p) for p in curve.punctures] + [ArcEnd.pos_inf()]
+        cuts = [ArcEnd.rational(i, p) for i, p in enumerate(curve.punctures)]
+        ends = [ArcEnd.neg_inf(), *cuts, ArcEnd.pos_inf()]
         return tuple(
             RealComponent(f"c{i}", KIND_INTERVAL, False, ((lo, hi),))
             for i, (lo, hi) in enumerate(zip(ends, ends[1:]))
@@ -151,6 +152,29 @@ def real_components(curve: CurveModel) -> tuple[RealComponent, ...]:
     if isinstance(curve, ProjectiveLine):
         return (RealComponent("c0", KIND_CIRCLE, True, ((ArcEnd.neg_inf(), ArcEnd.pos_inf()),)),)
     return _hyperelliptic_components(curve)
+
+
+def _ends_at(end: ArcEnd, cuts: Sequence[Fraction], i: int) -> bool:
+    """Is the end at cut i of a line: -inf for i = -1, +inf for i = len(cuts)
+    and puncture i between?  Identity is tried before equality: a line's own
+    ends hold its punctures themselves."""
+    if end.kind == END_RATIONAL:
+        return end.index == i < len(cuts) and (end.value is cuts[i] or end.value == cuts[i])
+    return end.kind == END_NEG_INF and i == -1 or end.kind == END_POS_INF and i == len(cuts)
+
+
+def line_gap(curve: PuncturedLine, comp: RealComponent) -> int:
+    """The gap of the line that the component is, 0 left of the first
+    puncture and i + 1 right of puncture i, read from its ends' indices.  Any
+    other component, such as one of another line, the arc of P^1 or a
+    hyperelliptic one, raises UnsupportedClosure."""
+    cuts = curve.punctures
+    if comp.kind == KIND_INTERVAL and comp.branch == BRANCH_BOTH and len(comp.arcs) == 1:
+        (lo, hi), = comp.arcs
+        gap = lo.index + 1 if lo.kind == END_RATIONAL else 0
+        if _ends_at(lo, cuts, gap - 1) and _ends_at(hi, cuts, gap):
+            return gap
+    raise UnsupportedClosure(f"component {comp.id} is not a gap of the punctured line")
 
 
 def _hyperelliptic_components(curve: Hyperelliptic) -> tuple[RealComponent, ...]:
@@ -196,7 +220,9 @@ class _Locator:
     the open gap left of cut i (slot 2n the gap right of the last of n cuts)
     and slot 2i + 1 the cut itself.  ``owners`` lists, slot by slot, the
     components holding it, in their order: an arc covers the gap right of
-    its lower end, and holds its root ends, but no rational end.
+    its lower end's cut, slot 2i + 2 for cut i of either kind, and holds its
+    root ends, but no rational end.  A line's components must be its gaps
+    (``line_gap``); a hyperelliptic curve's root indices are trusted.
     """
 
     def __init__(self, curve: CurveModel, components: Sequence[RealComponent]):
@@ -207,7 +233,8 @@ class _Locator:
         if isinstance(curve, PuncturedLine):
             self.punctures = curve.punctures
             n = len(self.punctures)
-            index = {a: i for i, a in enumerate(self.punctures)}
+            for comp in components:
+                line_gap(curve, comp)
         elif isinstance(curve, Hyperelliptic):
             self.intervals = curve.root_intervals
             n = len(self.intervals)
@@ -221,16 +248,12 @@ class _Locator:
         self.owners: list[list[RealComponent]] = [[] for _ in range(2 * n + 1)]
         for comp in components:
             for lo, hi in comp.arcs:
-                if lo.kind == END_NEG_INF:
-                    gap = 0
-                elif lo.kind == END_ROOT:
-                    gap = 2 * lo.root_index + 2
-                    self.owners[gap - 1].append(comp)
-                else:
-                    gap = 2 * index[lo.value] + 2
+                gap = 0 if lo.kind == END_NEG_INF else 2 * lo.index + 2
                 self.owners[gap].append(comp)
+                if lo.kind == END_ROOT:
+                    self.owners[gap - 1].append(comp)
                 if hi.kind == END_ROOT:
-                    self.owners[2 * hi.root_index + 1].append(comp)
+                    self.owners[2 * hi.index + 1].append(comp)
 
     def slot(self, x: Fraction) -> int:
         """The slot of x: by bisection over the punctures, or over the upper
@@ -260,7 +283,9 @@ def component_containing(curve: CurveModel, components: Sequence[RealComponent],
 
     The point is found by bisection over the cuts of the curve (see
     ``_Locator``), which is built on the first call for these components and
-    kept on the curve, so a call costs a logarithm of their number."""
+    kept on the curve, so a call costs a logarithm of their number.  On a
+    punctured line, components that are not its gaps raise
+    UnsupportedClosure."""
     locator = curve.__dict__.get("_locator")
     if locator is None or locator.components is not components:
         locator = curve.__dict__["_locator"] = _Locator(curve, components)
@@ -268,43 +293,6 @@ def component_containing(curve: CurveModel, components: Sequence[RealComponent],
         if comp.branch == BRANCH_BOTH or y_sign is None or (comp.branch == BRANCH_PLUS) == (y_sign > 0):
             return comp
     return None
-
-
-@dataclass(unsafe_hash=True)
-class SamplePoint:
-    x: Fraction
-    branch: int      # +1 / -1 sheet, 0 where y is not part of the model
-
-
-def _midpoint(p: Fraction, q: Fraction) -> Fraction:
-    """(p + q) / 2, as one Fraction."""
-    return Fraction(p.numerator * q.denominator + q.numerator * p.denominator,
-                    2 * p.denominator * q.denominator)
-
-
-def _shifted(p: Fraction, step: int) -> Fraction:
-    """p + step, as one Fraction."""
-    return Fraction(p.numerator + step * p.denominator, p.denominator)
-
-
-def sample_point(component: RealComponent, curve: CurveModel) -> SamplePoint:
-    """A rational-x point strictly inside the component, on the plus branch."""
-    lo, hi = component.arcs[0]
-    if lo.kind == END_NEG_INF and hi.kind == END_POS_INF:
-        x = Fraction(0)
-    elif lo.kind == END_NEG_INF:
-        x = _shifted(hi.value, -1) if hi.kind == END_RATIONAL else hi.interval.lo
-    elif hi.kind == END_POS_INF:
-        x = _shifted(lo.value, 1) if lo.kind == END_RATIONAL else lo.interval.hi
-    elif lo.kind == END_RATIONAL:
-        x = _midpoint(lo.value, hi.value)
-    else:
-        x = _midpoint(lo.interval.hi, hi.interval.lo)
-    branch = 0
-    if isinstance(curve, Hyperelliptic):
-        branch = -1 if component.branch == BRANCH_MINUS else 1
-        assert curve.f.sign_at(x) > 0
-    return SamplePoint(x, branch)
 
 
 # --- twists ----------------------------------------------------------------------

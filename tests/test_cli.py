@@ -101,6 +101,19 @@ class TestCurveSpecParser:
         with pytest.raises(SpecParseError):
             parse_curve_spec("conic x^2+y^2=1")
 
+    @pytest.mark.parametrize("spec, message", [
+        ("", "empty curve spec"),
+        ("  ", "empty curve spec"),
+        ("line foo", "line takes only punctures=a1,a2,..."),
+        ("projective-line x", "projective-line takes no arguments"),
+        ("hyperelliptic x^2", "hyperelliptic needs f=<poly in x> [projective]"),
+        ("hyperelliptic projective", "hyperelliptic needs f=<poly in x> [projective]"),
+    ])
+    def test_malformed_spec_exits_2(self, spec, message, capsys):
+        code, out = run_cli("curve", "--spec", spec)
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
 
 class TestTwistParser:
     def test_single_and_multiplicity(self):
@@ -115,13 +128,17 @@ class TestTwistParser:
         with pytest.raises(SpecParseError):
             parse_twist_spec("points:(0,up)")
 
-    @pytest.mark.parametrize("spec", [
-        "points:(0,+),", "points:(0,+)(1,+)", "points:(0,+)*3/2", "points:(0,+)*",
+    @pytest.mark.parametrize("spec, message", [
+        ("points:(0,+),", "expected '(' at position 6 of '(0,+),'"),
+        ("points:(0,+)(1,+)", "expected ',' at position 5 of '(0,+)(1,+)'"),
+        ("points:(0,+)*3/2", "expected ',' at position 7 of '(0,+)*3/2'"),
+        ("points:(0,+)*", "expected a number at position 6 of '(0,+)*'"),
+        ("(0,+)", "twist spec must start with 'points:'"),
     ])
-    def test_malformed_marker_list_exits_2(self, spec, capsys):
+    def test_malformed_marker_list_exits_2(self, spec, message, capsys):
         code, out = run_cli("curve", "--spec", "hyperelliptic f=1-x^2", "--twist", spec)
         assert code == 2 and out == ""
-        assert capsys.readouterr().err.startswith("parse error: ")
+        assert capsys.readouterr().err == f"parse error: {message}\n"
 
     def test_whitespace_between_tokens(self):
         assert parse_twist_spec("points:(0, +)") == parse_twist_spec("points:(0,+)")
@@ -179,6 +196,19 @@ class TestCurveCommand:
         report = run_json("curve", "--spec", "hyperelliptic f=-1-x^2")
         assert report["components"] == []
         assert report["gamma_top"] == {"status": "vacuous", "witnesses": []}
+
+    def test_a_circle_without_witness_fails(self):
+        # the oval of -(5x^2 - 5x + 1) lies inside (0, 1): no x of height 1
+        # is there, so budget 1 finds neither a point nor a conjugate pair,
+        # and budget 3 reaches the point (1/2, 1/2)
+        spec = "hyperelliptic f=-(5*x^2-5*x+1)"
+        report = run_json("curve", "--spec", spec, "--budget", "1")
+        assert report["gamma_top"] == {"status": "failed", "witnesses": [
+            {"generator": "c0", "status": "failed", "point": None, "unit": None, "achieved": {}}]}
+        report = run_json("curve", "--spec", spec, "--budget", "3")
+        assert report["gamma_top"]["status"] == "certified"
+        (witness,) = report["gamma_top"]["witnesses"]
+        assert witness["status"] == "exact" and witness["point"] == {"x": "1/2", "y": "1/2"}
 
     def test_square_free_violation_exits_3(self):
         code, _ = run_cli("curve", "--spec", "hyperelliptic f=x^2")
@@ -910,6 +940,26 @@ def test_smoke_pinned_output_is_unchanged(line):
     code, out = run_cli(*shlex.split(line)[1:])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SMOKE_PINS[line]
+
+
+# SHA-256 of the stdout of three punctured-line reports, whose sign rows and
+# point location read each component's gap from its arc ends: the CI smoke
+# step's lines of 40 and 399 punctures, and fractional punctures with markers.
+LINE_PINS = {
+    ("--spec", "line punctures=" + ",".join(map(str, range(40)))):
+        "e084b66a79ab6242becaa4dcbd17ae1796b5fc8680299f2f7229d40e682deffb",
+    ("--spec", "line punctures=" + ",".join(map(str, range(399)))):
+        "bc24ed896cb499ebb4e3780ef5f7e379e4fd019704422daac5cfb72b650fb737",
+    ("--spec", "line punctures=-7/3,0,1/6,5", "--twist", "points:(1,+),(-3,-)*2,(5/2,+)"):
+        "e23731fd531cc04c96b96e57092b0ecd708d3c226c43b21f521d7839595c0a07",
+}
+
+
+@pytest.mark.parametrize("argv", list(LINE_PINS), ids=["40-punctures", "399-punctures", "twisted"])
+def test_line_report_output_is_unchanged(argv):
+    code, out = run_cli("curve", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LINE_PINS[argv]
 
 
 def readme_examples():

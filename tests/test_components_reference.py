@@ -143,7 +143,7 @@ def _assert_same_component(got: RealComponent, want: RealComponent):
     assert len(got.arcs) == len(want.arcs)
     for got_arc, want_arc in zip(got.arcs, want.arcs):
         for g, w in zip(got_arc, want_arc):
-            assert (g.kind, g.value, g.root_index) == (w.kind, w.value, w.root_index)
+            assert (g.kind, g.value, g.index) == (w.kind, w.value, w.index)
             assert (g.interval is None) == (w.interval is None)
             if g.interval is not None:
                 assert (g.interval.lo, g.interval.hi) == (w.interval.lo, w.interval.hi)
@@ -181,11 +181,11 @@ def test_planted_roots_follow_the_gap_parity_rule(roots, cs, lead, projective):
     def gap_of(arc) -> int:
         lo, hi = arc
         if lo.kind == END_NEG_INF:
-            assert hi.kind == END_ROOT and hi.root_index == 0
+            assert hi.kind == END_ROOT and hi.index == 0
             return 0
-        assert lo.kind == END_ROOT and (hi.kind == END_POS_INF or hi.root_index == lo.root_index + 1)
-        assert lo.interval.lo < roots[lo.root_index] < lo.interval.hi
-        return lo.root_index + 1
+        assert lo.kind == END_ROOT and (hi.kind == END_POS_INF or hi.index == lo.index + 1)
+        assert lo.interval.lo < roots[lo.index] < lo.interval.hi
+        return lo.index + 1
 
     comps = real_components(curve)
     covered = [[gap_of(arc) for arc in comp.arcs] for comp in comps]

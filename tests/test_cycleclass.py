@@ -25,13 +25,20 @@ from realcycle.cycleclass import (
     punctured_affine_report,
     unit_sign_vectors,
 )
-from realcycle.errors import BadDimension, NegativeInput, PointOffCurve, UnsupportedTwist
+from realcycle.errors import (
+    BadDimension,
+    NegativeInput,
+    PointOffCurve,
+    UnsupportedClosure,
+    UnsupportedTwist,
+)
 from realcycle.numeric import UPoly, isolate_real_roots, rational_root
 from realcycle.qform import hilbert_obstruction
 from realcycle.realcurve import (
     Hyperelliptic,
     ProjectiveLine,
     PuncturedLine,
+    component_containing,
     real_components,
 )
 
@@ -110,11 +117,25 @@ class TestGamma0:
             assert lattices_equal(image, knebusch_gamma(k + 1))
             assert mod2_spans_everything(curve, comps)
 
-    def test_mod2_span_falls_short(self):
-        # the units 1 and t of "line punctures=0" give two rows on the four
-        # components of "line punctures=0,1,2"
-        comps = real_components(PuncturedLine.make([0, 1, 2]))
-        assert not mod2_spans_everything(PuncturedLine.make([0]), comps)
+    @pytest.mark.parametrize("curve, comps", [
+        # the right half of "line punctures=0" is not a gap of the line 0, 1, 2
+        (PuncturedLine.make([0, 1, 2]), real_components(PuncturedLine.make([0]))),
+        # nor is a gap of "line punctures=0, 1, 2" one of the line 0
+        (PuncturedLine.make([0]), real_components(PuncturedLine.make([0, 1, 2]))),
+        # an end at the index of a puncture but at another value
+        (PuncturedLine.make([0, 1]), real_components(PuncturedLine.make([0, 2]))),
+        # the whole-line arc of P^1, and the sheets of y^2 = x^2 + 1, on the
+        # line with no puncture, whose one gap has the same arc
+        (PuncturedLine.make(), real_components(ProjectiveLine())),
+        (PuncturedLine.make(), real_components(Hyperelliptic(UPoly.of(1, 0, 1)))),
+        (PuncturedLine.make([-1, 1]), real_components(Hyperelliptic(UPoly.of(-1, 0, 1)))),
+    ])
+    def test_components_that_are_not_gaps_of_the_line_are_rejected(self, curve, comps):
+        readers = (unit_sign_vectors, gamma0_image, mod2_spans_everything,
+                   lambda line, cs: component_containing(line, cs, 7))
+        for read in readers:
+            with pytest.raises(UnsupportedClosure, match="not a gap of the punctured line"):
+                read(curve, comps)
 
     def test_inclusion_chain(self):
         # 2 H^0 <= image <= H^0 for every punctured line

@@ -176,6 +176,21 @@ class TestCompare:
         b = add(integer(RATIONALS, 0), zero(RATIONALS, 0))
         assert compare(a, b) is Comparison.EQUAL
 
+    @pytest.mark.parametrize("x, y", [
+        (integer(RATIONALS, 2), symbol(RATIONALS, 2)),      # degrees 0 and 1
+        (integer(RATIONALS, 2), integer(RATIONALS, 3)),     # ranks in degree 0
+        (symbol(RATIONALS, 2), symbol(RATIONALS, 3)),       # Milnor parts in degree 1
+    ])
+    def test_distinct_before_any_witt_difference(self, x, y, monkeypatch):
+        # degree, rank and the degree-1 Milnor part answer before the Witt
+        # halves are subtracted
+        def refused(*args):
+            raise AssertionError("the Witt halves were subtracted")
+
+        monkeypatch.setattr(mwk, "gw_add", refused)
+        assert compare(x, y) is Comparison.DISTINCT
+        assert compare(y, x) is Comparison.DISTINCT
+
     def test_indistinguishable_is_honest(self):
         # <2,3> and <1,6> share rank, discriminant and signatures; the module
         # does not decide rational Witt equivalence, so it must not say Equal

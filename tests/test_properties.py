@@ -63,6 +63,7 @@ from realcycle.cycleclass import (
     mod2_spans_everything,
     unit_sign_vectors,
 )
+from realcycle.errors import UnsupportedClosure
 from realcycle.numeric import (
     IsolatingInterval,
     UPoly,
@@ -113,8 +114,8 @@ from realcycle.realcurve import (
     PuncturedLine,
     component_containing,
     real_components,
-    sample_point,
 )
+from sample_points import sample_point
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -582,9 +583,9 @@ def locate_by_counting(curve, components, x, y_sign=None):
     def compare(end):           # sign of x minus the end
         if end.kind in ("-inf", "+inf"):
             return 1 if end.kind == "-inf" else -1
-        if on_root and below == end.root_index:
+        if on_root and below == end.index:
             return 0
-        return -1 if below + on_root <= end.root_index else 1
+        return -1 if below + on_root <= end.index else 1
 
     for comp in components:
         if comp.branch != BRANCH_BOTH and y_sign is not None \
@@ -2022,19 +2023,10 @@ def test_squarefree_int_of_planted_factorisations(powers, big, e, sign):
 
 @st.composite
 def lines_on_components(draw):
-    """A punctured line and the components its units are signed on: its own,
-    or those of another line with some of their sample points among the
-    punctures (a sign 0); in either case possibly shuffled."""
-    points = st.lists(small_fractions, max_size=8, unique=True)
-    other = PuncturedLine.make(draw(points))
-    comps = real_components(other)
-    if draw(st.booleans()):
-        curve = other
-    else:
-        samples = [sample_point(c, other).x for c in comps]
-        hits = draw(st.lists(st.sampled_from(samples), unique=True))
-        curve = PuncturedLine.make(set(draw(points)) | set(hits))
-    return curve, tuple(draw(st.permutations(comps)))
+    """A punctured line and its own components, possibly shuffled."""
+    points = st.lists(st.one_of(small_fractions, wide_fractions), max_size=8, unique=True)
+    curve = PuncturedLine.make(draw(points))
+    return curve, tuple(draw(st.permutations(real_components(curve))))
 
 
 def evaluated_signs(curve, comps):
@@ -2111,9 +2103,9 @@ def test_gamma0_cokernel_runs_no_elimination(monkeypatch):
     assert coker_report(gamma0_image(curve)) == (2 ** 400, 2)
 
 
-def test_own_components_build_no_sample_point(monkeypatch):
-    monkeypatch.setattr(realcurve, "sample_point", refused)
-    monkeypatch.setattr(cycleclass, "sample_point", refused)
+def test_own_component_rows_are_steps():
+    # t - a_i is -1 on the gaps 0..i and +1 right of them; reversing the
+    # components reverses the columns
     for punctures in ([], [0], [Fraction(-7, 3), 0, Fraction(1, 6), 5],
                       [Fraction(i * i - 30, i % 5 + 1) for i in range(40)]):
         curve = PuncturedLine.make(punctures)
@@ -2121,6 +2113,29 @@ def test_own_components_build_no_sample_point(monkeypatch):
         rows = unit_sign_vectors(curve, comps)
         k = len(curve.punctures)
         assert rows == [(-1,) * (k + 1)] + [(-1,) * (i + 1) + (1,) * (k - i) for i in range(k)]
+        reversed_rows = unit_sign_vectors(curve, comps[::-1])
+        assert reversed_rows == [row[::-1] for row in rows]
+
+
+@settings(SETTINGS, max_examples=200)
+@given(lines_on_components(), st.data())
+def test_another_lines_components_are_read_only_where_they_are_gaps(case, data):
+    # each component of another line, which shares some of the line's
+    # punctures, is read exactly when its arc is one of the line's own, and
+    # is then signed as its sample point is
+    curve, own = case
+    shared = st.sampled_from(curve.punctures) if curve.punctures else small_fractions
+    others = data.draw(st.lists(st.one_of(shared, small_fractions), max_size=8, unique=True))
+    gaps = {comp.arcs for comp in own}
+    for comp in real_components(PuncturedLine.make(others)):
+        mixed = own + (comp,)
+        if comp.arcs in gaps:
+            assert unit_sign_vectors(curve, mixed) == evaluated_signs(curve, mixed)
+            continue
+        for read in (unit_sign_vectors, gamma0_image, mod2_spans_everything,
+                     lambda line, cs: component_containing(line, cs, 0)):
+            with pytest.raises(UnsupportedClosure):
+                read(curve, mixed)
 
 
 @st.composite

@@ -15,7 +15,7 @@ PACKAGE = ROOT / "src" / "realcycle"
 
 EXEMPT = {
     "finite_field": "the constructor of the F_p context, which qform and mwk support",
-    "second_residue": "deciding Witt classes over Q(t) (ROADMAP items 11-12) reads it",
+    "second_residue": "deciding Witt classes over Q(t) (ROADMAP item 14) reads it",
 }
 
 

@@ -161,6 +161,14 @@ class TestSignature:
         x = GWElem(DiagForm.make(RATIONALS, [1, 1]), DiagForm.make(RATIONALS, [1]))
         assert signature(x, Ordering.archimedean()) == 1
 
+    def test_doubling_a_difference_doubles_each_half(self):
+        x = GWElem(DiagForm.make(RATIONALS, [1, 3]), DiagForm.make(RATIONALS, [-2]))
+        doubled = mult_by_pfister_minus_one(x)
+        two = pfister(RATIONALS, -1)
+        assert doubled.plus.entries == tensor(x.plus, two).entries
+        assert doubled.minus.entries == tensor(x.minus, two).entries
+        assert signature(doubled, Ordering.archimedean()) == 2 * signature(x, Ordering.archimedean()) == 6
+
     def test_multiplicative(self):
         rng = random.Random(99)
         for _ in range(50):
@@ -298,6 +306,25 @@ class TestFundamentalPower:
 
     def test_even_rank_is_enough_for_first_power(self):
         assert in_fundamental_power(DiagForm.make(RATIONALS, [3, 5]), 1) is Membership.YES
+
+    @pytest.mark.parametrize("ctx, entries, n, want", [
+        # over R the signature decides: 8 and 0 are multiples of 2^3, 4 is not
+        (REAL_CLOSED, [1] * 8, 3, Membership.YES),
+        (REAL_CLOSED, [1] * 4 + [-1] * 4, 3, Membership.YES),
+        (REAL_CLOSED, [1] * 4, 3, Membership.NO),
+        # over C an even rank form is hyperbolic, and over F_p, I^2 = 0
+        (COMPLEXES, [1, 2, 3, 5], 3, Membership.YES),
+        (finite_field(7), [1, 1, 3, 3], 4, Membership.YES),
+    ])
+    def test_higher_powers_over_decided_contexts(self, ctx, entries, n, want):
+        assert in_fundamental_power(DiagForm.make(ctx, entries), n) is want
+
+    def test_higher_powers_of_a_recorded_pfister_form(self):
+        # <<2, 3, 5>> has signature 0 at the real place; its recorded arity
+        # certifies I^3, and nothing certifies I^4
+        phi = pfister(RATIONALS, 2, 3, 5)
+        assert in_fundamental_power(phi, 3) is Membership.YES
+        assert in_fundamental_power(phi, 4) is Membership.UNKNOWN
 
     def test_first_power_needs_no_signature(self, monkeypatch):
         def refuse(phi, p):

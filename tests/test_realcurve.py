@@ -16,10 +16,10 @@ from realcycle.realcurve import (
     bockstein_ladder,
     component_containing,
     real_components,
-    sample_point,
     twist_class,
     twisted_cohomology,
 )
+from sample_points import sample_point
 
 X = UPoly.x()
 
