@@ -387,7 +387,7 @@ def cmd_curve(args) -> int:
     divisor = realcurve.TwistDivisor.empty()
     if args.twist:
         divisor = parse_twist_spec(args.twist)
-    bits = realcurve.twist_class(curve, components, divisor)
+    bits = realcurve.twist_class(curve, divisor)
     coh = realcurve.twisted_cohomology(components, bits)
 
     report = {
@@ -399,7 +399,7 @@ def cmd_curve(args) -> int:
 
     if isinstance(curve, realcurve.PuncturedLine):
         # a punctured line has no circles, so its twist bits are all 0
-        image = cycleclass.gamma0_image(curve, components)
+        image = cycleclass.gamma0_image(curve)
         order, exp = cycleclass.coker_report(image)
         gamma = cycleclass.knebusch_gamma(len(components))
         report["gamma0"] = {
@@ -410,7 +410,7 @@ def cmd_curve(args) -> int:
             "bound_only": False,
         }
 
-    certs = cycleclass.gamma_top_witness_search(curve, components, bits, args.budget)
+    certs = cycleclass.gamma_top_witness_search(curve, bits, args.budget)
     if not components:
         status = "vacuous"
     elif all(c.status == cycleclass.STATUS_EXACT for c in certs):

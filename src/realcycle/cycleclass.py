@@ -25,12 +25,13 @@ from math import gcd, isqrt
 from operator import sub
 from typing import Iterator, Optional, Sequence, Union
 
-from .abgrp import FgAbGroup, Lattice, exponent, hermite_form, identity_matrix, order_of, quotient
+from .abgrp import FgAbGroup, Lattice, exponent, order_of, quotient
 from .errors import (
     BadDimension,
     FactorizationLimit,
     NegativeInput,
     PointOffCurve,
+    UnsupportedClosure,
     UnsupportedTwist,
 )
 from .numeric import UPoly, eval_homogeneous, is_rational_square, rational_root, sign_of
@@ -47,37 +48,22 @@ from .realcurve import (
     PuncturedLine,
     RealComponent,
     component_containing,
-    line_gap,
     real_components,
 )
 
 # --- codimension zero: unit signature lattices ---------------------------------
 
 
-def _component_ambient(components: Sequence[RealComponent]) -> FgAbGroup:
-    return FgAbGroup.free(*(c.id for c in components))
+def unit_sign_vectors(curve: PuncturedLine) -> list[tuple[int, ...]]:
+    """Signature vectors of <u> for u in {-1} and the linear units t - a, on
+    the line's own components, left to right.
 
-
-def _puncture_signs(curve: PuncturedLine,
-                    components: Sequence[RealComponent]) -> list[tuple[int, ...]]:
-    """The sign vector of t - a on the components, for each puncture a in
-    increasing order.
-
-    Each column is read from the component's gap (``line_gap``), with no
-    polynomial evaluated: gap g lies right of the first g punctures and left
-    of the others, so its column is g +1s then -1s, and the rows are the
-    columns transposed.  A component that is not a gap of the line raises
-    UnsupportedClosure.
+    No polynomial is evaluated: component g lies right of the first g
+    punctures and left of the others, so t - a_i is -1 on the first i + 1
+    components and +1 on the rest.
     """
     k = len(curve.punctures)
-    columns = [(1,) * g + (-1,) * (k - g) for g in (line_gap(curve, c) for c in components)]
-    return list(zip(*columns)) if columns else [()] * k
-
-
-def unit_sign_vectors(curve: PuncturedLine,
-                      components: Sequence[RealComponent]) -> list[tuple[int, ...]]:
-    """Signature vectors of <u> for u in {-1} and the linear units t - a."""
-    return [(-1,) * len(components)] + _puncture_signs(curve, components)
+    return [(-1,) * (k + 1)] + [(-1,) * (i + 1) + (1,) * (k - i) for i in range(k)]
 
 
 def gamma0_image(curve: PuncturedLine,
@@ -92,17 +78,23 @@ def gamma0_image(curve: PuncturedLine,
     The generators are a unimodular change of those vectors with the same
     span: (1,...,1), the negation of the row of <-1>, then the differences
     r_i - r_(i+1) of adjacent rows along the chain r_0, ..., r_(k-1), <-1>
-    of the punctures' rows.  On a line's own components, left to right,
-    they are (1,...,1), 2*e_1, ..., 2*e_(m-1), already the Hermite basis,
-    so the lattice skips the elimination.
+    of the punctures' rows.  They are (1,...,1), 2*e_1, ..., 2*e_(m-1),
+    already the Hermite basis, so the lattice skips the elimination.
+
+    ``components``, when given, must be the line's own ``real_components``
+    (the same tuple, or one equal to it); any other raises
+    UnsupportedClosure.  The parameter is kept only for callers that pass
+    that tuple.
     """
     if not isinstance(curve, PuncturedLine):
         raise UnsupportedTwist("unit signature lattices are computed for punctured lines")
-    comps = tuple(components) if components is not None else real_components(curve)
-    minus_one, *chain = unit_sign_vectors(curve, comps)
+    comps = real_components(curve)
+    if components is not None and components is not comps and tuple(components) != comps:
+        raise UnsupportedClosure("the components are not those of the punctured line")
+    minus_one, *chain = unit_sign_vectors(curve)
     chain.append(minus_one)
     steps = [tuple(map(sub, r, s)) for r, s in zip(chain, chain[1:])]
-    return Lattice(_component_ambient(comps), (tuple(-x for x in minus_one), *steps))
+    return Lattice(FgAbGroup.free(*(c.id for c in comps)), (tuple(-x for x in minus_one), *steps))
 
 
 def knebusch_gamma(m: int) -> Lattice:
@@ -123,20 +115,6 @@ def coker_report(image: Lattice) -> tuple[Optional[int], int]:
     None when infinite, exponent 0 likewise."""
     q = quotient(image.ambient, image)
     return order_of(q), exponent(q)
-
-
-def mod2_spans_everything(curve: PuncturedLine,
-                          components: Optional[Sequence[RealComponent]] = None) -> bool:
-    """Do the half-signature vectors of the binary unit forms <1, u> span the
-    full mod-2 cohomology of the components?"""
-    comps = tuple(components) if components is not None else real_components(curve)
-    rows = [[1] * len(comps)] + [[int(s > 0) for s in row]
-                                 for row in _puncture_signs(curve, comps)]
-    # the rows span F_2^m exactly when, with 2*Z^m, they span Z^m, whose
-    # Hermite basis is the identity
-    identity = identity_matrix(len(comps))
-    basis, _ = hermite_form(rows + [[2 * x for x in e] for e in identity], len(comps))
-    return basis == identity
 
 
 # --- zero cycles and their classes ----------------------------------------------
@@ -186,21 +164,21 @@ class ZeroCycle:
         return ZeroCycle((ZeroCycleTerm(point, unit),))
 
 
-def class_of_zero_cycle(curve: CurveModel, components: Sequence[RealComponent],
-                        twist_bits: dict[str, int], cycle: ZeroCycle) -> dict[str, int]:
+def class_of_zero_cycle(curve: CurveModel, twist_bits: dict[str, int],
+                        cycle: ZeroCycle) -> dict[str, int]:
     """Class of a zero cycle in the top cohomology, as coefficients on the
     circle generators (coefficients on twisted circles are reduced mod 2).
 
     Each real place of each term contributes the sign of its unit times the
     generator of the circle it lies on; places on intervals contribute zero.
     """
-    out = {c.id: 0 for c in components if c.is_circle}
+    out = {c.id: 0 for c in real_components(curve) if c.is_circle}
 
     def place_contribution(x: Fraction, y_sign: int, unit: UnitCoefficient):
         gx = unit.g.eval_at(x)
         if gx == 0 or (unit.y_exponent and y_sign == 0):
             raise PointOffCurve(f"unit vanishes at x={x}")
-        comp = component_containing(curve, components, x, y_sign if y_sign else None)
+        comp = component_containing(curve, x, y_sign if y_sign else None)
         if comp is None:
             raise PointOffCurve(f"x={x} is not on the real locus")
         if not comp.is_circle:
@@ -434,9 +412,7 @@ def _first_rational(lo: Fraction, hi: Fraction, budget: int) -> Optional[Fractio
     return None
 
 
-def gamma_top_witness_search(curve: CurveModel,
-                             components: Optional[Sequence[RealComponent]] = None,
-                             twist_bits: Optional[dict[str, int]] = None,
+def gamma_top_witness_search(curve: CurveModel, twist_bits: Optional[dict[str, int]] = None,
                              budget: int = 50) -> list[WitnessCertificate]:
     """One certificate per circle generator of the top cohomology.
 
@@ -449,24 +425,24 @@ def gamma_top_witness_search(curve: CurveModel,
     of y, and the pair carries the unit 1 + (sign)*y, which counts twice on
     this circle and zero on the other.
     """
-    comps = tuple(components) if components is not None else real_components(curve)
+    comps = real_components(curve)
     bits = twist_bits if twist_bits is not None else {c.id: 0 for c in comps}
     circles = [c for c in comps if c.is_circle]
     # one sieve for every walk: its residue masks depend on f alone
     sieve = _Sieve(curve.f) if isinstance(curve, Hyperelliptic) else None
     out = []
     for comp in circles:
-        cert = _witness_for_circle(curve, comps, bits, comp, budget, sieve)
+        cert = _witness_for_circle(curve, circles, bits, comp, budget, sieve)
         if cert.witness is not None:
-            expected = class_of_zero_cycle(curve, comps, bits, cert.witness)
+            expected = class_of_zero_cycle(curve, bits, cert.witness)
             assert expected == cert.achieved, "witness certificate must be sound"
         out.append(cert)
     return out
 
 
-def _witness_for_circle(curve, comps, bits, comp, budget, sieve) -> WitnessCertificate:
+def _witness_for_circle(curve, circles, bits, comp, budget, sieve) -> WitnessCertificate:
     def gen_hit(value):
-        target = {c.id: 0 for c in comps if c.is_circle}
+        target = {c.id: 0 for c in circles}
         target[comp.id] = value
         if bits.get(comp.id, 0):
             target[comp.id] = value % 2

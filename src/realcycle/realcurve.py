@@ -142,6 +142,16 @@ class RealComponent:
 
 
 def real_components(curve: CurveModel) -> tuple[RealComponent, ...]:
+    """The components of the real locus, left to right, computed on the first
+    call and kept on the curve, so the same curve always gives the same tuple
+    and every reader of components takes the curve alone."""
+    comps = curve.__dict__.get("_components")
+    if comps is None:
+        comps = curve.__dict__["_components"] = _components(curve)
+    return comps
+
+
+def _components(curve: CurveModel) -> tuple[RealComponent, ...]:
     if isinstance(curve, PuncturedLine):
         cuts = [ArcEnd.rational(i, p) for i, p in enumerate(curve.punctures)]
         ends = [ArcEnd.neg_inf(), *cuts, ArcEnd.pos_inf()]
@@ -152,29 +162,6 @@ def real_components(curve: CurveModel) -> tuple[RealComponent, ...]:
     if isinstance(curve, ProjectiveLine):
         return (RealComponent("c0", KIND_CIRCLE, True, ((ArcEnd.neg_inf(), ArcEnd.pos_inf()),)),)
     return _hyperelliptic_components(curve)
-
-
-def _ends_at(end: ArcEnd, cuts: Sequence[Fraction], i: int) -> bool:
-    """Is the end at cut i of a line: -inf for i = -1, +inf for i = len(cuts)
-    and puncture i between?  Identity is tried before equality: a line's own
-    ends hold its punctures themselves."""
-    if end.kind == END_RATIONAL:
-        return end.index == i < len(cuts) and (end.value is cuts[i] or end.value == cuts[i])
-    return end.kind == END_NEG_INF and i == -1 or end.kind == END_POS_INF and i == len(cuts)
-
-
-def line_gap(curve: PuncturedLine, comp: RealComponent) -> int:
-    """The gap of the line that the component is, 0 left of the first
-    puncture and i + 1 right of puncture i, read from its ends' indices.  Any
-    other component, such as one of another line, the arc of P^1 or a
-    hyperelliptic one, raises UnsupportedClosure."""
-    cuts = curve.punctures
-    if comp.kind == KIND_INTERVAL and comp.branch == BRANCH_BOTH and len(comp.arcs) == 1:
-        (lo, hi), = comp.arcs
-        gap = lo.index + 1 if lo.kind == END_RATIONAL else 0
-        if _ends_at(lo, cuts, gap - 1) and _ends_at(hi, cuts, gap):
-            return gap
-    raise UnsupportedClosure(f"component {comp.id} is not a gap of the punctured line")
 
 
 def _hyperelliptic_components(curve: Hyperelliptic) -> tuple[RealComponent, ...]:
@@ -219,22 +206,18 @@ class _Locator:
     roots of f, in increasing order; a projective line has none.  Slot 2i is
     the open gap left of cut i (slot 2n the gap right of the last of n cuts)
     and slot 2i + 1 the cut itself.  ``owners`` lists, slot by slot, the
-    components holding it, in their order: an arc covers the gap right of
-    its lower end's cut, slot 2i + 2 for cut i of either kind, and holds its
-    root ends, but no rational end.  A line's components must be its gaps
-    (``line_gap``); a hyperelliptic curve's root indices are trusted.
+    curve's components holding it, in their order: an arc covers the gap
+    right of its lower end's cut, slot 2i + 2 for cut i of either kind, and
+    holds its root ends, but no rational end.
     """
 
-    def __init__(self, curve: CurveModel, components: Sequence[RealComponent]):
-        self.components = components
+    def __init__(self, curve: CurveModel):
         self.punctures: Sequence[Fraction] = ()
         self.intervals: Sequence[IsolatingInterval] = ()
         self.left_signs: list[int] = []     # the sign of f just left of each root
         if isinstance(curve, PuncturedLine):
             self.punctures = curve.punctures
             n = len(self.punctures)
-            for comp in components:
-                line_gap(curve, comp)
         elif isinstance(curve, Hyperelliptic):
             self.intervals = curve.root_intervals
             n = len(self.intervals)
@@ -246,7 +229,7 @@ class _Locator:
             n = 0
         self.his = [iv.hi for iv in self.intervals]
         self.owners: list[list[RealComponent]] = [[] for _ in range(2 * n + 1)]
-        for comp in components:
+        for comp in real_components(curve):
             for lo, hi in comp.arcs:
                 gap = 0 if lo.kind == END_NEG_INF else 2 * lo.index + 2
                 self.owners[gap].append(comp)
@@ -275,20 +258,18 @@ class _Locator:
         return 2 * i if s == self.left_signs[i] else 2 * i + 2
 
 
-def component_containing(curve: CurveModel, components: Sequence[RealComponent],
-                         x, y_sign: Optional[int] = None) -> Optional[RealComponent]:
+def component_containing(curve: CurveModel, x,
+                         y_sign: Optional[int] = None) -> Optional[RealComponent]:
     """The component holding the real point with abscissa x (branch sign used
     only where the two sheets are separate components).  None when the point
     is not on the real locus.
 
     The point is found by bisection over the cuts of the curve (see
-    ``_Locator``), which is built on the first call for these components and
-    kept on the curve, so a call costs a logarithm of their number.  On a
-    punctured line, components that are not its gaps raise
-    UnsupportedClosure."""
+    ``_Locator``), which is built on the first call and kept on the curve, so
+    a call costs a logarithm of the number of components."""
     locator = curve.__dict__.get("_locator")
-    if locator is None or locator.components is not components:
-        locator = curve.__dict__["_locator"] = _Locator(curve, components)
+    if locator is None:
+        locator = curve.__dict__["_locator"] = _Locator(curve)
     for comp in locator.owners[locator.slot(Fraction(x))]:
         if comp.branch == BRANCH_BOTH or y_sign is None or (comp.branch == BRANCH_PLUS) == (y_sign > 0):
             return comp
@@ -313,15 +294,14 @@ class TwistDivisor:
         return TwistDivisor(())
 
 
-def twist_class(curve: CurveModel, components: Sequence[RealComponent],
-                divisor: TwistDivisor) -> dict[str, int]:
+def twist_class(curve: CurveModel, divisor: TwistDivisor) -> dict[str, int]:
     """Per-component twist bit: total marker multiplicity mod 2 on circles,
     always 0 on intervals (every line bundle on an interval is trivial).
     Each marker is located once, on the sheet its branch picks; one off the
     real locus raises MarkerOffComponent."""
-    bits = {comp.id: 0 for comp in components}
+    bits = {comp.id: 0 for comp in real_components(curve)}
     for marker in divisor.markers:
-        comp = component_containing(curve, components, marker.x, marker.branch)
+        comp = component_containing(curve, marker.x, marker.branch)
         if comp is None:
             raise MarkerOffComponent(f"twist point x={marker.x} is not on the real locus")
         if comp.is_circle:

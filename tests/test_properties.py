@@ -60,10 +60,8 @@ from realcycle.cycleclass import (
     gamma0_image,
     gamma_top_witness_search,
     knebusch_gamma,
-    mod2_spans_everything,
     unit_sign_vectors,
 )
-from realcycle.errors import UnsupportedClosure
 from realcycle.numeric import (
     IsolatingInterval,
     UPoly,
@@ -623,7 +621,7 @@ def test_component_containing_agrees_with_root_counts(case, points, y_sign):
     curve, roots = case
     comps = real_components(curve)
     for x in roots + located_points(curve) + points:
-        assert (component_containing(curve, comps, x, y_sign)
+        assert (component_containing(curve, x, y_sign)
                 == locate_by_counting(curve, comps, x, y_sign)), x
 
 
@@ -636,7 +634,7 @@ def test_component_containing_agrees_with_root_counts(case, points, y_sign):
 def test_locator_signs_left_of_the_roots_are_the_signs_at_the_interval_ends(case):
     # the examples take both signs of lc f and both parities of deg f
     curve, _ = case
-    locator = realcurve._Locator(curve, real_components(curve))
+    locator = realcurve._Locator(curve)
     assert locator.left_signs == [curve.f.sign_at(iv.lo) for iv in curve.root_intervals]
 
 
@@ -669,7 +667,7 @@ def test_sample_points_are_the_fraction_formula_inside_their_component(curve):
         lo, hi = comp.arcs[0]
         assert lo.kind != "rational" or lo.value < pt.x
         assert hi.kind != "rational" or pt.x < hi.value
-        assert component_containing(curve, comps, pt.x, pt.branch or None) == comp
+        assert component_containing(curve, pt.x, pt.branch or None) == comp
 
 
 # --- the witness search against the plain Fraction walk -----------------------
@@ -684,7 +682,7 @@ def heights_in_window(lo, hi, budget):
                 yield x
 
 
-def witness_by_fraction_walk(curve, comps, bits, comp, budget):
+def witness_by_fraction_walk(curve, bits, comp, budget):
     """The certificate of a circle without rational root ends, from f(x)
     evaluated as a Fraction at every candidate: the first rational square
     gives a point, else the first x with f(x) > 0 gives a conjugate pair."""
@@ -706,7 +704,7 @@ def witness_by_fraction_walk(curve, comps, bits, comp, budget):
         cycle = ZeroCycle(terms)
     if cycle is None:
         return WitnessCertificate(comp.id, STATUS_FAILED, None, {})
-    return WitnessCertificate(comp.id, status, cycle, class_of_zero_cycle(curve, comps, bits, cycle))
+    return WitnessCertificate(comp.id, status, cycle, class_of_zero_cycle(curve, bits, cycle))
 
 
 @st.composite
@@ -765,14 +763,14 @@ BENCH_OVALS = [
 def test_witness_search_agrees_with_the_fraction_walk(curve, budget):
     comps = real_components(curve)
     bits = {c.id: 0 for c in comps}
-    certs = gamma_top_witness_search(curve, comps, bits, budget)
+    certs = gamma_top_witness_search(curve, bits, budget)
     circles = [c for c in comps if c.is_circle]
     assert [c.generator for c in certs] == [c.id for c in circles]
     for cert, comp in zip(certs, circles):
         if any(end.kind == "root" and rational_root(end.interval) is not None
                for arc in comp.arcs for end in arc):
             continue        # witnessed by a rational root end, before any search
-        assert cert == witness_by_fraction_walk(curve, comps, bits, comp, budget)
+        assert cert == witness_by_fraction_walk(curve, bits, comp, budget)
 
 
 @settings(SETTINGS, max_examples=200)
@@ -821,7 +819,7 @@ def test_location_on_lines_agrees_with_end_comparisons(punctures, points, y_sign
     comps = real_components(curve)
     near = [a + d for a in punctures for d in (Fraction(-1, 10 ** 6), Fraction(1, 10 ** 6))]
     for x in punctures + near + points:
-        assert component_containing(curve, comps, x, y_sign) == locate_on_line(comps, x), x
+        assert component_containing(curve, x, y_sign) == locate_on_line(comps, x), x
 
 
 def height_search_by_fractions(f, lo, hi, budget):
@@ -1990,12 +1988,12 @@ def test_conic_certificates_equal_the_full_walk(case, budget):
     a, b = f.lc, f.eval_at(-f.coeffs[1] / (2 * f.lc))        # y^2 = a*u^2 + b
     comps = real_components(curve)
     bits = {c.id: 0 for c in comps}
-    certs = gamma_top_witness_search(curve, comps, bits, budget)
+    certs = gamma_top_witness_search(curve, bits, budget)
     for cert, comp in zip(certs, [c for c in comps if c.is_circle]):
         if any(end.kind == "root" and rational_root(end.interval) is not None
                for arc in comp.arcs for end in arc):
             continue        # witnessed by a rational root end, before any search
-        assert cert == witness_by_fraction_walk(curve, comps, bits, comp, budget)
+        assert cert == witness_by_fraction_walk(curve, bits, comp, budget)
         assert cert.obstruction in (None, cycleclass._conic_obstruction(f))
     place = cycleclass._conic_obstruction(f)
     if place is None:
@@ -2023,10 +2021,10 @@ def test_squarefree_int_of_planted_factorisations(powers, big, e, sign):
 
 @st.composite
 def lines_on_components(draw):
-    """A punctured line and its own components, possibly shuffled."""
+    """A punctured line and its own components, in order."""
     points = st.lists(st.one_of(small_fractions, wide_fractions), max_size=8, unique=True)
     curve = PuncturedLine.make(draw(points))
-    return curve, tuple(draw(st.permutations(real_components(curve))))
+    return curve, real_components(curve)
 
 
 def evaluated_signs(curve, comps):
@@ -2036,44 +2034,19 @@ def evaluated_signs(curve, comps):
     return [tuple(u.sign_at(x) for x in samples) for u in units]
 
 
-def rank_mod2(rows):
-    """Rank over F_2 of 0/1 rows, by elimination on bit masks."""
-    pivots = {}
-    for row in rows:
-        v = sum(1 << i for i, b in enumerate(row) if b % 2)
-        while v:
-            top = v.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = v
-                break
-            v ^= pivots[top]
-    return len(pivots)
-
-
 @settings(SETTINGS, max_examples=200)
 @given(lines_on_components())
 def test_unit_sign_vectors_are_the_evaluated_signs(case):
     curve, comps = case
-    assert unit_sign_vectors(curve, comps) == evaluated_signs(curve, comps)
-
-
-@settings(SETTINGS, max_examples=200)
-@given(lines_on_components())
-def test_mod2_span_agrees_with_the_evaluated_signs(case):
-    curve, comps = case
-    # <1, u> has half-signature 1 where u > 0 and 0 elsewhere; the row of
-    # <1, 1> is all ones, the negation of the row of <-1>
-    rows = [[int(s > 0) for s in row] for row in evaluated_signs(curve, comps)]
-    rows[0] = [1] * len(comps)
-    assert mod2_spans_everything(curve, comps) == (rank_mod2(rows) == len(comps))
+    assert unit_sign_vectors(curve) == evaluated_signs(curve, comps)
 
 
 @settings(SETTINGS, max_examples=200)
 @given(lines_on_components())
 def test_gamma0_generators_span_the_signature_vectors_lattice(case):
     curve, comps = case
-    image = gamma0_image(curve, comps)
-    vectors = unit_sign_vectors(curve, comps)
+    image = gamma0_image(curve)
+    vectors = unit_sign_vectors(curve)
     assert len(image.generators) == len(vectors)
     assert hermite_form(image.generators, len(comps))[0] == hermite_form(vectors, len(comps))[0]
 
@@ -2089,53 +2062,25 @@ def test_gamma0_image_evaluates_no_polynomial(monkeypatch):
     monkeypatch.setattr(UPoly, "sign_at", counted)
     for n in (0, 1, 7, 40):
         curve = PuncturedLine.make([Fraction(i * i - 30, i % 5 + 1) for i in range(n)])
-        comps = real_components(curve)
-        assert len(gamma0_image(curve, comps).generators) == n + 1
-        assert mod2_spans_everything(curve, comps)
+        assert len(gamma0_image(curve).generators) == n + 1
     assert calls == []
 
 
 def test_gamma0_cokernel_runs_no_elimination(monkeypatch):
-    for module, name in ((abgrp, "hermite_form"), (abgrp, "_smith_elimination"),
-                         (cycleclass, "hermite_form")):
-        monkeypatch.setattr(module, name, refused)
+    for name in ("hermite_form", "_smith_elimination"):
+        monkeypatch.setattr(abgrp, name, refused)
     curve = PuncturedLine.make(range(400))
     assert coker_report(gamma0_image(curve)) == (2 ** 400, 2)
 
 
 def test_own_component_rows_are_steps():
-    # t - a_i is -1 on the gaps 0..i and +1 right of them; reversing the
-    # components reverses the columns
+    # t - a_i is -1 on the gaps 0..i and +1 right of them
     for punctures in ([], [0], [Fraction(-7, 3), 0, Fraction(1, 6), 5],
                       [Fraction(i * i - 30, i % 5 + 1) for i in range(40)]):
         curve = PuncturedLine.make(punctures)
-        comps = real_components(curve)
-        rows = unit_sign_vectors(curve, comps)
+        rows = unit_sign_vectors(curve)
         k = len(curve.punctures)
         assert rows == [(-1,) * (k + 1)] + [(-1,) * (i + 1) + (1,) * (k - i) for i in range(k)]
-        reversed_rows = unit_sign_vectors(curve, comps[::-1])
-        assert reversed_rows == [row[::-1] for row in rows]
-
-
-@settings(SETTINGS, max_examples=200)
-@given(lines_on_components(), st.data())
-def test_another_lines_components_are_read_only_where_they_are_gaps(case, data):
-    # each component of another line, which shares some of the line's
-    # punctures, is read exactly when its arc is one of the line's own, and
-    # is then signed as its sample point is
-    curve, own = case
-    shared = st.sampled_from(curve.punctures) if curve.punctures else small_fractions
-    others = data.draw(st.lists(st.one_of(shared, small_fractions), max_size=8, unique=True))
-    gaps = {comp.arcs for comp in own}
-    for comp in real_components(PuncturedLine.make(others)):
-        mixed = own + (comp,)
-        if comp.arcs in gaps:
-            assert unit_sign_vectors(curve, mixed) == evaluated_signs(curve, mixed)
-            continue
-        for read in (unit_sign_vectors, gamma0_image, mod2_spans_everything,
-                     lambda line, cs: component_containing(line, cs, 0)):
-            with pytest.raises(UnsupportedClosure):
-                read(curve, mixed)
 
 
 @st.composite

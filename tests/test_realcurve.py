@@ -167,22 +167,40 @@ class TestLocation:
     def test_point_on_oval(self):
         curve = hyper(UPoly.of(1, 0, -1))
         comps = real_components(curve)
-        assert component_containing(curve, comps, Fraction(1, 2)).id == comps[0].id
-        assert component_containing(curve, comps, 1).id == comps[0].id   # root endpoint
-        assert component_containing(curve, comps, 2) is None
+        assert component_containing(curve, Fraction(1, 2)).id == comps[0].id
+        assert component_containing(curve, 1).id == comps[0].id   # root endpoint
+        assert component_containing(curve, 2) is None
 
     def test_branch_split(self):
         curve = hyper(UPoly.of(1, 0, 1))
-        comps = real_components(curve)
-        plus = component_containing(curve, comps, 0, y_sign=1)
-        minus = component_containing(curve, comps, 0, y_sign=-1)
+        plus = component_containing(curve, 0, y_sign=1)
+        minus = component_containing(curve, 0, y_sign=-1)
         assert plus.branch == "plus" and minus.branch == "minus"
 
     def test_puncture_is_off_curve(self):
         curve = PuncturedLine.make([0])
+        assert component_containing(curve, 0) is None
+        assert component_containing(curve, -3).id == "c0"
+
+    @pytest.mark.parametrize("curve, at_five_halves", [
+        (PuncturedLine.make([Fraction(-7, 3), 0, Fraction(1, 6), 5]), "c3"),
+        (ProjectiveLine(), "c0"),
+        (hyper(UPoly.of(-1, 0, 1)), "c1"),
+        (hyper(UPoly.of(1, 0, 0, 0, 1), projective=True), "c0"),
+        (hyper((UPoly.of(-1, 0, 1) * UPoly.of(-4, 0, 1)).scale(-1)), None),
+    ])
+    def test_located_components_are_the_curves_own(self, curve, at_five_halves):
+        # the components are computed once and kept on the curve; a point is
+        # located on one of them, never on an equal copy, at x = 5/2 too
+        # (right of the roots of x^2 - 1, and on the arc of P^1)
         comps = real_components(curve)
-        assert component_containing(curve, comps, 0) is None
-        assert component_containing(curve, comps, -3).id == "c0"
+        assert real_components(curve) is comps
+        for x in (Fraction(5, 2), -3, -1, 0, Fraction(1, 6), 1, Fraction(3, 2), 2, 7):
+            for y_sign in (None, 1, -1):
+                comp = component_containing(curve, x, y_sign)
+                assert comp is None or any(comp is own for own in comps), (x, y_sign)
+        comp = component_containing(curve, Fraction(5, 2))
+        assert (comp and comp.id) == at_five_halves
 
     def test_sample_points_lie_inside(self):
         cases = [
@@ -196,7 +214,7 @@ class TestLocation:
             comps = real_components(curve)
             for comp in comps:
                 pt = sample_point(comp, curve)
-                located = component_containing(curve, comps, pt.x,
+                located = component_containing(curve, pt.x,
                                                pt.branch if pt.branch else None)
                 assert located is not None and located.id == comp.id
 
@@ -216,7 +234,7 @@ class TestTwist:
     def test_single_marker_twists(self):
         curve, comps = self.unit_circle()
         div = TwistDivisor((TwistMarker(Fraction(0), 1, 1),))
-        assert twist_class(curve, comps, div) == {comps[0].id: 1}
+        assert twist_class(curve, div) == {comps[0].id: 1}
 
     def test_two_markers_cancel(self):
         curve, comps = self.unit_circle()
@@ -224,22 +242,22 @@ class TestTwist:
             TwistMarker(Fraction(0), 1, 1),
             TwistMarker(Fraction(1, 2), 1, 1),
         ))
-        assert twist_class(curve, comps, div) == {comps[0].id: 0}
+        assert twist_class(curve, div) == {comps[0].id: 0}
 
     def test_empty_divisor(self):
         curve, comps = self.unit_circle()
-        assert twist_class(curve, comps, TwistDivisor.empty()) == {comps[0].id: 0}
+        assert twist_class(curve, TwistDivisor.empty()) == {comps[0].id: 0}
 
     def test_marker_off_component(self):
         curve, comps = self.unit_circle()
         with pytest.raises(MarkerOffComponent, match="x=5 is not on the real locus"):
-            twist_class(curve, comps, TwistDivisor((TwistMarker(Fraction(5), 1, 1),)))
+            twist_class(curve, TwistDivisor((TwistMarker(Fraction(5), 1, 1),)))
 
     def test_interval_markers_stay_trivial(self):
         curve = PuncturedLine.make([0])
         comps = real_components(curve)
         div = TwistDivisor((TwistMarker(Fraction(2), 1, 1),))
-        assert twist_class(curve, comps, div) == {"c0": 0, "c1": 0}
+        assert twist_class(curve, div) == {"c0": 0, "c1": 0}
 
 
 class TestTwistedCohomology:
