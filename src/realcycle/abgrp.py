@@ -13,8 +13,8 @@ elimination either: rows with a single +-1 split off as invariant factors 1,
 a rest that is diagonal up to order and sign only has its entries made a
 divisibility chain by gcd and lcm, and only any other rest is eliminated.  A
 group computes its invariants and the Hermite basis of its relations once,
-and a lattice its Hermite basis once, with no elimination at all when its
-generators already are that basis.
+and a lattice its Hermite basis once, unless its builder stored that basis
+with it.
 
 >>> G = FgAbGroup.of_cyclics("a", "b", orders=(2, 4))
 >>> exponent(G)
@@ -86,36 +86,6 @@ def hermite_form(rows: Sequence[Sequence[int]], width: int) -> tuple[Matrix, Mat
                 basis[i] = [x - q * y for x, y in zip(b, p)]
         basis.append(p)
     return basis, pending
-
-
-def _is_hermite_basis(rows: Sequence[Sequence[int]]) -> bool:
-    """Are the rows their own row Hermite normal form, so that
-    ``hermite_form`` would return them unchanged with nothing left over?
-
-    One pass over the rows: each row's pivot (its first nonzero entry) is
-    positive and lies right of the pivot before it, and the entries above
-    each pivot lie in [0, pivot).  Only the rows with a nonzero entry past
-    their pivot can have one above a later pivot, so only they are read
-    there; a row with one nonzero entry is zero up to its pivot without a
-    look.
-    """
-    dense = []
-    col = -1
-    for row in rows:
-        col += 1
-        while col < len(row) and not row[col]:
-            col += 1
-        if col == len(row) or row[col] < 0:
-            return False
-        pivot = row[col]
-        for r in dense:
-            if not 0 <= r[col] < pivot:
-                return False
-        if len(row) - row.count(0) > 1:
-            if any(row[:col]):
-                return False
-            dense.append(row)
-    return True
 
 
 def _reduce(basis: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
@@ -439,11 +409,9 @@ class Lattice:
 
     @cached_property
     def hermite_basis(self) -> tuple[tuple[int, ...], ...]:
-        """The lattice's canonical basis, computed once.  Generators that
-        already are it (the Hermite form is unique) are taken as they are."""
-        gens = self.generators
-        basis = gens if _is_hermite_basis(gens) else hermite_form(gens, self.rank_of_ambient)[0]
-        return tuple(map(tuple, basis))
+        """The lattice's canonical basis, computed once.  A builder that knows
+        it (the Hermite form is unique) may store it here instead."""
+        return tuple(map(tuple, hermite_form(self.generators, self.rank_of_ambient)[0]))
 
 
 def contains(sub: Lattice, v: Sequence[int]) -> bool:

@@ -2,9 +2,10 @@
 
 Codimension 0 is handled through unit signature lattices: the subgroup of
 component-indexed integer vectors generated by the signature vectors of the
-unit forms <u>.  For punctured lines this subgroup is compared against the
-same-parity lattice (the all-ones vector plus twice everything), and the
-cokernel is reported exactly.
+unit forms <u>.  On a punctured line those vectors span the same-parity
+lattice (the all-ones vector plus twice everything), so the image is built
+as that lattice, with its Hermite basis, and the cokernel is reported
+exactly.
 
 Top codimension is handled constructively: for every circle generator of the
 degree-one cohomology a zero-cycle witness is searched for (rational branch
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import sub
 from typing import Iterator, Optional, Sequence, Union
 
 from .abgrp import FgAbGroup, Lattice, exponent, order_of, quotient
@@ -32,7 +32,6 @@ from .errors import (
     NegativeInput,
     PointOffCurve,
     UnsupportedClosure,
-    UnsupportedTwist,
 )
 from .numeric import UPoly, eval_homogeneous, is_rational_square, rational_root, sign_of
 from .qform import hilbert_obstruction
@@ -54,18 +53,6 @@ from .realcurve import (
 # --- codimension zero: unit signature lattices ---------------------------------
 
 
-def unit_sign_vectors(curve: PuncturedLine) -> list[tuple[int, ...]]:
-    """Signature vectors of <u> for u in {-1} and the linear units t - a, on
-    the line's own components, left to right.
-
-    No polynomial is evaluated: component g lies right of the first g
-    punctures and left of the others, so t - a_i is -1 on the first i + 1
-    components and +1 on the rest.
-    """
-    k = len(curve.punctures)
-    return [(-1,) * (k + 1)] + [(-1,) * (i + 1) + (1,) * (k - i) for i in range(k)]
-
-
 def gamma0_image(curve: PuncturedLine,
                  components: Optional[Sequence[RealComponent]] = None) -> Lattice:
     """The image of the global signature map inside H^0, as a lattice.
@@ -73,13 +60,10 @@ def gamma0_image(curve: PuncturedLine,
     The signature vectors of the unit forms span the image: sums of unit
     forms have the vector sums as signatures and <-u> realizes negation.
     Twists live on circles, and a punctured line has none, so the image is
-    always untwisted.
-
-    The generators are a unimodular change of those vectors with the same
-    span: (1,...,1), the negation of the row of <-1>, then the differences
-    r_i - r_(i+1) of adjacent rows along the chain r_0, ..., r_(k-1), <-1>
-    of the punctures' rows.  They are (1,...,1), 2*e_1, ..., 2*e_(m-1),
-    already the Hermite basis, so the lattice skips the elimination.
+    always untwisted.  On a line with k punctures <-1> is -1 everywhere and
+    t - a_i is -1 on the gaps 0..i and +1 right of them, so the image is the
+    parity lattice ``knebusch_gamma(k + 1)``, whose labels c0..ck are the
+    line's component ids; it is returned as that, with no vector built.
 
     ``components``, when given, must be the line's own ``real_components``
     (the same tuple, or one equal to it); any other raises
@@ -87,27 +71,28 @@ def gamma0_image(curve: PuncturedLine,
     that tuple.
     """
     if not isinstance(curve, PuncturedLine):
-        raise UnsupportedTwist("unit signature lattices are computed for punctured lines")
-    comps = real_components(curve)
-    if components is not None and components is not comps and tuple(components) != comps:
-        raise UnsupportedClosure("the components are not those of the punctured line")
-    minus_one, *chain = unit_sign_vectors(curve)
-    chain.append(minus_one)
-    steps = [tuple(map(sub, r, s)) for r, s in zip(chain, chain[1:])]
-    return Lattice(FgAbGroup.free(*(c.id for c in comps)), (tuple(-x for x in minus_one), *steps))
+        raise UnsupportedClosure("unit signature lattices are computed for punctured lines")
+    if components is not None:
+        comps = real_components(curve)
+        if components is not comps and tuple(components) != comps:
+            raise UnsupportedClosure("the components are not those of the punctured line")
+    return knebusch_gamma(len(curve.punctures) + 1)
 
 
 def knebusch_gamma(m: int) -> Lattice:
     """The same-parity lattice: Z*(1,...,1) + 2*Z^m.
 
     2*e_0 = 2*(1,...,1) - sum 2*e_i over i >= 1 is left out, and the
-    generators (1,...,1), 2*e_1, ..., 2*e_(m-1) are the Hermite basis.
+    generators (1,...,1), 2*e_1, ..., 2*e_(m-1) are the Hermite basis, so
+    they are stored as the lattice's basis and it runs no elimination.
     """
     if m < 1:
         raise NegativeInput("need at least one component")
     ambient = FgAbGroup.free(*(f"c{i}" for i in range(m)))
-    gens = [(1,) * m] + [(0,) * i + (2,) + (0,) * (m - 1 - i) for i in range(1, m)]
-    return Lattice(ambient, tuple(gens))
+    gens = ((1,) * m,) + tuple((0,) * i + (2,) + (0,) * (m - 1 - i) for i in range(1, m))
+    gamma = Lattice(ambient, gens)
+    gamma.__dict__["hermite_basis"] = gens
+    return gamma
 
 
 def coker_report(image: Lattice) -> tuple[Optional[int], int]:

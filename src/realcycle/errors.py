@@ -72,10 +72,6 @@ class PointOffCurve(RealCycleError):
     """A zero-cycle term uses a point that is not on the curve."""
 
 
-class UnsupportedTwist(RealCycleError):
-    """The signature-lattice computation only covers the untwisted case."""
-
-
 class NegativeInput(RealCycleError):
     """Codimension and dimension arguments must be non-negative."""
 

@@ -54,13 +54,6 @@ class MilnorPart:
             return self.value == coerce(self.ctx, 1)
         return not self.value
 
-    def describe(self) -> str:
-        if self.degree == 0:
-            return str(self.value)
-        if self.degree == 1:
-            return "{%s}" % self.value
-        return " + ".join(f"{c}*{{{a},{b}}}" for c, (a, b) in self.value) or "0"
-
 
 def _canonical_sym2(ctx: FieldCtx, terms: Sequence[tuple[int, tuple]]) -> Sym2:
     """Light normal form for sums of 2-symbols: drop symbols killed by the
@@ -82,11 +75,8 @@ def _canonical_sym2(ctx: FieldCtx, terms: Sequence[tuple[int, tuple]]) -> Sym2:
 
 
 def _milnor_zero(ctx: FieldCtx, degree: int) -> MilnorPart:
-    if degree == 0:
-        return MilnorPart(ctx, 0, 0)
-    if degree == 1:
-        return MilnorPart(ctx, 1, coerce(ctx, 1))
-    return MilnorPart(ctx, 2, ())
+    """The zero Milnor part in degree 0 or 1, where eta lands."""
+    return MilnorPart(ctx, 0, 0) if degree == 0 else MilnorPart(ctx, 1, coerce(ctx, 1))
 
 
 @dataclass(unsafe_hash=True)
@@ -138,11 +128,6 @@ def _check_compatibility(x: KmwElem) -> None:
     # finer agreement is certified by construction
     if not has_trivial_discriminant(gw_to_form(x.witt)):
         raise CompatibilityError("degree-2 Witt part must have trivial discriminant")
-
-
-def zero(ctx: FieldCtx, degree: int) -> KmwElem:
-    empty = DiagForm.empty(ctx)
-    return KmwElem(ctx, degree, _milnor_zero(ctx, degree), GWElem(empty, empty))
 
 
 def one(ctx: FieldCtx) -> KmwElem:

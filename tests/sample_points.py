@@ -5,12 +5,14 @@ from its ends alone: 0 on the whole line, one step outside a lone rational
 end or the outer end of a lone root interval, and the midpoint between two
 ends otherwise.  The library reads signs and locates points from the arc
 ends' indices; tests check those readings against the plain evaluation of a
-function at these points.
+function at these points.  ``evaluated_signs`` is that evaluation for the
+unit forms of a punctured line, the oracle for its signature image.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+from realcycle.numeric import UPoly
 from realcycle.realcurve import (
     BRANCH_MINUS,
     END_NEG_INF,
@@ -57,3 +59,10 @@ def sample_point(component: RealComponent, curve: CurveModel) -> SamplePoint:
         branch = -1 if component.branch == BRANCH_MINUS else 1
         assert curve.f.sign_at(x) > 0
     return SamplePoint(x, branch)
+
+
+def evaluated_signs(curve, comps):
+    """The signs of -1 and of each t - a at the sample points, evaluated."""
+    samples = [sample_point(c, curve).x for c in comps]
+    units = [UPoly.of(-1)] + [UPoly.of(-a, 1) for a in curve.punctures]
+    return [tuple(u.sign_at(x) for x in samples) for u in units]

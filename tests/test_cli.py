@@ -372,10 +372,10 @@ class TestCurveCommand:
             assert witness["achieved"] == {gen: hits, other: 0}
 
     def test_gamma_report_shares_one_hermite_form_and_carries_no_transforms(self, monkeypatch):
-        # the cokernel, the reported basis and the Knebusch comparison all
-        # read the image's one cached Hermite basis, which its generators
-        # already are, so no elimination runs on them; the cokernel's
-        # invariants come from the Smith diagonal alone
+        # the cokernel and the reported basis both read the Hermite basis
+        # stored with the image when it is built, so no elimination runs on
+        # its generators; the cokernel's invariants come from the Smith
+        # diagonal alone
         image = cycleclass.gamma0_image(PuncturedLine.make([0, 1, 2]))
         generators = [list(g) for g in image.generators]
         snf_calls, hermite_inputs = [], []
@@ -399,8 +399,8 @@ class TestCurveCommand:
         assert sum(1 for rows in hermite_inputs if rows == generators) == 0
 
     def test_gamma_image_and_knebusch_lattices_run_no_hermite_form(self, monkeypatch):
-        # both lattices are generated by their Hermite bases, which the
-        # lattice recognises instead of eliminating
+        # the image is the parity lattice, built with its Hermite basis
+        # stored, so neither it nor the parity lattice is eliminated
         spec = "line punctures=" + ",".join(map(str, range(40)))
         image = cycleclass.gamma0_image(parse_curve_spec(spec))
         hermite_inputs = []
@@ -946,6 +946,10 @@ SMOKE_PINS = {
         "7c2eb07c3cbb1adb06aa32b08be12db4cba57ec13c63d22e6ee101e9a73dc9bb",
     'realcycle curve --spec "hyperelliptic f=3000000000000-x^2" --budget 50':
         "4f00afdd4ec9886fce383ec585cd19a710a4a132f09747128ceb27bd2d893f98",
+    # the circle's conic coefficient 1000003 * 1000033 is past the trial
+    # division bound, so no place is proved and the witness is a pair at x = 0
+    'realcycle curve --spec "hyperelliptic f=2-1000003*1000033*x^2"':
+        "694c1164a5c8ca2297781b7416991b3d5e4681a6528e68d7d22bbf3118cf54a4",
 }
 
 
@@ -956,9 +960,10 @@ def test_smoke_pinned_output_is_unchanged(line):
     assert hashlib.sha256(out.encode()).hexdigest() == SMOKE_PINS[line]
 
 
-# SHA-256 of the stdout of three punctured-line reports, whose sign rows and
-# point location read each component's gap from its arc ends: the CI smoke
-# step's lines of 40 and 399 punctures, and fractional punctures with markers.
+# SHA-256 of the stdout of five punctured-line reports: the CI smoke step's
+# lines of 40 and 399 punctures, fractional punctures with markers, whose
+# point location reads each component's gap from its arc ends, the line with
+# no puncture (its image is Z) and the line punctured at 0 and 1.
 LINE_PINS = {
     ("--spec", "line punctures=" + ",".join(map(str, range(40)))):
         "e084b66a79ab6242becaa4dcbd17ae1796b5fc8680299f2f7229d40e682deffb",
@@ -966,10 +971,16 @@ LINE_PINS = {
         "bc24ed896cb499ebb4e3780ef5f7e379e4fd019704422daac5cfb72b650fb737",
     ("--spec", "line punctures=-7/3,0,1/6,5", "--twist", "points:(1,+),(-3,-)*2,(5/2,+)"):
         "e23731fd531cc04c96b96e57092b0ecd708d3c226c43b21f521d7839595c0a07",
+    ("--spec", "line"):
+        "cb9967a89c21738f3c945ee3b6908e817a7269e983e116e6c4cc3cd48c6a20e2",
+    ("--spec", "line punctures=0,1"):
+        "d99f66e3253708803c5adc07e1aabc65ecbca4b701eee67fba7bbe21a1fc36e9",
 }
 
 
-@pytest.mark.parametrize("argv", list(LINE_PINS), ids=["40-punctures", "399-punctures", "twisted"])
+@pytest.mark.parametrize("argv", list(LINE_PINS),
+                         ids=["40-punctures", "399-punctures", "twisted", "no-puncture",
+                              "two-punctures"])
 def test_line_report_output_is_unchanged(argv):
     code, out = run_cli("curve", *argv)
     assert code == 0

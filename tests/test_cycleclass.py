@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from realcycle import cycleclass
-from realcycle.abgrp import Lattice, contains, lattices_equal
+from realcycle.abgrp import FgAbGroup, Lattice, contains, lattices_equal
 from realcycle.cycleclass import (
     STATUS_DOUBLE,
     STATUS_EXACT,
@@ -22,14 +22,12 @@ from realcycle.cycleclass import (
     gamma_top_witness_search,
     knebusch_gamma,
     punctured_affine_report,
-    unit_sign_vectors,
 )
 from realcycle.errors import (
     BadDimension,
     NegativeInput,
     PointOffCurve,
     UnsupportedClosure,
-    UnsupportedTwist,
 )
 from realcycle.numeric import UPoly, isolate_real_roots, rational_root
 from realcycle.qform import hilbert_obstruction
@@ -39,6 +37,7 @@ from realcycle.realcurve import (
     PuncturedLine,
     real_components,
 )
+from sample_points import evaluated_signs
 
 X = UPoly.x()
 TWO_OVALS = (UPoly.of(-1, 0, 1) * UPoly.of(-4, 0, 1)).scale(-1)   # -(x^2-1)(x^2-4)
@@ -46,6 +45,13 @@ TWO_OVALS = (UPoly.of(-1, 0, 1) * UPoly.of(-4, 0, 1)).scale(-1)   # -(x^2-1)(x^2
 
 def untwisted(comps):
     return {c.id: 0 for c in comps}
+
+
+def signature_lattice(curve):
+    """The lattice spanned by the evaluated signs of the line's unit forms."""
+    comps = real_components(curve)
+    return Lattice(FgAbGroup.free(*(c.id for c in comps)),
+                   tuple(evaluated_signs(curve, comps)))
 
 
 def closure_oracle(vectors, dim, coeff_range=6):
@@ -69,7 +75,7 @@ class TestGamma0:
     def test_once_punctured_line_is_parity_lattice(self):
         curve = PuncturedLine.make([0])
         image = gamma0_image(curve)
-        assert lattices_equal(image, knebusch_gamma(2))
+        assert lattices_equal(image, signature_lattice(curve))
         assert not contains(image, (1, 0))
         assert contains(image, (3, 1))
         assert coker_report(image) == (2, 2)
@@ -80,8 +86,8 @@ class TestGamma0:
         order, exp = coker_report(image)
         assert (order, exp) == (4, 2)
 
-        # brute-force closure over the four unit sign vectors
-        vectors = unit_sign_vectors(curve)
+        # brute-force closure over the four evaluated unit sign vectors
+        vectors = evaluated_signs(curve, real_components(curve))
         vectors.append(tuple(-v for v in vectors[0]))   # <1> alongside <-1>
         points = closure_oracle(vectors, 3)
         classes = []
@@ -99,8 +105,9 @@ class TestGamma0:
         assert max(orders) == 2
 
     def test_only_punctured_lines(self):
-        with pytest.raises(UnsupportedTwist):
-            gamma0_image(ProjectiveLine())
+        for curve in (ProjectiveLine(), Hyperelliptic(UPoly.of(1, 0, -1))):
+            with pytest.raises(UnsupportedClosure):
+                gamma0_image(curve)
 
     def test_knebusch_equality_random(self):
         rng = random.Random(606)
@@ -110,8 +117,17 @@ class TestGamma0:
             while len(pts) < k:
                 pts.add(Fraction(rng.randint(-30, 30), rng.randint(1, 8)))
             curve = PuncturedLine.make(sorted(pts))
+            signs = signature_lattice(curve)
+            assert lattices_equal(gamma0_image(curve), signs)
+            assert lattices_equal(signs, knebusch_gamma(k + 1))
+
+    def test_image_is_the_parity_lattice_on_the_lines_components(self):
+        for punctures in ([], [0], [Fraction(-7, 3), 0, Fraction(1, 6), 5], range(40)):
+            curve = PuncturedLine.make(punctures)
+            k = len(curve.punctures)
             image = gamma0_image(curve)
-            assert lattices_equal(image, knebusch_gamma(k + 1))
+            assert image == knebusch_gamma(k + 1)
+            assert image.ambient.labels == tuple(c.id for c in real_components(curve))
 
     def test_only_the_lines_own_components_are_accepted(self):
         # the bench passes the line's own tuple, or an equal one; another
@@ -195,6 +211,25 @@ class TestClassOfZeroCycle:
             class_of_zero_cycle(self.curve, self.bits,
                                 ZeroCycle.single(RationalPoint(Fraction(0), Fraction(1))))
 
+    @pytest.mark.parametrize("curve, point, unit", [
+        # <x> vanishes at (0, 1) on y^2 = 1 - x^2
+        (Hyperelliptic(UPoly.of(1, 0, -1)), RationalPoint(Fraction(0), Fraction(1)),
+         UnitCoefficient(UPoly.x())),
+        # x = 0 is the puncture, off the locus
+        (PuncturedLine.make([0]), RationalPoint(Fraction(0)), UnitCoefficient()),
+        # a line carries no y-coordinate, and no conjugate pair
+        (PuncturedLine.make([0]), RationalPoint(Fraction(1), Fraction(1)), UnitCoefficient()),
+        (PuncturedLine.make([0]), ConjugatePair(Fraction(1)), UnitCoefficient()),
+        # f(0) = 1 is a square and f(2) = -3 is negative on y^2 = 1 - x^2
+        (Hyperelliptic(UPoly.of(1, 0, -1)), ConjugatePair(Fraction(0)), UnitCoefficient()),
+        (Hyperelliptic(UPoly.of(1, 0, -1)), ConjugatePair(Fraction(2)), UnitCoefficient()),
+    ], ids=["unit-vanishes", "off-locus", "y-on-a-line", "pair-on-a-line", "square-f",
+            "negative-f"])
+    def test_refusals(self, curve, point, unit):
+        bits = untwisted(real_components(curve))
+        with pytest.raises(PointOffCurve):
+            class_of_zero_cycle(curve, bits, ZeroCycle.single(point, unit))
+
     def test_interval_point_contributes_zero(self):
         # x^3 - x, affine: an oval over [-1, 0] and an interval over [1, oo);
         # the places over x = 2 (f = 6) and the branch point (1, 0) sit on
@@ -250,6 +285,17 @@ class TestWitnessSearch:
         assert certs[0].achieved[certs[0].generator] == 2
         # the proof: (-1, 3)_2 = -1, so x^2 + y^2 = 3 has no point over Q_2
         assert certs[0].obstruction == 2
+
+    def test_conic_past_the_factorisation_limit_falls_back_to_a_pair(self):
+        # y^2 = 2 - 1000003*1000033*x^2: the coefficient's two prime factors
+        # are past trial division, so no place is proved and the search ends
+        # in the conjugate pair over x = 0
+        f = UPoly.of(2, 0, -1000003 * 1000033)
+        assert cycleclass._conic_obstruction(f) is None
+        certs = gamma_top_witness_search(Hyperelliptic(f))
+        assert [c.status for c in certs] == [STATUS_DOUBLE]
+        assert certs[0].obstruction is None
+        assert certs[0].witness.terms[0].point == ConjugatePair(Fraction(0))
 
     def test_insoluble_conic_stops_after_height_one(self, monkeypatch):
         # the walk calls gcd once per sieve survivor; y^2 = 3 - x^2 is proved

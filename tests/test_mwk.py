@@ -18,7 +18,6 @@ from realcycle.mwk import (
     one,
     product,
     symbol,
-    zero,
 )
 from realcycle.numeric import UPoly
 from realcycle.qform import (
@@ -137,7 +136,15 @@ class TestProduct:
         assert symbol(f7, 3, 4).milnor.is_zero()
         assert symbol(f7, 3, 3).milnor.value == ((1, (3, 3)),)
         assert add(symbol(f7, 3), symbol(f7, 5)).milnor.value == 1
-        assert symbol(f7, 3).milnor.describe() == "{3}"
+
+    def test_degree_two_sums_merge_in_a_stable_order(self):
+        # {2,3} + {5,7} is the same two-term sum either way round, sorted by
+        # the entries, and a symbol added to itself merges into coefficient 2
+        x, y = symbol(RATIONALS, 2, 3), symbol(RATIONALS, 5, 7)
+        two, three, five, seven = (Fraction(n) for n in (2, 3, 5, 7))
+        assert add(x, y).milnor.value == add(y, x).milnor.value \
+            == ((1, (two, three)), (1, (five, seven)))
+        assert add(x, x).milnor.value == ((2, (two, three)),)
 
     def test_steinberg_product_is_zero(self):
         a = Fraction(7)
@@ -172,8 +179,8 @@ class TestCompare:
         assert compare(x, y) is Comparison.DISTINCT
 
     def test_equal_zero_elements(self):
-        a = zero(RATIONALS, 0)
-        b = add(integer(RATIONALS, 0), zero(RATIONALS, 0))
+        a = integer(RATIONALS, 0)
+        b = add(integer(RATIONALS, 0), integer(RATIONALS, 0))
         assert compare(a, b) is Comparison.EQUAL
 
     @pytest.mark.parametrize("x, y", [

@@ -29,7 +29,6 @@ from realcycle.abgrp import (
     FgAbGroup,
     GroupMap,
     Lattice,
-    _is_hermite_basis,
     cokernel_presentation,
     contains,
     exponent,
@@ -60,7 +59,6 @@ from realcycle.cycleclass import (
     gamma0_image,
     gamma_top_witness_search,
     knebusch_gamma,
-    unit_sign_vectors,
 )
 from realcycle.numeric import (
     IsolatingInterval,
@@ -113,7 +111,7 @@ from realcycle.realcurve import (
     component_containing,
     real_components,
 )
-from sample_points import sample_point
+from sample_points import evaluated_signs, sample_point
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -232,49 +230,6 @@ def test_lattice_basis_is_canonical(case):
     ambient = FgAbGroup.free(*(f"e{i}" for i in range(dim)))
     assert lattice_basis(Lattice(ambient, tuple(map(tuple, gens)))) == \
         lattice_basis(Lattice(ambient, tuple(map(tuple, mixed))))
-
-
-@st.composite
-def near_hermite_rows(draw):
-    """A small integer matrix: raw generators, or a Hermite basis left as it
-    is or spoiled in one place (a zero row, a negated pivot, an entry above a
-    pivot pushed out of [0, pivot), a repeated row, two rows swapped)."""
-    dim, gens = draw(generator_sets())
-    if draw(st.booleans()):
-        return dim, gens
-    rows = hermite_form(gens, dim)[0]
-    spoil = draw(st.sampled_from(["none", "zero", "negate", "above", "repeat", "swap"]))
-    if spoil == "zero":
-        rows.insert(draw(st.integers(0, len(rows))), [0] * dim)
-    elif rows and spoil in ("negate", "repeat"):
-        i = draw(st.integers(0, len(rows) - 1))
-        if spoil == "negate":
-            rows[i] = [-x for x in rows[i]]
-        else:
-            rows.insert(i, list(rows[i]))
-    elif len(rows) > 1 and spoil in ("above", "swap"):
-        i, j = sorted(draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2,
-                                    unique=True)))
-        if spoil == "above":
-            c = draw(st.sampled_from([-2, -1, 1, 2]))
-            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-        else:
-            rows[i], rows[j] = rows[j], rows[i]
-    return dim, rows
-
-
-@settings(SETTINGS, max_examples=300)
-@given(near_hermite_rows())
-def test_hermite_basis_recognizer_accepts_exactly_the_fixed_points(case):
-    dim, rows = case
-    assert _is_hermite_basis(rows) == (hermite_form(rows, dim) == (rows, []))
-
-
-@SETTINGS
-@given(generator_sets())
-def test_hermite_basis_recognizer_accepts_every_hermite_basis(case):
-    dim, gens = case
-    assert _is_hermite_basis(hermite_form(gens, dim)[0])
 
 
 def det_bareiss(m):
@@ -2027,26 +1982,12 @@ def lines_on_components(draw):
     return curve, real_components(curve)
 
 
-def evaluated_signs(curve, comps):
-    """The signs of -1 and of each t - a at the sample points, evaluated."""
-    samples = [sample_point(c, curve).x for c in comps]
-    units = [UPoly.of(-1)] + [UPoly.of(-a, 1) for a in curve.punctures]
-    return [tuple(u.sign_at(x) for x in samples) for u in units]
-
-
-@settings(SETTINGS, max_examples=200)
-@given(lines_on_components())
-def test_unit_sign_vectors_are_the_evaluated_signs(case):
-    curve, comps = case
-    assert unit_sign_vectors(curve) == evaluated_signs(curve, comps)
-
-
 @settings(SETTINGS, max_examples=200)
 @given(lines_on_components())
 def test_gamma0_generators_span_the_signature_vectors_lattice(case):
     curve, comps = case
     image = gamma0_image(curve)
-    vectors = unit_sign_vectors(curve)
+    vectors = evaluated_signs(curve, comps)
     assert len(image.generators) == len(vectors)
     assert hermite_form(image.generators, len(comps))[0] == hermite_form(vectors, len(comps))[0]
 
@@ -2071,16 +2012,6 @@ def test_gamma0_cokernel_runs_no_elimination(monkeypatch):
         monkeypatch.setattr(abgrp, name, refused)
     curve = PuncturedLine.make(range(400))
     assert coker_report(gamma0_image(curve)) == (2 ** 400, 2)
-
-
-def test_own_component_rows_are_steps():
-    # t - a_i is -1 on the gaps 0..i and +1 right of them
-    for punctures in ([], [0], [Fraction(-7, 3), 0, Fraction(1, 6), 5],
-                      [Fraction(i * i - 30, i % 5 + 1) for i in range(40)]):
-        curve = PuncturedLine.make(punctures)
-        rows = unit_sign_vectors(curve)
-        k = len(curve.punctures)
-        assert rows == [(-1,) * (k + 1)] + [(-1,) * (i + 1) + (1,) * (k - i) for i in range(k)]
 
 
 @st.composite
