@@ -6,13 +6,14 @@ one row per generator, so each column is a relation; column j of a
 read as vectors (``relation_columns`` and ``images``), computed once.  Every
 lattice question (membership, bases, equality, kernels, exactness of
 complexes) is one use of a row Hermite normal form, computed with
-arbitrary-precision integers.  The Smith normal form alternates row and
-column Hermite forms until a pass leaves the matrix diagonal.  A group's
-invariant factors and exponent need no transforms, and most need no Smith
-elimination either: rows with a single +-1 split off as invariant factors 1,
-a rest that is diagonal up to order and sign only has its entries made a
-divisibility chain by gcd and lcm, and only any other rest is eliminated.  A
-group computes its invariants and the Hermite basis of its relations once,
+arbitrary-precision integers.  Smith forms have two jobs.  A group's
+invariant factors and exponent need no transforms and no Hermite pass: rows
+with a single +-1 split off as invariant factors 1, any other rest that is
+not diagonal up to order and sign is diagonalized by pivoting on a least
+entry, and one gcd/lcm fix-up makes the diagonal a divisibility chain.  Only
+``smith_normal_form``, which returns the transforms U and V, alternates row
+and column Hermite forms until a pass leaves the matrix diagonal.  A group
+computes its invariants and the Hermite basis of its relations once,
 and a lattice its Hermite basis once, unless its builder stored that basis
 with it.
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
@@ -107,10 +109,6 @@ def _with_identity(rows: Sequence[Sequence[int]]) -> Matrix:
 
 def _row_form(a: Matrix, t: Matrix, width: int) -> tuple[Matrix, Matrix]:
     """Hermite form of the rows of a, applying the same row operations to t."""
-    if t and not t[0]:
-        # nothing is carried: the rows go to hermite_form as they are
-        basis, rest = hermite_form(a, width)
-        return basis + rest, t
     basis, rest = hermite_form([x + y for x, y in zip(a, t)], width)
     out = basis + rest
     return [r[:width] for r in out], [r[width:] for r in out]
@@ -187,17 +185,57 @@ def _diagonal_entries(rows: Sequence[Sequence[int]]) -> Optional[list[int]]:
     return entries
 
 
+def _diagonalize(rows: Sequence[Sequence[int]]) -> list[int]:
+    """|d| for each nonzero entry d of a diagonal form of the rows, reached by
+    unimodular row and column operations.
+
+    The pivot is a least nonzero |entry|.  Row operations reduce the rest of
+    its column to remainders of at most half its size; once the column is
+    clear, column operations do the same to the rest of its row, which then
+    touch no other row.  When both are clear the pivot is set aside, and its
+    row, its column and any zero rows go.  Otherwise a remainder is smaller
+    than the pivot, so the next least entry is too, and the pivots shrink
+    until one clears.  No transforms are carried, and nothing makes the
+    entries a divisibility chain.
+    """
+    a = [list(r) for r in rows if any(r)]
+    entries = []
+    while a:
+        least = min(filter(None, map(abs, chain.from_iterable(a))))
+        at = next(i for i, r in enumerate(a) if least in r or -least in r)
+        piv = a[at]
+        j = piv.index(least) if least in piv else piv.index(-least)
+        p = piv[j]
+        clear = True
+        for r in a:
+            if r is not piv and r[j]:
+                q = (2 * r[j] + p) // (2 * p)
+                r[:] = [x - q * y for x, y in zip(r, piv)]
+                clear = clear and not r[j]
+        if clear:
+            for k, x in enumerate(piv):
+                if x and k != j:
+                    piv[k] = x - (2 * x + p) // (2 * p) * p
+                    clear = clear and not piv[k]
+        if clear:
+            entries.append(least)
+            del a[at]
+            for r in a:
+                del r[j]
+        a = [r for r in a if any(r)]
+    return entries
+
+
 def _smith_elimination(m: Sequence[Sequence[int]], u: Matrix,
                        vt: Matrix) -> tuple[Matrix, Matrix, Matrix, tuple[int, ...]]:
     """Bring m to Smith form D; returns (D, u, vt, diagonal of D), the blocks
-    after the same operations.
+    after the same operations.  Only ``smith_normal_form`` runs it.
 
     A row Hermite form and a column Hermite form alternate until the matrix is
     diagonal; where d_i does not divide d_j, column j is added to column i
     and the forms run again.  Row operations are applied to the carried block
     u (one row per row of m), column operations to vt (one row per column of
     m, so V transposed: a column operation on m is a row operation on vt).
-    Either block may have width 0, when only the diagonal is wanted.
 
     A column pass that leaves the matrix diagonal ends the passes: its pivots
     are positive and come first, so a row pass would find one live row per
@@ -230,9 +268,9 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SNF:
 
     Returns (D, U, V) with U*M*V = D, the diagonal non-negative with each entry
     dividing the next, and det(U), det(V) = +-1.  U and V are carried through
-    the elimination as identity blocks; ``FgAbGroup.normal_form``, which
-    wants only the invariants, runs it with no blocks, on what is left after
-    its unit rows split off, and not at all on a diagonal rest.
+    the alternating Hermite passes of ``_smith_elimination`` as identity
+    blocks.  ``FgAbGroup.normal_form``, which wants only the invariants, runs
+    neither: it diagonalizes by pivoting (``_diagonalize``).
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -322,10 +360,12 @@ class FgAbGroup:
 
         Rows with a single +-1 split off first, as invariant factors 1
         (``_split_unit_rows``).  A rest that is diagonal up to order and sign
-        goes straight to the fix-up that replaces each pair d_i, d_j that
-        ``_first_stray`` finds by their gcd and lcm; only any other rest runs
-        the alternating Hermite passes of ``_smith_elimination``.  The split
-        does no arithmetic on purpose: eliminating every +-1 pivot by a Schur
+        gives its entries as they stand (``_diagonal_entries``), and any other
+        rest is diagonalized by pivoting on a least entry (``_diagonalize``).
+        Either diagonal then goes through one fix-up that replaces each pair
+        d_i, d_j that ``_first_stray`` finds by their gcd and lcm, which
+        leaves the Smith invariants.  No Hermite pass runs.  The split does no
+        arithmetic on purpose: eliminating every +-1 pivot by a Schur
         complement fills dense matrices in and is slower on them.
         """
         if not self.relations or not self.relations[0]:
@@ -333,14 +373,12 @@ class FgAbGroup:
         units, rest = _split_unit_rows(self.relations)
         diagonal = _diagonal_entries(rest)
         if diagonal is None:
-            diagonal = _smith_elimination(rest, [[] for _ in rest], [[] for _ in rest[0]])[3]
-        else:
-            while (stray := _first_stray(diagonal)) is not None:
-                i, j = stray
-                g = gcd(diagonal[i], diagonal[j])
-                diagonal[i], diagonal[j] = g, diagonal[i] // g * diagonal[j]
-        torsion = tuple(d for d in diagonal if d not in (0, 1))
-        return self.n_generators - units - sum(1 for d in diagonal if d != 0), torsion
+            diagonal = _diagonalize(rest)
+        while (stray := _first_stray(diagonal)) is not None:
+            i, j = stray
+            g = gcd(diagonal[i], diagonal[j])
+            diagonal[i], diagonal[j] = g, diagonal[i] // g * diagonal[j]
+        return self.n_generators - units - len(diagonal), tuple(d for d in diagonal if d != 1)
 
 
 def free_rank(g: FgAbGroup) -> int:
@@ -483,6 +521,15 @@ class GroupMap:
         """The images of the source generators (the matrix's columns), computed once."""
         return _transpose(self.matrix, self.source.n_generators)
 
+    @cached_property
+    def kernel_generators(self) -> Matrix:
+        """Generators of the source vectors that f carries into the target
+        relations, computed once: they present the kernel and the image, and
+        they hold the source relations, since construction checked that f
+        carries those into the target relations."""
+        tgt = self.target
+        return preimage_lattice(self.images, tgt.relation_columns, tgt.n_generators)
+
     @staticmethod
     def make(source: FgAbGroup, target: FgAbGroup, matrix: Sequence[Sequence[int]]) -> "GroupMap":
         return GroupMap(source, target, tuple(tuple(r) for r in matrix))
@@ -499,13 +546,9 @@ class GroupMap:
 
 
 def kernel_presentation(f: GroupMap) -> tuple[FgAbGroup, GroupMap]:
-    """Present Ker f and return it with its inclusion into the source.
-
-    The preimage of the target relations already holds the source relations,
-    since ``GroupMap`` checks that f carries them into the target relations.
-    """
-    src, tgt = f.source, f.target
-    gens = preimage_lattice(f.images, tgt.relation_columns, tgt.n_generators)
+    """Present Ker f and return it with its inclusion into the source."""
+    src = f.source
+    gens = f.kernel_generators
     rels = preimage_lattice(gens, src.relation_columns, src.n_generators)
     ker = _presented(tuple(f"k{i}" for i in range(len(gens))), rels)
     return ker, GroupMap.make(ker, src, _transpose(gens, src.n_generators))
@@ -513,9 +556,7 @@ def kernel_presentation(f: GroupMap) -> tuple[FgAbGroup, GroupMap]:
 
 def image_presentation(f: GroupMap) -> FgAbGroup:
     """Im f presented as source/kernel (the first isomorphism theorem)."""
-    tgt = f.target
-    return _presented(f.source.labels,
-                      preimage_lattice(f.images, tgt.relation_columns, tgt.n_generators))
+    return _presented(f.source.labels, f.kernel_generators)
 
 
 def cokernel_presentation(f: GroupMap) -> FgAbGroup:
@@ -540,9 +581,7 @@ def check_exact(maps: Sequence[GroupMap]) -> ExactnessReport:
         node = into.target
         dim = node.n_generators
         im_gens = into.images + node.relation_columns
-        # holds node.relation_columns, as in kernel_presentation
-        ker_gens = preimage_lattice(outof.images, outof.target.relation_columns,
-                                    outof.target.n_generators)
-        if hermite_form(ker_gens, dim)[0] != hermite_form(im_gens, dim)[0]:
+        # outof's kernel generators hold node.relation_columns too
+        if hermite_form(outof.kernel_generators, dim)[0] != hermite_form(im_gens, dim)[0]:
             return ExactnessReport(False, i)
     return ExactnessReport(True, None)

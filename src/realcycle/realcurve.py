@@ -37,7 +37,7 @@ class PuncturedLine:
 
     @staticmethod
     def make(punctures: Sequence = ()) -> "PuncturedLine":
-        pts = sorted(Fraction(p) for p in punctures)
+        pts = sorted(p if type(p) is Fraction else Fraction(p) for p in punctures)
         for a, b in zip(pts, pts[1:]):
             if a == b:
                 raise UnsupportedClosure("punctures must be distinct")

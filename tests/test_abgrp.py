@@ -4,6 +4,7 @@ from math import gcd, lcm
 
 import pytest
 
+from realcycle import abgrp
 from realcycle.abgrp import (
     ExactnessReport,
     FgAbGroup,
@@ -235,6 +236,26 @@ class TestGroupMap:
         rels = list(g.relation_columns)
         assert lattices_equal(Lattice(free, tuple(incl.images) + tuple(rels)),
                               Lattice(free, ((2, 0), (0, 3), *rels)))
+
+    def test_a_map_computes_its_kernel_generators_once(self, monkeypatch):
+        # the image, the kernel and exactness at the map's source all read
+        # one preimage of the target relations
+        g = FgAbGroup.of_cyclics("a", "b", orders=(4, 6))
+        into, mul = GroupMap.scalar(g, 3), GroupMap.scalar(g, 2)
+        image, (ker, _) = image_presentation(mul), kernel_presentation(mul)
+        report = check_exact([into, mul])
+        calls = []
+        original = abgrp.preimage_lattice
+
+        def counted(images, *args):
+            calls.append([list(v) for v in images])
+            return original(images, *args)
+
+        monkeypatch.setattr(abgrp, "preimage_lattice", counted)
+        into, mul = GroupMap.scalar(g, 3), GroupMap.scalar(g, 2)
+        assert (image_presentation(mul), kernel_presentation(mul)[0], check_exact([into, mul])) \
+            == (image, ker, report)
+        assert calls.count(mul.images) == 1
 
 
 def bockstein_row():

@@ -1,13 +1,17 @@
 """Property tests on generated inputs, each against an independent oracle.
 
 Sizes are kept small (dimension <= 5, entries <= 9, degree <= 8 and 24 for
-planted factorisations; Smith forms up to 12 x 12, and up to 41 x 41 when
-sparse; primes up to 31) so that the whole module runs in a few seconds; the
-example order is derandomised, so a run is reproducible.
+planted factorisations; Smith forms up to 12 x 12, up to 41 x 41 when
+sparse, and one dense 40 x 40 example; primes up to 31) so that the whole
+module runs in a few seconds; the example order is derandomised, so a run is
+reproducible.
 """
 
+import inspect
 import io
 import json
+import random
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations, product as cartesian, zip_longest
@@ -385,7 +389,7 @@ def refused(*args):
 def test_unit_rows_over_a_diagonal_run_no_elimination(m):
     # every unit row splits off, in any order, and leaves the diagonal block
     group = FgAbGroup(tuple(f"g{i}" for i in range(len(m))), tuple(map(tuple, m)))
-    with mock.patch.object(abgrp, "_smith_elimination", refused):
+    with mock.patch.object(abgrp, "_diagonalize", refused):
         group.normal_form
 
 
@@ -398,6 +402,79 @@ def test_a_diagonal_rest_is_fixed_up_to_a_divisibility_chain():
     assert (free_rank(group([[2, 0, 0], [0, 0, 0], [0, 0, 3]])),
             invariant_factors(group([[2, 0, 0], [0, 0, 0], [0, 0, 3]]))) == (1, (6,))
     assert invariant_factors(group([[1, 0, 0], [5, 4, 0], [7, 0, 6]])) == (2, 12)
+
+
+def dense_matrix(rows, cols, seed, bound=99):
+    rng = random.Random(seed)
+    return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+
+
+@SETTINGS
+@given(st.one_of(integer_matrices(), relation_matrices()))
+@example(dense_matrix(40, 40, 1))
+@example(dense_matrix(3, 8, 2))
+@example(dense_matrix(8, 3, 3))
+@example([[1, 2, 3], [2, 4, 6], [3, 6, 9]])                  # rank 1
+@example([[2, 4, -6], [-4, 6, 2], [2, 18, -16]])             # rank 2, third row 3 * first + second
+@example([[0, 0, 0, 0], [0, 4, 0, 6], [0, 0, 0, 0], [0, 6, 0, 8]])
+@example([[-2, 3], [5, -7]])
+@example([[-3, 6, 9], [6, -4, 10], [9, 10, -5]])
+@example([[0, -4, 6], [-4, 10, 0]])
+@example([[2, 2], [0, 3]])                                   # diagonal (2, 3) needs the fix-up
+def test_normal_form_runs_no_hermite_or_smith_pass(m):
+    diagonal = smith_normal_form(m).diagonal
+    expected = (len(m) - sum(1 for d in diagonal if d), tuple(d for d in diagonal if d not in (0, 1)))
+    group = FgAbGroup(tuple(f"g{i}" for i in range(len(m))), tuple(map(tuple, m)))
+    with mock.patch.object(abgrp, "hermite_form", refused), \
+            mock.patch.object(abgrp, "_smith_elimination", refused):
+        assert group.normal_form == expected
+
+
+def traced_diagonalize(m):
+    """Run ``abgrp._diagonalize`` on m under a line tracer.  Returns (its
+    entries, and the largest bit length of an entry of its working matrix at
+    the top of each pass).  A pivot that is not a least nonzero |entry|
+    raises AssertionError at once, in the traced call: with another pivot
+    the passes need not end."""
+    source, first = inspect.getsourcelines(abgrp._diagonalize)
+    top = first + next(i for i, line in enumerate(source) if line.strip() == "while a:")
+    chosen = first + next(i for i, line in enumerate(source) if line.strip() == "clear = True")
+    peak = 0
+
+    def local(frame, event, arg):
+        nonlocal peak
+        if event == "line" and frame.f_lineno in (top, chosen):
+            a = frame.f_locals["a"]
+            if frame.f_lineno == top:
+                peak = max([peak] + [abs(x).bit_length() for r in a for x in r])
+            else:
+                least = min(abs(x) for r in a for x in r if x)
+                assert abs(frame.f_locals["p"]) == least, "the pivot is not a least entry"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is abgrp._diagonalize.__code__ else None
+
+    outer = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        entries = abgrp._diagonalize(m)
+    finally:
+        sys.settrace(outer)
+    return entries, peak
+
+
+@SETTINGS
+@given(integer_matrices())
+@example(dense_matrix(40, 40, 1))
+@example([[-2, 3], [5, -7]])
+def test_diagonalize_pivots_on_a_least_entry_with_bounded_entries(m):
+    entries, peak = traced_diagonalize(m)
+    assert peak < 32 * max(len(m), len(m[0]))
+    # the entries are a diagonal form: their product is the product of the
+    # nonzero Smith invariants, and there are rank many
+    diagonal = [d for d in smith_normal_form(m).diagonal if d]
+    assert len(entries) == len(diagonal) and prod(entries) == prod(diagonal)
 
 
 @st.composite
@@ -2008,7 +2085,7 @@ def test_gamma0_image_evaluates_no_polynomial(monkeypatch):
 
 
 def test_gamma0_cokernel_runs_no_elimination(monkeypatch):
-    for name in ("hermite_form", "_smith_elimination"):
+    for name in ("hermite_form", "_smith_elimination", "_diagonalize"):
         monkeypatch.setattr(abgrp, name, refused)
     curve = PuncturedLine.make(range(400))
     assert coker_report(gamma0_image(curve)) == (2 ** 400, 2)

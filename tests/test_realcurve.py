@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from realcycle.abgrp import FgAbGroup, GroupMap, check_exact, free_rank, invariant_factors
-from realcycle.errors import MarkerOffComponent, NotSquareFree
+from realcycle.errors import MarkerOffComponent, NotSquareFree, UnsupportedClosure
 from realcycle.numeric import UPoly
 from realcycle.suite import ladder_cases
 from realcycle.realcurve import (
@@ -53,6 +53,15 @@ class TestPuncturedLine:
     def test_duplicate_punctures_rejected(self):
         with pytest.raises(Exception):
             PuncturedLine.make([1, 1])
+        with pytest.raises(UnsupportedClosure):
+            PuncturedLine.make([Fraction(1, 2), 0, Fraction(2, 4)])
+
+    def test_fractions_pass_through_and_others_convert(self):
+        half = Fraction(1, 2)
+        line = PuncturedLine.make([3, half, "-7/3"])
+        assert line.punctures == (Fraction(-7, 3), half, Fraction(3))
+        assert line.punctures[1] is half
+        assert all(type(p) is Fraction for p in line.punctures)
 
 
 class TestProjectiveLine:

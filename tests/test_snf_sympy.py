@@ -83,3 +83,18 @@ def test_unit_rich_invariants_match_sympy(seed):
             continue
         group = FgAbGroup(tuple(f"g{i}" for i in range(n)), tuple(map(tuple, m)))
         assert group_invariants(group) == expected_invariants(m)
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_dense_invariants_match_sympy(n):
+    """Dense n x n matrices with entries in [-99, 99], as drawn, with rows
+    scaled by 2, 3 and 6 so that torsion shows, and made rank-deficient by a
+    row that is a combination of two others."""
+    rng = random.Random(n)
+    m = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
+    scaled = [[c * x for x in row] for c, row in zip([2, 3, 6] * n, m)]
+    deficient = [row[:] for row in m]
+    deficient[-1] = [3 * x - 2 * y for x, y in zip(m[0], m[1])]
+    for rows in (m, scaled, deficient):
+        group = FgAbGroup(tuple(f"g{i}" for i in range(n)), tuple(map(tuple, rows)))
+        assert group_invariants(group) == expected_invariants(rows)
