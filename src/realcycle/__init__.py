@@ -8,9 +8,12 @@ pairs in low degrees; the topology of real loci of punctured lines, the
 projective line and hyperelliptic curves with twisted coefficient ladders;
 and the image lattices, witness certificates and exponent bounds for the
 associated cycle class maps.
-"""
 
-from . import abgrp, cycleclass, mwk, numeric, qform, realcurve
+Importing the package loads none of its submodules.  Each name in
+``__all__`` is imported on first access (``realcycle.qform``, ``from
+realcycle import abgrp``), so a process pays only for the modules it uses:
+``realcycle form`` never loads the curve and lattice modules.
+"""
 
 __all__ = [
     "abgrp",
@@ -22,3 +25,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The submodule ``name`` of ``__all__``, imported on first access; the
+    import binds it on the package, so this runs once per name."""
+    if name in __all__:
+        from importlib import import_module
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

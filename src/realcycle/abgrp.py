@@ -45,7 +45,7 @@ def identity_matrix(n: int) -> Matrix:
 
 def _transpose(m: Sequence[Sequence[int]], width: int) -> Matrix:
     """The columns of m, which has ``width`` columns, as a list of rows."""
-    return [[row[j] for row in m] for j in range(width)]
+    return list(map(list, zip(*m))) if m else [[] for _ in range(width)]
 
 
 class SNF(NamedTuple):
@@ -285,16 +285,19 @@ def _spans(basis: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]) -> 
 
 def preimage_lattice(images: Sequence[Sequence[int]], target_gens: Sequence[Sequence[int]],
                      dim: int) -> list[list[int]]:
-    """Generators of {x : sum x_j * images_j lies in the span of target_gens}.
+    """The Hermite basis of {x : sum x_j * images_j lies in the span of
+    target_gens}.
 
-    All vectors have length ``dim``.  One Hermite form of the stacked vectors
-    with an identity block carried: the rows that vanish record the integer
-    relations among the vectors, and their first len(images) coefficients
-    span the preimage.
+    All vectors have length ``dim``.  One Hermite form over dim + n columns,
+    n = len(images), of image j followed by the unit vector e_j and of each
+    target generator followed by n zeros.  The basis rows that vanish in the
+    first dim columns come last; they span the lattice's vectors (0, x), x in
+    the preimage, so their last n entries are its Hermite basis.
     """
     n = len(images)
-    _, rest = hermite_form(_with_identity(list(images) + list(target_gens)), dim)
-    return [r[dim:dim + n] for r in rest]
+    stacked = _with_identity(images) + [list(t) + [0] * n for t in target_gens]
+    basis, _ = hermite_form(stacked, dim + n)
+    return [r[dim:] for r in basis if not any(r[:dim])]
 
 
 # --- presented groups ---------------------------------------------------------
@@ -523,10 +526,11 @@ class GroupMap:
 
     @cached_property
     def kernel_generators(self) -> Matrix:
-        """Generators of the source vectors that f carries into the target
-        relations, computed once: they present the kernel and the image, and
-        they hold the source relations, since construction checked that f
-        carries those into the target relations."""
+        """The Hermite basis of the source vectors that f carries into the
+        target relations, computed once: it presents the kernel and the
+        image, and ``check_exact`` compares it with an image's basis as it
+        stands.  It holds the source relations, since construction checked
+        that f carries those into the target relations."""
         tgt = self.target
         return preimage_lattice(self.images, tgt.relation_columns, tgt.n_generators)
 
@@ -579,9 +583,9 @@ def check_exact(maps: Sequence[GroupMap]) -> ExactnessReport:
     for i in range(len(maps) - 1):
         into, outof = maps[i], maps[i + 1]
         node = into.target
-        dim = node.n_generators
         im_gens = into.images + node.relation_columns
-        # outof's kernel generators hold node.relation_columns too
-        if hermite_form(outof.kernel_generators, dim)[0] != hermite_form(im_gens, dim)[0]:
+        # outof's kernel generators are a Hermite basis, and hold
+        # node.relation_columns too
+        if outof.kernel_generators != hermite_form(im_gens, node.n_generators)[0]:
             return ExactnessReport(False, i)
     return ExactnessReport(True, None)

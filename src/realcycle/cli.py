@@ -12,6 +12,12 @@ produce byte-identical output.
 
 Exit codes: 0 success, 1 suite failure, 2 parse error, 3 precondition
 violation, 4 internal error, 141 stdout closed by its reader.
+
+The module imports only ``numeric``, ``qform`` and ``errors``, which the spec
+grammar and ``form`` need.  The functions that build curves, groups and
+bounds import ``realcurve``, ``abgrp`` and ``cycleclass`` where they use
+them, and ``cmd_suite`` imports the corpus (and with it ``mwk``), so
+building the parser or answering ``form`` loads none of them.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
-from . import abgrp, cycleclass, qform, realcurve
+from . import qform
 from .errors import (
     MarkerOffComponent,
     NotSquareFree,
@@ -34,6 +41,9 @@ from .errors import (
 )
 from .numeric import UPoly, coprime_refinement, gap_samples, isolate_coprime_roots
 from .qform import RATFUNC, DiagForm, Ordering, RatFunc
+
+if TYPE_CHECKING:
+    from . import realcurve
 
 PRECONDITION_ERRORS = (
     NotSquareFree, UnsupportedClosure, MarkerOffComponent, PointOffCurve, ZeroEntry,
@@ -228,6 +238,8 @@ def _parse_atom(toks, var):
 # --- curve and twist specs ---------------------------------------------------------
 
 def parse_curve_spec(text: str) -> realcurve.CurveModel:
+    from . import realcurve
+
     words = text.strip().split(None, 1)
     if not words:
         raise SpecParseError("empty curve spec")
@@ -285,6 +297,8 @@ def _twist_point(toks):
 
 def parse_twist_spec(text: str) -> realcurve.TwistDivisor:
     """Grammar: points:(x0,branch)[*mult],(x1,branch),...  with branch + or -."""
+    from . import realcurve
+
     if not text.startswith("points:"):
         raise SpecParseError("twist spec must start with 'points:'")
     toks = _Tokens(text[len("points:"):])
@@ -343,6 +357,8 @@ def _component_json(comp, bits):
 
 
 def _group_json(group):
+    from . import abgrp
+
     return {
         "rank": abgrp.free_rank(group),
         "torsion": list(abgrp.invariant_factors(group)),
@@ -366,6 +382,8 @@ def _bounds_json(report):
 
 
 def _witness_json(cert):
+    from . import cycleclass
+
     entry = {"generator": cert.generator, "status": cert.status, "point": None,
              "unit": None, "achieved": {k: v for k, v in sorted(cert.achieved.items())}}
     if cert.witness is not None:
@@ -382,6 +400,8 @@ def _witness_json(cert):
 # --- subcommands ---------------------------------------------------------------------
 
 def cmd_curve(args) -> int:
+    from . import abgrp, cycleclass, realcurve
+
     curve = parse_curve_spec(args.spec)
     components = realcurve.real_components(curve)
     divisor = realcurve.TwistDivisor.empty()
@@ -432,6 +452,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from . import cycleclass
+
     report = cycleclass.exponent_oracle(args.d, args.c, proper=args.proper,
                                         real_nonempty=args.real_nonempty,
                                         etale_vanishing=args.etale_vanishing)

@@ -27,7 +27,6 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .abgrp import FgAbGroup, Lattice, exponent, order_of, quotient
 from .errors import (
-    BadDimension,
     FactorizationLimit,
     NegativeInput,
     PointOffCurve,
@@ -525,41 +524,3 @@ def exponent_oracle(d: int, c: int, proper: bool = False, real_nonempty: bool = 
     return ExponentReport(d, c, proper, real_nonempty, etale_vanishing,
                           proven, conjectured, kernel,
                           sources + (SRC_CONJECTURE, kernel_src))
-
-
-# Cells where the predicted cokernel exponent is known to be attained, so the
-# prediction cannot be lowered there.  Codimension d-1 is witnessed for every
-# d >= 2 by punctured affine d-space (see punctured_affine_report); (d, c) =
-# (2, 0) is witnessed by rational surfaces whose real locus is disconnected.
-KNOWN_SHARP_CELLS: tuple[dict, ...] = (
-    {"cells": "c = d-1, every d >= 2", "exponent": 2,
-     "witness": "punctured-affine-space"},
-    {"cells": "(d, c) = (2, 0)", "exponent": 4,
-     "witness": "disconnected-rational-surface"},
-)
-
-
-@dataclass(unsafe_hash=True)
-class PuncturedAffineReport:
-    """Punctured affine d-space: the real locus is a homotopy sphere, the
-    relevant algebraic group vanishes, and the image in codimension d-1 is
-    exactly twice the topological cohomology."""
-
-    d: int
-    topological_rank: int
-    chow_group_vanishes: bool
-    image: Lattice
-    coker_order: int
-    coker_exponent: int
-    witnesses_sharpness: bool
-
-
-def punctured_affine_report(d: int) -> PuncturedAffineReport:
-    if d < 2:
-        raise BadDimension("the punctured affine computation needs d >= 2")
-    ambient = FgAbGroup.free("s")     # H^{d-1} of the (d-1)-sphere
-    image = Lattice(ambient, ((2,),))
-    order, exp = coker_report(image)
-    report = exponent_oracle(d, d - 1)
-    sharp = exp == report.conjectured_bound and exp > max(1, 2 ** (d - (d - 1) - 1))
-    return PuncturedAffineReport(d, 1, True, image, order, exp, sharp)

@@ -76,10 +76,6 @@ class NegativeInput(RealCycleError):
     """Codimension and dimension arguments must be non-negative."""
 
 
-class BadDimension(RealCycleError):
-    """The punctured affine space computation needs dimension at least two."""
-
-
 # --- command line ---
 
 class SpecParseError(RealCycleError):

@@ -190,23 +190,6 @@ def check_exponent_oracle_table():
     return True, "all cells 0 <= c, d <= 6 match the proved table"
 
 
-def check_punctured_affine():
-    got = []
-    for d in (2, 3):
-        rep = cycleclass.punctured_affine_report(d)
-        if not (rep.coker_order == 2 and rep.coker_exponent == 2 and rep.witnesses_sharpness):
-            return False, f"d={d}: coker ({rep.coker_order}, {rep.coker_exponent})"
-        if not abgrp.contains(rep.image, (2,)) or abgrp.contains(rep.image, (1,)):
-            return False, f"d={d}: image is not exactly 2Z"
-        got.append(f"d={d}: coker Z/2")
-    try:
-        cycleclass.punctured_affine_report(1)
-        return False, "d=1 must be rejected"
-    except Exception:
-        pass
-    return True, "; ".join(got)
-
-
 def _random_ratfunc_form(rng) -> qform.DiagForm:
     entries = []
     for _ in range(rng.randint(1, 4)):
@@ -462,9 +445,6 @@ CHECKS: list[tuple[str, str, Callable, float]] = [
     ("exponent-oracle-table",
      "oracle matches the proved exponent table on 0 <= c, d <= 6",
      check_exponent_oracle_table, 1.0),
-    ("punctured-affine-space",
-     "punctured affine d-space (d = 2, 3): image 2Z, cokernel exponent exactly 2",
-     check_punctured_affine, 1.0),
     ("signature-doubling",
      "tensoring with <1,1> doubles signatures: 500 forms x 10 orderings",
      check_signature_doubling, 5.0),

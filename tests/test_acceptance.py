@@ -19,7 +19,7 @@ def suite_rows() -> dict[str, SuiteRow]:
 
 def test_suite_is_complete(suite_rows):
     assert sorted(suite_rows) == sorted(IDENTS)
-    assert len(IDENTS) == 13
+    assert len(IDENTS) == 12
 
 
 @pytest.mark.parametrize("ident", IDENTS)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import realcycle
 from isolation_oracle import kernel_reads
 from realcycle import abgrp, cycleclass, numeric, qform, realcurve
 from realcycle.cli import (
@@ -37,6 +38,14 @@ def run_json(*argv):
     code, out = run_cli(*argv)
     assert code == 0, out
     return json.loads(out)
+
+
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for
+    a fresh interpreter that imports realcycle from here."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 class TestPolyParser:
@@ -807,9 +816,7 @@ class TestSuiteCommand:
     def test_closed_stdout_exits_141_quietly(self):
         # the report on 100 punctures is larger than a pipe buffer, so the
         # command is still writing it when the reader closes the pipe
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = src_env()
         spec = "line punctures=" + ",".join(map(str, range(100)))
         proc = subprocess.Popen([sys.executable, "-m", "realcycle.cli", "curve", "--spec", spec],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
@@ -820,9 +827,7 @@ class TestSuiteCommand:
         proc.stderr.close()
 
     def test_only_the_suite_command_loads_the_corpus(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = src_env()
         probe = "import sys, realcycle.cli; print('realcycle.suite' in sys.modules)"
         loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                                 env=env, timeout=60, check=True).stdout
@@ -830,7 +835,7 @@ class TestSuiteCommand:
         proc = subprocess.run([sys.executable, "-m", "realcycle.cli", "suite"],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0
-        assert proc.stdout.endswith("13/13 checks passed\n")
+        assert proc.stdout.endswith("12/12 checks passed\n")
 
     def test_injected_failure_exits_1(self, monkeypatch):
         import realcycle.suite as suite_mod
@@ -843,6 +848,49 @@ class TestSuiteCommand:
         code, out = run_cli("suite", "--filter", "negative-control")
         assert code == 1
         assert "FAIL" in out and "deliberately injected failure" in out
+
+
+# the modules that the parser and `form` never load
+UNUSED_AT_START = ("abgrp", "cycleclass", "realcurve", "mwk", "suite")
+
+
+def fresh_stdout(code: str) -> str:
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env(), timeout=60, check=True).stdout
+
+
+class TestStartUp:
+    @pytest.mark.parametrize("run, loaded", [
+        ("realcycle.cli.build_parser()", []),
+        ("realcycle.cli.main(['form', '<t-1,t>'])", []),
+        ("realcycle.cli.main(['curve', '--spec', 'line punctures=0,1'])",
+         ["abgrp", "cycleclass", "realcurve"]),
+    ], ids=["parser", "form", "curve"])
+    def test_a_command_loads_only_the_modules_it_runs(self, run, loaded):
+        probe = (f"import sys, realcycle, realcycle.cli\n{run}\n"
+                 f"print([m for m in {UNUSED_AT_START!r} if 'realcycle.' + m in sys.modules])")
+        assert fresh_stdout(probe).splitlines()[-1] == repr(loaded)
+
+    def test_the_package_imports_a_module_on_first_access(self):
+        probe = ("import sys, realcycle\n"
+                 "print('realcycle.mwk' in sys.modules, callable(realcycle.mwk.one),"
+                 " 'realcycle.mwk' in sys.modules)\n"
+                 "from realcycle import *\n"
+                 "print(sorted(realcycle.__all__) == sorted(n for n in dir() if n in realcycle.__all__))")
+        assert fresh_stdout(probe) == "False True True\nTrue\n"
+        with pytest.raises(AttributeError, match="has no attribute 'not_a_module'"):
+            realcycle.not_a_module
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--spec", "line punctures=-1,0,5/2"],
+        ["curve", "--spec", "hyperelliptic f=-(x^2-1)*(x^2-4)", "--twist", "points:(3/2,+),(-3/2,-)*2"],
+        ["bound", "--d", "2", "--c", "1"],
+    ], ids=["line", "twisted-hyperelliptic", "bound"])
+    def test_a_fresh_process_prints_what_the_loaded_one_does(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "realcycle.cli", *argv],
+                              capture_output=True, text=True, env=src_env(), timeout=60)
+        code, out = run_cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
 
 class TestBudgetConfiguration:

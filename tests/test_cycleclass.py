@@ -21,10 +21,8 @@ from realcycle.cycleclass import (
     gamma0_image,
     gamma_top_witness_search,
     knebusch_gamma,
-    punctured_affine_report,
 )
 from realcycle.errors import (
-    BadDimension,
     NegativeInput,
     PointOffCurve,
     UnsupportedClosure,
@@ -488,9 +486,7 @@ class TestExponentOracle:
         assert "refined-prediction" in rep.sources
         assert any(s != "refined-prediction" for s in rep.sources)
 
-    def test_known_sharp_cells_consistent_with_oracle(self):
-        from realcycle.cycleclass import KNOWN_SHARP_CELLS
-        assert len(KNOWN_SHARP_CELLS) == 2
+    def test_predicted_exponent_meets_the_proved_bound_in_sharp_cells(self):
         # codimension d-1: predicted exponent 2 equals the proved bound
         for d in (2, 3, 4):
             rep = exponent_oracle(d, d - 1)
@@ -498,21 +494,6 @@ class TestExponentOracle:
         # surfaces in codimension 0: predicted 4 equals the proved bound
         rep = exponent_oracle(2, 0)
         assert rep.proven_bound == rep.conjectured_bound == 4
-
-
-class TestPuncturedAffine:
-    def test_d2_and_d3(self):
-        for d in (2, 3):
-            rep = punctured_affine_report(d)
-            assert rep.topological_rank == 1
-            assert rep.chow_group_vanishes
-            assert rep.coker_order == 2 and rep.coker_exponent == 2
-            assert rep.witnesses_sharpness
-            assert contains(rep.image, (2,)) and not contains(rep.image, (1,))
-
-    def test_d1_rejected(self):
-        with pytest.raises(BadDimension):
-            punctured_affine_report(1)
 
 
 class TestEmptyLocusConsistency:

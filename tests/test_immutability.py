@@ -59,7 +59,7 @@ def test_every_module_has_value_classes():
 def test_suite_passes_under_the_guard(guarded):
     rows = run_suite()
     assert [row.ident for row in rows if not row.ok] == []
-    assert len(rows) == 13
+    assert len(rows) == 12
 
 
 @pytest.mark.parametrize("line", list(README_PINS))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from realcycle import abgrp
 from realcycle.abgrp import FgAbGroup, GroupMap, check_exact, free_rank, invariant_factors
 from realcycle.errors import MarkerOffComponent, NotSquareFree, UnsupportedClosure
 from realcycle.numeric import UPoly
@@ -324,6 +325,25 @@ class TestBocksteinLadder:
                 bits = {c.id: (1 if c.id == target else 0) for c in comps}
                 report = check_exact(bockstein_ladder(comps, bits))
                 assert report.ok, report
+
+    def test_exactness_runs_two_hermite_forms_per_interior_node(self, monkeypatch):
+        # at each of the six nodes: one for the kernel of the map out of it,
+        # which is its Hermite basis, and one for the image of the map into it
+        calls = []
+        original = abgrp.hermite_form
+
+        def counted(rows, width):
+            calls.append(width)
+            return original(rows, width)
+
+        monkeypatch.setattr(abgrp, "hermite_form", counted)
+        for comps in self.corpus():
+            circles = [c.id for c in comps if c.is_circle]
+            for bits in [untwisted(comps)] + [{c.id: int(c.id == t) for c in comps} for t in circles]:
+                maps = bockstein_ladder(comps, bits)
+                calls.clear()
+                assert check_exact(maps).ok
+                assert len(calls) == 12, (comps, bits)
 
     def test_twisted_circle_shape(self):
         comps = real_components(hyper(UPoly.of(1, 0, -1)))
