@@ -7,15 +7,15 @@ read as vectors (``relation_columns`` and ``images``), computed once.  Every
 lattice question (membership, bases, equality, kernels, exactness of
 complexes) is one use of a row Hermite normal form, computed with
 arbitrary-precision integers.  Smith forms have two jobs.  A group's
-invariant factors and exponent need no transforms and no Hermite pass: rows
-with a single +-1 split off as invariant factors 1, any other rest that is
-not diagonal up to order and sign is diagonalized by pivoting on a least
-entry, and one gcd/lcm fix-up makes the diagonal a divisibility chain.  Only
-``smith_normal_form``, which returns the transforms U and V, alternates row
-and column Hermite forms until a pass leaves the matrix diagonal.  A group
-computes its invariants and the Hermite basis of its relations once,
-and a lattice its Hermite basis once, unless its builder stored that basis
-with it.
+invariant factors and exponent need no transforms and no Hermite pass, and
+take two steps: rows whose one nonzero entry is +-1 or alone in its column
+split off with no arithmetic, whatever rows are left are diagonalized by
+pivoting on a least entry, and one gcd/lcm fix-up makes the diagonal a
+divisibility chain.  Only ``smith_normal_form``, which returns the
+transforms U and V, alternates row and column Hermite forms until a pass
+leaves the matrix diagonal.  A group computes its invariants and the
+Hermite basis of its relations once, and a lattice its Hermite basis once,
+unless its builder stored that basis with it.
 
 >>> G = FgAbGroup.of_cyclics("a", "b", orders=(2, 4))
 >>> exponent(G)
@@ -133,56 +133,48 @@ def _first_stray(diag: Sequence[int]) -> Optional[tuple[int, int]]:
     return None
 
 
-def _split_unit_rows(rows: Sequence[Sequence[int]]) -> tuple[int, Matrix]:
-    """Split off the invariant factors 1 that need no arithmetic.
+def _split(rows: Sequence[Sequence[int]]) -> tuple[list[int], Matrix]:
+    """Split off, with no arithmetic, each row whose one nonzero entry x is
+    +-1 or alone in its column: the Smith diagonal gets |x|.
 
-    A row whose one nonzero entry is +-1, in column j, clears the rest of
-    column j by row operations that change nothing else, so the matrix is
-    (1) plus the matrix without that row and column.  A split can leave a
-    row with a single unit; the rows after it are read after the split, and
-    the rows already kept are scanned again only if it touched one of them.
-    Nothing is eliminated, so nothing fills in.  Returns (how many rows were
-    split off, the other rows), with every split column set to zero in
-    them: a zero column adds only a zero to the Smith diagonal.
+    A unit in column j clears the rest of that column by row operations
+    that change nothing else; a lone entry's row and column meet nothing
+    else.  Either way the matrix is (|x|) plus the matrix without that row
+    and column, and the rest of column j is zero.  So no other column's
+    count of nonzero rows ever changes, and the counts are taken once, when
+    the first single entry other than +-1 is met.  A unit split can leave a
+    row with one nonzero entry; the rows after it are read after the split,
+    and the rows already kept are read again only if it touched one of
+    them.  Zero rows go.  Nothing is eliminated, so nothing fills in.
+    Returns (the entries split off, the nonzero rows left).
     """
     left = [list(r) for r in rows]
-    split = 0
+    lone = None
+    diagonal = []
     rescan = True
     while rescan:
         rescan = False
         keep = []
         for row in left:
-            if len(row) - row.count(0) == 1 and sum(row) in (1, -1):
-                j = row.index(sum(row))
-                rescan = rescan or any(r[j] for r in keep)
-                for r in left:
-                    r[j] = 0
-                split += 1
-            else:
+            nonzero = len(row) - row.count(0)
+            if nonzero == 1:
+                x = sum(row)
+                j = row.index(x)
+                if x in (1, -1):
+                    rescan = rescan or any(r[j] for r in keep)
+                    for r in left:
+                        r[j] = 0
+                else:
+                    if lone is None:
+                        lone = [len(c) - c.count(0) == 1 for c in zip(*left)]
+                    if not lone[j]:
+                        keep.append(row)
+                        continue
+                diagonal.append(abs(x))
+            elif nonzero:
                 keep.append(row)
         left = keep
-    return split, left
-
-
-def _diagonal_entries(rows: Sequence[Sequence[int]]) -> Optional[list[int]]:
-    """|x| for each nonzero entry x, when no row and no column holds two, or
-    None.  Such a matrix is diagonal up to the order and signs of its rows
-    and columns.  A row's one nonzero entry is its sum, and its column is
-    where that sum stands."""
-    entries = []
-    seen: set[int] = set()
-    for row in rows:
-        nonzero = len(row) - row.count(0)
-        if nonzero > 1:
-            return None
-        if nonzero:
-            x = sum(row)
-            j = row.index(x)
-            if j in seen:
-                return None
-            seen.add(j)
-            entries.append(abs(x))
-    return entries
+    return diagonal, left
 
 
 def _diagonalize(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -270,7 +262,8 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SNF:
     dividing the next, and det(U), det(V) = +-1.  U and V are carried through
     the alternating Hermite passes of ``_smith_elimination`` as identity
     blocks.  ``FgAbGroup.normal_form``, which wants only the invariants, runs
-    neither: it diagonalizes by pivoting (``_diagonalize``).
+    neither: it splits off what needs no arithmetic (``_split``) and
+    diagonalizes the rest by pivoting (``_diagonalize``).
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -361,27 +354,25 @@ class FgAbGroup:
         """(free rank, torsion invariant factors), computed once, with no
         transforms.
 
-        Rows with a single +-1 split off first, as invariant factors 1
-        (``_split_unit_rows``).  A rest that is diagonal up to order and sign
-        gives its entries as they stand (``_diagonal_entries``), and any other
-        rest is diagonalized by pivoting on a least entry (``_diagonalize``).
-        Either diagonal then goes through one fix-up that replaces each pair
-        d_i, d_j that ``_first_stray`` finds by their gcd and lcm, which
-        leaves the Smith invariants.  No Hermite pass runs.  The split does no
-        arithmetic on purpose: eliminating every +-1 pivot by a Schur
-        complement fills dense matrices in and is slower on them.
+        Two steps.  Rows whose one nonzero entry is +-1 or alone in its
+        column split off with no arithmetic (``_split``), and whatever rows
+        are left are diagonalized by pivoting on a least entry
+        (``_diagonalize``).  One fix-up then replaces each pair d_i, d_j that
+        ``_first_stray`` finds by their gcd and lcm, which leaves the Smith
+        invariants.  No Hermite pass runs.  The split does no arithmetic on
+        purpose: eliminating every +-1 pivot by a Schur complement fills
+        dense matrices in and is slower on them.
         """
         if not self.relations or not self.relations[0]:
             return self.n_generators, ()
-        units, rest = _split_unit_rows(self.relations)
-        diagonal = _diagonal_entries(rest)
-        if diagonal is None:
-            diagonal = _diagonalize(rest)
+        diagonal, rest = _split(self.relations)
+        if rest:
+            diagonal += _diagonalize(rest)
         while (stray := _first_stray(diagonal)) is not None:
             i, j = stray
             g = gcd(diagonal[i], diagonal[j])
             diagonal[i], diagonal[j] = g, diagonal[i] // g * diagonal[j]
-        return self.n_generators - units - len(diagonal), tuple(d for d in diagonal if d != 1)
+        return self.n_generators - len(diagonal), tuple(d for d in diagonal if d != 1)
 
 
 def free_rank(g: FgAbGroup) -> int:
@@ -482,8 +473,9 @@ def quotient(ambient: FgAbGroup, sub: Lattice) -> FgAbGroup:
     rank-of-sub columns rather than from the raw generators.  Transposed, the
     basis has a single nonzero entry, a pivot, in the row of the first pivot
     column, and again in the next pivot column's row once a pivot 1 has split
-    off: the parity basis (1, ..., 1), 2*e_1, ..., 2*e_(m-1) leaves
-    diag(2, ..., 2), and its quotient runs no elimination.
+    off: the parity basis (1, ..., 1), 2*e_1, ..., 2*e_(m-1) splits whole,
+    its unit and then its lone entries 2, and its quotient runs no
+    elimination.
     """
     if not ambient.is_free():
         raise RankMismatch("quotient ambient must be free")

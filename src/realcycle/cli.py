@@ -14,10 +14,11 @@ Exit codes: 0 success, 1 suite failure, 2 parse error, 3 precondition
 violation, 4 internal error, 141 stdout closed by its reader.
 
 The module imports only ``numeric``, ``qform`` and ``errors``, which the spec
-grammar and ``form`` need.  The functions that build curves, groups and
-bounds import ``realcurve``, ``abgrp`` and ``cycleclass`` where they use
-them, and ``cmd_suite`` imports the corpus (and with it ``mwk``), so
-building the parser or answering ``form`` loads none of them.
+grammar and ``form`` need.  ``parse_curve_spec`` and ``parse_twist_spec``
+import ``realcurve``, ``cmd_curve`` imports ``realcurve``, ``abgrp`` and
+``cycleclass``, ``cmd_bound`` imports ``cycleclass``, and ``cmd_suite``
+imports the corpus (and with it ``mwk``); the report helpers import nothing.
+So building the parser or answering ``form`` loads none of them.
 """
 
 from __future__ import annotations
@@ -357,12 +358,8 @@ def _component_json(comp, bits):
 
 
 def _group_json(group):
-    from . import abgrp
-
-    return {
-        "rank": abgrp.free_rank(group),
-        "torsion": list(abgrp.invariant_factors(group)),
-    }
+    rank, torsion = group.normal_form
+    return {"rank": rank, "torsion": list(torsion)}
 
 
 def _bounds_json(report):
@@ -381,15 +378,15 @@ def _bounds_json(report):
     }
 
 
-def _witness_json(cert):
-    from . import cycleclass
-
+def _witness_json(cert, rational_point):
+    """A witness certificate as JSON; ``rational_point`` is
+    ``cycleclass.RationalPoint``, which the caller has imported."""
     entry = {"generator": cert.generator, "status": cert.status, "point": None,
              "unit": None, "achieved": {k: v for k, v in sorted(cert.achieved.items())}}
     if cert.witness is not None:
         term = cert.witness.terms[0]
         pt = term.point
-        if isinstance(pt, cycleclass.RationalPoint):
+        if isinstance(pt, rational_point):
             entry["point"] = {"x": jnum(pt.x), "y": jnum(pt.y) if pt.y is not None else None}
         else:
             entry["point"] = {"x": jnum(pt.x), "conjugate_pair": True}
@@ -440,7 +437,8 @@ def cmd_curve(args) -> int:
         status = "failed"
     else:
         status = "partial"
-    report["gamma_top"] = {"status": status, "witnesses": [_witness_json(c) for c in certs]}
+    witnesses = [_witness_json(c, cycleclass.RationalPoint) for c in certs]
+    report["gamma_top"] = {"status": status, "witnesses": witnesses}
 
     proper = isinstance(curve, realcurve.ProjectiveLine) or (
         isinstance(curve, realcurve.Hyperelliptic) and curve.projective)
@@ -520,7 +518,7 @@ def cmd_form(args) -> int:
         "form": {
             "entries": [e.to_str() for e in form.entries],
             "rank": form.dim,
-            "discriminant": disc.to_str() if isinstance(disc, UPoly) else jnum(disc),
+            "discriminant": disc.to_str(),
             "signatures": signatures,
             "fundamental_power": membership,
         }

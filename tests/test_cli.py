@@ -1,12 +1,14 @@
+import builtins
 import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -892,6 +894,24 @@ class TestStartUp:
         code, out = run_cli(*argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
+    def test_a_warm_curve_report_runs_three_import_statements(self, monkeypatch):
+        # the spec parser, the twist parser and cmd_curve import what they
+        # use; the report helpers import nothing
+        argv = ["curve", "--spec", "hyperelliptic f=-(x^2-1)*(x^2-4)",
+                "--twist", "points:(3/2,+),(-3/2,-)*2"]
+        run_cli(*argv)
+        imports = []
+        real = builtins.__import__
+
+        def counted(name, globals=None, *args, **kwargs):
+            if globals is not None and globals.get("__name__") == "realcycle.cli":
+                imports.append(name)
+            return real(name, globals, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", counted)
+        run_cli(*argv)
+        assert len(imports) <= 3, imports
+
 
 class TestBudgetConfiguration:
     def test_env_variable_sets_default(self, monkeypatch):
@@ -1071,3 +1091,58 @@ def test_readme_example_output_is_unchanged(line):
     code, out = run_cli(*shlex.split(line)[1:])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == README_PINS[line]
+
+
+# The CI smoke step, read as text: its sha256sum pins and its expected exit
+# codes, run in-process, so that a pin the workflow holds is checked even
+# where the workflow cannot run.
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+PIPED_PIN = re.compile(r"""test "\$\((?:timeout \d+ )?realcycle (.+) \| sha256sum \| """
+                       r"""cut -d' ' -f1\)" = ([0-9a-f]{64})""")
+FILE_PIN = re.compile(r"""test "\$\(sha256sum < (\S+) \| cut -d' ' -f1\)" = ([0-9a-f]{64})""")
+# a line report whose punctures 0, ..., n - 1 a `python -c` writes out
+LINE_RUN = re.compile(r"""(?:timeout \d+ )?realcycle curve --spec "line punctures=\$\(python -c """
+                      r""""print\(','\.join\(str\(i\) for i in range\((\d+)\)\)\)"\)" > (\S+)""")
+EXIT_CODE = re.compile(r"realcycle (.+) && exit 1 \|\| test \$\? -eq (\d+)")
+
+
+def workflow_checks():
+    """({argv: sha256 of its stdout}, {argv: exit code}) from the workflow."""
+    lines = [line.strip() for line in WORKFLOW.read_text().splitlines()]
+    written = {m[2]: ("curve", "--spec", "line punctures=" + ",".join(map(str, range(int(m[1])))))
+               for m in map(LINE_RUN.fullmatch, lines) if m}
+    pins, exits = {}, {}
+    for line in lines:
+        if m := PIPED_PIN.fullmatch(line):
+            pins[tuple(shlex.split(m[1]))] = m[2]
+        elif m := FILE_PIN.fullmatch(line):
+            pins[written[m[1]]] = m[2]
+        elif m := EXIT_CODE.fullmatch(line):
+            exits[tuple(shlex.split(m[1]))] = int(m[2])
+        else:
+            assert "sha256sum" not in line and "exit 1" not in line, line
+    return pins, exits
+
+
+WORKFLOW_PINS, WORKFLOW_EXITS = workflow_checks()
+
+
+def test_the_workflow_pins_the_line_reports_it_writes_from_python():
+    punctures = [len(argv[-1].split(",")) for argv in WORKFLOW_PINS
+                 if argv[-1].startswith("line punctures=0,1,2,")]
+    assert sorted(punctures) == [40, 399]
+    assert all("$" not in arg for argv in [*WORKFLOW_PINS, *WORKFLOW_EXITS] for arg in argv)
+
+
+@pytest.mark.parametrize("argv", list(WORKFLOW_PINS), ids=lambda argv: WORKFLOW_PINS[argv][:8])
+def test_a_workflow_pin_matches_the_report(argv):
+    code, out = run_cli(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == WORKFLOW_PINS[argv]
+
+
+@pytest.mark.parametrize("argv", list(WORKFLOW_EXITS), ids=lambda argv: " ".join(argv))
+def test_a_workflow_exit_code_matches_the_command(argv):
+    with redirect_stderr(io.StringIO()):
+        code, _ = run_cli(*argv)
+    assert code == WORKFLOW_EXITS[argv]

@@ -393,6 +393,61 @@ def test_unit_rows_over_a_diagonal_run_no_elimination(m):
         group.normal_form
 
 
+@st.composite
+def lone_entries_beside_a_dense_block(draw):
+    """(m, the rows of m that cannot split, with the unit columns zeroed).
+
+    Rows with a single +-1 in a column of their own, each possibly with
+    entries in the unit columns before it; rows with one entry of at least 2
+    in a column of their own, some with entries in unit columns too, so
+    that they are single only after a unit split; a dense block of all
+    nonzero entries, at least two wide, which cannot split; rows with
+    entries only in unit columns, which a unit split makes zero; zero rows
+    and columns.  Rows and columns are shuffled."""
+    units = draw(st.integers(0, 6))
+    lone = draw(st.lists(st.sampled_from([x for x in range(-12, 13) if abs(x) > 1]), max_size=8))
+    dense_rows, dense_cols = draw(st.integers(0, 4)), draw(st.integers(2, 4))
+    emptied, zero_rows, zero_cols = (draw(st.integers(0, 2)) for _ in range(3))
+    cols = units + len(lone) + dense_cols + zero_cols
+    sparse = st.sampled_from([0, 0, 1, -1, 2, -3])
+    rows = []
+    for i in range(units):
+        row = [draw(sparse) for _ in range(i)] + [draw(st.sampled_from([1, -1]))]
+        rows.append(("unit", row + [0] * (cols - i - 1)))
+    for k, x in enumerate(lone):
+        row = [draw(sparse) for _ in range(units)] + [0] * (cols - units)
+        row[units + k] = x
+        rows.append(("lone", row))
+    nonzero = st.sampled_from([x for x in range(-9, 10) if x])
+    for _ in range(dense_rows):
+        row = ([draw(sparse) for _ in range(units)] + [0] * len(lone)
+               + [draw(nonzero) for _ in range(dense_cols)] + [0] * zero_cols)
+        rows.append(("dense", row))
+    for _ in range(emptied):
+        rows.append(("emptied", [draw(sparse) for _ in range(units)] + [0] * (cols - units)))
+    rows += [("zero", [0] * cols)] * zero_rows
+    rows = draw(st.permutations(rows))
+    order = draw(st.permutations(range(cols)))
+    m = [[row[j] for j in order] for _, row in rows]
+    rest = [[0 if j < units else row[j] for j in order] for kind, row in rows if kind == "dense"]
+    return m, rest
+
+
+@SETTINGS
+@given(lone_entries_beside_a_dense_block())
+@example(([[3, 2], [0, 1]], []))                  # single only once the unit splits
+@example(([[4, 0, 0], [0, 6, 6], [0, 2, 4]], [[0, 6, 6], [0, 2, 4]]))
+@example(([[0, 5, 0, 0], [1, 0, 0, 0], [7, 0, 9, 0], [2, 0, 0, 0]], []))
+def test_the_split_leaves_only_the_rows_that_cannot_split(case):
+    m, rest = case
+    group = FgAbGroup(tuple(f"g{i}" for i in range(len(m))), tuple(map(tuple, m)))
+    diagonal = smith_normal_form(m).diagonal
+    expected = (len(m) - sum(1 for d in diagonal if d), tuple(d for d in diagonal if d not in (0, 1)))
+    with mock.patch.object(abgrp, "_diagonalize", wraps=abgrp._diagonalize) as spy:
+        assert group.normal_form == expected
+    assert [[list(r) for r in call.args[0]] for call in spy.call_args_list] == ([rest] if rest else [])
+
+
 def test_a_diagonal_rest_is_fixed_up_to_a_divisibility_chain():
     def group(m):
         return FgAbGroup(tuple(f"g{i}" for i in range(len(m))), tuple(map(tuple, m)))
