@@ -464,8 +464,8 @@ def lattice_basis(sub: Lattice) -> list[list[int]]:
     return [list(b) for b in sub.hermite_basis]
 
 
-def quotient(ambient: FgAbGroup, sub: Lattice) -> FgAbGroup:
-    """Presentation of ambient/sub, keeping the generator labels.
+def quotient(sub: Lattice) -> FgAbGroup:
+    """Presentation of sub.ambient/sub, keeping the ambient's generator labels.
 
     The relations are the lattice's Hermite basis, computed once per lattice
     and shared with ``lattice_basis``, ``lattices_equal`` and ``contains``, so
@@ -475,13 +475,10 @@ def quotient(ambient: FgAbGroup, sub: Lattice) -> FgAbGroup:
     column, and again in the next pivot column's row once a pivot 1 has split
     off: the parity basis (1, ..., 1), 2*e_1, ..., 2*e_(m-1) splits whole,
     its unit and then its lone entries 2, and its quotient runs no
-    elimination.
+    elimination.  A ``Lattice`` is built only in a free ambient of its
+    generators' length, so the quotient checks nothing of its own.
     """
-    if not ambient.is_free():
-        raise RankMismatch("quotient ambient must be free")
-    if sub.rank_of_ambient != ambient.n_generators:
-        raise RankMismatch("lattice does not live in this ambient group")
-    return _presented(ambient.labels, sub.hermite_basis)
+    return _presented(sub.ambient.labels, sub.hermite_basis)
 
 
 @dataclass(unsafe_hash=True)

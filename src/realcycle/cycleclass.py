@@ -97,7 +97,7 @@ def knebusch_gamma(m: int) -> Lattice:
 def coker_report(image: Lattice) -> tuple[Optional[int], int]:
     """(order, exponent) of the quotient of the ambient by the image; order is
     None when infinite, exponent 0 likewise."""
-    q = quotient(image.ambient, image)
+    q = quotient(image)
     return order_of(q), exponent(q)
 
 

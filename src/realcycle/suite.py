@@ -3,8 +3,9 @@
 Each check pairs the package's answer with an independent oracle (explicit
 closure enumeration, construction-time knowledge of roots, brute-force coset
 walks, explicit isotropy vectors) and carries the runtime limit it must meet.
-The command line exposes these as ``realcycle suite``; the acceptance tests
-assert them one by one.
+This module is the one home of these checks: the command line runs them as
+``realcycle suite``, and ``tests/test_acceptance.py`` asserts each one, so the
+unit tests carry no copy of a check or of its oracle.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def check_exponent_oracle_table():
     for d in range(0, 7):
         for c in range(0, 7):
             plain = cycleclass.exponent_oracle(d, c)
-            flagged = cycleclass.exponent_oracle(d, c, etale_vanishing=True)
+            flagged = cycleclass.exponent_oracle(d, c, etale_vanishing=True, real_nonempty=True)
             if plain.proven_bound % plain.conjectured_bound:
                 return False, f"(d={d}, c={c}): prediction does not divide the bound"
             if c >= d and plain.proven_bound != 1:
@@ -304,7 +305,7 @@ def check_group_laws():
         sub = abgrp.image_presentation(mul)
         quo = abgrp.cokernel_presentation(mul)
         ea, eb, ec = abgrp.exponent(group), abgrp.exponent(sub), abgrp.exponent(quo)
-        if eb and ec and ea and (eb * ec) % ea:
+        if eb and ec and (not ea or (eb * ec) % ea):
             return False, f"trial {trial}: sequence law fails"
         if ea and (not eb or ea % eb or not ec or ea % ec):
             return False, f"trial {trial}: inherited exponents fail"
@@ -319,7 +320,7 @@ def check_group_laws():
         ku = abgrp.exponent(abgrp.kernel_presentation(u)[0])
         kv = abgrp.exponent(abgrp.kernel_presentation(v)[0])
         kc = abgrp.exponent(abgrp.kernel_presentation(comp)[0])
-        if (ku * kv) % kc:
+        if not (ku and kv and kc) or (ku * kv) % kc:
             return False, f"trial {trial}: kernel composition law fails"
     for trial in range(300):
         e = rng.choice([2, 3, 4, 6, 12])
@@ -338,9 +339,9 @@ def check_group_laws():
             continue
         ambient = FgAbGroup.free(*(f"e{i}" for i in range(k)))
         cols = tuple(tuple(m[i][j] for i in range(k)) for j in range(k))
-        q = abgrp.quotient(ambient, Lattice(ambient, cols))
+        q = abgrp.quotient(Lattice(ambient, cols))
         order, exp, census = _brute_quotient(m)
-        if abgrp.order_of(q) != order or abgrp.exponent(q) != exp:
+        if abgrp.order_of(q) != order or order != abs(d) or abgrp.exponent(q) != exp:
             return False, f"enumeration {done}: SNF disagrees with coset walk"
         factors = abgrp.invariant_factors(q)
         for e in range(1, order + 1):

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -108,20 +107,6 @@ class TestGwIdentity:
 
     def test_finite_field(self):
         assert gw_identity_check(finite_field(7), 3)
-
-    def test_random_rationals_and_ratfuncs(self):
-        rng = random.Random(23)
-        for _ in range(100):
-            a = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-            if a == 0:
-                continue
-            assert gw_identity_check(RATIONALS, a)
-        for _ in range(100):
-            p = UPoly.of(*(rng.randint(-3, 3) for _ in range(rng.randint(1, 3))))
-            if p.is_zero:
-                continue
-            assert gw_identity_check(RATFUNC, RatFunc.coerce(p), ratfunc_orderings())
-
 
 class TestProduct:
     def test_witt_part_is_pfister_product(self):

@@ -114,19 +114,6 @@ class TestSturmChain:
     def test_t3_minus_t(self):
         assert sturm_count(UPoly.of(0, -1, 0, 1)) == 3
 
-    def test_random_products_of_linear_factors(self):
-        rng = random.Random(20240)
-        for _ in range(100):
-            n = rng.randint(1, 6)
-            roots = set()
-            while len(roots) < n:
-                roots.add(Fraction(rng.randint(-12, 12), rng.randint(1, 8)))
-            lead = rng.choice([-3, -1, 1, 2])
-            p = UPoly.from_roots(sorted(roots), lead)
-            assert sturm_count(p) == n
-            assert len(isolate_real_roots(p)) == n
-
-
 class TestIsolateRealRoots:
     def test_t3_minus_t(self):
         ivs = isolate_real_roots(UPoly.of(0, -1, 0, 1))

@@ -177,14 +177,6 @@ class TestSignature:
             p = random_ratfunc_ordering(rng)
             assert signature(tensor(phi, psi), p) == signature(phi, p) * signature(psi, p)
 
-    def test_doubling_random(self):
-        rng = random.Random(100)
-        for _ in range(100):
-            phi = random_ratfunc_form(rng)
-            p = random_ratfunc_ordering(rng)
-            assert signature(mult_by_pfister_minus_one(phi), p) == 2 * signature(phi, p)
-
-
 class TestDiscriminant:
     def test_binary(self):
         a = Fraction(5)

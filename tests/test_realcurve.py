@@ -311,21 +311,6 @@ class TestBocksteinLadder:
             real_components(hyper(UPoly.of(-1, 0, -1))),   # empty locus
         ]
 
-    def test_untwisted_ladders_exact(self):
-        for comps in self.corpus():
-            report = check_exact(bockstein_ladder(comps, untwisted(comps)))
-            assert report.ok, report
-
-    def test_twisted_ladders_exact(self):
-        for comps in self.corpus():
-            circles = [c.id for c in comps if c.is_circle]
-            if not circles:
-                continue
-            for target in circles:
-                bits = {c.id: (1 if c.id == target else 0) for c in comps}
-                report = check_exact(bockstein_ladder(comps, bits))
-                assert report.ok, report
-
     def test_exactness_runs_two_hermite_forms_per_interior_node(self, monkeypatch):
         # at each of the six nodes: one for the kernel of the map out of it,
         # which is its Hermite basis, and one for the image of the map into it
