@@ -31,24 +31,12 @@ from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from . import qform
-from .errors import (
-    MarkerOffComponent,
-    NotSquareFree,
-    PointOffCurve,
-    RealCycleError,
-    SpecParseError,
-    UnsupportedClosure,
-    ZeroEntry,
-)
+from .errors import RealCycleError, SpecParseError
 from .numeric import UPoly, coprime_refinement, gap_samples, isolate_coprime_roots
 from .qform import RATFUNC, DiagForm, Ordering, RatFunc
 
 if TYPE_CHECKING:
     from . import realcurve
-
-PRECONDITION_ERRORS = (
-    NotSquareFree, UnsupportedClosure, MarkerOffComponent, PointOffCurve, ZeroEntry,
-)
 
 # Caps on a power in a spec (exponent and degree), whose cost grows with the
 # square of its degree, on the depth of parentheses and unary minus signs,
@@ -61,6 +49,9 @@ MAX_NESTING = 100
 MAX_DIMENSION = 1000
 MAX_DIGITS = 1000
 MAX_BUDGET = 1000
+
+# The height budget without --budget; a report depends on argv alone.
+DEFAULT_BUDGET = 50
 
 
 def _digit_run(text: str, start: int) -> int:
@@ -564,14 +555,6 @@ _budget = _bounded_int(1, MAX_BUDGET)
 _dimension = _bounded_int(0, MAX_DIMENSION)
 
 
-def _default_budget() -> int:
-    """RC_SEARCH_BUDGET when it is an integer in 1..MAX_BUDGET, else 50."""
-    try:
-        return _budget(os.environ.get("RC_SEARCH_BUDGET", "50"))
-    except argparse.ArgumentTypeError:
-        return 50
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The parser with every subcommand."""
     parser = argparse.ArgumentParser(prog="realcycle",
@@ -581,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True,
                    help='e.g. "line punctures=0,1" or "hyperelliptic f=1-x^2 projective"')
     p.add_argument("--twist", help='divisor spec "points:(x0,+)[*mult],..."')
-    p.add_argument("--budget", type=_budget, default=_default_budget(),
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                    help=f"height budget for rational point search, 1..{MAX_BUDGET}")
     p.set_defaults(func=cmd_curve)
     p = sub.add_parser("bound", help="exponent bounds for (d, c)")
@@ -617,7 +600,7 @@ def _read_direct(argv: list[str]) -> argparse.Namespace | None:
             or any(v.startswith("-") for v in pairs.values())):
         return None
     try:
-        budget = _budget(pairs["--budget"]) if "--budget" in pairs else _default_budget()
+        budget = _budget(pairs["--budget"]) if "--budget" in pairs else DEFAULT_BUDGET
     except argparse.ArgumentTypeError:
         return None
     return argparse.Namespace(command="curve", spec=pairs["--spec"], twist=pairs.get("--twist"),
@@ -641,11 +624,8 @@ def main(argv=None) -> int:
     except SpecParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except PRECONDITION_ERRORS as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return 3
     except RealCycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"precondition violated: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -38,23 +38,6 @@ from .qform import (
 Sym2 = tuple[tuple[int, tuple], ...]   # sum of coef * {a, b}
 
 
-@dataclass(unsafe_hash=True)
-class MilnorPart:
-    """Milnor K-theory component: an integer in degree 0, a unit of the field
-    in degree 1, a formal sum of 2-symbols in degree 2."""
-
-    ctx: FieldCtx
-    degree: int
-    value: Union[int, object, Sym2]
-
-    def is_zero(self) -> bool:
-        if self.degree == 0:
-            return self.value == 0
-        if self.degree == 1:
-            return self.value == coerce(self.ctx, 1)
-        return not self.value
-
-
 def _canonical_sym2(ctx: FieldCtx, terms: Sequence[tuple[int, tuple]]) -> Sym2:
     """Light normal form for sums of 2-symbols: drop symbols killed by the
     defining relations ({a,b} with an entry 1, b = 1-a, or b = -a), then merge
@@ -74,34 +57,41 @@ def _canonical_sym2(ctx: FieldCtx, terms: Sequence[tuple[int, tuple]]) -> Sym2:
     return tuple(sorted(out, key=lambda t: (repr(t[1][0]), repr(t[1][1]))))
 
 
-def _milnor_zero(ctx: FieldCtx, degree: int) -> MilnorPart:
-    """The zero Milnor part in degree 0 or 1, where eta lands."""
-    return MilnorPart(ctx, 0, 0) if degree == 0 else MilnorPart(ctx, 1, coerce(ctx, 1))
+def _milnor_zero(ctx: FieldCtx, degree: int):
+    """The zero Milnor value in degree 0, 1 or 2."""
+    return (0, coerce(ctx, 1), ())[degree]
 
 
 @dataclass(unsafe_hash=True)
 class KmwElem:
-    """A compatible (Milnor, Witt) pair in degree 0, 1 or 2."""
+    """A compatible (Milnor, Witt) pair in degree 0, 1 or 2.
 
-    ctx: FieldCtx
+    The Milnor value is an integer in degree 0, a unit of the field in
+    degree 1 and a formal sum of 2-symbols in degree 2; the field context is
+    the Witt half's.
+    """
+
     degree: int
-    milnor: MilnorPart
+    milnor: Union[int, object, Sym2]
     witt: GWElem
 
     def __post_init__(self):
         if self.degree not in (0, 1, 2):
             raise ValueError("degrees are capped at 0..2")
-        if self.milnor.degree != self.degree:
-            raise CompatibilityError("Milnor part has the wrong degree")
-        if self.witt.ctx != self.ctx:
-            raise ContextMismatch("Witt part lives over a different context")
         _check_compatibility(self)
+
+    @property
+    def ctx(self) -> FieldCtx:
+        return self.witt.ctx
 
     @property
     def rank(self) -> int:
         if self.degree != 0:
             raise ValueError("rank is only defined in degree 0")
-        return self.milnor.value
+        return self.milnor
+
+    def milnor_is_zero(self) -> bool:
+        return self.milnor == _milnor_zero(self.ctx, self.degree)
 
 
 def _witt_rank_parity(w: GWElem) -> int:
@@ -110,7 +100,7 @@ def _witt_rank_parity(w: GWElem) -> int:
 
 def _check_compatibility(x: KmwElem) -> None:
     if x.degree == 0:
-        if x.milnor.value % 2 != _witt_rank_parity(x.witt):
+        if x.milnor % 2 != _witt_rank_parity(x.witt):
             raise CompatibilityError("rank parity disagrees with the Witt class")
         return
     # for degree >= 1 the Witt class must have even rank (it lies in I)
@@ -120,7 +110,7 @@ def _check_compatibility(x: KmwElem) -> None:
         # on a form of even rank, <a> multiplies the signed discriminant by a,
         # so the symbol {a} and the Witt half share their class exactly when
         # the Witt half with <a> added has a trivial one
-        with_unit = DiagForm(x.ctx, gw_to_form(x.witt).entries + (x.milnor.value,))
+        with_unit = DiagForm(x.ctx, gw_to_form(x.witt).entries + (x.milnor,))
         if not has_trivial_discriminant(with_unit):
             raise CompatibilityError("degree-1 symbol class disagrees with the Witt discriminant")
         return
@@ -130,17 +120,12 @@ def _check_compatibility(x: KmwElem) -> None:
         raise CompatibilityError("degree-2 Witt part must have trivial discriminant")
 
 
-def one(ctx: FieldCtx) -> KmwElem:
-    return gw_unit(ctx, 1)
-
-
 def gw_unit(ctx: FieldCtx, a) -> KmwElem:
     """The rank-one element <a> of the degree-0 part."""
     a = coerce(ctx, a)
     if not a:
         raise ZeroEntry("unit forms need a nonzero entry")
-    return KmwElem(ctx, 0, MilnorPart(ctx, 0, 1),
-                   GWElem(DiagForm(ctx, (a,)), DiagForm.empty(ctx)))
+    return KmwElem(0, 1, GWElem(DiagForm(ctx, (a,)), DiagForm.empty(ctx)))
 
 
 def integer(ctx: FieldCtx, n: int) -> KmwElem:
@@ -148,7 +133,7 @@ def integer(ctx: FieldCtx, n: int) -> KmwElem:
     entries = tuple(coerce(ctx, 1) for _ in range(abs(n)))
     form = DiagForm(ctx, entries)
     plus, minus = (form, DiagForm.empty(ctx)) if n >= 0 else (DiagForm.empty(ctx), form)
-    return KmwElem(ctx, 0, MilnorPart(ctx, 0, n), GWElem(plus, minus))
+    return KmwElem(0, n, GWElem(plus, minus))
 
 
 def symbol(ctx: FieldCtx, *entries) -> KmwElem:
@@ -162,18 +147,10 @@ def symbol(ctx: FieldCtx, *entries) -> KmwElem:
     if n not in (1, 2):
         raise ValueError("symbols are supported in degrees 1 and 2")
     coerced = tuple(coerce(ctx, a) for a in entries)
-    if not all(coerced):
-        raise ZeroEntry("symbol entries must be nonzero")
     pf = pfister(ctx, *coerced)
-    if n % 2:
-        witt = GWElem(DiagForm.empty(ctx), pf)
-    else:
-        witt = GWElem(pf, DiagForm.empty(ctx))
     if n == 1:
-        milnor = MilnorPart(ctx, 1, coerced[0])
-    else:
-        milnor = MilnorPart(ctx, 2, _canonical_sym2(ctx, [(1, coerced)]))
-    return KmwElem(ctx, n, milnor, witt)
+        return KmwElem(1, coerced[0], GWElem(DiagForm.empty(ctx), pf))
+    return KmwElem(2, _canonical_sym2(ctx, [(1, coerced)]), GWElem(pf, DiagForm.empty(ctx)))
 
 
 def eta_mul(x: KmwElem) -> KmwElem:
@@ -181,7 +158,7 @@ def eta_mul(x: KmwElem) -> KmwElem:
     the inclusion of ideal powers unchanged."""
     if x.degree < 1:
         raise ValueError("eta lowers the degree; need degree >= 1")
-    return KmwElem(x.ctx, x.degree - 1, _milnor_zero(x.ctx, x.degree - 1), x.witt)
+    return KmwElem(x.degree - 1, _milnor_zero(x.ctx, x.degree - 1), x.witt)
 
 
 def add(x: KmwElem, y: KmwElem) -> KmwElem:
@@ -190,12 +167,12 @@ def add(x: KmwElem, y: KmwElem) -> KmwElem:
     if x.degree != y.degree:
         raise ValueError("cannot add elements of different degrees")
     if x.degree == 0:
-        milnor = MilnorPart(x.ctx, 0, x.milnor.value + y.milnor.value)
+        milnor = x.milnor + y.milnor
     elif x.degree == 1:
-        milnor = MilnorPart(x.ctx, 1, x.milnor.value * y.milnor.value)
+        milnor = x.milnor * y.milnor
     else:
-        milnor = MilnorPart(x.ctx, 2, _canonical_sym2(x.ctx, list(x.milnor.value) + list(y.milnor.value)))
-    return KmwElem(x.ctx, x.degree, milnor, gw_add(x.witt, y.witt))
+        milnor = _canonical_sym2(x.ctx, x.milnor + y.milnor)
+    return KmwElem(x.degree, milnor, gw_add(x.witt, y.witt))
 
 
 def product(x: KmwElem, y: KmwElem) -> KmwElem:
@@ -204,16 +181,13 @@ def product(x: KmwElem, y: KmwElem) -> KmwElem:
         raise ContextMismatch("cannot multiply over different contexts")
     if x.degree != 1 or y.degree != 1:
         raise ValueError("product is implemented for degree-1 pairs")
-    milnor = MilnorPart(x.ctx, 2, _canonical_sym2(x.ctx, [(1, (x.milnor.value, y.milnor.value))]))
-    return KmwElem(x.ctx, 2, milnor, gw_mul(x.witt, y.witt))
+    milnor = _canonical_sym2(x.ctx, [(1, (x.milnor, y.milnor))])
+    return KmwElem(2, milnor, gw_mul(x.witt, y.witt))
 
 
 def gw_identity_check(ctx: FieldCtx, a, orderings: Sequence[Ordering] = ()) -> bool:
     """Does 1 + eta*[a] have the rank and the sampled signatures of <a>?"""
-    a = coerce(ctx, a)
-    if not a:
-        raise ZeroEntry("the identity is about nonzero a")
-    lhs = add(one(ctx), eta_mul(symbol(ctx, a)))
+    lhs = add(gw_unit(ctx, 1), eta_mul(symbol(ctx, a)))
     rhs = gw_unit(ctx, a)
     if lhs.rank != rhs.rank:
         return False
@@ -239,7 +213,7 @@ def is_zero_certified(x: KmwElem, isotropy_vector: Sequence = None) -> bool:
     For a Witt half built from a single Pfister form, an explicit isotropy
     vector is an accepted certificate: an isotropic Pfister form is hyperbolic.
     """
-    if not x.milnor.is_zero():
+    if not x.milnor_is_zero():
         return False
     if witt_class_is_zero(x.witt):
         return True
@@ -257,9 +231,7 @@ def compare(x: KmwElem, y: KmwElem, orderings: Sequence[Ordering] = ()) -> Compa
     """Equality through invariants: Equal / Distinct / Indistinguishable."""
     if x.ctx != y.ctx or x.degree != y.degree:
         return Comparison.DISTINCT
-    if x.degree == 0 and x.milnor.value != y.milnor.value:
-        return Comparison.DISTINCT
-    if x.degree == 1 and x.milnor.value != y.milnor.value:
+    if x.degree < 2 and x.milnor != y.milnor:
         return Comparison.DISTINCT
     milnor_known_equal = x.milnor == y.milnor
     difference = gw_add(x.witt, GWElem(y.witt.minus, y.witt.plus))

@@ -245,7 +245,7 @@ def check_gw_identity_steinberg():
         if a in (0, 1):
             continue
         elem = mwk.symbol(RATIONALS, a, 1 - a)
-        if not elem.milnor.is_zero():
+        if not elem.milnor_is_zero():
             return False, f"Steinberg trial {trial}: Milnor part survives"
         if not mwk.is_zero_certified(elem, isotropy_vector=(1, 1, 1, 0)):
             return False, f"Steinberg trial {trial}: no vanishing certificate"

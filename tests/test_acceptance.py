@@ -80,6 +80,8 @@ FAULTS = {
         "DiagForm(ctx, (a,))", "DiagForm(ctx, (-a,))", "rational trial 0: a=-26/5"),
     "steinberg-symbol-kept": ("gw-identity-steinberg", "mwk._canonical_sym2",
         "if s == one or not s:", "if not s:", "Steinberg trial 0: Milnor part survives"),
+    "degree-2-milnor-zero-nonempty": ("gw-identity-steinberg", "mwk._milnor_zero",
+        "())[degree]", "(None,))[degree]", "Steinberg trial 0: Milnor part survives"),
     "isotropy-vector-ignored": ("gw-identity-steinberg", "mwk.is_zero_certified",
         "and is_isotropic_vector(half, isotropy_vector)", "and False",
         "Steinberg trial 1: no vanishing certificate"),

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from realcycle import mwk, qform
-from realcycle.errors import ZeroEntry
+from realcycle.errors import CompatibilityError, ZeroEntry
 from realcycle.mwk import (
     Comparison,
     KmwElem,
@@ -14,7 +14,6 @@ from realcycle.mwk import (
     gw_unit,
     integer,
     is_zero_certified,
-    one,
     product,
     symbol,
 )
@@ -24,6 +23,8 @@ from realcycle.qform import (
     RATIONALS,
     REAL_CLOSED,
     Ordering,
+    DiagForm,
+    GWElem,
     RatFunc,
     finite_field,
     gw_mul,
@@ -47,13 +48,13 @@ class TestSymbol:
 
     def test_symbol_of_one_is_zero(self):
         x = symbol(RATIONALS, 1)
-        assert x.milnor.is_zero()
+        assert x.milnor_is_zero()
         assert is_zero_certified(x)
 
     def test_steinberg_symbol_is_zero(self):
         a = Fraction(5)
         x = symbol(RATIONALS, a, 1 - a)
-        assert x.milnor.is_zero()
+        assert x.milnor_is_zero()
         assert is_zero_certified(x, isotropy_vector=(1, 1, 1, 0))
 
     def test_zero_entry_rejected(self):
@@ -65,7 +66,7 @@ class TestEta:
     def test_eta_kills_milnor(self):
         x = eta_mul(symbol(RATIONALS, 5))
         assert x.degree == 0
-        assert x.milnor.value == 0
+        assert x.milnor == 0
 
     def test_eta_witt_class(self):
         x = eta_mul(symbol(REAL_CLOSED, 5))
@@ -77,16 +78,16 @@ class TestEta:
         for a in (Fraction(3), Fraction(-2)):
             x = symbol(RATIONALS, a)
             # <-1>[a]: the Milnor half of [a], its Witt half scaled by <-1>
-            minus_x = KmwElem(RATIONALS, 1, x.milnor, gw_mul(x.witt, gw_unit(RATIONALS, -1).witt))
+            minus_x = KmwElem(1, x.milnor, gw_mul(x.witt, gw_unit(RATIONALS, -1).witt))
             lift = add(x, minus_x)
             out = eta_mul(lift)
-            assert out.milnor.value == 0
+            assert out.milnor == 0
             assert is_zero_certified(out)
 
 
 class TestGwIdentity:
     def test_minus_one_real(self):
-        lhs = add(one(REAL_CLOSED), eta_mul(symbol(REAL_CLOSED, -1)))
+        lhs = add(gw_unit(REAL_CLOSED, 1), eta_mul(symbol(REAL_CLOSED, -1)))
         rhs = gw_unit(REAL_CLOSED, -1)
         assert lhs.rank == rhs.rank == 1
         p = Ordering.archimedean()
@@ -117,24 +118,24 @@ class TestProduct:
     def test_finite_field_relations(self):
         # 3 + 5 = 1 and 3 + 4 = 0 in F_7: Steinberg and {a, -a}
         f7 = finite_field(7)
-        assert symbol(f7, 3, 5).milnor.is_zero()
-        assert symbol(f7, 3, 4).milnor.is_zero()
-        assert symbol(f7, 3, 3).milnor.value == ((1, (3, 3)),)
-        assert add(symbol(f7, 3), symbol(f7, 5)).milnor.value == 1
+        assert symbol(f7, 3, 5).milnor_is_zero()
+        assert symbol(f7, 3, 4).milnor_is_zero()
+        assert symbol(f7, 3, 3).milnor == ((1, (3, 3)),)
+        assert add(symbol(f7, 3), symbol(f7, 5)).milnor == 1
 
     def test_degree_two_sums_merge_in_a_stable_order(self):
         # {2,3} + {5,7} is the same two-term sum either way round, sorted by
         # the entries, and a symbol added to itself merges into coefficient 2
         x, y = symbol(RATIONALS, 2, 3), symbol(RATIONALS, 5, 7)
         two, three, five, seven = (Fraction(n) for n in (2, 3, 5, 7))
-        assert add(x, y).milnor.value == add(y, x).milnor.value \
+        assert add(x, y).milnor == add(y, x).milnor \
             == ((1, (two, three)), (1, (five, seven)))
-        assert add(x, x).milnor.value == ((2, (two, three)),)
+        assert add(x, x).milnor == ((2, (two, three)),)
 
     def test_steinberg_product_is_zero(self):
         a = Fraction(7)
         x = product(symbol(RATIONALS, a), symbol(RATIONALS, 1 - a))
-        assert x.milnor.is_zero()
+        assert x.milnor_is_zero()
         assert is_zero_certified(x, isotropy_vector=(1, 1, 1, 0))
 
     def test_square_symbol_relation(self):
@@ -152,7 +153,7 @@ class TestProduct:
         y = symbol(RATFUNC, T + UPoly.one())
         low = eta_mul(product(x, y))
         assert low.degree == 1
-        assert low.milnor.is_zero()
+        assert low.milnor_is_zero()
         for p in pool:
             assert signature(low.witt, p) == signature(product(x, y).witt, p)
 
@@ -230,17 +231,29 @@ class TestCompare:
 
 class TestFibreCompatibility:
     def test_rank_parity_enforced(self):
-        from realcycle.errors import CompatibilityError
-        from realcycle.mwk import MilnorPart
-        from realcycle.qform import DiagForm, GWElem
         with pytest.raises(CompatibilityError):
-            KmwElem(RATIONALS, 0, MilnorPart(RATIONALS, 0, 1),
-                    GWElem(DiagForm.make(RATIONALS, [1, 1]), DiagForm.empty(RATIONALS)))
+            KmwElem(0, 1, GWElem(DiagForm.make(RATIONALS, [1, 1]), DiagForm.empty(RATIONALS)))
 
     def test_degree_one_discriminant_enforced(self):
-        from realcycle.errors import CompatibilityError
-        from realcycle.mwk import MilnorPart
-        from realcycle.qform import DiagForm, GWElem
         with pytest.raises(CompatibilityError):
-            KmwElem(RATIONALS, 1, MilnorPart(RATIONALS, 1, Fraction(3)),
+            KmwElem(1, Fraction(3),
                     GWElem(DiagForm.make(RATIONALS, [1, -5]), DiagForm.empty(RATIONALS)))
+
+    def test_degree_three_is_refused(self):
+        with pytest.raises(ValueError, match="degrees are capped at 0..2"):
+            KmwElem(3, (), GWElem(DiagForm.empty(RATIONALS), DiagForm.empty(RATIONALS)))
+
+
+@pytest.mark.parametrize("ctx, a, b", [
+    (RATIONALS, 3, 5),
+    (finite_field(7), 3, 3),
+    (RATFUNC, T, T + UPoly.one()),
+], ids=["Q", "F7", "Q(t)"])
+def test_milnor_is_zero_in_each_degree(ctx, a, b):
+    # one zero and one nonzero element in each of the degrees 0, 1 and 2: the
+    # zero is 0, the unit 1 and the empty sum of 2-symbols
+    zeros = [eta_mul(symbol(ctx, a)), symbol(ctx, 1), product(symbol(ctx, a), symbol(ctx, -a))]
+    others = [integer(ctx, 2), symbol(ctx, a), product(symbol(ctx, a), symbol(ctx, b))]
+    assert [x.degree for x in zeros] == [x.degree for x in others] == [0, 1, 2]
+    assert all(x.milnor_is_zero() for x in zeros)
+    assert not any(x.milnor_is_zero() for x in others)
